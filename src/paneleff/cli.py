@@ -13,6 +13,7 @@ import os
 import sys
 
 from . import __version__
+from .dea import score_period
 from .errors import ConfigError, PanelEffError, StageError, ValidationFailedError
 from .panel_data import slice_period, write_panel_csv
 from .pipeline import (
@@ -178,13 +179,9 @@ def _cmd_dea(args) -> int:
     if args.period is not None:
         for analysis in config.dea_analyses:
             cs = slice_period(panel, args.period, analysis.spec)  # raises lookup error
-            from .dea import solve_bcc, solve_ccr
-
-            solve = solve_ccr if analysis.spec.returns_to_scale == "CRS" else solve_bcc
             print(f"analysis {analysis.name}, period {args.period}")
-            for dmu in cs.dmus:
-                result = solve(cs, dmu, analysis.spec.orientation)
-                print(f"  {dmu}  {result.score:.7f}")
+            for dmu, score in zip(cs.dmus, score_period(cs, analysis.spec)):
+                print(f"  {dmu}  {score:.7f}")
         return 0
     section = run_dea_stage(config, panel)
     bundle = _merge_stage(config, args, dea=section)

@@ -1,12 +1,15 @@
 """Radial DEA efficiency models over per-period cross-sections.
 
-Each score is solved twice: the envelopment program supplies the reported
-score (it is units-invariant by construction) and the multiplier program
-supplies the virtual input/output weights reported alongside. The two
-objectives must agree within 1e-6 (LP duality) or the solve is rejected as
-internally inconsistent. A second-stage slack-maximizing envelopment solve
-flags weak efficiency; no non-Archimedean epsilon is used, because any
-absolute epsilon would break units invariance.
+Each score is one envelopment program. The solver certifies its optimum
+(primal feasibility, dual feasibility and strong duality), and the
+certified duals are the multiplier program's solution: the virtual input
+and output weights and, under VRS, the free scale offset. The score is
+therefore units-invariant by construction and its weights come at no
+extra solve. solve_ccr/solve_bcc add a second-stage slack-maximizing
+envelopment solve that flags weak efficiency and finds the peers; no
+non-Archimedean epsilon is used, because any absolute epsilon would break
+units invariance. Panel scoring (score_period, run_panel_dea) reads only
+the score and skips that stage.
 """
 
 from __future__ import annotations
@@ -16,14 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DeaConsistencyError, UsageError, ValidationFailedError
-from .linprog import LpProblem, solve_lp
+from .linprog import LpProblem, LpSolution, solve_lp
 from .panel_data import CrossSection, PanelDataset, slice_period, validate_for_dea
 
 RETURNS_TO_SCALE = ("CRS", "VRS")
 ORIENTATIONS = ("input", "output")
 
 SCORE_SNAP_TOL = 1e-7     # scores this close to 1 are reported as exactly 1
-DUALITY_TOL = 1e-6
 _SLACK_TOL = 1e-7
 _SCORE_FLOOR = 1e-12
 
@@ -57,7 +59,8 @@ class EfficiencyResult:
 
     score is theta in (0, 1] for input orientation and phi >= 1 for output
     orientation. multiplier_u / multiplier_v are the virtual output and
-    input weights; scale_offset is the free multiplier the VRS model adds.
+    input weights and scale_offset is the free multiplier the VRS model
+    adds; all three are the certified duals of the envelopment program.
     lambdas, input_slacks and output_slacks come from the second-stage
     slack-maximizing envelopment solve.
     """
@@ -122,29 +125,7 @@ def _solve_dea(cs: CrossSection, dmu: str, rts: str, orientation: str) -> Effici
     n, m = X.shape
     s = Y.shape[1]
 
-    env = solve_lp(_envelopment_lp(X, Y, o, rts, orientation))
-    if env.status != "optimal":
-        raise DeaConsistencyError(
-            f"envelopment program for dmu {dmu!r} reported {env.status}; input data must be strictly positive"
-        )
-    mult = solve_lp(_multiplier_lp(X, Y, o, rts, orientation))
-    if mult.status != "optimal":
-        raise DeaConsistencyError(f"multiplier program for dmu {dmu!r} reported {mult.status}")
-
-    theta_env = env.objective_value
-    theta_mult = mult.objective_value
-    if abs(theta_env - theta_mult) > DUALITY_TOL * max(1.0, abs(theta_env)):
-        raise DeaConsistencyError(
-            f"multiplier/envelopment disagreement for dmu {dmu!r}: {theta_mult} vs {theta_env}"
-        )
-
-    score = theta_env
-    if abs(score - 1.0) <= SCORE_SNAP_TOL:
-        score = 1.0
-    elif orientation == "input":
-        score = min(max(score, _SCORE_FLOOR), 1.0)
-    else:
-        score = max(score, 1.0)
+    score, env = _radial(X, Y, o, rts, orientation, dmu)
 
     slack = solve_lp(_slack_stage_lp(X, Y, o, rts, orientation, score))
     if slack.status != "optimal":
@@ -163,17 +144,18 @@ def _solve_dea(cs: CrossSection, dmu: str, rts: str, orientation: str) -> Effici
         input_slacks = np.zeros(m)
         output_slacks = np.zeros(s)
 
-    if orientation == "input":
-        u = mult.primal[:s].copy()
-        v = mult.primal[s:s + m].copy()
-    else:
-        v = mult.primal[:m].copy()
-        u = mult.primal[m:m + s].copy()
-    offset = float(mult.primal[-1]) if rts == "VRS" else None
+    # The envelopment duals are the multiplier weights. Input orientation
+    # (a min) has duals <= 0 on the input rows and >= 0 on the output rows,
+    # output orientation (a max) the reverse; the convexity row's dual is
+    # the VRS offset.
+    sign = -1.0 if orientation == "input" else 1.0
+    v = sign * env.dual[:m]
+    u = -sign * env.dual[m:m + s]
+    offset = float(env.dual[m + s]) if rts == "VRS" else None
 
     return EfficiencyResult(
         dmu=dmu,
-        score=float(score),
+        score=score,
         orientation=orientation,
         returns_to_scale=rts,
         multiplier_u=u,
@@ -183,6 +165,33 @@ def _solve_dea(cs: CrossSection, dmu: str, rts: str, orientation: str) -> Effici
         input_slacks=input_slacks,
         output_slacks=output_slacks,
     )
+
+
+def score_period(cs: CrossSection, spec: DeaSpec) -> np.ndarray:
+    """Radial scores of every DMU of one cross-section, in cs.dmus order:
+    one envelopment solve per DMU, equal to solve_ccr/solve_bcc(...).score."""
+    return np.array([
+        _radial(cs.inputs, cs.outputs, o, spec.returns_to_scale, spec.orientation, dmu)[0]
+        for o, dmu in enumerate(cs.dmus)
+    ])
+
+
+def _radial(X, Y, o, rts, orientation, dmu) -> tuple[float, LpSolution]:
+    """Solve DMU o's envelopment program; return its snapped score and the
+    certified solution, whose duals are the multiplier weights."""
+    env = solve_lp(_envelopment_lp(X, Y, o, rts, orientation))
+    if env.status != "optimal":
+        raise DeaConsistencyError(
+            f"envelopment program for dmu {dmu!r} reported {env.status}; input data must be strictly positive"
+        )
+    score = env.objective_value
+    if abs(score - 1.0) <= SCORE_SNAP_TOL:
+        score = 1.0
+    elif orientation == "input":
+        score = min(max(score, _SCORE_FLOOR), 1.0)
+    else:
+        score = max(score, 1.0)
+    return float(score), env
 
 
 def _envelopment_lp(X, Y, o, rts, orientation) -> LpProblem:
@@ -209,54 +218,6 @@ def _envelopment_lp(X, Y, o, rts, orientation) -> LpProblem:
     c = np.zeros(n + 1)
     c[0] = 1.0
     return LpProblem(c, sense, cons)
-
-
-def _multiplier_lp(X, Y, o, rts, orientation) -> LpProblem:
-    n, m = X.shape
-    s = Y.shape[1]
-    vrs = rts == "VRS"
-    if orientation == "input":
-        # max u.y_o (+ w)  s.t.  v.x_o = 1 ,  u.y_j - v.x_j (+ w) <= 0
-        width = s + m + (1 if vrs else 0)
-        c = np.zeros(width)
-        c[:s] = Y[o]
-        if vrs:
-            c[-1] = 1.0
-        cons = []
-        row = np.zeros(width)
-        row[s:s + m] = X[o]
-        cons.append((row, "=", 1.0))
-        for j in range(n):
-            row = np.zeros(width)
-            row[:s] = Y[j]
-            row[s:s + m] = -X[j]
-            if vrs:
-                row[-1] = 1.0
-            cons.append((row, "<=", 0.0))
-        sense = "max"
-    else:
-        # min v.x_o (+ w)  s.t.  u.y_o = 1 ,  v.x_j - u.y_j (+ w) >= 0
-        width = m + s + (1 if vrs else 0)
-        c = np.zeros(width)
-        c[:m] = X[o]
-        if vrs:
-            c[-1] = 1.0
-        cons = []
-        row = np.zeros(width)
-        row[m:m + s] = Y[o]
-        cons.append((row, "=", 1.0))
-        for j in range(n):
-            row = np.zeros(width)
-            row[:m] = X[j]
-            row[m:m + s] = -Y[j]
-            if vrs:
-                row[-1] = 1.0
-            cons.append((row, ">=", 0.0))
-        sense = "min"
-    bounds = np.zeros(width)
-    if vrs:
-        bounds[-1] = -np.inf
-    return LpProblem(c, sense, cons, lower_bounds=bounds)
 
 
 def _slack_stage_lp(X, Y, o, rts, orientation, score) -> LpProblem:
@@ -301,13 +262,11 @@ def run_panel_dea(panel: PanelDataset, spec: DeaSpec) -> EfficiencyPanel:
     n_dmus = len(panel.dmus)
     n_periods = len(panel.periods)
     scores = np.zeros((n_dmus, n_periods))
-    solve = solve_ccr if spec.returns_to_scale == "CRS" else solve_bcc
     for p, period in enumerate(panel.periods):
         cs = slice_period(panel, period, spec)
-        for d, dmu in enumerate(panel.dmus):
-            try:
-                scores[d, p] = solve(cs, dmu, spec.orientation).score
-            except DeaConsistencyError as exc:
-                raise DeaConsistencyError(f"period={period} dmu={dmu}: {exc}") from exc
+        try:
+            scores[:, p] = score_period(cs, spec)
+        except DeaConsistencyError as exc:
+            raise DeaConsistencyError(f"period={period}: {exc}") from exc
     means = scores.sum(axis=1) / n_periods
     return EfficiencyPanel(panel.dmus, panel.periods, scores, means, spec)

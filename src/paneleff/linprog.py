@@ -10,6 +10,13 @@ and negative parts.
 Tolerances are fixed rather than configurable so that downstream efficiency
 scores stay bit-stable: pivot tolerance 1e-9, feasibility tolerance 1e-7,
 both relative to an up-front row equilibration of the constraint matrix.
+
+Every optimum is certified before it is returned: the primal point is
+feasible, the duals are dual-feasible (each sign matches its relation and
+the sense, and every reduced cost has the sign optimality needs, zero on
+free variables), and the two objectives agree within 1e-6. Together these
+prove both solutions optimal, so a caller may use the duals as the dual
+program's solution without solving it.
 """
 
 from __future__ import annotations
@@ -101,8 +108,8 @@ class LpSolution:
 
     For status "optimal", primal holds the variable values, dual one
     multiplier per constraint (signed so that b . dual equals the objective
-    value), and the certificates satisfy feasibility within 1e-7 and a
-    strong-duality gap within 1e-6, both relative to row scaling.
+    value), and the certificates satisfy primal and dual feasibility within
+    1e-7 and a strong-duality gap within 1e-6, all relative tests.
     """
 
     status: str
@@ -215,20 +222,15 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     minimize = problem.sense == "min"
 
     # Standard-form columns: free variables split into x+ - x-.
-    col_var: list[int] = []
-    col_sign: list[float] = []
-    for j in range(n):
-        col_var.append(j)
-        col_sign.append(1.0)
-        if np.isneginf(problem.lower_bounds[j]):
-            col_var.append(j)
-            col_sign.append(-1.0)
-    n_cols = len(col_var)
+    free = np.isneginf(problem.lower_bounds)
+    col_var = np.repeat(np.arange(n), np.where(free, 2, 1))
+    col_sign = np.ones(col_var.size)
+    col_sign[1:][col_var[1:] == col_var[:-1]] = -1.0
+    n_cols = col_var.size
 
-    c_std = np.zeros(n_cols)
-    for k in range(n_cols):
-        coeff = problem.objective[col_var[k]] * col_sign[k]
-        c_std[k] = coeff if minimize else -coeff
+    c_std = problem.objective[col_var] * col_sign
+    if not minimize:
+        c_std = -c_std
 
     if m == 0:
         # Bounded iff no improving coordinate direction exists.
@@ -237,23 +239,15 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         x = np.zeros(n)
         return LpSolution(OPTIMAL, float(problem.objective @ x), x, np.zeros(0), 0)
 
-    n_slacks = sum(1 for (_, rel, _) in problem.constraints if rel != "=")
+    M, slack_coef, rhs = _dense_rows(problem)
+    has_slack = slack_coef != 0.0
+    n_slacks = int(has_slack.sum())
     A = np.zeros((m, n_cols + n_slacks))
-    b = np.zeros(m)
+    A[:, :n_cols] = M[:, col_var] * col_sign
     slack_of_row = np.full(m, -1, dtype=int)
-    next_slack = n_cols
-    for i, (a, rel, rhs) in enumerate(problem.constraints):
-        for k in range(n_cols):
-            A[i, k] = a[col_var[k]] * col_sign[k]
-        b[i] = rhs
-        if rel == "<=":
-            A[i, next_slack] = 1.0
-            slack_of_row[i] = next_slack
-            next_slack += 1
-        elif rel == ">=":
-            A[i, next_slack] = -1.0
-            slack_of_row[i] = next_slack
-            next_slack += 1
+    slack_of_row[has_slack] = n_cols + np.arange(n_slacks)
+    A[has_slack, slack_of_row[has_slack]] = slack_coef[has_slack]
+    b = rhs.copy()
 
     row_sign = np.ones(m)
     negative = b < 0.0
@@ -266,29 +260,24 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     b /= row_scale
 
     total_cols = A.shape[1]
-    basis: list[int] = []
-    artificial_rows = []
-    for i in range(m):
-        s = slack_of_row[i]
-        if s >= 0 and A[i, s] > 0.0:
-            basis.append(s)
-        else:
-            basis.append(-1)  # placeholder, artificial assigned below
-            artificial_rows.append(i)
+    # A row starts on its own slack when that slack's coefficient is
+    # positive; every other row gets an artificial column.
+    own_slack = has_slack & (A[np.arange(m), slack_of_row] > 0.0)
+    artificial_rows = np.flatnonzero(~own_slack)
+    n_art = artificial_rows.size
+    basis_arr = slack_of_row.copy()
+    basis_arr[artificial_rows] = total_cols + np.arange(n_art)
 
-    n_art = len(artificial_rows)
     T = np.zeros((m + 1, total_cols + n_art + 1))
     T[:m, :total_cols] = A
     T[:m, -1] = b
-    for k, i in enumerate(artificial_rows):
-        T[i, total_cols + k] = 1.0
-        basis[i] = total_cols + k
+    T[artificial_rows, total_cols + np.arange(n_art)] = 1.0
 
     # Normalize rows whose initial basic column is a scaled slack.
-    for i in range(m):
-        if basis[i] < total_cols:
-            T[i] /= T[i, basis[i]]
+    slack_rows = np.flatnonzero(own_slack)
+    T[slack_rows] /= T[slack_rows, basis_arr[slack_rows]][:, None]
 
+    basis: list[int] = basis_arr.tolist()
     allowed = np.ones(total_cols + n_art, dtype=bool)
 
     # Phase 1: minimize the sum of artificials.
@@ -314,13 +303,9 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     cleanup = _Tableau(T, basis, allowed)
     for i in range(m):
         if basis[i] >= total_cols:
-            pivot_col = -1
-            for j in range(total_cols):
-                if abs(T[i, j]) > PIVOT_TOL:
-                    pivot_col = j
-                    break
-            if pivot_col >= 0:
-                cleanup._pivot(i, pivot_col)
+            pivot_cols = np.flatnonzero(np.abs(T[i, :total_cols]) > PIVOT_TOL)
+            if pivot_cols.size:
+                cleanup._pivot(i, int(pivot_cols[0]))
             else:
                 keep_rows[i] = False
     iterations += cleanup.iterations
@@ -364,41 +349,81 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     np.maximum(x_std, 0.0, out=x_std)  # clip roundoff negatives
 
     x = np.zeros(n)
-    for k in range(n_cols):
-        x[col_var[k]] += col_sign[k] * x_std[k]
+    np.add.at(x, col_var, col_sign * x_std[:n_cols])
 
     dual = np.zeros(m)
     sense_factor = 1.0 if minimize else -1.0
-    for r, i in enumerate(row_index):
-        dual[i] = sense_factor * row_sign[i] * y_rows[r] / row_scale[i]
+    dual[row_index] = sense_factor * row_sign[row_index] * y_rows / row_scale[row_index]
 
     objective_value = float(problem.objective @ x)
-    _check_certificates(problem, x, dual, objective_value, iterations)
+    _check_certificates(problem, M, slack_coef, rhs, x, dual, objective_value, iterations)
     return LpSolution(OPTIMAL, objective_value, x, dual, iterations)
 
 
-def _check_certificates(problem, x, dual, objective_value, iterations) -> None:
-    """Verify feasibility and strong duality; breakdowns surface as errors."""
-    b_dot_y = 0.0
-    for i, (a, rel, rhs) in enumerate(problem.constraints):
-        lhs = float(a @ x)
-        scale = max(1.0, abs(rhs), float(np.abs(a).max(initial=0.0)) * float(np.abs(x).max(initial=0.0)))
-        if rel == "<=":
-            violation = lhs - rhs
-        elif rel == ">=":
-            violation = rhs - lhs
-        else:
-            violation = abs(lhs - rhs)
-        if violation > FEAS_TOL * scale:
-            raise LpSolverError(
-                f"primal infeasibility {violation:.3e} in constraint {i} at claimed optimum",
-                diagnostics={"iterations": iterations, "constraint": i},
-            )
-        b_dot_y += rhs * dual[i]
+# slack coefficient of each relation in the standard form
+_SLACK_COEF = {"<=": 1.0, "=": 0.0, ">=": -1.0}
+
+
+def _dense_rows(problem: LpProblem):
+    """The constraints as a dense (m, n) matrix, the slack coefficient of
+    each row (+1 for <=, 0 for =, -1 for >=) and the right-hand sides."""
+    rows = problem.constraints
+    M = np.array([a for a, _, _ in rows])
+    slack_coef = np.array([_SLACK_COEF[rel] for _, rel, _ in rows])
+    rhs = np.array([r for _, _, r in rows])
+    return M, slack_coef, rhs
+
+
+def _check_certificates(problem, M, slack_coef, rhs, x, dual, objective_value, iterations) -> None:
+    """Verify primal feasibility, dual feasibility and strong duality.
+
+    Together the three prove x optimal and dual an optimal dual solution.
+    Each test is relative: a row's residual to max(1, |rhs|, max|a| max|x|),
+    a column's reduced cost to max(1, |c_j|, max|A_j| max|dual|).
+    Breakdowns surface as errors.
+    """
+    lhs = M @ x
+    residual = lhs - rhs
+    violation = np.where(slack_coef == 0.0, np.abs(residual), slack_coef * residual)
+    scale = np.maximum(1.0, np.maximum(np.abs(rhs), np.abs(M).max(axis=1) * np.abs(x).max()))
+    bad = np.flatnonzero(violation > FEAS_TOL * scale)
+    if bad.size:
+        i = int(bad[0])
+        raise LpSolverError(
+            f"primal infeasibility {violation[i]:.3e} in constraint {i} at claimed optimum",
+            diagnostics={"iterations": iterations, "constraint": i},
+        )
     finite = problem.lower_bounds == 0.0
     if np.any(x[finite] < -FEAS_TOL):
         raise LpSolverError("negative value for a nonnegative variable at claimed optimum",
                             diagnostics={"iterations": iterations})
+
+    # Dual feasibility. With s = +1 for min and -1 for max: s * dual_i <= 0
+    # on a <= row and >= 0 on a >= row; s * (c - M'dual) >= 0 on x >= 0
+    # columns and = 0 on free ones. A row's sign is the reduced cost of its
+    # unit slack column, so it shares the column test.
+    s = 1.0 if problem.sense == "min" else -1.0
+    dual_max = float(np.abs(dual).max(initial=0.0))
+    wrong_sign = s * slack_coef * dual
+    bad = np.flatnonzero(wrong_sign > FEAS_TOL * max(1.0, dual_max))
+    if bad.size:
+        i = int(bad[0])
+        raise LpSolverError(
+            f"dual sign violation {wrong_sign[i]:.3e} in constraint {i} at claimed optimum",
+            diagnostics={"iterations": iterations, "constraint": i},
+        )
+    reduced = s * (problem.objective - M.T @ dual)
+    violation = np.where(finite, -reduced, np.abs(reduced))
+    scale = np.maximum(1.0, np.maximum(np.abs(problem.objective), np.abs(M).max(axis=0) * dual_max))
+    bad = np.flatnonzero(violation > FEAS_TOL * scale)
+    if bad.size:
+        j = int(bad[0])
+        raise LpSolverError(
+            f"dual infeasibility {violation[j]:.3e} in the reduced cost of variable {j} at claimed optimum",
+            diagnostics={"iterations": iterations, "variable": j},
+        )
+
+    b_dot_y = float(rhs @ dual)
     gap = abs(objective_value - b_dot_y)
     if gap > DUALITY_TOL * max(1.0, abs(objective_value)):
         raise LpSolverError(

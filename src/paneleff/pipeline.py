@@ -475,20 +475,12 @@ def _correspondence(cluster_analyses: dict, dea_section: dict) -> dict:
 
 
 def _pair_agreement(name_a: str, assign_a, name_b: str, assign_b) -> dict:
-    from itertools import permutations
-
     ka = max(assign_a) + 1
     kb = max(assign_b) + 1
     table = [[0] * kb for _ in range(ka)]
     for ca, cb in zip(assign_a, assign_b):
         table[ca][cb] += 1
-    best = 0
-    if ka <= kb:
-        for perm in permutations(range(kb), ka):
-            best = max(best, sum(table[i][perm[i]] for i in range(ka)))
-    else:
-        for perm in permutations(range(ka), kb):
-            best = max(best, sum(table[perm[j]][j] for j in range(kb)))
+    best = _max_assignment(table)
     n = len(assign_a)
     return {
         "analyses": [name_a, name_b],
@@ -496,6 +488,58 @@ def _pair_agreement(name_a: str, assign_a, name_b: str, assign_b) -> dict:
         "agreement": best,
         "agreement_rate": best / n,
     }
+
+
+def _max_assignment(table) -> int:
+    """Largest sum of table entries with at most one entry per row and per
+    column, every row or every column matched (Kuhn-Munkres, O(k^3)).
+
+    The shortest-augmenting-path form with row and column potentials, run
+    on the cost -table with rows as the shorter side. Integer entries keep
+    every step exact.
+    """
+    if len(table) > len(table[0]):
+        table = [list(col) for col in zip(*table)]
+    rows, cols = len(table), len(table[0])
+    inf = float("inf")
+    # 1-based; column 0 is the virtual start of each augmenting path
+    u = [0] * (rows + 1)
+    v = [0] * (cols + 1)
+    match = [0] * (cols + 1)  # match[j]: row assigned to column j, 0 if none
+    way = [0] * (cols + 1)
+    for i in range(1, rows + 1):
+        match[0] = i
+        j0 = 0
+        minv = [inf] * (cols + 1)
+        used = [False] * (cols + 1)
+        while True:
+            used[j0] = True
+            i0 = match[j0]
+            delta = inf
+            j1 = 0
+            for j in range(1, cols + 1):
+                if not used[j]:
+                    cur = -table[i0 - 1][j - 1] - u[i0] - v[j]
+                    if cur < minv[j]:
+                        minv[j] = cur
+                        way[j] = j0
+                    if minv[j] < delta:
+                        delta = minv[j]
+                        j1 = j
+            for j in range(cols + 1):
+                if used[j]:
+                    u[match[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if match[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            match[j0] = match[j1]
+            j0 = j1
+    return sum(table[match[j] - 1][j - 1] for j in range(1, cols + 1) if match[j])
 
 
 def run_pls_stage(config: PipelineConfig, panel: PanelDataset) -> dict:

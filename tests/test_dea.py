@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from oracles import dea_ratio_oracle
-from paneleff.dea import DeaSpec, run_panel_dea, solve_bcc, solve_ccr
+from paneleff.dea import DeaSpec, run_panel_dea, score_period, solve_bcc, solve_ccr
 from paneleff.errors import UsageError, ValidationFailedError
-from paneleff.panel_data import CrossSection, PanelDataset, VariableDef
+from paneleff.panel_data import CrossSection, PanelDataset, VariableDef, slice_period
+from paneleff.pipeline import parse_config
+from paneleff.synthetic import make_demo_config, make_demo_panel
 
 
 def cross_section(inputs, outputs, period="t"):
@@ -113,14 +115,33 @@ def test_dominated_dmu_insertion_changes_nothing():
         assert solve_ccr(cs2, dmu).score == pytest.approx(base[i], abs=1e-9)
 
 
-def test_multiplier_weights_reproduce_the_score():
+def assert_weights_certify_the_score(cs, i, r, tol=1e-7):
+    """The multiplier program's constraints and objective at (u, v, w)."""
+    u, v = r.multiplier_u, r.multiplier_v
+    assert (r.scale_offset is None) == (r.returns_to_scale == "CRS")
+    w = 0.0 if r.scale_offset is None else r.scale_offset
+    assert np.all(u >= -1e-9) and np.all(v >= -1e-9)
+    X, Y = cs.inputs, cs.outputs
+    if r.orientation == "input":
+        # max u.y_o + w  s.t.  v.x_o = 1 ,  u.y_j - v.x_j + w <= 0
+        assert v @ X[i] == pytest.approx(1.0, abs=tol)
+        assert u @ Y[i] + w == pytest.approx(r.score, abs=1e-6)
+        assert np.all(Y @ u - X @ v + w <= tol)
+    else:
+        # min v.x_o + w  s.t.  u.y_o = 1 ,  v.x_j - u.y_j + w >= 0
+        assert u @ Y[i] == pytest.approx(1.0, abs=tol)
+        assert v @ X[i] + w == pytest.approx(r.score, abs=1e-6)
+        assert np.all(X @ v - Y @ u + w >= -tol)
+
+
+@pytest.mark.parametrize("orientation", ["input", "output"])
+@pytest.mark.parametrize("rts", ["CRS", "VRS"])
+def test_multiplier_weights_reproduce_the_score(rts, orientation):
     rng = np.random.default_rng(23)
     cs = random_cs(rng, n=6, m=2, s=2)
+    solve = solve_ccr if rts == "CRS" else solve_bcc
     for i, dmu in enumerate(cs.dmus):
-        r = solve_ccr(cs, dmu)
-        # input orientation: v . x_o = 1 and u . y_o = theta
-        assert r.multiplier_v @ cs.inputs[i] == pytest.approx(1.0, abs=1e-7)
-        assert r.multiplier_u @ cs.outputs[i] == pytest.approx(r.score, abs=1e-6)
+        assert_weights_certify_the_score(cs, i, solve(cs, dmu, orientation))
 
 
 def test_strongly_efficient_dmu_is_its_own_sole_peer():
@@ -144,8 +165,7 @@ def test_output_orientation_is_reciprocal_under_crs():
 
 
 def test_output_orientation_vrs_bounded_by_crs():
-    # the VRS envelopment's feasible set is a subset of the CRS one, and the
-    # internal multiplier/envelopment cross-check must hold for both
+    # the VRS envelopment's feasible set is a subset of the CRS one
     rng = np.random.default_rng(53)
     cs = random_cs(rng, n=8, m=2, s=2)
     for dmu in cs.dmus:
@@ -218,3 +238,44 @@ def test_spec_validation():
         DeaSpec(("x",), ("x",))
     with pytest.raises(UsageError):
         DeaSpec(("x",), ("y",), returns_to_scale="DRS")
+
+
+def wide_panel_period_2002(seed=108, n=40):
+    """Period 2002 (the second) of the 40-DMU, 3-input, 2-output panel the
+    dea_wide benchmark generates from seed: inputs scale with a DMU size
+    U(10, 1000), outputs are the size times an efficiency draw U(0.4, 1),
+    each jittered by U(0.5, 1.5)."""
+    rng = np.random.default_rng(seed)
+    size = rng.uniform(10.0, 1000.0, n)
+    for _ in range(2):
+        X = size[:, None] * rng.uniform(0.5, 1.5, (n, 3))
+        Y = rng.uniform(0.4, 1.0, (n, 1)) * size[:, None] * rng.uniform(0.5, 1.5, (n, 2))
+    schema = tuple(VariableDef(f"x{i + 1}", "dea_input") for i in range(3)) + tuple(
+        VariableDef(f"y{r + 1}", "dea_output") for r in range(2))
+    values = np.concatenate([X, Y], axis=1)[:, None, :]
+    return PanelDataset(tuple(f"D{d + 1:02d}" for d in range(n)), ("2002",), schema, values)
+
+
+def test_vrs_output_scores_on_a_wide_panel_that_once_failed():
+    # an efficient DMU (D06) whose separate multiplier program the solver
+    # once called unbounded, failing the whole pipeline run
+    panel = wide_panel_period_2002()
+    spec = DeaSpec(("x1", "x2", "x3"), ("y1", "y2"), "VRS", "output")
+    result = run_panel_dea(panel, spec)
+    assert np.all(result.scores >= 1.0)
+    cs = slice_period(panel, "2002", spec)
+    r = solve_bcc(cs, "D06", "output")
+    assert r.score == result.scores[5, 0]
+    assert_weights_certify_the_score(cs, 5, r)
+
+
+def test_score_period_equals_full_solves_on_the_demo_panel():
+    panel = make_demo_panel()
+    config = parse_config(make_demo_config())
+    for analysis in config.dea_analyses:
+        spec = analysis.spec
+        solve = solve_ccr if spec.returns_to_scale == "CRS" else solve_bcc
+        for period in panel.periods:
+            cs = slice_period(panel, period, spec)
+            scores = score_period(cs, spec)
+            assert scores.tolist() == [solve(cs, d, spec.orientation).score for d in cs.dmus]

@@ -90,9 +90,36 @@ def test_strong_duality_and_complementary_slackness():
         checked += 1
         scale = max(1.0, abs(s.objective_value))
         assert abs(s.objective_value - b @ s.dual) <= 1e-6 * scale
+        # dual feasibility of max c.x, A x <= b, x >= 0: y >= 0, A'y >= c
+        assert np.all(s.dual >= -1e-9)
+        assert np.all(A.T @ s.dual - c >= -1e-7 * scale)
         for i in range(len(b)):
             slack = b[i] - A[i] @ s.primal
             assert abs(slack * s.dual[i]) <= 1e-6 * scale
+
+
+def test_free_variable_split_matches_explicit_columns():
+    # a free x_j is solved as x_j+ - x_j- in adjacent columns; writing those
+    # columns out by hand must give the same pivots and the same bits
+    rng = np.random.default_rng(47)
+    for _ in range(60):
+        c, A, b = random_lp(rng)
+        rels = rng.choice(["<=", "=", ">="], size=len(b))
+        sense = str(rng.choice(["min", "max"]))
+        free = rng.random(len(c)) < 0.4
+        split = np.repeat(np.arange(len(c)), np.where(free, 2, 1))
+        sign = np.where(np.r_[False, split[1:] == split[:-1]], -1.0, 1.0)
+        p1 = LpProblem(c, sense, [(A[i], rels[i], b[i]) for i in range(len(b))],
+                       lower_bounds=np.where(free, -np.inf, 0.0))
+        p2 = LpProblem(c[split] * sign, sense,
+                       [(A[i][split] * sign, rels[i], b[i]) for i in range(len(b))])
+        s1, s2 = solve_lp(p1), solve_lp(p2)
+        assert (s1.status, s1.iterations) == (s2.status, s2.iterations)
+        if s1.status == "optimal":
+            x2 = np.zeros(len(c))
+            np.add.at(x2, split, sign * s2.primal)
+            assert np.array_equal(s1.primal, x2)
+            assert np.array_equal(s1.dual, s2.dual)
 
 
 def test_row_permutation_invariance():

@@ -1,5 +1,6 @@
 import json
 import os
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from paneleff.pipeline import (
     run_pipeline,
     significance_marker,
     _fmt7,
+    _max_assignment,
 )
 from paneleff.synthetic import make_demo_config, make_demo_panel
 from paneleff.panel_data import write_panel_csv
@@ -128,6 +130,26 @@ def test_csv_numbers_use_seven_decimals(demo_bundle, tmp_path):
     for cell in first[1:]:
         whole, frac = cell.split(".")
         assert len(frac) == 7
+
+
+def brute_force_assignment(table):
+    ka, kb = len(table), len(table[0])
+    if ka <= kb:
+        return max(sum(table[i][p[i]] for i in range(ka)) for p in permutations(range(kb), ka))
+    return max(sum(table[p[j]][j] for j in range(kb)) for p in permutations(range(ka), kb))
+
+
+def test_max_assignment_matches_permutation_brute_force():
+    rng = np.random.default_rng(61)
+    for ka in range(1, 8):
+        for kb in range(1, 8):
+            for density in (0.3, 1.0):
+                table = (rng.integers(0, 6, (ka, kb)) * (rng.random((ka, kb)) < density)).tolist()
+                assert _max_assignment(table) == brute_force_assignment(table)
+    # far past any k the enumeration could reach: a hidden permutation
+    perm = rng.permutation(40)
+    table = [[3 if perm[i] == j else 1 for j in range(40)] for i in range(40)]
+    assert _max_assignment(table) == 120
 
 
 def test_fmt7_renders_unit_exactly():
