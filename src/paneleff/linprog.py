@@ -382,10 +382,10 @@ def _check_certificates(problem, M, slack_coef, rhs, x, dual, objective_value, i
     a column's reduced cost to max(1, |c_j|, max|A_j| max|dual|).
     Breakdowns surface as errors.
     """
-    lhs = M @ x
-    residual = lhs - rhs
+    abs_M = np.abs(M)
+    residual = M @ x - rhs
     violation = np.where(slack_coef == 0.0, np.abs(residual), slack_coef * residual)
-    scale = np.maximum(1.0, np.maximum(np.abs(rhs), np.abs(M).max(axis=1) * np.abs(x).max()))
+    scale = np.maximum(1.0, np.maximum(np.abs(rhs), abs_M.max(axis=1) * np.abs(x).max()))
     bad = np.flatnonzero(violation > FEAS_TOL * scale)
     if bad.size:
         i = int(bad[0])
@@ -414,7 +414,7 @@ def _check_certificates(problem, M, slack_coef, rhs, x, dual, objective_value, i
         )
     reduced = s * (problem.objective - M.T @ dual)
     violation = np.where(finite, -reduced, np.abs(reduced))
-    scale = np.maximum(1.0, np.maximum(np.abs(problem.objective), np.abs(M).max(axis=0) * dual_max))
+    scale = np.maximum(1.0, np.maximum(np.abs(problem.objective), abs_M.max(axis=0) * dual_max))
     bad = np.flatnonzero(violation > FEAS_TOL * scale)
     if bad.size:
         j = int(bad[0])
