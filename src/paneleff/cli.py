@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from . import __version__
 from .dea import score_period
@@ -29,12 +30,10 @@ from .pipeline import (
     run_dea_stage,
     run_pls_stage,
     run_pipeline,
+    unrun_report,
     validate_config_dataset,
 )
 from .synthetic import DEMO_SEED, make_demo_config, make_demo_panel
-
-_SKIPPED = {"skipped": True}
-_PENDING = {"pending": True}
 
 
 def main(argv=None) -> int:
@@ -64,9 +63,8 @@ def cli_main(argv=None) -> int:
         if exc.partial_bundle is not None:
             try:
                 config = _load_config(args)
-                out_dir = args.out or config.output_dir
-                emit_report(exc.partial_bundle, out_dir, config.formats)
-                _note(args, f"partial report (INCOMPLETE) written to {out_dir}")
+                emit_report(exc.partial_bundle, config.output_dir, config.formats)
+                _note(args, f"partial report (INCOMPLETE) written to {config.output_dir}")
             except PanelEffError:
                 pass
         return 2
@@ -138,18 +136,21 @@ def _err(args, message: str) -> None:
 
 
 def _load_config(args) -> PipelineConfig:
+    """The configuration file with --seed, --format and --out applied."""
     config = config_from_file(args.config)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         config = config.with_seed(args.seed)
-    if getattr(args, "formats", None):
-        config = _replace_formats(config, tuple(dict.fromkeys(args.formats)))
-    return config
+    return replace(
+        config,
+        output_dir=args.out or config.output_dir,
+        formats=tuple(dict.fromkeys(args.formats)) if args.formats else config.formats,
+    )
 
 
-def _replace_formats(config: PipelineConfig, formats) -> PipelineConfig:
-    from dataclasses import replace
-
-    return replace(config, formats=formats)
+def _emit(args, config: PipelineConfig, bundle: ReportBundle) -> int:
+    for path in emit_report(bundle, config.output_dir, config.formats):
+        _note(args, f"wrote {path}")
+    return 0
 
 
 def _cmd_validate(args) -> int:
@@ -164,13 +165,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     config = _load_config(args)
-    out_dir = args.out or config.output_dir
     _note(args, "running dea, cluster, and pls stages")
-    bundle = run_pipeline(config)
-    written = emit_report(bundle, out_dir, config.formats)
-    for path in written:
-        _note(args, f"wrote {path}")
-    return 0
+    return _emit(args, config, run_pipeline(config))
 
 
 def _cmd_dea(args) -> int:
@@ -184,79 +180,61 @@ def _cmd_dea(args) -> int:
                 print(f"  {dmu}  {score:.7f}")
         return 0
     section = run_dea_stage(config, panel)
-    bundle = _merge_stage(config, args, dea=section)
-    out_dir = args.out or config.output_dir
-    emit_report(bundle, out_dir, config.formats)
-    _note(args, f"dea stage written to {out_dir}")
-    return 0
+    return _emit(args, config, _merge_stage(config, _read_report(config), dea=section))
 
 
 def _cmd_cluster(args) -> int:
     config = _load_config(args)
     if config.cluster is None:
         raise ConfigError("configuration has no cluster stage")
-    existing = _read_existing_bundle(config, args)
+    existing = _read_report(config)
     if existing is None or not existing.dea or "pending" in existing.dea:
-        raise StageError("cluster", "no DEA results on disk; run the dea stage first")
+        raise StageError("cluster", "no DEA results of this configuration and seed on disk; "
+                                    "run the dea stage first")
     cluster_section, correspondence = run_cluster_stage(config, existing.dea)
-    bundle = _merge_stage(config, args, dea=existing.dea, cluster=cluster_section,
-                          correspondence=correspondence, pls=existing.pls)
-    out_dir = args.out or config.output_dir
-    emit_report(bundle, out_dir, config.formats)
-    _note(args, f"cluster stage written to {out_dir}")
-    return 0
+    bundle = _merge_stage(config, existing, cluster=cluster_section, correspondence=correspondence)
+    return _emit(args, config, bundle)
 
 
 def _cmd_pls(args) -> int:
     config = _load_config(args)
     if config.pls is None:
         raise ConfigError("configuration has no pls stage")
-    panel = load_dataset(config)
-    section = run_pls_stage(config, panel)
-    existing = _read_existing_bundle(config, args)
-    bundle = _merge_stage(
-        config, args,
-        dea=existing.dea if existing else None,
-        cluster=existing.cluster if existing else None,
-        correspondence=existing.correspondence if existing else None,
-        pls=section,
-    )
-    out_dir = args.out or config.output_dir
-    emit_report(bundle, out_dir, config.formats)
-    _note(args, f"pls stage written to {out_dir}")
-    return 0
+    section = run_pls_stage(config, load_dataset(config))
+    return _emit(args, config, _merge_stage(config, _read_report(config), pls=section))
 
 
-def _read_existing_bundle(config: PipelineConfig, args) -> ReportBundle | None:
-    out_dir = args.out or config.output_dir
-    path = os.path.join(out_dir, f"{REPORT_BASENAME}.json")
+def _read_report(config: PipelineConfig) -> ReportBundle | None:
+    """The report.json of this configuration and seed in the output
+    directory, or None. A report of another run counts as absent."""
+    path = os.path.join(config.output_dir, f"{REPORT_BASENAME}.json")
     if not os.path.exists(path):
         return None
     with open(path, "r", encoding="utf-8") as fh:
-        return ReportBundle.from_json(fh.read())
+        report = ReportBundle.from_json(fh.read())
+    if report.provenance != build_provenance(config):
+        return None
+    # report.json has sorted keys; tables and text follow configuration order
+    dea_names = [a.name for a in config.dea_analyses]
+    cluster = report.cluster
+    if "analyses" in cluster:
+        cluster = {**cluster, "analyses": _in_order(cluster["analyses"], dea_names)}
+    pls = report.pls
+    if "models" in pls:
+        pls = {**pls, "models": _in_order(pls["models"], [m.name for m in config.pls.models])}
+    return replace(report, dea=_in_order(report.dea, dea_names), cluster=cluster, pls=pls)
 
 
-def _merge_stage(config: PipelineConfig, args, dea=None, cluster=None,
-                 correspondence=None, pls=None) -> ReportBundle:
-    """Combine freshly computed sections with on-disk ones, marking
-    configured-but-not-yet-run stages as pending."""
-    existing = _read_existing_bundle(config, args)
+def _in_order(section: dict, names) -> dict:
+    """section with the entries named in names first, in that order."""
+    rank = {name: i for i, name in enumerate(names)}
+    return dict(sorted(section.items(), key=lambda item: rank.get(item[0], len(rank))))
 
-    def fallback(fresh, old, configured):
-        if fresh is not None and "pending" not in fresh:
-            return fresh
-        if old is not None and "pending" not in old and "skipped" not in old:
-            return old
-        return dict(_PENDING) if configured else dict(_SKIPPED)
 
-    return ReportBundle(
-        provenance=build_provenance(config),
-        dea=fallback(dea, existing.dea if existing else None, True),
-        cluster=fallback(cluster, existing.cluster if existing else None, config.cluster is not None),
-        correspondence=fallback(correspondence, existing.correspondence if existing else None,
-                                config.cluster is not None),
-        pls=fallback(pls, existing.pls if existing else None, config.pls is not None),
-    )
+def _merge_stage(config: PipelineConfig, existing: ReportBundle | None, **fresh) -> ReportBundle:
+    """The on-disk report, or without one the unrun report, with freshly
+    computed sections in place of its own."""
+    return replace(existing or unrun_report(config), incomplete=None, **fresh)
 
 
 def _cmd_demo(args) -> int:
@@ -274,9 +252,7 @@ def _cmd_demo(args) -> int:
 
     config = config_from_file(config_path)
     bundle = run_pipeline(config)
-    written = emit_report(bundle, config.output_dir, config.formats)
-    for path in written:
-        _note(args, f"wrote {path}")
+    _emit(args, config, bundle)
     if not args.quiet:
         print(render_text(bundle))
     return 0

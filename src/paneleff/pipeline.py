@@ -605,58 +605,66 @@ def _cobb_douglas_table(panel: PanelDataset, cfg: CobbDouglasConfig) -> dict:
 # orchestration
 
 
-_SKIPPED = {"skipped": True}
-_PENDING = {"pending": True}
+def unrun_report(config: PipelineConfig) -> ReportBundle:
+    """The report before any stage has run: every configured stage pending,
+    every other one skipped."""
+
+    def unrun(configured):
+        return {"pending": True} if configured else {"skipped": True}
+
+    return ReportBundle(
+        provenance=build_provenance(config),
+        dea=unrun(True),
+        cluster=unrun(config.cluster is not None),
+        correspondence=unrun(config.cluster is not None),
+        pls=unrun(config.pls is not None),
+    )
 
 
 def run_pipeline(config: PipelineConfig) -> ReportBundle:
     """Run every configured stage. A stage failure raises StageError carrying
     the partial bundle (completed stages plus an incomplete marker)."""
-    provenance = build_provenance(config)
-    dea_section: dict = {}
-    cluster_section = _SKIPPED if config.cluster is None else dict(_PENDING)
-    correspondence = _SKIPPED if config.cluster is None else dict(_PENDING)
-    pls_section = _SKIPPED if config.pls is None else dict(_PENDING)
+    # a failed dea stage leaves an empty section, not a pending one
+    bundle = replace(unrun_report(config), dea={})
 
-    def partial(stage, exc) -> ReportBundle:
-        return ReportBundle(
-            provenance=provenance,
-            dea=dea_section,
-            cluster=cluster_section,
-            correspondence=correspondence,
-            pls=pls_section,
-            incomplete={"stage": stage, "message": str(exc)},
-        )
+    def failure(stage, exc) -> StageError:
+        partial = replace(bundle, incomplete={"stage": stage, "message": str(exc)})
+        return StageError(stage, str(exc), partial_bundle=partial)
 
     try:
         panel = load_dataset(config)
-        dea_section = run_dea_stage(config, panel)
+        bundle = replace(bundle, dea=run_dea_stage(config, panel))
     except PanelEffError as exc:
-        raise StageError(STAGE_DEA, str(exc), partial_bundle=partial(STAGE_DEA, exc)) from exc
+        raise failure(STAGE_DEA, exc) from exc
 
     if config.cluster is not None:
         try:
-            cluster_section, correspondence = run_cluster_stage(config, dea_section)
+            cluster, correspondence = run_cluster_stage(config, bundle.dea)
         except PanelEffError as exc:
-            raise StageError(STAGE_CLUSTER, str(exc), partial_bundle=partial(STAGE_CLUSTER, exc)) from exc
+            raise failure(STAGE_CLUSTER, exc) from exc
+        bundle = replace(bundle, cluster=cluster, correspondence=correspondence)
 
     if config.pls is not None:
         try:
-            pls_section = run_pls_stage(config, panel)
+            pls = run_pls_stage(config, panel)
         except PanelEffError as exc:
-            raise StageError(STAGE_PLS, str(exc), partial_bundle=partial(STAGE_PLS, exc)) from exc
-
-    return ReportBundle(
-        provenance=provenance,
-        dea=dea_section,
-        cluster=cluster_section,
-        correspondence=correspondence,
-        pls=pls_section,
-    )
+            raise failure(STAGE_PLS, exc) from exc
+        bundle = replace(bundle, pls=pls)
+    return bundle
 
 
 # ---------------------------------------------------------------------------
 # emission
+
+
+@dataclass(frozen=True)
+class Table:
+    """One report table: the CSV file <name>.csv, and a table of the text
+    report."""
+
+    name: str
+    headers: list
+    rows: list
 
 
 def significance_marker(p: float) -> str:
@@ -695,108 +703,109 @@ def emit_report(bundle: ReportBundle, out_dir: str, formats=("json",)) -> list[s
     written = []
     for fmt in formats:
         if fmt == "json":
-            path = os.path.join(out_dir, f"{REPORT_BASENAME}.json")
-            _atomic_write(path, bundle.to_json())
-            written.append(path)
+            files = [(f"{REPORT_BASENAME}.json", bundle.to_json())]
         elif fmt == "text":
-            path = os.path.join(out_dir, f"{REPORT_BASENAME}.txt")
-            _atomic_write(path, render_text(bundle))
-            written.append(path)
+            files = [(f"{REPORT_BASENAME}.txt", render_text(bundle))]
         elif fmt == "csv":
-            written.extend(_emit_csv_tables(bundle, out_dir))
+            files = [(f"{table.name}.csv", _csv_text(table)) for table in report_tables(bundle)]
         else:
             raise UsageError(f"unknown report format {fmt!r}")
+        for name, text in files:
+            path = os.path.join(out_dir, name)
+            _atomic_write(path, text)
+            written.append(path)
     return written
 
 
-def _csv_text(headers, rows) -> str:
+def _csv_text(table: Table) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(headers)
-    writer.writerows(rows)
+    writer.writerow(table.headers)
+    writer.writerows(table.rows)
     return buf.getvalue()
 
 
-def _emit_csv_tables(bundle: ReportBundle, out_dir: str) -> list[str]:
-    written = []
+def report_tables(bundle: ReportBundle) -> list[Table]:
+    """Every table of the bundle, in the order its CSV files are written."""
+    tables = []
+    for name, table in _dea_results(bundle).items():
+        tables.append(Table(
+            f"dea_{name}_scores",
+            ["dmu"] + list(table["periods"]) + ["mean"],
+            [
+                [dmu] + [_fmt7(x) for x in scores] + [_fmt7(mean)]
+                for dmu, scores, mean in zip(table["dmus"], table["scores"], table["means"])
+            ],
+        ))
 
-    def emit(name, headers, rows):
-        path = os.path.join(out_dir, f"{name}.csv")
-        _atomic_write(path, _csv_text(headers, rows))
-        written.append(path)
-
-    for name, table in bundle.dea.items():
-        headers = ["dmu"] + list(table["periods"]) + ["mean"]
-        rows = []
-        for i, dmu in enumerate(table["dmus"]):
-            rows.append([dmu] + [_fmt7(x) for x in table["scores"][i]] + [_fmt7(table["means"][i])])
-        emit(f"dea_{name}_scores", headers, rows)
-
-    if "analyses" in bundle.cluster:
-        for name, table in bundle.cluster["analyses"].items():
-            emit(
-                f"cluster_{name}_sweep",
-                ["k", "f_value", "p_value", "df_between", "df_within", "sse_within", "flags"],
+    for name, table in bundle.cluster.get("analyses", {}).items():
+        tables.append(Table(
+            f"cluster_{name}_sweep",
+            ["k", "f_value", "p_value", "df_between", "df_within", "sse_within", "flags"],
+            [
+                [e["k"], _fmt7(e["f_value"]), _fmt7(e["p_value"]), e["df_between"],
+                 e["df_within"], _fmt7(e["sse_within"]), ";".join(e["flags"])]
+                for e in table["sweep"]
+            ],
+        ))
+        if "assignments" in table:
+            dea = bundle.dea[name]
+            tables.append(Table(
+                f"cluster_{name}_membership",
+                ["dmu", "cluster", "mean_efficiency"],
                 [
-                    [e["k"], _fmt7(e["f_value"]), _fmt7(e["p_value"]), e["df_between"],
-                     e["df_within"], _fmt7(e["sse_within"]), ";".join(e["flags"])]
-                    for e in table["sweep"]
+                    [dmu, cluster, _fmt7(mean)]
+                    for dmu, cluster, mean in zip(dea["dmus"], table["assignments"], dea["means"])
                 ],
-            )
-            if "assignments" in table:
-                dmus = bundle.dea[name]["dmus"]
-                emit(
-                    f"cluster_{name}_membership",
-                    ["dmu", "cluster", "mean_efficiency"],
-                    [
-                        [dmu, table["assignments"][i], _fmt7(bundle.dea[name]["means"][i])]
-                        for i, dmu in enumerate(dmus)
-                    ],
-                )
+            ))
 
-    if "clusters" in bundle.correspondence:
-        doc = bundle.correspondence
-        emit(
+    doc = bundle.correspondence
+    if "clusters" in doc:
+        tables.append(Table(
             "correspondence",
             ["dmu"] + [f"cluster_{n}" for n in doc["analyses"]],
-            [[dmu] + list(doc["clusters"][i]) for i, dmu in enumerate(doc["dmus"])],
-        )
+            [[dmu] + list(clusters) for dmu, clusters in zip(doc["dmus"], doc["clusters"])],
+        ))
         for pair in doc["pairs"]:
             a, b = pair["analyses"]
             kb = len(pair["contingency"][0])
-            emit(
+            tables.append(Table(
                 f"contingency_{a}_vs_{b}",
                 [f"{a}\\{b}"] + [str(j) for j in range(kb)],
                 [[i] + row for i, row in enumerate(pair["contingency"])],
-            )
+            ))
 
     if "models" in bundle.pls:
-        rows = []
-        for model_name, model in bundle.pls["models"].items():
-            for p in model["paths"]:
-                rows.append([
-                    model_name, p["source"], p["target"], _fmt7(p["coefficient"]),
-                    _fmt7(p["std_error"]), _fmt7(p["t_statistic"]), _fmt7(p["p_value"]),
-                    significance_marker(p["p_value"]),
-                ])
-        emit("pls_paths", ["model", "source", "target", "coefficient", "std_error",
-                           "t_statistic", "p_value", "marker"], rows)
-        grid_headers, grid_rows = _pls_grid(bundle.pls)
-        if grid_rows:
-            emit("pls_grid", grid_headers, grid_rows)
+        tables.append(Table(
+            "pls_paths",
+            ["model", "source", "target", "coefficient", "std_error", "t_statistic", "p_value", "marker"],
+            [
+                [model_name, p["source"], p["target"], _fmt7(p["coefficient"]),
+                 _fmt7(p["std_error"]), _fmt7(p["t_statistic"]), _fmt7(p["p_value"]),
+                 significance_marker(p["p_value"])]
+                for model_name, model in bundle.pls["models"].items()
+                for p in model["paths"]
+            ],
+        ))
+        tables.append(_pls_grid(bundle.pls))
         for table in bundle.pls.get("cobb_douglas", []):
-            emit(
+            tables.append(Table(
                 f"cobb_douglas_{table['target']}",
                 ["column", "coefficient", "std_error"],
                 [
                     [c, _fmt7(b), _fmt7(s)]
                     for c, b, s in zip(table["columns"], table["coefficients"], table["standard_errors"])
                 ],
-            )
-    return written
+            ))
+    return tables
 
 
-def _pls_grid(pls_section: dict):
+def _dea_results(bundle: ReportBundle) -> dict:
+    # a stage command run before the dea stage leaves it pending
+    return {} if "pending" in bundle.dea else bundle.dea
+
+
+def _pls_grid(pls_section: dict) -> Table:
     """Exogenous-by-endogenous coefficient grid with significance markers.
 
     Rows are each model's exogenous latents; columns are the union of
@@ -813,15 +822,15 @@ def _pls_grid(pls_section: dict):
             if key not in rows_index:
                 rows_index.append(key)
             cells[(key, p["target"])] = _fmt7(p["coefficient"]) + significance_marker(p["p_value"])
-    headers = ["model", "source"] + targets
-    rows = []
-    for key in rows_index:
-        rows.append([key[0], key[1]] + [cells.get((key, t), "") for t in targets])
-    return headers, rows
+    rows = [[model, source] + [cells.get(((model, source), t), "") for t in targets]
+            for model, source in rows_index]
+    return Table("pls_grid", ["model", "source"] + targets, rows)
 
 
 def render_text(bundle: ReportBundle) -> str:
     """Aligned, human-readable rendering of the full bundle."""
+    tables = report_tables(bundle)
+    by_name = {table.name: table for table in tables}
     out = []
     prov = bundle.provenance
     out.append(f"paneleff {prov.get('version', '')} report")
@@ -830,15 +839,10 @@ def render_text(bundle: ReportBundle) -> str:
         out.append(f"INCOMPLETE: stage {bundle.incomplete['stage']} failed: {bundle.incomplete['message']}")
     out.append("")
 
-    for name, table in bundle.dea.items():
+    for name, table in _dea_results(bundle).items():
         out.append(f"== DEA efficiency: {name} "
                    f"({table['returns_to_scale']}, {table['orientation']}-oriented) ==")
-        headers = ["dmu"] + list(table["periods"]) + ["mean"]
-        rows = [
-            [dmu] + [_fmt7(x) for x in table["scores"][i]] + [_fmt7(table["means"][i])]
-            for i, dmu in enumerate(table["dmus"])
-        ]
-        out.append(_text_table(headers, rows))
+        out.append(_text_table(by_name[f"dea_{name}_scores"]))
         out.append("")
 
     if "analyses" in bundle.cluster:
@@ -847,21 +851,16 @@ def render_text(bundle: ReportBundle) -> str:
         for name, table in bundle.cluster["analyses"].items():
             out.append(f"-- {name}: selected k = {table['selected_k']} "
                        f"({table['selection_rule']}) {' '.join(table['flags'])}".rstrip())
-            headers = ["k", "F", "p", "df_between", "df_within", "flags"]
-            rows = [
-                [e["k"], _fmt7(e["f_value"]) or "inf", _fmt7(e["p_value"]),
-                 e["df_between"], e["df_within"], ";".join(e["flags"])]
-                for e in table["sweep"]
-            ]
-            out.append(_text_table(headers, rows))
+            # the text sweep leaves out sse_within and shows a null F as inf
+            sweep = by_name[f"cluster_{name}_sweep"]
+            out.append(_text_table(Table(
+                sweep.name,
+                ["k", "F", "p", "df_between", "df_within", "flags"],
+                [[k, f or "inf", p, df_b, df_w, flags] for k, f, p, df_b, df_w, _, flags in sweep.rows],
+            )))
             if "assignments" in table:
-                dmus = bundle.dea[name]["dmus"]
-                headers = ["dmu", "cluster", "mean"]
-                rows = [
-                    [dmu, table["assignments"][i], _fmt7(bundle.dea[name]["means"][i])]
-                    for i, dmu in enumerate(dmus)
-                ]
-                out.append(_text_table(headers, rows))
+                membership = by_name[f"cluster_{name}_membership"]
+                out.append(_text_table(replace(membership, headers=["dmu", "cluster", "mean"])))
         out.append("")
     elif bundle.cluster.get("skipped"):
         out.append("== Cluster analysis: skipped ==")
@@ -870,9 +869,7 @@ def render_text(bundle: ReportBundle) -> str:
     if "clusters" in bundle.correspondence:
         doc = bundle.correspondence
         out.append("== Cluster correspondence ==")
-        headers = ["dmu"] + [f"cluster_{n}" for n in doc["analyses"]]
-        rows = [[dmu] + list(doc["clusters"][i]) for i, dmu in enumerate(doc["dmus"])]
-        out.append(_text_table(headers, rows))
+        out.append(_text_table(by_name["correspondence"]))
         for pair in doc["pairs"]:
             a, b = pair["analyses"]
             out.append(f"{a} vs {b}: agreement {pair['agreement']}/{len(doc['dmus'])} "
@@ -882,20 +879,17 @@ def render_text(bundle: ReportBundle) -> str:
     if "models" in bundle.pls:
         out.append("== Path models (bootstrap "
                    f"B={bundle.pls['bootstrap_samples']}, seed={bundle.pls['seed']}) ==")
-        grid_headers, grid_rows = _pls_grid(bundle.pls)
-        out.append(_text_table(grid_headers, grid_rows))
+        out.append(_text_table(by_name["pls_grid"]))
         out.append("note: * p < 0.001, ** p < 0.01")
         for model_name, model in bundle.pls["models"].items():
             r2 = ", ".join(f"{k}={v:.4f}" for k, v in sorted(model["r_squared"].items()))
             out.append(f"-- {model_name}: converged={model['converged']} "
                        f"iterations={model['iterations']} R2: {r2}")
-        for table in bundle.pls.get("cobb_douglas", []):
-            out.append(f"-- log-log baseline for {table['target']}")
-            rows = [
-                [c, _fmt7(b), _fmt7(s)]
-                for c, b, s in zip(table["columns"], table["coefficients"], table["standard_errors"])
-            ]
-            out.append(_text_table(["column", "coefficient", "std_error"], rows))
+        # scanned in order, not looked up: two baselines may share a target
+        for table in tables:
+            if table.name.startswith("cobb_douglas_"):
+                out.append(f"-- log-log baseline for {table.name[len('cobb_douglas_'):]}")
+                out.append(_text_table(table))
         out.append("")
     elif bundle.pls.get("skipped"):
         out.append("== Path models: skipped ==")
@@ -904,9 +898,9 @@ def render_text(bundle: ReportBundle) -> str:
     return "\n".join(out)
 
 
-def _text_table(headers, rows) -> str:
-    cells = [[str(h) for h in headers]] + [[str(c) for c in row] for row in rows]
-    widths = [max(len(r[j]) for r in cells) for j in range(len(headers))]
+def _text_table(table: Table) -> str:
+    cells = [[str(h) for h in table.headers]] + [[str(c) for c in row] for row in table.rows]
+    widths = [max(len(r[j]) for r in cells) for j in range(len(table.headers))]
     lines = []
     for i, row in enumerate(cells):
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())

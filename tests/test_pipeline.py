@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from itertools import permutations
@@ -110,6 +111,34 @@ def test_emitted_files(demo_bundle, tmp_path):
     assert "pls_paths.csv" in names
     for path in written:
         assert os.path.exists(path)
+
+
+# sha256 of every file emitted for the demo_dir fixture, in emission order
+DEMO_REPORT_SHA256 = [
+    ("report.json", "4c9b4f195602af2a92ae84253ba5c58f5514662746c2ef4306ed8fd8d77eee11"),
+    ("dea_ict_scores.csv", "894be26e07f8d285023dbc1a4b9aff491b86c41ef9a1f97ddb9d026e0a7f747b"),
+    ("dea_health_scores.csv", "479e78ae1c18d85b3946175df02e264146cd94b02ee1c949306a0e1712fd0ff4"),
+    ("cluster_ict_sweep.csv", "0736d7c2f5cb713e203f512efc83677166d5e0493a9bf0b4b0c96eba84f34b01"),
+    ("cluster_ict_membership.csv", "db61e6f958d3e15002b4ea60d0c95fbfc6713d0b0c6b57fe0c700b452d87c512"),
+    ("cluster_health_sweep.csv", "0736d7c2f5cb713e203f512efc83677166d5e0493a9bf0b4b0c96eba84f34b01"),
+    ("cluster_health_membership.csv", "7ba4e44e0ea046923b05cd90fb0754e8e16768c22bdd4206ac5a5e7d3756934a"),
+    ("correspondence.csv", "7b85187f27a2715821b8afaaa1d2588fe07f0896d911bdef1355a406c3ab285d"),
+    ("contingency_ict_vs_health.csv", "5413e49d4705f561048fbdf0111473d3f544641c59ac3e416222c1070884cacb"),
+    ("pls_paths.csv", "f33690d84d6eb2d4c99200301542ead59ea17c73ab726665b36a8b03814bc280"),
+    ("pls_grid.csv", "7870698463164e7bc2f613cbed9d997e9efe86f0ca411699a3690cdccb7c03ec"),
+    ("cobb_douglas_ln_leb.csv", "31f40d7f1c4c4ef553e646bfa853258b071ac7af939b225953a8ba3c98182ed4"),
+    ("report.txt", "7e1569b48fda86e8ab063cb4fe0659f00010f170e28272931d810304b9fd7143"),
+]
+
+
+def test_emitted_files_match_golden_hashes(demo_bundle, tmp_path):
+    bundle, _ = demo_bundle
+    written = emit_report(bundle, str(tmp_path), ("json", "csv", "text"))
+    digests = [
+        (os.path.basename(path), hashlib.sha256(open(path, "rb").read()).hexdigest())
+        for path in written
+    ]
+    assert digests == DEMO_REPORT_SHA256
 
 
 def test_rendered_table_contains_exact_unit_mean(demo_bundle, tmp_path):
@@ -237,7 +266,54 @@ def test_cli_stage_chaining_matches_pipeline(demo_dir, tmp_path):
     assert cli_main(["dea", "--config", config, "--out", str(chained), "--quiet"]) == 0
     assert cli_main(["cluster", "--config", config, "--out", str(chained), "--quiet"]) == 0
     assert cli_main(["pls", "--config", config, "--out", str(chained), "--quiet"]) == 0
-    assert (whole / "report.json").read_bytes() == (chained / "report.json").read_bytes()
+    assert_same_files(whole, chained)
+
+
+def assert_same_files(a, b):
+    names = sorted(os.listdir(a))
+    assert names == sorted(os.listdir(b))
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_cli_pls_stage_before_dea_stage(demo_dir, tmp_path):
+    config = str(demo_dir / "config.json")
+    whole = tmp_path / "whole"
+    chained = tmp_path / "chained"
+    assert cli_main(["pipeline", "--config", config, "--out", str(whole), "--quiet"]) == 0
+    assert cli_main(["pls", "--config", config, "--out", str(chained), "--quiet"]) == 0
+    report = json.loads((chained / "report.json").read_text())
+    assert report["dea"] == {"pending": True}
+    assert "dea_ict_scores.csv" not in os.listdir(chained)
+    assert "DEA efficiency" not in (chained / "report.txt").read_text()
+    assert cli_main(["dea", "--config", config, "--out", str(chained), "--quiet"]) == 0
+    assert cli_main(["cluster", "--config", config, "--out", str(chained), "--quiet"]) == 0
+    assert_same_files(whole, chained)
+
+
+def test_cli_stage_ignores_report_of_another_run(demo_dir, tmp_path):
+    out = tmp_path / "out"
+    assert cli_main(["pipeline", "--config", str(demo_dir / "config.json"), "--out", str(out),
+                     "--quiet"]) == 0
+    document = json.loads((demo_dir / "config.json").read_text())
+    document["cluster"]["k_max"] = 4
+    other = tmp_path / "config.json"
+    other.write_text(json.dumps(document))
+    (tmp_path / "dataset.csv").write_bytes((demo_dir / "dataset.csv").read_bytes())
+    assert cli_main(["dea", "--config", str(other), "--out", str(out), "--seed", "9",
+                     "--quiet"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["provenance"]["seeds"] == {"cluster": 9, "bootstrap": 9}
+    assert report["cluster"] == {"pending": True}
+    assert report["correspondence"] == {"pending": True}
+    assert report["pls"] == {"pending": True}
+    # a stage of the chain without the same --seed finds no DEA results of its run
+    assert cli_main(["cluster", "--config", str(other), "--out", str(out), "--quiet"]) == 2
+    assert cli_main(["cluster", "--config", str(other), "--out", str(out), "--seed", "9",
+                     "--quiet"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["cluster"]["k_max"] == 4
+    assert report["cluster"]["seed"] == 9
 
 
 def test_cli_validate_ok(demo_dir, capsys):
