@@ -62,10 +62,10 @@ def cli_main(argv=None) -> int:
         _err(args, f"stage error in {exc.stage}: {exc}")
         if exc.partial_bundle is not None:
             try:
-                config = _load_config(args)
+                config = args.load_config(args)
                 emit_report(exc.partial_bundle, config.output_dir, config.formats)
                 _note(args, f"partial report (INCOMPLETE) written to {config.output_dir}")
-            except PanelEffError:
+            except (PanelEffError, OSError):
                 pass
         return 2
     except PanelEffError as exc:
@@ -95,6 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="report format (repeatable; overrides the configuration)")
         p.add_argument("--seed", type=int, help="override every stage seed")
         p.add_argument("--quiet", action="store_true", help="suppress progress notes")
+        p.set_defaults(load_config=_load_config)
 
     p = sub.add_parser("validate", help="check a configuration and its dataset")
     common(p)
@@ -122,7 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEMO_SEED, help="dataset generator seed")
     p.add_argument("--samples", type=int, default=500, help="bootstrap resamples")
     p.add_argument("--quiet", action="store_true")
-    p.set_defaults(handler=_cmd_demo)
+    p.set_defaults(handler=_cmd_demo, load_config=_demo_config)
     return parser
 
 
@@ -145,6 +146,11 @@ def _load_config(args) -> PipelineConfig:
         output_dir=args.out or config.output_dir,
         formats=tuple(dict.fromkeys(args.formats)) if args.formats else config.formats,
     )
+
+
+def _demo_config(args) -> PipelineConfig:
+    """The configuration `paneleff demo` wrote into its --out directory."""
+    return config_from_file(os.path.join(args.out, "config.json"))
 
 
 def _emit(args, config: PipelineConfig, bundle: ReportBundle) -> int:
@@ -250,7 +256,7 @@ def _cmd_demo(args) -> int:
         fh.write("\n")
     _note(args, f"wrote {dataset_path} and {config_path}")
 
-    config = config_from_file(config_path)
+    config = _demo_config(args)
     bundle = run_pipeline(config)
     _emit(args, config, bundle)
     if not args.quiet:

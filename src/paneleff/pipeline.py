@@ -17,6 +17,7 @@ import json
 import math
 import os
 import tempfile
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -235,13 +236,15 @@ def parse_config(document: dict, config_hash: str | None = None, base_dir: str |
             raise ConfigError("pls.bootstrap.samples must be >= 100")
         cobb = []
         for c in entry.get("cobb_douglas", []):
-            cobb.append(
-                CobbDouglasConfig(
-                    ict_var=known(_require(c, "ict_var", str), "pls.cobb_douglas"),
-                    health_vars=tuple(known(v, "pls.cobb_douglas") for v in _require(c, "health_vars", list)),
-                    target=known(_require(c, "target", str), "pls.cobb_douglas"),
-                )
+            baseline = CobbDouglasConfig(
+                ict_var=known(_require(c, "ict_var", str), "pls.cobb_douglas"),
+                health_vars=tuple(known(v, "pls.cobb_douglas") for v in _require(c, "health_vars", list)),
+                target=known(_require(c, "target", str), "pls.cobb_douglas"),
             )
+            if any((b.ict_var, b.target) == (baseline.ict_var, baseline.target) for b in cobb):
+                raise ConfigError(f"pls.cobb_douglas: two baselines of {baseline.ict_var!r} "
+                                  f"against target {baseline.target!r}")
+            cobb.append(baseline)
         pls = PlsStageConfig(tuple(models), samples, _seed(boot, "pls.bootstrap.seed"), tuple(cobb))
 
     output = document.get("output", {})
@@ -549,7 +552,7 @@ def run_pls_stage(config: PipelineConfig, panel: PanelDataset) -> dict:
     for model in cfg.models:
         estimates = fit_path_model(data, model.spec)
         boot = bootstrap_significance(
-            data, model.spec, samples=cfg.bootstrap_samples, seed=cfg.bootstrap_seed
+            data, model.spec, samples=cfg.bootstrap_samples, seed=cfg.bootstrap_seed, full=estimates
         )
         paths = []
         for (source, target), beta in estimates.path_coefficients.items():
@@ -788,9 +791,13 @@ def report_tables(bundle: ReportBundle) -> list[Table]:
             ],
         ))
         tables.append(_pls_grid(bundle.pls))
-        for table in bundle.pls.get("cobb_douglas", []):
+        baselines = bundle.pls.get("cobb_douglas", [])
+        targets = Counter(table["target"] for table in baselines)
+        for table in baselines:
+            # columns[1] is ln_<ict_var>; it names baselines that share a target
+            ict = "" if targets[table["target"]] == 1 else table["columns"][1][len("ln_"):] + "_"
             tables.append(Table(
-                f"cobb_douglas_{table['target']}",
+                f"cobb_douglas_{ict}{table['target']}",
                 ["column", "coefficient", "std_error"],
                 [
                     [c, _fmt7(b), _fmt7(s)]
@@ -885,7 +892,6 @@ def render_text(bundle: ReportBundle) -> str:
             r2 = ", ".join(f"{k}={v:.4f}" for k, v in sorted(model["r_squared"].items()))
             out.append(f"-- {model_name}: converged={model['converged']} "
                        f"iterations={model['iterations']} R2: {r2}")
-        # scanned in order, not looked up: two baselines may share a target
         for table in tables:
             if table.name.startswith("cobb_douglas_"):
                 out.append(f"-- log-log baseline for {table.name[len('cobb_douglas_'):]}")

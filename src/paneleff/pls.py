@@ -33,6 +33,9 @@ INNER_SCHEMES = ("path_weighting", "centroid")
 CONVERGENCE_TOL = 1e-7
 MAX_ITERATIONS = 300
 MIN_BOOTSTRAP_SAMPLES = 100
+# bytes of resampled data the bootstrap fits at once: enough replicates to
+# spread numpy's per-call cost, few enough to keep peak memory flat
+STACK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -135,6 +138,7 @@ class BootstrapSummary:
     p_value: dict
     samples: int
     seed: int
+    redraws: int  # degenerate resamples that were drawn again
 
 
 @dataclass(frozen=True)
@@ -194,7 +198,8 @@ class _CompiledModel:
         self.pred = [ [self.index[p] for p in spec.predecessors(n)] for n in self.names ]
         self.succ = [ [self.index[s] for s in spec.successors(n)] for n in self.names ]
         self.adjacent = [sorted(set(p) | set(s)) for p, s in zip(self.pred, self.succ)]
-        self.path_index = [(self.index[a], self.index[b]) for a, b in spec.paths]
+        # (predecessor, latent) in the order of PathEstimates.path_coefficients
+        self.structural = [(j, i) for i in range(len(self.names)) for j in self.pred[i]]
         self.centroid = spec.inner_scheme == "centroid"
 
 
@@ -358,7 +363,8 @@ def _structural_ols(T: np.ndarray, y: np.ndarray, names) -> tuple[np.ndarray, fl
     return beta, float(resid @ resid)
 
 
-def bootstrap_significance(data, spec: PathModelSpec, samples: int = 500, seed: int = 0) -> BootstrapSummary:
+def bootstrap_significance(data, spec: PathModelSpec, samples: int = 500, seed: int = 0,
+                           full: PathEstimates | None = None) -> BootstrapSummary:
     """Bootstrap standard errors and two-tailed p-values for every path.
 
     Rows are resampled with replacement; each replicate's random stream is
@@ -367,41 +373,57 @@ def bootstrap_significance(data, spec: PathModelSpec, samples: int = 500, seed: 
     to 10x the requested count in total. t statistics divide the
     full-sample coefficient by the resampling standard deviation and are
     referred to a Student-t distribution with n - 1 degrees of freedom.
+    `full` is the model already fitted to the whole sample; without it the
+    whole sample is fitted here.
+
+    Replicates are fitted in stacks of STACK_BYTES of resampled data by
+    `_fit_stack`. A replicate it cannot fit cleanly is refitted alone by
+    `_fit_compiled`, which raises exactly when it must be redrawn.
     """
     if samples < MIN_BOOTSTRAP_SAMPLES:
         raise UsageError(f"bootstrap needs at least {MIN_BOOTSTRAP_SAMPLES} samples, got {samples}")
     model = _CompiledModel(spec)
     X_raw = _matrix_from_mapping(data, model.columns)
     n = X_raw.shape[0]
-    full = _fit_compiled(standardize(X_raw, columns=model.columns), model)
+    if full is None:
+        full = _fit_compiled(standardize(X_raw, columns=model.columns), model)
 
-    paths = list(full.path_coefficients)
-    draws = {p: np.empty(samples) for p in paths}
-    redraws_left = 10 * samples
-    for i in range(samples):
-        rng = np.random.default_rng((seed, i))
-        while True:
-            idx = rng.integers(0, n, size=n)
-            try:
-                X = standardize(X_raw[idx], columns=model.columns)
-                est = _fit_compiled(X, model)
-            except (DegenerateColumnError, CollinearityError):
-                redraws_left -= 1
-                if redraws_left < 0:
-                    raise DegenerateColumnError(
-                        f"more than {10 * samples} degenerate resamples; data is too discrete to bootstrap"
-                    ) from None
-                continue
-            break
-        flip = _sign_alignment(full.outer_loadings, est.outer_loadings, model)
-        for (a, b) in paths:
-            draws[(a, b)][i] = est.path_coefficients[(a, b)] * flip[a] * flip[b]
+    paths = [(model.names[j], model.names[i]) for j, i in model.structural]
+    draws = np.empty((len(paths), samples))
+    redraws = 0
+    chunk = max(1, STACK_BYTES // X_raw.nbytes)
+    for start in range(0, samples, chunk):
+        rngs = [np.random.default_rng((seed, i)) for i in range(start, min(start + chunk, samples))]
+        idx = np.stack([rng.integers(0, n, size=n) for rng in rngs])
+        coefficients = np.empty((len(rngs), len(paths)))
+        loadings = np.empty((len(rngs), len(model.columns)))
+        rows, coefficients_clean, loadings_clean = _fit_stack(X_raw, idx, model)
+        coefficients[rows] = coefficients_clean
+        loadings[rows] = loadings_clean
+        for k in np.setdiff1d(np.arange(len(rngs)), rows):
+            sample = idx[k]
+            while True:
+                try:
+                    est = _fit_compiled(standardize(X_raw[sample], columns=model.columns), model)
+                    break
+                except (DegenerateColumnError, CollinearityError):
+                    redraws += 1
+                    if redraws > 10 * samples:
+                        raise DegenerateColumnError(
+                            f"more than {10 * samples} degenerate resamples; data is too discrete to bootstrap"
+                        ) from None
+                    sample = rngs[k].integers(0, n, size=n)
+            coefficients[k] = [est.path_coefficients[p] for p in paths]
+            loadings[k] = [est.outer_loadings[c] for c in model.columns]
+        flip = _sign_alignment(full.outer_loadings, loadings, model)
+        for q, (j, i) in enumerate(model.structural):
+            draws[q, start:start + len(rngs)] = coefficients[:, q] * flip[:, j] * flip[:, i]
 
     std_error = {}
     t_statistic = {}
     p_value = {}
-    for p in paths:
-        se = float(draws[p].std(ddof=1))
+    for q, p in enumerate(paths):
+        se = float(draws[q].std(ddof=1))
         beta = full.path_coefficients[p]
         if se == 0.0:
             t = 0.0 if beta == 0.0 else math.inf * _sign(beta)
@@ -410,24 +432,167 @@ def bootstrap_significance(data, spec: PathModelSpec, samples: int = 500, seed: 
         std_error[p] = se
         t_statistic[p] = float(t)
         p_value[p] = float(t_two_tailed_p(t, n - 1))
-    return BootstrapSummary(std_error, t_statistic, p_value, samples, seed)
+    return BootstrapSummary(std_error, t_statistic, p_value, samples, seed, redraws)
 
 
-def _sign_alignment(full_loadings, boot_loadings, model: _CompiledModel) -> dict:
-    """Per-latent sign that aligns a replicate's orientation with the
-    full-sample solution."""
-    flip = {}
-    for block in model.spec.blocks:
-        dot = sum(full_loadings[i] * boot_loadings[i] for i in block.indicators)
-        flip[block.name] = -1.0 if dot < 0.0 else 1.0
+def _sign_alignment(full_loadings, loadings: np.ndarray, model: _CompiledModel) -> np.ndarray:
+    """Per-replicate, per-latent sign (replicates x latents) that aligns
+    each replicate's orientation with the full-sample solution; loadings
+    holds one replicate's outer loadings per row, in column order."""
+    flip = np.empty((loadings.shape[0], len(model.names)))
+    for b, (block, sl) in enumerate(zip(model.spec.blocks, model.slices)):
+        dot = 0.0
+        for name, column in zip(block.indicators, loadings[:, sl].T):
+            dot = dot + full_loadings[name] * column
+        flip[:, b] = np.where(dot < 0.0, -1.0, 1.0)
     return flip
+
+
+@np.errstate(divide="ignore", invalid="ignore")  # left-out replicates may divide by zero
+def _fit_stack(X_raw: np.ndarray, idx: np.ndarray, model: _CompiledModel):
+    """Fit the resamples X_raw[idx[k]] of a stack of replicates with the
+    operations of `standardize` and `_fit_compiled`, replicate by replicate
+    in the same order.
+
+    Returns (rows, coefficients, loadings): the positions in idx fitted
+    cleanly, their structural coefficients in `model.structural` order and
+    their outer loadings in column order. A replicate is left out when its
+    own fit would raise or not converge: a zero-variance column, a
+    collapsed score, zero outer weights, a singular or ill-conditioned
+    system, or no convergence within MAX_ITERATIONS. Each ALS step updates
+    only the replicates still iterating, so a replicate's weights stop
+    where its own loop would stop.
+    """
+    n = X_raw.shape[0]
+    X = X_raw[idx]
+    sd = X.std(axis=1, ddof=1, keepdims=True)
+    X -= X.mean(axis=1, keepdims=True)
+    X /= sd
+    rows = np.arange(len(idx))
+    X, rows = _rows_where((sd != 0.0).all(axis=(1, 2)), X, rows)
+    W = np.concatenate(
+        [np.tile(_canonical_weights(np.ones(sl.stop - sl.start)), (len(rows), 1)) for sl in model.slices],
+        axis=1,
+    )
+    active = np.ones(len(rows), dtype=bool)
+    for _ in range(MAX_ITERATIONS):
+        W_new, ok = _als_step(X, W, model)
+        settled = np.abs(W_new - W).max(axis=1) < CONVERGENCE_TOL
+        W = np.where(active[:, None], W_new, W)
+        keep = ok | ~active
+        active &= ~settled
+        X, W, active, rows = _rows_where(keep, X, W, active, rows)
+        if not active.any():
+            break
+    S, ok = _stack_scores(X, W, model)
+    X, S, rows = _rows_where(ok & ~active, X, S, rows)
+
+    loadings = np.empty((len(rows), X.shape[2]))
+    for i, sl in enumerate(model.slices):
+        lam = (X[:, :, sl].transpose(0, 2, 1) @ S[:, i, :, None])[:, :, 0] / (n - 1)
+        flip = lam.sum(axis=1) < 0.0
+        S[:, i] = np.where(flip[:, None], -S[:, i], S[:, i])
+        loadings[:, sl] = np.where(flip[:, None], -lam, lam)
+
+    coefficients = np.empty((len(rows), len(model.structural)))
+    ok = np.ones(len(rows), dtype=bool)
+    q = 0
+    for i, preds in enumerate(model.pred):
+        if not preds:
+            continue
+        T = np.stack([S[:, j] for j in preds], axis=-1)
+        gram = T.transpose(0, 2, 1) @ T
+        cond = np.linalg.cond(gram)
+        regular = np.isfinite(cond) & (cond <= 1e12)
+        gram[~regular] = np.eye(len(preds))
+        rhs = T.transpose(0, 2, 1) @ S[:, i, :, None]
+        coefficients[:, q:q + len(preds)] = np.linalg.solve(gram, rhs)[:, :, 0]
+        ok &= regular
+        q += len(preds)
+    return rows[ok], coefficients[ok], loadings[ok]
+
+
+def _als_step(X: np.ndarray, W: np.ndarray, model: _CompiledModel):
+    """One pass of the `_fit_compiled` ALS loop body for every replicate:
+    the new outer weights, and which replicates took the step cleanly."""
+    n = X.shape[1]
+    S, ok = _stack_scores(X, W, model)
+    S_cols = np.ascontiguousarray(S.transpose(0, 2, 1))
+    corr = S_cols.transpose(0, 2, 1) @ S_cols / (n - 1)
+    W_new = np.empty_like(W)
+    for i, sl in enumerate(model.slices):
+        proxy, solved = _stack_inner_proxy(i, S, corr, model)
+        u = (X[:, :, sl].transpose(0, 2, 1) @ proxy[:, :, None])[:, :, 0]
+        W_new[:, sl], nonzero = _stack_canonical_weights(u)
+        ok &= solved & nonzero
+    return W_new, ok
+
+
+def _stack_scores(X: np.ndarray, W: np.ndarray, model: _CompiledModel):
+    """`_unit_score` of every block of every replicate (replicates x
+    latents x n), and which replicates have no collapsed score."""
+    S = np.stack([(X[:, :, sl] @ W[:, sl, None])[:, :, 0] for sl in model.slices], axis=1)
+    sd = S.std(axis=2, ddof=1, keepdims=True)
+    S -= S.mean(axis=2, keepdims=True)
+    S /= sd
+    return S, (sd != 0.0).all(axis=(1, 2))
+
+
+def _rows_where(keep: np.ndarray, *arrays):
+    """The rows of each array where keep is true."""
+    return arrays if keep.all() else tuple(a[keep] for a in arrays)
+
+
+def _stack_inner_proxy(i, S: np.ndarray, corr: np.ndarray, model: _CompiledModel):
+    """`_inner_proxy` of latent i for every replicate, and which replicates
+    had a nonsingular predecessor system."""
+    solved = np.ones(S.shape[0], dtype=bool)
+    if model.centroid:
+        terms = [(j, np.where(corr[:, i, j] < 0.0, -1.0, 1.0)) for j in model.adjacent[i]]
+    else:
+        terms = []
+        preds = model.pred[i]
+        if preds:
+            coef, solved = _stack_solve(corr[:, preds][:, :, preds], corr[:, preds, i])
+            terms += zip(preds, coef.T)
+        terms += [(j, corr[:, i, j]) for j in model.succ[i]]
+    proxy = np.zeros(S.shape[::2])
+    for j, w in terms:
+        proxy += w[:, None] * S[:, j]
+    return proxy, solved
+
+
+def _stack_solve(A: np.ndarray, b: np.ndarray):
+    """Solve A[k] x = b[k] for every k; a singular system gives NaN and
+    False in the returned mask."""
+    try:
+        return np.linalg.solve(A, b[:, :, None])[:, :, 0], np.ones(len(A), dtype=bool)
+    except np.linalg.LinAlgError:
+        x = np.full(b.shape, np.nan)
+        for k in range(len(A)):
+            try:
+                x[k] = np.linalg.solve(A[k], b[k])
+            except np.linalg.LinAlgError:
+                pass
+        return x, ~np.isnan(x).any(axis=1)
+
+
+def _stack_canonical_weights(u: np.ndarray):
+    """`_canonical_weights` of every row, and which rows had a nonzero norm."""
+    norm = np.sqrt((u[:, None, :] @ u[:, :, None])[:, 0, 0])
+    w = u / norm[:, None]
+    total = w.sum(axis=1)
+    flip = total < 0.0
+    if (total == 0.0).any():
+        first = w[np.arange(len(w)), np.argmax(w != 0.0, axis=1)]
+        flip |= (total == 0.0) & (first < 0.0)
+    return np.where(flip[:, None], -w, w), norm != 0.0
 
 
 def fit_with_bootstrap(data, spec: PathModelSpec, samples: int = 500, seed: int = 0) -> PathEstimates:
     """fit_path_model plus bootstrap_significance in one call."""
-    return fit_path_model(data, spec).with_bootstrap(
-        bootstrap_significance(data, spec, samples=samples, seed=seed)
-    )
+    full = fit_path_model(data, spec)
+    return full.with_bootstrap(bootstrap_significance(data, spec, samples=samples, seed=seed, full=full))
 
 
 @dataclass(frozen=True)

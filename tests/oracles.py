@@ -175,3 +175,58 @@ def ols_by_lstsq(X, y):
     """Least-squares coefficients straight from numpy's lstsq."""
     beta, *_ = np.linalg.lstsq(np.asarray(X, float), np.asarray(y, float), rcond=None)
     return beta
+
+
+def scalar_bootstrap(data, spec, samples=500, seed=0):
+    """The bootstrap fitted one replicate at a time: each resample is
+    standardized and fitted by itself, degenerate resamples are redrawn
+    from the replicate's own stream, up to 10x samples in total.
+
+    Returns (std_error, t_statistic, p_value, redraws), keyed like
+    BootstrapSummary."""
+    from paneleff.distributions import t_two_tailed_p
+    from paneleff.errors import CollinearityError, DegenerateColumnError
+    from paneleff.pls import _CompiledModel, _fit_compiled, _matrix_from_mapping, standardize
+
+    model = _CompiledModel(spec)
+    X_raw = _matrix_from_mapping(data, model.columns)
+    n = X_raw.shape[0]
+    full = _fit_compiled(standardize(X_raw, columns=model.columns), model)
+
+    paths = list(full.path_coefficients)
+    draws = {p: np.empty(samples) for p in paths}
+    redraws_left = 10 * samples
+    for i in range(samples):
+        rng = np.random.default_rng((seed, i))
+        while True:
+            idx = rng.integers(0, n, size=n)
+            try:
+                X = standardize(X_raw[idx], columns=model.columns)
+                est = _fit_compiled(X, model)
+            except (DegenerateColumnError, CollinearityError):
+                redraws_left -= 1
+                if redraws_left < 0:
+                    raise DegenerateColumnError(
+                        f"more than {10 * samples} degenerate resamples; data is too discrete to bootstrap"
+                    ) from None
+                continue
+            break
+        flip = {}
+        for block in spec.blocks:
+            dot = sum(full.outer_loadings[c] * est.outer_loadings[c] for c in block.indicators)
+            flip[block.name] = -1.0 if dot < 0.0 else 1.0
+        for (a, b) in paths:
+            draws[(a, b)][i] = est.path_coefficients[(a, b)] * flip[a] * flip[b]
+
+    std_error, t_statistic, p_value = {}, {}, {}
+    for p in paths:
+        se = float(draws[p].std(ddof=1))
+        beta = full.path_coefficients[p]
+        if se == 0.0:
+            t = 0.0 if beta == 0.0 else math.inf * (-1.0 if beta < 0.0 else 1.0)
+        else:
+            t = beta / se
+        std_error[p] = se
+        t_statistic[p] = float(t)
+        p_value[p] = float(t_two_tailed_p(t, n - 1))
+    return std_error, t_statistic, p_value, 10 * samples - redraws_left

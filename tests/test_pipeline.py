@@ -1,21 +1,26 @@
 import hashlib
 import json
 import os
+from dataclasses import replace
 from itertools import permutations
 
 import numpy as np
 import pytest
 
 from paneleff.cli import cli_main
-from paneleff.errors import ConfigError
+from paneleff.errors import ConfigError, StageError
 from paneleff.pipeline import (
+    CobbDouglasConfig,
     ReportBundle,
     config_from_file,
     emit_report,
+    load_dataset,
     parse_config,
     render_text,
     run_pipeline,
     significance_marker,
+    unrun_report,
+    _cobb_douglas_table,
     _fmt7,
     _max_assignment,
 )
@@ -139,6 +144,35 @@ def test_emitted_files_match_golden_hashes(demo_bundle, tmp_path):
         for path in written
     ]
     assert digests == DEMO_REPORT_SHA256
+
+
+def test_cobb_douglas_baselines_sharing_a_target_get_distinct_files(demo_bundle, tmp_path):
+    bundle, config = demo_bundle
+    panel = load_dataset(config)
+    baselines = [
+        CobbDouglasConfig("mcs", ("imr", "hec", "hgdp"), "leb"),
+        CobbDouglasConfig("iu", ("imr", "hec", "hgdp"), "leb"),
+        CobbDouglasConfig("mtl", ("leb", "hec"), "imr"),
+    ]
+    pls = {**bundle.pls, "cobb_douglas": [_cobb_douglas_table(panel, c) for c in baselines]}
+    written = emit_report(replace(bundle, pls=pls), str(tmp_path), ("csv", "text"))
+    names = [os.path.basename(path) for path in written]
+    assert len(names) == len(set(names))
+    assert names[-4:] == ["cobb_douglas_mcs_ln_leb.csv", "cobb_douglas_iu_ln_leb.csv",
+                          "cobb_douglas_ln_imr.csv", "report.txt"]
+    assert "ln_mcs" in (tmp_path / "cobb_douglas_mcs_ln_leb.csv").read_text()
+    assert "ln_iu" in (tmp_path / "cobb_douglas_iu_ln_leb.csv").read_text()
+    text = (tmp_path / "report.txt").read_text()
+    assert "-- log-log baseline for mcs_ln_leb" in text
+    assert "-- log-log baseline for iu_ln_leb" in text
+
+
+def test_repeated_cobb_douglas_baseline_rejected():
+    document = make_demo_config()
+    document["pls"]["cobb_douglas"].append(dict(document["pls"]["cobb_douglas"][0], health_vars=["imr"]))
+    with pytest.raises(ConfigError) as exc:
+        parse_config(document)
+    assert "'mcs'" in str(exc.value) and "'leb'" in str(exc.value)
 
 
 def test_rendered_table_contains_exact_unit_mean(demo_bundle, tmp_path):
@@ -414,6 +448,22 @@ def test_cli_demo_smoke(tmp_path, capsys):
     assert (out / "dataset.csv").exists()
     assert (out / "config.json").exists()
     assert (out / "reports" / "report.json").exists()
+
+
+def test_cli_demo_stage_failure_writes_partial_report_and_exits_two(tmp_path, monkeypatch, capsys):
+    import paneleff.cli as cli_module
+
+    def failing_pipeline(config):
+        partial = replace(unrun_report(config), incomplete={"stage": "pls", "message": "boom"})
+        raise StageError("pls", "boom", partial_bundle=partial)
+
+    monkeypatch.setattr(cli_module, "run_pipeline", failing_pipeline)
+    out = tmp_path / "demo"
+    code = cli_main(["demo", "--out", str(out), "--samples", "100", "--quiet"])
+    assert code == 2
+    assert "stage error in pls" in capsys.readouterr().err
+    report = json.loads((out / "reports" / "report.json").read_text())
+    assert report["incomplete"] == {"stage": "pls", "message": "boom"}
 
 
 def test_cli_unwritable_output_is_filesystem_error(demo_dir, tmp_path, capsys):

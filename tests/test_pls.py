@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import ols_by_lstsq
+from oracles import ols_by_lstsq, scalar_bootstrap
 from paneleff.errors import CollinearityError, DegenerateColumnError, DomainError, UsageError
 from paneleff.panel_data import PanelDataset, VariableDef
 from paneleff.pls import (
@@ -16,6 +16,7 @@ from paneleff.pls import (
     ols,
     standardize,
 )
+from paneleff.synthetic import make_demo_config, make_demo_panel
 
 
 def two_block_spec(scheme="path_weighting"):
@@ -284,6 +285,144 @@ def test_fit_with_bootstrap_attaches_summary():
     assert est.bootstrap is not None
     assert est.bootstrap.samples == 120
     assert set(est.bootstrap.p_value) == set(est.path_coefficients)
+
+
+# --- stacked bootstrap against the one-replicate-at-a-time loop -------------
+
+def random_multi_indicator_spec_and_data(rng, scheme, n):
+    n_latents = int(rng.integers(2, 5))
+    names = [f"L{i}" for i in range(n_latents)]
+    paths = []
+    for j in range(1, n_latents):
+        preds = [i for i in range(j) if rng.random() < 0.6] or [int(rng.integers(0, j))]
+        paths.extend((names[i], names[j]) for i in preds)
+    latent = rng.normal(size=(n, n_latents))
+    for j in range(1, n_latents):
+        latent[:, j] += 0.5 * latent[:, :j].sum(axis=1)
+    blocks, data = [], {}
+    for j, name in enumerate(names):
+        indicators = tuple(f"{name.lower()}_{k}" for k in range(int(rng.integers(1, 4))))
+        for ind in indicators:
+            data[ind] = rng.uniform(0.5, 3.0) * (latent[:, j] + rng.normal(0.0, 0.7, n)) + rng.uniform(-5, 5)
+        blocks.append(LatentBlock(name, indicators))
+    return PathModelSpec(tuple(blocks), tuple(paths), inner_scheme=scheme), data
+
+
+def assert_matches_scalar_loop(data, spec, samples, seed, rel=0.0):
+    boot = bootstrap_significance(data, spec, samples=samples, seed=seed)
+    std_error, t_statistic, p_value, redraws = scalar_bootstrap(data, spec, samples=samples, seed=seed)
+    assert boot.redraws == redraws
+    for got, want in ((boot.std_error, std_error), (boot.t_statistic, t_statistic), (boot.p_value, p_value)):
+        assert list(got) == list(want)
+        if rel == 0.0:
+            assert got == want
+        else:
+            for key in want:
+                assert got[key] == pytest.approx(want[key], rel=rel, abs=1e-300)
+    return boot
+
+
+@pytest.mark.parametrize("scheme", ["path_weighting", "centroid"])
+def test_stacked_bootstrap_matches_scalar_loop_on_multi_indicator_models(scheme):
+    rng = np.random.default_rng(53 if scheme == "centroid" else 59)
+    for trial in range(4):
+        spec, data = random_multi_indicator_spec_and_data(rng, scheme, n=int(rng.integers(30, 90)))
+        assert_matches_scalar_loop(data, spec, samples=120, seed=trial, rel=1e-12)
+
+
+def test_stacked_bootstrap_equals_scalar_loop_on_demo_models():
+    document = make_demo_config()
+    panel = make_demo_panel()
+    data = {v.name: panel.values[:, :, i].reshape(-1) for i, v in enumerate(panel.variables)}
+    seed = document["pls"]["bootstrap"]["seed"]
+    for model in document["pls"]["models"]:
+        spec = PathModelSpec(
+            tuple(LatentBlock(b["latent"], tuple(b["indicators"])) for b in model["blocks"]),
+            tuple(tuple(p) for p in model["paths"]),
+        )
+        assert_matches_scalar_loop(data, spec, samples=100, seed=seed)
+
+
+def test_stacked_bootstrap_redraws_discrete_resamples_like_scalar_loop():
+    rng = np.random.default_rng(61)
+    x = np.array([1.0, 1.0] + [0.0] * 10)
+    y = x + rng.normal(size=12)
+    boot = assert_matches_scalar_loop({"x": x, "y": y}, two_block_spec(), samples=200, seed=5)
+    assert boot.redraws > 0
+
+
+def test_stacked_bootstrap_redraws_collinear_resamples_like_scalar_loop():
+    # x2 differs from x1 in one row only: resamples that miss it make the
+    # predecessors of Y identical, and those replicates are redrawn
+    rng = np.random.default_rng(89)
+    x1 = rng.normal(size=12)
+    x2 = x1.copy()
+    x2[0] += 1.0
+    data = {"x1": x1, "x2": x2, "y": x1 + rng.normal(size=12)}
+    spec = PathModelSpec(
+        blocks=(LatentBlock("X1", ("x1",)), LatentBlock("X2", ("x2",)), LatentBlock("Y", ("y",))),
+        paths=(("X1", "Y"), ("X2", "Y")),
+    )
+    boot = assert_matches_scalar_loop(data, spec, samples=150, seed=3)
+    assert boot.redraws > 0
+
+
+def test_stacked_bootstrap_aligns_replicate_orientation_like_scalar_loop():
+    # loadings of opposite sign and equal size: resamples orient X either way
+    rng = np.random.default_rng(83)
+    latent = rng.normal(size=60)
+    data = {
+        "x1": latent + rng.normal(0.0, 0.5, 60),
+        "x2": -latent + rng.normal(0.0, 0.5, 60),
+        "y": 0.6 * latent + rng.normal(0.0, 0.8, 60),
+    }
+    spec = PathModelSpec(
+        blocks=(LatentBlock("X", ("x1", "x2")), LatentBlock("Y", ("y",))),
+        paths=(("X", "Y"),),
+    )
+    assert_matches_scalar_loop(data, spec, samples=150, seed=2, rel=1e-12)
+
+
+@pytest.mark.parametrize("stack_bytes", [1, 7 * 60 * 2 * 8, 24 * 60 * 2 * 8])
+def test_stacked_bootstrap_sample_count_not_a_multiple_of_the_stack(monkeypatch, stack_bytes):
+    import paneleff.pls as pls_module
+
+    rng = np.random.default_rng(67)
+    x = rng.normal(size=60)
+    y = 0.3 * x + rng.normal(size=60)
+    monkeypatch.setattr(pls_module, "STACK_BYTES", stack_bytes)
+    assert_matches_scalar_loop({"x": x, "y": y}, two_block_spec(), samples=101, seed=4)
+
+
+def test_unconverged_replicates_are_refitted_one_at_a_time(monkeypatch):
+    import paneleff.pls as pls_module
+
+    rng = np.random.default_rng(71)
+    spec, data = random_multi_indicator_spec_and_data(rng, "path_weighting", n=50)
+    monkeypatch.setattr(pls_module, "MAX_ITERATIONS", 2)
+    assert_matches_scalar_loop(data, spec, samples=100, seed=8)
+
+
+def test_bootstrap_redraw_cap_still_raises():
+    # eight one-hot indicators: almost no resample of 12 rows draws every hot row
+    data = {f"x{k}": np.eye(12)[k] for k in range(8)}
+    data["y"] = np.random.default_rng(73).normal(size=12)
+    spec = PathModelSpec(
+        blocks=(LatentBlock("X", tuple(f"x{k}" for k in range(8))), LatentBlock("Y", ("y",))),
+        paths=(("X", "Y"),),
+    )
+    with pytest.raises(DegenerateColumnError, match="more than 1000 degenerate resamples"):
+        bootstrap_significance(data, spec, samples=100, seed=0)
+
+
+def test_bootstrap_reuses_a_given_full_sample_fit():
+    rng = np.random.default_rng(79)
+    x = rng.normal(size=40)
+    y = 0.5 * x + rng.normal(size=40)
+    data = {"x": x, "y": y}
+    given = bootstrap_significance(data, two_block_spec(), samples=100, seed=6,
+                                   full=fit_path_model(data, two_block_spec()))
+    assert given == bootstrap_significance(data, two_block_spec(), samples=100, seed=6)
 
 
 # --- design builder and OLS ---------------------------------------------------
