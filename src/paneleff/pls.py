@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -139,6 +140,7 @@ class BootstrapSummary:
     samples: int
     seed: int
     redraws: int  # degenerate resamples that were drawn again
+    unconverged: int  # replicates kept with converged=False
 
 
 @dataclass(frozen=True)
@@ -181,14 +183,13 @@ def standardize(matrix, columns=None) -> np.ndarray:
 
 
 class _CompiledModel:
-    """Spec resolved against a concrete column order, reused across
-    bootstrap refits."""
+    """Spec resolved against a concrete column order, reused by the
+    full-sample fit and every bootstrap replicate."""
 
     def __init__(self, spec: PathModelSpec):
         self.spec = spec
         self.columns = spec.indicator_names
         self.names = spec.latent_names
-        index = {}
         start = 0
         self.slices = []
         for b in spec.blocks:
@@ -201,6 +202,23 @@ class _CompiledModel:
         # (predecessor, latent) in the order of PathEstimates.path_coefficients
         self.structural = [(j, i) for i in range(len(self.names)) for j in self.pred[i]]
         self.centroid = spec.inner_scheme == "centroid"
+        # the errors of the checks a fit makes, in the order it makes them
+        # (see `_record`): standardizing, each ALS step, the final scores
+        # and structural regressions
+        self.column_errors = [
+            partial(DegenerateColumnError, f"column {c!r} has zero variance", column=c) for c in self.columns
+        ]
+        collapsed = [partial(CollinearityError, f"latent {n!r} collapsed to a constant score") for n in self.names]
+        self.step_errors = collapsed + [
+            error
+            for n in self.names
+            for error in (partial(CollinearityError, f"predecessors of {n!r} are collinear"),
+                          partial(CollinearityError, "outer weights collapsed to zero"))
+        ]
+        self.final_errors = collapsed + [
+            partial(CollinearityError, f"structural regression on {list(names)} is singular", columns=names)
+            for names in (tuple(self.names[j] for j in p) for p in self.pred if p)
+        ]
 
 
 def _matrix_from_mapping(data, columns) -> np.ndarray:
@@ -218,16 +236,10 @@ def _matrix_from_mapping(data, columns) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def fit_path_model(data, spec: PathModelSpec) -> PathEstimates:
-    """Estimate a path model from a mapping of indicator name to 1-D array.
-
-    Raw columns are standardized first, so rescaling any indicator leaves
-    every coefficient unchanged. Requires at least three more observations
-    than the largest structural equation's predictor count. Returns
-    converged=False (rather than raising) when 300 iterations do not settle
-    the outer weights; a singular structural regression raises
-    CollinearityError.
-    """
+def _prepare(data, spec: PathModelSpec):
+    """The compiled spec and the raw data matrix that every fit starts
+    from: at least three more rows than the largest structural equation has
+    predictors, all of them finite."""
     model = _CompiledModel(spec)
     X_raw = _matrix_from_mapping(data, model.columns)
     largest = max(len(p) for p in model.pred)
@@ -235,132 +247,41 @@ def fit_path_model(data, spec: PathModelSpec) -> PathEstimates:
         raise UsageError(
             f"need at least {largest + 3} observations for {largest} predictor(s), got {X_raw.shape[0]}"
         )
-    X = standardize(X_raw, columns=model.columns)
-    return _fit_compiled(X, model)
+    if not np.all(np.isfinite(X_raw)):
+        raise UsageError("standardize requires finite values")
+    return model, X_raw
 
 
-def _fit_compiled(X: np.ndarray, model: _CompiledModel) -> PathEstimates:
-    n = X.shape[0]
-    blocks = [X[:, sl] for sl in model.slices]
-    weights = [_canonical_weights(np.ones(b.shape[1])) for b in blocks]
+def fit_path_model(data, spec: PathModelSpec) -> PathEstimates:
+    """Estimate a path model from a mapping of indicator name to 1-D array.
 
-    converged = False
-    iterations = 0
-    scores = [None] * len(blocks)
-    for iterations in range(1, MAX_ITERATIONS + 1):
-        scores = [_unit_score(blocks[i] @ weights[i], model.names[i]) for i in range(len(blocks))]
-        corr = _score_correlations(scores, n)
-        delta = 0.0
-        new_weights = []
-        for i, block in enumerate(blocks):
-            proxy = _inner_proxy(i, scores, corr, model)
-            w = _canonical_weights(block.T @ proxy)
-            delta = max(delta, float(np.abs(w - weights[i]).max()))
-            new_weights.append(w)
-        weights = new_weights
-        if delta < CONVERGENCE_TOL:
-            converged = True
-            break
+    Raw columns are standardized first, so rescaling any indicator leaves
+    every coefficient unchanged. Requires at least three more observations
+    than the largest structural equation's predictor count. Returns
+    converged=False (rather than raising) when 300 iterations do not settle
+    the outer weights; a constant indicator raises DegenerateColumnError,
+    and a collapsed score, collinear predecessors, zero outer weights or a
+    singular structural regression raise CollinearityError.
+    """
+    return _fit_sample(*_prepare(data, spec))
 
-    scores = [_unit_score(blocks[i] @ weights[i], model.names[i]) for i in range(len(blocks))]
 
-    # Reflective loadings; orient each latent so its loading sum is
-    # nonnegative.
-    loadings: dict = {}
-    for i, block in enumerate(blocks):
-        lam = block.T @ scores[i] / (n - 1)
-        if lam.sum() < 0.0:
-            scores[i] = -scores[i]
-            lam = -lam
-        for name, value in zip(model.spec.blocks[i].indicators, lam):
-            loadings[name] = float(value)
-
-    path_coefficients: dict = {}
-    r_squared: dict = {}
-    for i, name in enumerate(model.names):
-        preds = model.pred[i]
-        if not preds:
-            continue
-        T = np.column_stack([scores[j] for j in preds])
-        beta, rss = _structural_ols(T, scores[i], [model.names[j] for j in preds])
-        tss = float(scores[i] @ scores[i])
-        r_squared[name] = float(1.0 - rss / tss)
-        for j, b in zip(preds, beta):
-            path_coefficients[(model.names[j], name)] = float(b)
-
+def _fit_sample(model: _CompiledModel, X_raw: np.ndarray) -> PathEstimates:
+    """The fit to the whole sample: `_fit_stack` on a stack of one."""
+    fit = _fit_stack(X_raw, np.arange(X_raw.shape[0])[None], model)
+    if fit.errors:
+        raise fit.errors[0]
+    names = model.names
     return PathEstimates(
-        path_coefficients=path_coefficients,
-        r_squared=r_squared,
-        outer_loadings=loadings,
-        converged=converged,
-        iterations=iterations,
+        path_coefficients={
+            (names[j], names[i]): b for (j, i), b in zip(model.structural, fit.coefficients[0].tolist())
+        },
+        r_squared=dict(zip(model.spec.endogenous, fit.r_squared[0].tolist())),
+        outer_loadings=dict(zip(model.columns, fit.loadings[0].tolist())),
+        converged=bool(fit.converged[0]),
+        iterations=int(fit.iterations[0]),
         inner_scheme=model.spec.inner_scheme,
     )
-
-
-def _unit_score(raw: np.ndarray, latent: str) -> np.ndarray:
-    sd = raw.std(ddof=1)
-    if sd == 0.0:
-        raise CollinearityError(f"latent {latent!r} collapsed to a constant score")
-    return (raw - raw.mean()) / sd
-
-
-def _score_correlations(scores, n) -> np.ndarray:
-    S = np.column_stack(scores)
-    return S.T @ S / (n - 1)
-
-
-def _inner_proxy(i, scores, corr, model: _CompiledModel) -> np.ndarray:
-    if model.centroid:
-        weights = {j: _sign(corr[i, j]) for j in model.adjacent[i]}
-    else:
-        # path weighting: regression coefficients toward predecessors,
-        # correlations toward successors
-        weights = {}
-        preds = model.pred[i]
-        if preds:
-            R = corr[np.ix_(preds, preds)]
-            r = corr[preds, i]
-            try:
-                coef = np.linalg.solve(R, r)
-            except np.linalg.LinAlgError as exc:
-                raise CollinearityError(
-                    f"predecessors of {model.names[i]!r} are collinear"
-                ) from exc
-            for j, c in zip(preds, coef):
-                weights[j] = float(c)
-        for j in model.succ[i]:
-            weights[j] = float(corr[i, j])
-    proxy = np.zeros_like(scores[0])
-    for j, w in weights.items():
-        proxy += w * scores[j]
-    return proxy
-
-
-def _sign(x: float) -> float:
-    return -1.0 if x < 0.0 else 1.0
-
-
-def _canonical_weights(w: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(w))
-    if norm == 0.0:
-        raise CollinearityError("outer weights collapsed to zero")
-    w = w / norm
-    total = float(w.sum())
-    if total < 0.0 or (total == 0.0 and w[np.flatnonzero(w)[0]] < 0.0):
-        w = -w
-    return w
-
-
-def _structural_ols(T: np.ndarray, y: np.ndarray, names) -> tuple[np.ndarray, float]:
-    gram = T.T @ T
-    # guard against numerically repeated predecessor scores
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise CollinearityError(f"structural regression on {names} is singular", columns=tuple(names))
-    beta = np.linalg.solve(gram, T.T @ y)
-    resid = y - T @ beta
-    return beta, float(resid @ resid)
 
 
 def bootstrap_significance(data, spec: PathModelSpec, samples: int = 500, seed: int = 0,
@@ -369,52 +290,50 @@ def bootstrap_significance(data, spec: PathModelSpec, samples: int = 500, seed: 
 
     Rows are resampled with replacement; each replicate's random stream is
     derived from (seed, replicate index) so results do not depend on
-    scheduling. Replicates that draw a zero-variance column are redrawn, up
-    to 10x the requested count in total. t statistics divide the
-    full-sample coefficient by the resampling standard deviation and are
-    referred to a Student-t distribution with n - 1 degrees of freedom.
-    `full` is the model already fitted to the whole sample; without it the
-    whole sample is fitted here.
+    scheduling. A replicate whose fit raises (a zero-variance column, a
+    collapsed score, collinear predecessors, zero outer weights or a
+    singular structural regression) is redrawn from its own stream, up to
+    10x the requested count in total; one that does not converge is kept
+    as fitted. t statistics divide the full-sample coefficient by the
+    resampling standard deviation and are referred to a Student-t
+    distribution with n - 1 degrees of freedom. `full` is the model already
+    fitted to the whole sample; without it the whole sample is fitted here.
 
-    Replicates are fitted in stacks of STACK_BYTES of resampled data by
-    `_fit_stack`. A replicate it cannot fit cleanly is refitted alone by
-    `_fit_compiled`, which raises exactly when it must be redrawn.
+    Replicates are fitted by `_fit_stack` in stacks of STACK_BYTES of
+    resampled data, and a redrawn replicate as a stack of one.
     """
     if samples < MIN_BOOTSTRAP_SAMPLES:
         raise UsageError(f"bootstrap needs at least {MIN_BOOTSTRAP_SAMPLES} samples, got {samples}")
-    model = _CompiledModel(spec)
-    X_raw = _matrix_from_mapping(data, model.columns)
+    model, X_raw = _prepare(data, spec)
     n = X_raw.shape[0]
     if full is None:
-        full = _fit_compiled(standardize(X_raw, columns=model.columns), model)
+        full = _fit_sample(model, X_raw)
 
     paths = [(model.names[j], model.names[i]) for j, i in model.structural]
     draws = np.empty((len(paths), samples))
-    redraws = 0
+    redraws = unconverged = 0
     chunk = max(1, STACK_BYTES // X_raw.nbytes)
     for start in range(0, samples, chunk):
         rngs = [np.random.default_rng((seed, i)) for i in range(start, min(start + chunk, samples))]
-        idx = np.stack([rng.integers(0, n, size=n) for rng in rngs])
+        fit = _fit_stack(X_raw, np.stack([rng.integers(0, n, size=n) for rng in rngs]), model)
         coefficients = np.empty((len(rngs), len(paths)))
         loadings = np.empty((len(rngs), len(model.columns)))
-        rows, coefficients_clean, loadings_clean = _fit_stack(X_raw, idx, model)
-        coefficients[rows] = coefficients_clean
-        loadings[rows] = loadings_clean
-        for k in np.setdiff1d(np.arange(len(rngs)), rows):
-            sample = idx[k]
+        coefficients[fit.rows] = fit.coefficients
+        loadings[fit.rows] = fit.loadings
+        unconverged += int((~fit.converged).sum())
+        for k in sorted(fit.errors):
             while True:
-                try:
-                    est = _fit_compiled(standardize(X_raw[sample], columns=model.columns), model)
+                redraws += 1
+                if redraws > 10 * samples:
+                    raise DegenerateColumnError(
+                        f"more than {10 * samples} degenerate resamples; data is too discrete to bootstrap"
+                    )
+                one = _fit_stack(X_raw, rngs[k].integers(0, n, size=n)[None], model)
+                if not one.errors:
                     break
-                except (DegenerateColumnError, CollinearityError):
-                    redraws += 1
-                    if redraws > 10 * samples:
-                        raise DegenerateColumnError(
-                            f"more than {10 * samples} degenerate resamples; data is too discrete to bootstrap"
-                        ) from None
-                    sample = rngs[k].integers(0, n, size=n)
-            coefficients[k] = [est.path_coefficients[p] for p in paths]
-            loadings[k] = [est.outer_loadings[c] for c in model.columns]
+            coefficients[k] = one.coefficients[0]
+            loadings[k] = one.loadings[0]
+            unconverged += int(not one.converged[0])
         flip = _sign_alignment(full.outer_loadings, loadings, model)
         for q, (j, i) in enumerate(model.structural):
             draws[q, start:start + len(rngs)] = coefficients[:, q] * flip[:, j] * flip[:, i]
@@ -432,7 +351,11 @@ def bootstrap_significance(data, spec: PathModelSpec, samples: int = 500, seed: 
         std_error[p] = se
         t_statistic[p] = float(t)
         p_value[p] = float(t_two_tailed_p(t, n - 1))
-    return BootstrapSummary(std_error, t_statistic, p_value, samples, seed, redraws)
+    return BootstrapSummary(std_error, t_statistic, p_value, samples, seed, redraws, unconverged)
+
+
+def _sign(x: float) -> float:
+    return -1.0 if x < 0.0 else 1.0
 
 
 def _sign_alignment(full_loadings, loadings: np.ndarray, model: _CompiledModel) -> np.ndarray:
@@ -448,20 +371,33 @@ def _sign_alignment(full_loadings, loadings: np.ndarray, model: _CompiledModel) 
     return flip
 
 
-@np.errstate(divide="ignore", invalid="ignore")  # left-out replicates may divide by zero
-def _fit_stack(X_raw: np.ndarray, idx: np.ndarray, model: _CompiledModel):
-    """Fit the resamples X_raw[idx[k]] of a stack of replicates with the
-    operations of `standardize` and `_fit_compiled`, replicate by replicate
-    in the same order.
+@dataclass(frozen=True)
+class _StackFit:
+    """`_fit_stack`'s result: one row per fitted replicate."""
 
-    Returns (rows, coefficients, loadings): the positions in idx fitted
-    cleanly, their structural coefficients in `model.structural` order and
-    their outer loadings in column order. A replicate is left out when its
-    own fit would raise or not converge: a zero-variance column, a
-    collapsed score, zero outer weights, a singular or ill-conditioned
-    system, or no convergence within MAX_ITERATIONS. Each ALS step updates
-    only the replicates still iterating, so a replicate's weights stop
-    where its own loop would stop.
+    rows: np.ndarray  # positions in the stack
+    coefficients: np.ndarray  # in `model.structural` order
+    loadings: np.ndarray  # in column order
+    r_squared: np.ndarray  # in `spec.endogenous` order
+    iterations: np.ndarray
+    converged: np.ndarray
+    errors: dict  # position in the stack -> the error its fit raises
+
+
+@np.errstate(divide="ignore", invalid="ignore")  # failed replicates may divide by zero
+def _fit_stack(X_raw: np.ndarray, idx: np.ndarray, model: _CompiledModel) -> _StackFit:
+    """Fit the path model to each resample X_raw[idx[k]] of a stack of
+    replicates, with the arithmetic of fitting it alone: standardize, run
+    ALS, orient each latent so its loading sum is nonnegative, and regress
+    every endogenous score on its predecessors.
+
+    Each ALS step updates only the replicates still iterating, so a
+    replicate's weights stop at the step where they settle, or unconverged
+    after MAX_ITERATIONS steps. A replicate is left out when its fit meets
+    a zero-variance column, a collapsed score, a singular predecessor
+    system, zero outer weights or a singular or ill-conditioned structural
+    regression; `errors` holds the first of these it meets, in the order
+    the fit makes its checks.
     """
     n = X_raw.shape[0]
     X = X_raw[idx]
@@ -469,24 +405,27 @@ def _fit_stack(X_raw: np.ndarray, idx: np.ndarray, model: _CompiledModel):
     X -= X.mean(axis=1, keepdims=True)
     X /= sd
     rows = np.arange(len(idx))
-    X, rows = _rows_where((sd != 0.0).all(axis=(1, 2)), X, rows)
+    errors: dict = {}
+    failed = _record(errors, rows, sd[:, 0] != 0.0, model.column_errors)
+    X, rows = _rows_where(~failed, X, rows)
     W = np.concatenate(
-        [np.tile(_canonical_weights(np.ones(sl.stop - sl.start)), (len(rows), 1)) for sl in model.slices],
-        axis=1,
+        [_stack_canonical_weights(np.ones((len(rows), sl.stop - sl.start)))[0] for sl in model.slices], axis=1
     )
+    iterations = np.zeros(len(rows), dtype=int)
     active = np.ones(len(rows), dtype=bool)
     for _ in range(MAX_ITERATIONS):
-        W_new, ok = _als_step(X, W, model)
-        settled = np.abs(W_new - W).max(axis=1) < CONVERGENCE_TOL
-        W = np.where(active[:, None], W_new, W)
-        keep = ok | ~active
-        active &= ~settled
-        X, W, active, rows = _rows_where(keep, X, W, active, rows)
         if not active.any():
             break
-    S, ok = _stack_scores(X, W, model)
-    X, S, rows = _rows_where(ok & ~active, X, S, rows)
+        W_new, passed = _als_step(X, W, model)
+        failed = _record(errors, rows, passed, model.step_errors, checked=active)
+        settled = np.abs(W_new - W).max(axis=1) < CONVERGENCE_TOL
+        W = np.where(active[:, None], W_new, W)
+        iterations += active
+        active &= ~settled
+        X, W, iterations, active, rows = _rows_where(~failed, X, W, iterations, active, rows)
 
+    S, spread = _stack_scores(X, W, model)
+    checks = [spread]
     loadings = np.empty((len(rows), X.shape[2]))
     for i, sl in enumerate(model.slices):
         lam = (X[:, :, sl].transpose(0, 2, 1) @ S[:, i, :, None])[:, :, 0] / (n - 1)
@@ -494,29 +433,51 @@ def _fit_stack(X_raw: np.ndarray, idx: np.ndarray, model: _CompiledModel):
         S[:, i] = np.where(flip[:, None], -S[:, i], S[:, i])
         loadings[:, sl] = np.where(flip[:, None], -lam, lam)
 
+    endogenous = [(i, preds) for i, preds in enumerate(model.pred) if preds]
     coefficients = np.empty((len(rows), len(model.structural)))
-    ok = np.ones(len(rows), dtype=bool)
+    r_squared = np.empty((len(rows), len(endogenous)))
     q = 0
-    for i, preds in enumerate(model.pred):
-        if not preds:
-            continue
+    for e, (i, preds) in enumerate(endogenous):
         T = np.stack([S[:, j] for j in preds], axis=-1)
+        y = S[:, i, :, None]
         gram = T.transpose(0, 2, 1) @ T
+        # guard against numerically repeated predecessor scores
         cond = np.linalg.cond(gram)
         regular = np.isfinite(cond) & (cond <= 1e12)
         gram[~regular] = np.eye(len(preds))
-        rhs = T.transpose(0, 2, 1) @ S[:, i, :, None]
-        coefficients[:, q:q + len(preds)] = np.linalg.solve(gram, rhs)[:, :, 0]
-        ok &= regular
+        beta = np.linalg.solve(gram, T.transpose(0, 2, 1) @ y)
+        resid = y - T @ beta
+        rss = (resid.transpose(0, 2, 1) @ resid)[:, 0, 0]
+        tss = (y.transpose(0, 2, 1) @ y)[:, 0, 0]
+        coefficients[:, q:q + len(preds)] = beta[:, :, 0]
+        r_squared[:, e] = 1.0 - rss / tss
         q += len(preds)
-    return rows[ok], coefficients[ok], loadings[ok]
+        checks.append(regular[:, None])
+    fitted = ~_record(errors, rows, np.concatenate(checks, axis=1), model.final_errors)
+    return _StackFit(rows[fitted], coefficients[fitted], loadings[fitted], r_squared[fitted],
+                     iterations[fitted], ~active[fitted], errors)
+
+
+def _record(errors: dict, rows: np.ndarray, passed: np.ndarray, make_errors, checked=True) -> np.ndarray:
+    """Note in errors, for each replicate of the stack where `checked`
+    holds, the error of the first check it failed, keyed by its position
+    rows[k]; return which replicates failed a check. passed holds one row
+    per replicate and one column per check, in the order a lone fit makes
+    them, and make_errors the callables that make their errors."""
+    failed = checked & ~passed.all(axis=1)
+    for k in np.flatnonzero(failed):
+        errors[int(rows[k])] = make_errors[int(np.argmin(passed[k]))]()
+    return failed
 
 
 def _als_step(X: np.ndarray, W: np.ndarray, model: _CompiledModel):
-    """One pass of the `_fit_compiled` ALS loop body for every replicate:
-    the new outer weights, and which replicates took the step cleanly."""
+    """One ALS pass for every replicate: the new outer weights, and which
+    checks of the pass each replicate passed (see `_record`): a
+    nonconstant score per latent, then per latent a nonsingular
+    predecessor system and nonzero outer weights."""
     n = X.shape[1]
-    S, ok = _stack_scores(X, W, model)
+    S, spread = _stack_scores(X, W, model)
+    checks = [spread]
     S_cols = np.ascontiguousarray(S.transpose(0, 2, 1))
     corr = S_cols.transpose(0, 2, 1) @ S_cols / (n - 1)
     W_new = np.empty_like(W)
@@ -524,18 +485,19 @@ def _als_step(X: np.ndarray, W: np.ndarray, model: _CompiledModel):
         proxy, solved = _stack_inner_proxy(i, S, corr, model)
         u = (X[:, :, sl].transpose(0, 2, 1) @ proxy[:, :, None])[:, :, 0]
         W_new[:, sl], nonzero = _stack_canonical_weights(u)
-        ok &= solved & nonzero
-    return W_new, ok
+        checks += [solved[:, None], nonzero[:, None]]
+    return W_new, np.concatenate(checks, axis=1)
 
 
 def _stack_scores(X: np.ndarray, W: np.ndarray, model: _CompiledModel):
-    """`_unit_score` of every block of every replicate (replicates x
-    latents x n), and which replicates have no collapsed score."""
+    """The standardized latent scores of every replicate (replicates x
+    latents x n), and which of them are not constant (replicates x
+    latents)."""
     S = np.stack([(X[:, :, sl] @ W[:, sl, None])[:, :, 0] for sl in model.slices], axis=1)
     sd = S.std(axis=2, ddof=1, keepdims=True)
     S -= S.mean(axis=2, keepdims=True)
     S /= sd
-    return S, (sd != 0.0).all(axis=(1, 2))
+    return S, sd[:, :, 0] != 0.0
 
 
 def _rows_where(keep: np.ndarray, *arrays):
@@ -544,8 +506,10 @@ def _rows_where(keep: np.ndarray, *arrays):
 
 
 def _stack_inner_proxy(i, S: np.ndarray, corr: np.ndarray, model: _CompiledModel):
-    """`_inner_proxy` of latent i for every replicate, and which replicates
-    had a nonsingular predecessor system."""
+    """The inner proxy of latent i for every replicate, and which
+    replicates had a nonsingular predecessor system. Centroid weights are
+    the signs of the correlations with adjacent latents; path weighting
+    regresses on the predecessors and takes correlations with successors."""
     solved = np.ones(S.shape[0], dtype=bool)
     if model.centroid:
         terms = [(j, np.where(corr[:, i, j] < 0.0, -1.0, 1.0)) for j in model.adjacent[i]]
@@ -578,7 +542,9 @@ def _stack_solve(A: np.ndarray, b: np.ndarray):
 
 
 def _stack_canonical_weights(u: np.ndarray):
-    """`_canonical_weights` of every row, and which rows had a nonzero norm."""
+    """Each row scaled to unit norm and signed so its sum is positive (or,
+    summing to zero, its first nonzero entry is), and which rows had a
+    nonzero norm."""
     norm = np.sqrt((u[:, None, :] @ u[:, :, None])[:, 0, 0])
     w = u / norm[:, None]
     total = w.sum(axis=1)

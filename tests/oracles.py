@@ -13,6 +13,9 @@ from itertools import combinations
 
 import numpy as np
 
+from paneleff import pls
+from paneleff.errors import CollinearityError, DegenerateColumnError
+
 
 def lp_enumeration_oracle(c, A, b, tol=1e-8):
     """Maximize c.x subject to A x <= b, x >= 0 by brute force.
@@ -177,32 +180,162 @@ def ols_by_lstsq(X, y):
     return beta
 
 
+def scalar_fit(X, model):
+    """The path model fitted by the scalar ALS loop, one vector at a time.
+
+    X is the standardized data matrix and model the compiled spec
+    (`paneleff.pls._CompiledModel`). Returns PathEstimates; raises
+    CollinearityError on a collapsed score, collinear predecessors, zero
+    outer weights or a singular structural regression."""
+    n = X.shape[0]
+    blocks = [X[:, sl] for sl in model.slices]
+    weights = [_canonical_weights(np.ones(b.shape[1])) for b in blocks]
+
+    converged = False
+    iterations = 0
+    scores = [None] * len(blocks)
+    for iterations in range(1, pls.MAX_ITERATIONS + 1):
+        scores = [_unit_score(blocks[i] @ weights[i], model.names[i]) for i in range(len(blocks))]
+        corr = _score_correlations(scores, n)
+        delta = 0.0
+        new_weights = []
+        for i, block in enumerate(blocks):
+            proxy = _inner_proxy(i, scores, corr, model)
+            w = _canonical_weights(block.T @ proxy)
+            delta = max(delta, float(np.abs(w - weights[i]).max()))
+            new_weights.append(w)
+        weights = new_weights
+        if delta < pls.CONVERGENCE_TOL:
+            converged = True
+            break
+
+    scores = [_unit_score(blocks[i] @ weights[i], model.names[i]) for i in range(len(blocks))]
+
+    # Reflective loadings; orient each latent so its loading sum is
+    # nonnegative.
+    loadings: dict = {}
+    for i, block in enumerate(blocks):
+        lam = block.T @ scores[i] / (n - 1)
+        if lam.sum() < 0.0:
+            scores[i] = -scores[i]
+            lam = -lam
+        for name, value in zip(model.spec.blocks[i].indicators, lam):
+            loadings[name] = float(value)
+
+    path_coefficients: dict = {}
+    r_squared: dict = {}
+    for i, name in enumerate(model.names):
+        preds = model.pred[i]
+        if not preds:
+            continue
+        T = np.column_stack([scores[j] for j in preds])
+        beta, rss = _structural_ols(T, scores[i], [model.names[j] for j in preds])
+        tss = float(scores[i] @ scores[i])
+        r_squared[name] = float(1.0 - rss / tss)
+        for j, b in zip(preds, beta):
+            path_coefficients[(model.names[j], name)] = float(b)
+
+    return pls.PathEstimates(
+        path_coefficients=path_coefficients,
+        r_squared=r_squared,
+        outer_loadings=loadings,
+        converged=converged,
+        iterations=iterations,
+        inner_scheme=model.spec.inner_scheme,
+    )
+
+
+def _unit_score(raw, latent):
+    sd = raw.std(ddof=1)
+    if sd == 0.0:
+        raise CollinearityError(f"latent {latent!r} collapsed to a constant score")
+    return (raw - raw.mean()) / sd
+
+
+def _score_correlations(scores, n):
+    S = np.column_stack(scores)
+    return S.T @ S / (n - 1)
+
+
+def _inner_proxy(i, scores, corr, model):
+    if model.centroid:
+        weights = {j: _sign(corr[i, j]) for j in model.adjacent[i]}
+    else:
+        # path weighting: regression coefficients toward predecessors,
+        # correlations toward successors
+        weights = {}
+        preds = model.pred[i]
+        if preds:
+            R = corr[np.ix_(preds, preds)]
+            r = corr[preds, i]
+            try:
+                coef = np.linalg.solve(R, r)
+            except np.linalg.LinAlgError as exc:
+                raise CollinearityError(
+                    f"predecessors of {model.names[i]!r} are collinear"
+                ) from exc
+            for j, c in zip(preds, coef):
+                weights[j] = float(c)
+        for j in model.succ[i]:
+            weights[j] = float(corr[i, j])
+    proxy = np.zeros_like(scores[0])
+    for j, w in weights.items():
+        proxy += w * scores[j]
+    return proxy
+
+
+def _sign(x):
+    return -1.0 if x < 0.0 else 1.0
+
+
+def _canonical_weights(w):
+    norm = float(np.linalg.norm(w))
+    if norm == 0.0:
+        raise CollinearityError("outer weights collapsed to zero")
+    w = w / norm
+    total = float(w.sum())
+    if total < 0.0 or (total == 0.0 and w[np.flatnonzero(w)[0]] < 0.0):
+        w = -w
+    return w
+
+
+def _structural_ols(T, y, names):
+    gram = T.T @ T
+    # guard against numerically repeated predecessor scores
+    cond = np.linalg.cond(gram)
+    if not np.isfinite(cond) or cond > 1e12:
+        raise CollinearityError(f"structural regression on {names} is singular", columns=tuple(names))
+    beta = np.linalg.solve(gram, T.T @ y)
+    resid = y - T @ beta
+    return beta, float(resid @ resid)
+
+
 def scalar_bootstrap(data, spec, samples=500, seed=0):
     """The bootstrap fitted one replicate at a time: each resample is
     standardized and fitted by itself, degenerate resamples are redrawn
     from the replicate's own stream, up to 10x samples in total.
 
-    Returns (std_error, t_statistic, p_value, redraws), keyed like
-    BootstrapSummary."""
+    Returns (std_error, t_statistic, p_value, redraws, unconverged), keyed
+    like BootstrapSummary."""
     from paneleff.distributions import t_two_tailed_p
-    from paneleff.errors import CollinearityError, DegenerateColumnError
-    from paneleff.pls import _CompiledModel, _fit_compiled, _matrix_from_mapping, standardize
+    from paneleff.pls import _CompiledModel, _matrix_from_mapping, standardize
 
     model = _CompiledModel(spec)
     X_raw = _matrix_from_mapping(data, model.columns)
     n = X_raw.shape[0]
-    full = _fit_compiled(standardize(X_raw, columns=model.columns), model)
+    full = scalar_fit(standardize(X_raw, columns=model.columns), model)
 
     paths = list(full.path_coefficients)
     draws = {p: np.empty(samples) for p in paths}
     redraws_left = 10 * samples
+    unconverged = 0
     for i in range(samples):
         rng = np.random.default_rng((seed, i))
         while True:
             idx = rng.integers(0, n, size=n)
             try:
                 X = standardize(X_raw[idx], columns=model.columns)
-                est = _fit_compiled(X, model)
+                est = scalar_fit(X, model)
             except (DegenerateColumnError, CollinearityError):
                 redraws_left -= 1
                 if redraws_left < 0:
@@ -211,6 +344,7 @@ def scalar_bootstrap(data, spec, samples=500, seed=0):
                     ) from None
                 continue
             break
+        unconverged += not est.converged
         flip = {}
         for block in spec.blocks:
             dot = sum(full.outer_loadings[c] * est.outer_loadings[c] for c in block.indicators)
@@ -229,4 +363,4 @@ def scalar_bootstrap(data, spec, samples=500, seed=0):
         std_error[p] = se
         t_statistic[p] = float(t)
         p_value[p] = float(t_two_tailed_p(t, n - 1))
-    return std_error, t_statistic, p_value, 10 * samples - redraws_left
+    return std_error, t_statistic, p_value, 10 * samples - redraws_left, unconverged

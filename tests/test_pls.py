@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from oracles import ols_by_lstsq, scalar_bootstrap
+from oracles import ols_by_lstsq, scalar_bootstrap, scalar_fit
 from paneleff.errors import CollinearityError, DegenerateColumnError, DomainError, UsageError
 from paneleff.panel_data import PanelDataset, VariableDef
 from paneleff.pls import (
     LatentBlock,
     PathModelSpec,
+    _CompiledModel,
+    _matrix_from_mapping,
     bootstrap_significance,
     build_cobb_douglas_design,
     fit_path_model,
@@ -240,7 +242,88 @@ def test_too_few_observations_rejected():
         fit_path_model({"x": np.array([1.0, 2.0]), "y": np.array([1.0, 2.0])}, spec)
 
 
+# --- the full-sample fit against the scalar ALS loop -----------------------
+
+def assert_fit_equals_scalar_fit(data, spec):
+    model = _CompiledModel(spec)
+    want = scalar_fit(standardize(_matrix_from_mapping(data, model.columns), columns=model.columns), model)
+    est = fit_path_model(data, spec)
+    for got, expected in ((est.path_coefficients, want.path_coefficients), (est.r_squared, want.r_squared),
+                          (est.outer_loadings, want.outer_loadings)):
+        assert list(got) == list(expected)
+    assert est == want
+    return est
+
+
+@pytest.mark.parametrize("scheme", ["path_weighting", "centroid"])
+def test_full_sample_fit_equals_scalar_fit_on_multi_indicator_models(scheme):
+    rng = np.random.default_rng(97 if scheme == "centroid" else 101)
+    for _ in range(10):
+        spec, data = random_multi_indicator_spec_and_data(rng, scheme, n=int(rng.integers(30, 301)))
+        assert assert_fit_equals_scalar_fit(data, spec).converged
+
+
+def test_full_sample_fit_equals_scalar_fit_on_demo_models():
+    data, specs, _ = demo_models()
+    for spec in specs:
+        assert_fit_equals_scalar_fit(data, spec)
+
+
+def test_unconverged_full_sample_fit_equals_scalar_fit(monkeypatch):
+    import paneleff.pls as pls_module
+
+    monkeypatch.setattr(pls_module, "MAX_ITERATIONS", 1)
+    rng = np.random.default_rng(103)
+    for scheme in ("path_weighting", "centroid"):
+        spec, data = random_multi_indicator_spec_and_data(rng, scheme, n=80)
+        assert assert_fit_equals_scalar_fit(data, spec).iterations == 1
+
+
+def test_constant_indicator_raises_degenerate_column_error():
+    # two constant indicators: the error names the first in column order
+    rng = np.random.default_rng(107)
+    data = {"x1": rng.normal(size=20), "x2": np.full(20, 3.0), "y": np.full(20, -1.0)}
+    spec = PathModelSpec(
+        blocks=(LatentBlock("X", ("x1", "x2")), LatentBlock("Y", ("y",))),
+        paths=(("X", "Y"),),
+    )
+    with pytest.raises(DegenerateColumnError, match="'x2' has zero variance") as exc:
+        fit_path_model(data, spec)
+    assert exc.value.column == "x2"
+
+
+@pytest.mark.parametrize("scheme, message", [
+    ("path_weighting", "predecessors of 'Y' are collinear"),
+    ("centroid", r"structural regression on \['X1', 'X2'\] is singular"),
+])
+def test_duplicate_predecessors_raise_collinearity_error(scheme, message):
+    rng = np.random.default_rng(109)
+    x = rng.normal(size=30)
+    data = {"x1": x, "x2": x.copy(), "y": x + rng.normal(size=30)}
+    spec = PathModelSpec(
+        blocks=(LatentBlock("X1", ("x1",)), LatentBlock("X2", ("x2",)), LatentBlock("Y", ("y",))),
+        paths=(("X1", "Y"), ("X2", "Y")),
+        inner_scheme=scheme,
+    )
+    with pytest.raises(CollinearityError, match=message) as exc:
+        fit_path_model(data, spec)
+    if scheme == "centroid":
+        assert exc.value.columns == ("X1", "X2")
+    model = _CompiledModel(spec)
+    with pytest.raises(CollinearityError) as scalar:
+        scalar_fit(standardize(_matrix_from_mapping(data, model.columns)), model)
+    assert (str(scalar.value), scalar.value.columns) == (str(exc.value), exc.value.columns)
+
+
 # --- bootstrap ---------------------------------------------------------------
+
+def test_bootstrap_checks_the_observation_count():
+    data = {"x": np.array([1.0, 2.0, 4.0]), "y": np.array([1.0, 3.0, 2.0])}
+    with pytest.raises(UsageError, match="need at least 4 observations"):
+        fit_path_model(data, two_block_spec())
+    with pytest.raises(UsageError, match="need at least 4 observations"):
+        bootstrap_significance(data, two_block_spec(), samples=100)
+
 
 def test_bootstrap_near_perfect_relation_is_significant():
     rng = np.random.default_rng(31)
@@ -310,8 +393,9 @@ def random_multi_indicator_spec_and_data(rng, scheme, n):
 
 def assert_matches_scalar_loop(data, spec, samples, seed, rel=0.0):
     boot = bootstrap_significance(data, spec, samples=samples, seed=seed)
-    std_error, t_statistic, p_value, redraws = scalar_bootstrap(data, spec, samples=samples, seed=seed)
+    std_error, t_statistic, p_value, redraws, unconverged = scalar_bootstrap(data, spec, samples=samples, seed=seed)
     assert boot.redraws == redraws
+    assert boot.unconverged == unconverged
     for got, want in ((boot.std_error, std_error), (boot.t_statistic, t_statistic), (boot.p_value, p_value)):
         assert list(got) == list(want)
         if rel == 0.0:
@@ -330,16 +414,25 @@ def test_stacked_bootstrap_matches_scalar_loop_on_multi_indicator_models(scheme)
         assert_matches_scalar_loop(data, spec, samples=120, seed=trial, rel=1e-12)
 
 
-def test_stacked_bootstrap_equals_scalar_loop_on_demo_models():
+def demo_models():
+    """The demo panel's pooled observations, the specs of the demo
+    configuration's path models and its bootstrap seed."""
     document = make_demo_config()
     panel = make_demo_panel()
     data = {v.name: panel.values[:, :, i].reshape(-1) for i, v in enumerate(panel.variables)}
-    seed = document["pls"]["bootstrap"]["seed"]
-    for model in document["pls"]["models"]:
-        spec = PathModelSpec(
+    specs = [
+        PathModelSpec(
             tuple(LatentBlock(b["latent"], tuple(b["indicators"])) for b in model["blocks"]),
             tuple(tuple(p) for p in model["paths"]),
         )
+        for model in document["pls"]["models"]
+    ]
+    return data, specs, document["pls"]["bootstrap"]["seed"]
+
+
+def test_stacked_bootstrap_equals_scalar_loop_on_demo_models():
+    data, specs, seed = demo_models()
+    for spec in specs:
         assert_matches_scalar_loop(data, spec, samples=100, seed=seed)
 
 
@@ -394,13 +487,14 @@ def test_stacked_bootstrap_sample_count_not_a_multiple_of_the_stack(monkeypatch,
     assert_matches_scalar_loop({"x": x, "y": y}, two_block_spec(), samples=101, seed=4)
 
 
-def test_unconverged_replicates_are_refitted_one_at_a_time(monkeypatch):
+def test_unconverged_replicates_are_kept_as_fitted(monkeypatch):
     import paneleff.pls as pls_module
 
     rng = np.random.default_rng(71)
     spec, data = random_multi_indicator_spec_and_data(rng, "path_weighting", n=50)
     monkeypatch.setattr(pls_module, "MAX_ITERATIONS", 2)
-    assert_matches_scalar_loop(data, spec, samples=100, seed=8)
+    boot = assert_matches_scalar_loop(data, spec, samples=100, seed=8)
+    assert boot.unconverged > 0
 
 
 def test_bootstrap_redraw_cap_still_raises():
