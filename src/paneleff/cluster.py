@@ -1,10 +1,15 @@
 """K-means clustering of efficiency scores with one-way ANOVA validation.
 
-kmeans runs Lloyd iterations from k-means++ seeds, best of several restarts,
-each restart seeded as seed + restart index so results are reproducible and
-schedule independent. sweep_k tries candidate cluster counts from k_max down
-to k_min and selects the most significant one (maximal F among the counts
-whose ANOVA p-value clears the threshold, ties to the smallest k).
+One-column points (the pipeline's per-DMU mean scores) are clustered
+exactly: in one dimension an optimal k-means partition is a set of
+contiguous runs of the sorted values, which one dynamic program finds for
+every k up to k_max at once (Wang & Song, "Ckmeans.1d.dp", R Journal 3(2),
+2011). Multivariate points run Lloyd iterations from k-means++ seeds, best
+of several restarts, each restart seeded as seed + restart index so results
+are reproducible and schedule independent. sweep_k tries candidate cluster
+counts from k_max down to k_min and selects the most significant one
+(maximal F among the counts whose ANOVA p-value clears the threshold, ties
+to the smallest k).
 
 The F statistic here is computed on the clustering variable itself, so it
 is inflated by construction; reports carry that caveat verbatim.
@@ -39,11 +44,14 @@ CLUSTER_F_CAVEAT = (
 
 @dataclass(frozen=True)
 class ClusterSolution:
-    """Best-of-restarts K-means result.
+    """K-means result: the exact optimum for one-column points, the best of
+    restarts for multivariate points.
 
     Clusters are labeled in descending centroid order. Every cluster is
     non-empty, each point is assigned to its nearest centroid (ties to the
     lowest cluster index), and each centroid equals the mean of its members.
+    restarts_used is 0 for an exact one-column solution, which uses no
+    restarts; seed is the one passed and affects only multivariate points.
     """
 
     k: int
@@ -113,17 +121,20 @@ def _as_points(points) -> np.ndarray:
 def kmeans(points, k: int, restarts: int = 32, seed: int = 0) -> ClusterSolution:
     """Cluster points (one row per DMU, 1-D or multivariate) into k groups.
 
-    Lloyd iterations stop when assignments are unchanged or after 300
-    iterations; the winner across restarts is the lowest within-cluster
+    One-column points get the exact optimum from the dynamic program
+    (_exact_1d); restarts and seed do not act on them. For multivariate
+    points, Lloyd iterations stop when assignments are unchanged or after
+    300 iterations; the winner across restarts is the lowest within-cluster
     sum of squares, earliest restart on ties. Deterministic for identical
     (points, k, restarts, seed).
     """
     pts = _as_points(points)
-    n = pts.shape[0]
     if restarts < 1:
         raise UsageError("restarts must be >= 1")
     if k < 1:
         raise UsageError("k must be >= 1")
+    if pts.shape[1] == 1:
+        return _exact_1d(pts, k, k, seed)[0]
     n_distinct = np.unique(pts, axis=0).shape[0]
     if k > n_distinct:
         raise UsageError(f"k={k} exceeds the {n_distinct} distinct points")
@@ -146,6 +157,65 @@ def kmeans(points, k: int, restarts: int = 32, seed: int = 0) -> ClusterSolution
         restarts_used=restarts,
         seed=seed,
     )
+
+
+def _exact_1d(pts: np.ndarray, k_max: int, k_min: int, seed: int) -> list[ClusterSolution]:
+    """Optimal k-means solutions of one-column points for k = k_max down to
+    k_min, from one dynamic program over the sorted distinct values.
+
+    Layer l of the program holds, for each prefix of the distinct values,
+    the least sum of squares over splits of that prefix into l + 1 runs and
+    where the last of those runs starts; each k backtracks from layer
+    k - 1. Runs break only between distinct values, so equal points always
+    share a cluster. Segment costs are weighted Welford sums kept for every
+    segment start and measured from that start's value, so near-duplicate
+    values keep their tiny costs instead of cancelling. The reported
+    centroids and sse_within are recomputed from the partition.
+    """
+    values, inverse, counts = np.unique(pts[:, 0], return_inverse=True, return_counts=True)
+    m = values.size
+    if k_max > m:
+        raise UsageError(f"k={k_max} exceeds the {m} distinct points")
+    cost = np.full((k_max, m), np.inf)  # cost[l, j]: best split of values[:j + 1] into l + 1 runs
+    start = np.zeros((k_max, m), dtype=int)  # start[l, j]: first value of that split's last run
+    layers = np.arange(k_max - 1)
+    # Welford state of each segment values[i:j + 1], one entry per start i
+    weight = np.zeros(m)
+    mean = np.zeros(m)  # measured from values[i]
+    sse = np.zeros(m)
+    for j in range(m):
+        offset = values[j] - values[:j + 1]
+        delta = offset - mean[:j + 1]
+        weight[:j + 1] += counts[j]
+        mean[:j + 1] += delta * (counts[j] / weight[:j + 1])
+        sse[:j + 1] += counts[j] * delta * (offset - mean[:j + 1])
+        cost[0, j] = sse[0]
+        if j > 0:
+            # last run values[i:j + 1], i = 1..j, after the best split of values[:i]
+            candidates = cost[:-1, :j] + sse[1:j + 1]
+            best = candidates.argmin(axis=1)
+            cost[1:, j] = candidates[layers, best]
+            start[1:, j] = best + 1
+
+    solutions = []
+    for k in range(k_max, k_min - 1, -1):
+        labels = np.empty(m, dtype=int)
+        end = m
+        for c in range(k):  # runs from the highest down, so labels follow descending centroids
+            first = start[k - 1 - c, end - 1]
+            labels[first:end] = c
+            end = first
+        assign = labels[inverse]
+        centroids = np.vstack([pts[assign == c].mean(axis=0) for c in range(k)])
+        solutions.append(ClusterSolution(
+            k=k,
+            assignments=assign,
+            centroids=centroids,
+            sse_within=_sse(pts, assign, centroids),
+            restarts_used=0,
+            seed=seed,
+        ))
+    return solutions
 
 
 def _kmeans_pp_init(pts: np.ndarray, k: int, rng) -> np.ndarray:
@@ -268,8 +338,12 @@ def anova_f(points, solution: ClusterSolution) -> AnovaResult:
 
 def sweep_k(points, k_max: int, k_min: int, restarts: int = 32, seed: int = 0,
             significance: float = 0.05) -> KSweepReport:
-    """Run kmeans + anova_f for each k from k_max down to k_min and select
-    the most significant cluster count.
+    """Cluster the points for each k from k_max down to k_min, score each
+    solution with anova_f and select the most significant cluster count.
+
+    One-column points run one exact dynamic program for the whole sweep;
+    restarts and seed act only on multivariate points, which run kmeans
+    once per k.
 
     selected_k is the k with maximal F among those with p below the
     significance threshold, smallest k on ties; None (with the
@@ -277,11 +351,14 @@ def sweep_k(points, k_max: int, k_min: int, restarts: int = 32, seed: int = 0,
     """
     if not (k_max >= k_min >= 2):
         raise UsageError(f"need k_max >= k_min >= 2, got k_max={k_max}, k_min={k_min}")
+    if restarts < 1:
+        raise UsageError("restarts must be >= 1")
     pts = _as_points(points)
-    entries = []
-    for k in range(k_max, k_min - 1, -1):
-        solution = kmeans(points, k, restarts=restarts, seed=seed)
-        entries.append((k, solution, anova_f(points, solution)))
+    if pts.shape[1] == 1:
+        solutions = _exact_1d(pts, k_max, k_min, seed)
+    else:
+        solutions = [kmeans(pts, k, restarts=restarts, seed=seed) for k in range(k_max, k_min - 1, -1)]
+    entries = [(s.k, s, anova_f(pts, s)) for s in solutions]
 
     spread = float((pts.max(axis=0) - pts.min(axis=0)).max())
     negligible = spread <= _SPREAD_RESOLUTION * max(1.0, float(np.abs(pts).max()))

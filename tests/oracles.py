@@ -1,9 +1,9 @@
 """Independent brute-force oracles used by the test suite.
 
 Each oracle deliberately avoids the code path it checks: the LP oracle
-enumerates basic points and extreme rays, the clustering oracle enumerates
-set partitions, the F-distribution oracle integrates the density with
-composite Simpson quadrature.
+enumerates basic points and extreme rays, the clustering oracles enumerate
+set partitions or cut sets of the sorted values, the F-distribution oracle
+integrates the density with composite Simpson quadrature.
 """
 
 from __future__ import annotations
@@ -105,6 +105,25 @@ def best_partition_sse(points, k):
             members = pts[[i for i in range(n) if labels[i] == g]]
             if members.size:
                 sse += float(((members - members.mean(axis=0)) ** 2).sum())
+        best = min(best, sse)
+    return best
+
+
+def best_contiguous_sse(points, k):
+    """Minimum within-cluster sum of squares of 1-D points over all splits
+    of the sorted values into k non-empty contiguous runs, trying every set
+    of k - 1 cut positions. In one dimension an optimal k-means partition
+    is such a split, so this is the k-means optimum for n far beyond what
+    best_partition_sse can enumerate."""
+    xs = sorted(float(x) for x in np.ravel(points))
+    n = len(xs)
+    best = math.inf
+    for cuts in combinations(range(1, n), k - 1):
+        sse = 0.0
+        for lo, hi in zip((0,) + cuts, cuts + (n,)):
+            run = xs[lo:hi]
+            mean = math.fsum(run) / len(run)
+            sse += math.fsum((x - mean) ** 2 for x in run)
         best = min(best, sse)
     return best
 

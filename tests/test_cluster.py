@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import best_partition_sse
+from oracles import best_contiguous_sse, best_partition_sse
 from paneleff.cluster import (
     NEGLIGIBLE_SPREAD,
     NO_SIGNIFICANT_K,
@@ -14,6 +14,7 @@ from paneleff.cluster import (
     sweep_k,
     _lloyd,
 )
+from paneleff import cluster
 from paneleff.errors import UsageError
 
 
@@ -55,6 +56,15 @@ def test_best_of_restarts_matches_exhaustive_partitions():
         centers = np.arange(k) * 3.0  # separation 3 vs spread 1
         pts = np.array([rng.uniform(centers[i % k], centers[i % k] + 1.0) for i in range(n)])
         sol = kmeans(pts, k, restarts=64, seed=11)
+        assert sol.sse_within == pytest.approx(best_partition_sse(pts, k), abs=1e-10)
+    # 1-D points are clustered exactly; 2-D points keep the restart loop covered
+    for _ in range(25):
+        k = int(rng.integers(2, 4))
+        n = int(rng.integers(k + 2, 9))
+        centers = np.stack([np.arange(k) * 3.0, rng.permutation(k) * 3.0], axis=1)
+        pts = np.array([rng.uniform(centers[i % k], centers[i % k] + 1.0) for i in range(n)])
+        sol = kmeans(pts, k, restarts=64, seed=11)
+        assert sol.restarts_used == 64
         assert sol.sse_within == pytest.approx(best_partition_sse(pts, k), abs=1e-10)
 
 
@@ -207,3 +217,74 @@ def test_sweep_single_candidate():
 def test_sweep_rejects_bad_range():
     with pytest.raises(UsageError):
         sweep_k([1.0, 2.0, 3.0], 2, 3, restarts=2, seed=0)
+
+
+# Mean VRS output-oriented scores of the 40 DMUs of the benchmark's dea_wide
+# panel at generator seed 0. kmeans with 32 restarts at seed 271998 (the
+# workload's cluster seed) ends 2.4e-4 (0.06%) above the optimum sum of squares
+# at k=4.
+DEA_WIDE_VRS_OUT_MEANS = [
+    2.332003935304183, 1.4765806294684185, 1.7080587255195745, 1.2201296763255673,
+    1.4621780893357794, 1.3746149379637438, 1.5988944467176607, 1.2842566909735176,
+    1.859085211780388, 1.065101435712027, 1.1397621418401003, 1.0,
+    1.3107379693503105, 2.482632294288468, 1.1913230740415555, 1.325362150510004,
+    1.3720149293619555, 1.2821723787760693, 1.3737069044432126, 1.677709310321998,
+    1.0, 2.2401456851529895, 1.1516200385402826, 1.5833875763566774,
+    1.5425919744391197, 1.7742720699752768, 1.0937786760649908, 1.3081800173845224,
+    1.2730130667510757, 1.2448731227728331, 1.3660679177125443, 1.3919768961923789,
+    1.5727435174978943, 2.1018572483810587, 1.3629377517858061, 1.759810729725614,
+    1.934865554531049, 1.2255236173913997, 1.4136892454987127, 1.870604221848182,
+]
+
+
+def test_sweep_reaches_the_optimum_where_restarts_miss():
+    report = sweep_k(DEA_WIDE_VRS_OUT_MEANS, 9, 3, restarts=32, seed=271998)
+    for k in (3, 4):
+        optimum = best_contiguous_sse(DEA_WIDE_VRS_OUT_MEANS, k)
+        assert report.entry(k)[1].sse_within == pytest.approx(optimum, rel=1e-12)
+
+
+def test_exact_1d_matches_exhaustive_partitions_on_unseparated_points():
+    rng = np.random.default_rng(57)
+    for trial in range(16):
+        n = int(rng.integers(4, 11))
+        if trial % 2:
+            pts = rng.integers(0, 5, n) / 4.0  # many duplicates
+        else:
+            pts = rng.normal(size=n)
+        k_max = min(np.unique(pts).size, n - 1, 4 if n <= 8 else 3)  # anova_f needs n > k
+        if k_max < 2:
+            continue
+        report = sweep_k(pts, k_max, 2, restarts=1, seed=0)
+        for k, sol, _ in report.entries:
+            optimum = best_partition_sse(pts, k)
+            assert sol.sse_within == pytest.approx(optimum, rel=1e-12, abs=1e-12)
+            assert kmeans(pts, k, restarts=1, seed=0).sse_within == sol.sse_within
+            assert sol.restarts_used == 0
+
+
+def test_near_duplicate_tiers_keep_nonnegative_sse_and_equal_values_together():
+    # tiers of values tier - j * 1e-9 with repeats, like the demo's efficient
+    # and near-efficient DMUs: within-tier sums of squares near 1e-17
+    j = np.array([0, 0, 1, 2, 2, 3, 5])
+    for tiers in [(1.0,), (1.0, 0.9), (1.0, 0.88, 0.58)]:
+        pts = np.concatenate([tier - j * 1e-9 for tier in tiers])
+        report = sweep_k(pts, 5, 2, restarts=32, seed=5)
+        for k, sol, _ in report.entries:
+            assert sol.sse_within >= 0.0
+            for value in np.unique(pts):
+                assert np.unique(sol.assignments[pts == value]).size == 1
+            assert sol.sse_within == pytest.approx(best_contiguous_sse(pts, k), rel=1e-9, abs=0.0)
+
+
+def test_one_column_sweep_runs_no_restarts(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the one-column path must not run restarts")
+
+    monkeypatch.setattr(cluster, "_lloyd", forbidden)
+    monkeypatch.setattr(cluster, "_kmeans_pp_init", forbidden)
+    monkeypatch.setattr(np.random, "default_rng", forbidden)
+    pts = np.concatenate([c + np.linspace(0.0, 0.05, 9) for c in (0.3, 0.6, 0.9)])
+    report = sweep_k(pts, 6, 3, restarts=32, seed=5)
+    assert report.selected_k is not None
+    assert kmeans(pts, 3, restarts=32, seed=5).sizes == (9, 9, 9)
