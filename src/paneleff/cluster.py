@@ -304,7 +304,14 @@ def anova_f(points, solution: ClusterSolution) -> AnovaResult:
     """One-way ANOVA of the clustering variable(s) across the solution's
     clusters. p = P(F > f) with the F CDF evaluated through the regularized
     incomplete beta function. SSW of zero yields an infinite F sentinel
-    with p = 0 and the PERFECT_SEPARATION flag."""
+    with p = 0 and the PERFECT_SEPARATION flag.
+
+    The sums of squares are formed on the points rescaled by the power of
+    two that brings their largest magnitude into [0.5, 1). Scaling by a
+    power of two is exact, so F is the same as from the raw points, but
+    squared deviations of tiny points no longer underflow to 0 and those of
+    huge points no longer overflow. Only points that are all equal have no
+    variance."""
     pts = _as_points(points)
     n = pts.shape[0]
     k = solution.k
@@ -314,7 +321,11 @@ def anova_f(points, solution: ClusterSolution) -> AnovaResult:
         raise UsageError("ANOVA requires k >= 2")
     if n <= k:
         raise UsageError("ANOVA requires more points than clusters")
+    if np.all(pts == pts[0]):
+        raise UsageError("points have no variance; ANOVA is undefined")
 
+    _, exponent = np.frexp(np.abs(pts).max())
+    pts = np.ldexp(pts, -exponent)
     grand = pts.mean(axis=0)
     ssb = 0.0
     ssw = 0.0
@@ -327,13 +338,13 @@ def anova_f(points, solution: ClusterSolution) -> AnovaResult:
     df_between = k - 1
     df_within = n - k
     total = ssb + ssw
-    if total <= 0.0:
-        raise UsageError("points have no variance; ANOVA is undefined")
+    with np.errstate(over="ignore"):  # the raw points' sums of squares may exceed the float range
+        ss_between, ss_within = (float(np.ldexp(ss, 2 * exponent)) for ss in (ssb, ssw))
     if ssw <= 1e-15 * total:
-        return AnovaResult(df_between, df_within, math.inf, 0.0, ssb, ssw, (PERFECT_SEPARATION,))
+        return AnovaResult(df_between, df_within, math.inf, 0.0, ss_between, ss_within, (PERFECT_SEPARATION,))
     f_value = (ssb / df_between) / (ssw / df_within)
     p_value = f_sf(f_value, df_between, df_within)
-    return AnovaResult(df_between, df_within, float(f_value), float(p_value), ssb, ssw)
+    return AnovaResult(df_between, df_within, float(f_value), float(p_value), ss_between, ss_within)
 
 
 def sweep_k(points, k_max: int, k_min: int, restarts: int = 32, seed: int = 0,

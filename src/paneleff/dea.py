@@ -1,25 +1,31 @@
 """Radial DEA efficiency models over per-period cross-sections.
 
-Each score is one envelopment program. The solver certifies its optimum
-(primal feasibility, dual feasibility and strong duality), and the
-certified duals are the multiplier program's solution: the virtual input
-and output weights and, under VRS, the free scale offset. The score is
-therefore units-invariant by construction and its weights come at no
-extra solve. solve_ccr/solve_bcc add a second-stage slack-maximizing
-envelopment solve that flags weak efficiency and finds the peers; no
-non-Archimedean epsilon is used, because any absolute epsilon would break
-units invariance. Panel scoring (score_period, run_panel_dea) reads only
-the score and skips that stage.
+Each score is one envelopment program. Within a period every DMU's program
+has the same shape, relations and rhs signs; only the radial column and the
+rhs differ. `_envelopment_lps` therefore builds a period's programs as one
+stack by broadcasting, and the solver pivots them in lockstep
+(`linprog.solve_stack`). The solver certifies each optimum (primal
+feasibility, dual feasibility and strong duality), and the certified duals
+are the multiplier program's solution: the virtual input and output weights
+and, under VRS, the free scale offset. The score is therefore
+units-invariant by construction and its weights come at no extra solve.
+solve_ccr/solve_bcc solve one DMU's program as a stack of one. Their
+result runs a second-stage slack-maximizing envelopment solve when its
+peers or slacks are first read; it flags weak efficiency and finds the
+peers. No non-Archimedean epsilon is used, because any absolute epsilon
+would break units invariance. Panel scoring (score_period, run_panel_dea)
+reads only the scores.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import DeaConsistencyError, UsageError, ValidationFailedError
-from .linprog import LpProblem, LpSolution, solve_lp
+from .errors import DeaConsistencyError, LpSolverError, UsageError, ValidationFailedError
+from .linprog import LpProblem, LpSolution, solve_lp, solve_stack
 from .panel_data import CrossSection, PanelDataset, slice_period, validate_for_dea
 
 RETURNS_TO_SCALE = ("CRS", "VRS")
@@ -62,7 +68,9 @@ class EfficiencyResult:
     input weights and scale_offset is the free multiplier the VRS model
     adds; all three are the certified duals of the envelopment program.
     lambdas, input_slacks and output_slacks come from the second-stage
-    slack-maximizing envelopment solve.
+    slack-maximizing envelopment solve, which runs on the first access to
+    one of them (or to peers or weakly_efficient), so that a caller who
+    reads only the score and weights solves one program, not two.
     """
 
     dmu: str
@@ -72,9 +80,19 @@ class EfficiencyResult:
     multiplier_u: np.ndarray
     multiplier_v: np.ndarray
     scale_offset: float | None
-    lambdas: np.ndarray
-    input_slacks: np.ndarray
-    output_slacks: np.ndarray
+    cross_section: CrossSection = field(repr=False, compare=False)
+
+    @property
+    def lambdas(self) -> np.ndarray:
+        return self._slack_stage[0]
+
+    @property
+    def input_slacks(self) -> np.ndarray:
+        return self._slack_stage[1]
+
+    @property
+    def output_slacks(self) -> np.ndarray:
+        return self._slack_stage[2]
 
     @property
     def peers(self) -> tuple[int, ...]:
@@ -88,6 +106,28 @@ class EfficiencyResult:
             float(self.output_slacks.max(initial=0.0)),
         )
         return self.score == 1.0 and max_slack > _SLACK_TOL
+
+    @cached_property
+    def _slack_stage(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """lambdas, input slacks and output slacks of the slack-maximizing
+        envelopment solve at the radial score."""
+        cs, dmu, score = self.cross_section, self.dmu, self.score
+        o = cs.dmu_index(dmu)
+        X, Y = cs.inputs, cs.outputs
+        n, m = X.shape
+        s = Y.shape[1]
+        slack = solve_lp(_slack_stage_lp(X, Y, o, self.returns_to_scale, self.orientation, score))
+        if slack.status != "optimal":
+            raise DeaConsistencyError(f"slack stage for dmu {dmu!r} reported {slack.status}")
+        # A DMU that is radial-efficient with zero maximal slack is strongly
+        # efficient; report it as its own sole peer even when duplicates
+        # admit alternative optima.
+        data_scale = max(1.0, float(X[o].max()), float(Y[o].max()))
+        if score == 1.0 and slack.objective_value <= _SLACK_TOL * data_scale:
+            lambdas = np.zeros(n)
+            lambdas[o] = 1.0
+            return lambdas, np.zeros(m), np.zeros(s)
+        return slack.primal[:n].copy(), slack.primal[n:n + m].copy(), slack.primal[n + m:n + m + s].copy()
 
 
 @dataclass(frozen=True)
@@ -120,131 +160,106 @@ def _solve_dea(cs: CrossSection, dmu: str, rts: str, orientation: str) -> Effici
     if orientation not in ORIENTATIONS:
         raise UsageError(f"orientation must be one of {ORIENTATIONS}")
     o = cs.dmu_index(dmu)
-    X = cs.inputs  # (n, m)
-    Y = cs.outputs  # (n, s)
-    n, m = X.shape
-    s = Y.shape[1]
-
-    score, env = _radial(X, Y, o, rts, orientation, dmu)
-
-    slack = solve_lp(_slack_stage_lp(X, Y, o, rts, orientation, score))
-    if slack.status != "optimal":
-        raise DeaConsistencyError(f"slack stage for dmu {dmu!r} reported {slack.status}")
-    lambdas = slack.primal[:n].copy()
-    input_slacks = slack.primal[n:n + m].copy()
-    output_slacks = slack.primal[n + m:n + m + s].copy()
-
-    # A DMU that is radial-efficient with zero maximal slack is strongly
-    # efficient; report it as its own sole peer even when duplicates admit
-    # alternative optima.
-    data_scale = max(1.0, float(X[o].max()), float(Y[o].max()))
-    if score == 1.0 and slack.objective_value <= _SLACK_TOL * data_scale:
-        lambdas = np.zeros(n)
-        lambdas[o] = 1.0
-        input_slacks = np.zeros(m)
-        output_slacks = np.zeros(s)
+    m = cs.inputs.shape[1]
+    s = cs.outputs.shape[1]
+    ((score, env),) = _radial(cs.inputs, cs.outputs, [o], [dmu], rts, orientation)
 
     # The envelopment duals are the multiplier weights. Input orientation
     # (a min) has duals <= 0 on the input rows and >= 0 on the output rows,
     # output orientation (a max) the reverse; the convexity row's dual is
     # the VRS offset.
     sign = -1.0 if orientation == "input" else 1.0
-    v = sign * env.dual[:m]
-    u = -sign * env.dual[m:m + s]
-    offset = float(env.dual[m + s]) if rts == "VRS" else None
-
     return EfficiencyResult(
         dmu=dmu,
         score=score,
         orientation=orientation,
         returns_to_scale=rts,
-        multiplier_u=u,
-        multiplier_v=v,
-        scale_offset=offset,
-        lambdas=lambdas,
-        input_slacks=input_slacks,
-        output_slacks=output_slacks,
+        multiplier_u=-sign * env.dual[m:m + s],
+        multiplier_v=sign * env.dual[:m],
+        scale_offset=float(env.dual[m + s]) if rts == "VRS" else None,
+        cross_section=cs,
     )
 
 
 def score_period(cs: CrossSection, spec: DeaSpec) -> np.ndarray:
-    """Radial scores of every DMU of one cross-section, in cs.dmus order:
-    one envelopment solve per DMU, equal to solve_ccr/solve_bcc(...).score."""
-    return np.array([
-        _radial(cs.inputs, cs.outputs, o, spec.returns_to_scale, spec.orientation, dmu)[0]
-        for o, dmu in enumerate(cs.dmus)
-    ])
+    """Radial scores of every DMU of one cross-section, in cs.dmus order,
+    from one stack of envelopment solves; each equals
+    solve_ccr/solve_bcc(...).score. A failure is raised for the first DMU
+    in order whose program fails."""
+    solved = _radial(cs.inputs, cs.outputs, np.arange(len(cs.dmus)), cs.dmus,
+                     spec.returns_to_scale, spec.orientation)
+    return np.array([score for score, _ in solved])
 
 
-def _radial(X, Y, o, rts, orientation, dmu) -> tuple[float, LpSolution]:
-    """Solve DMU o's envelopment program; return its snapped score and the
-    certified solution, whose duals are the multiplier weights."""
-    env = solve_lp(_envelopment_lp(X, Y, o, rts, orientation))
-    if env.status != "optimal":
-        raise DeaConsistencyError(
-            f"envelopment program for dmu {dmu!r} reported {env.status}; input data must be strictly positive"
-        )
-    score = env.objective_value
-    if abs(score - 1.0) <= SCORE_SNAP_TOL:
-        score = 1.0
-    elif orientation == "input":
-        score = min(max(score, _SCORE_FLOOR), 1.0)
-    else:
-        score = max(score, 1.0)
-    return float(score), env
+def _radial(X, Y, dmus, names, rts, orientation) -> list[tuple[float, LpSolution]]:
+    """Solve the envelopment programs of the DMUs at positions dmus (named
+    names) as one stack; return each one's snapped score and certified
+    solution, whose duals are the multiplier weights."""
+    solved = []
+    for env, dmu in zip(solve_stack(_envelopment_lps(X, Y, dmus, rts, orientation)), names):
+        if isinstance(env, LpSolverError):
+            raise env
+        if env.status != "optimal":
+            raise DeaConsistencyError(
+                f"envelopment program for dmu {dmu!r} reported {env.status}; input data must be strictly positive"
+            )
+        score = env.objective_value
+        if abs(score - 1.0) <= SCORE_SNAP_TOL:
+            score = 1.0
+        elif orientation == "input":
+            score = min(max(score, _SCORE_FLOOR), 1.0)
+        else:
+            score = max(score, 1.0)
+        solved.append((float(score), env))
+    return solved
 
 
-def _envelopment_lp(X, Y, o, rts, orientation) -> LpProblem:
+def _envelopment_lps(X, Y, dmus, rts, orientation) -> list[LpProblem]:
+    """The envelopment programs of the DMUs at positions dmus, built as one
+    (len(dmus), m + s [+ 1], n + 1) stack: the lambda columns are the same
+    for every DMU, the radial column and the rhs are its own data."""
     # columns: [radial factor, lambda_1 .. lambda_n]
     n, m = X.shape
     s = Y.shape[1]
-    cons = []
+    vrs = rts == "VRS"
+    A = np.zeros((len(dmus), m + s + vrs, n + 1))
+    b = np.zeros((len(dmus), m + s + vrs))
+    A[:, :m, 1:] = X.T
+    A[:, m:m + s, 1:] = Y.T
     if orientation == "input":
         # min theta  s.t.  X'lam <= theta x_o ,  Y'lam >= y_o
-        for i in range(m):
-            cons.append((np.concatenate(([-X[o, i]], X[:, i])), "<=", 0.0))
-        for r in range(s):
-            cons.append((np.concatenate(([0.0], Y[:, r])), ">=", Y[o, r]))
+        A[:, :m, 0] = -X[dmus]
+        b[:, m:m + s] = Y[dmus]
         sense = "min"
     else:
         # max phi  s.t.  X'lam <= x_o ,  Y'lam >= phi y_o
-        for i in range(m):
-            cons.append((np.concatenate(([0.0], X[:, i])), "<=", X[o, i]))
-        for r in range(s):
-            cons.append((np.concatenate(([-Y[o, r]], Y[:, r])), ">=", 0.0))
+        b[:, :m] = X[dmus]
+        A[:, m:m + s, 0] = -Y[dmus]
         sense = "max"
-    if rts == "VRS":
-        cons.append((np.concatenate(([0.0], np.ones(n))), "=", 1.0))
+    if vrs:
+        A[:, -1, 1:] = 1.0
+        b[:, -1] = 1.0
     c = np.zeros(n + 1)
     c[0] = 1.0
-    return LpProblem(c, sense, cons)
+    return LpProblem.stack(c, sense, A, ["<="] * m + [">="] * s + ["="] * vrs, b)
 
 
 def _slack_stage_lp(X, Y, o, rts, orientation, score) -> LpProblem:
     # columns: [lambda (n), input slacks (m), output slacks (s)]
     n, m = X.shape
     s = Y.shape[1]
-    width = n + m + s
-    c = np.zeros(width)
+    c = np.zeros(n + m + s)
     c[n:] = 1.0
+    A = np.zeros((m + s + (rts == "VRS"), n + m + s))
+    A[:m, :n] = X.T
+    A[m:m + s, :n] = Y.T
+    A[np.arange(m + s), n + np.arange(m + s)] = np.repeat([1.0, -1.0], [m, s])
+    A[m + s:, :n] = 1.0
     x_target = score * X[o] if orientation == "input" else X[o]
     y_target = Y[o] if orientation == "input" else score * Y[o]
-    cons = []
-    for i in range(m):
-        row = np.zeros(width)
-        row[:n] = X[:, i]
-        row[n + i] = 1.0
-        cons.append((row, "=", x_target[i]))
-    for r in range(s):
-        row = np.zeros(width)
-        row[:n] = Y[:, r]
-        row[n + m + r] = -1.0
-        cons.append((row, "=", y_target[r]))
-    if rts == "VRS":
-        row = np.zeros(width)
-        row[:n] = 1.0
-        cons.append((row, "=", 1.0))
-    return LpProblem(c, "max", cons)
+    b = np.concatenate([x_target, y_target, [1.0] * (rts == "VRS")])
+    (problem,) = LpProblem.stack(c, "max", A[None], ["="] * len(b), b[None])
+    return problem
 
 
 def run_panel_dea(panel: PanelDataset, spec: DeaSpec) -> EfficiencyPanel:

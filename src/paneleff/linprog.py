@@ -1,11 +1,23 @@
 """Self-contained dense linear-programming solver.
 
-Two-phase primal simplex on the dense standard form. The radial efficiency
+Two-phase primal simplex on the dense standard form, run in lockstep over a
+stack of programs. `solve_stack` takes a list of programs and groups those
+that share a tableau layout: shape, sense, relations, free variables and
+the sign of each right-hand side, which together fix the start basis.
+Every tableau of a group takes one pivot per step, and each step is the
+same few numpy operations whatever the group's size. A program that
+reaches optimality or unboundedness, or breaks down, leaves the group;
+programs whose phase 1 drops different redundant rows go on in separate
+sub-stacks. `solve_lp` is the stack of one.
+
+Each program keeps its own pricing state. Pricing starts with Dantzig's rule
+and falls back to Bland's rule once 50 consecutive degenerate pivots are
+observed, and each phase stops at 20000 pivots. The radial efficiency
 programs this package produces are tiny (tens of columns) but notoriously
-degenerate, so pricing starts with Dantzig's rule and falls back to Bland's
-rule once 50 consecutive degenerate pivots are observed. Variable lower
-bounds are restricted to 0 or -inf; free variables are split into positive
-and negative parts.
+degenerate. Every operation on a tableau is elementwise, so a program's
+pivots, and its solution bit for bit, do not depend on the stack it is
+solved in. Variable lower bounds are restricted to 0 or -inf; free
+variables are split into positive and negative parts.
 
 Tolerances are fixed rather than configurable so that downstream efficiency
 scores stay bit-stable: pivot tolerance 1e-9, feasibility tolerance 1e-7,
@@ -41,57 +53,50 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LpProblem:
-    """A dense linear program.
+    """A dense linear program: optimize objective . x subject to
+    A x (relations) b and x >= lower_bounds.
 
-    objective    coefficient vector c
+    objective    coefficient vector c, shape (n,)
     sense        "max" or "min"
-    constraints  tuple of (coefficients, relation, rhs) rows, relation in {"<=", "=", ">="}
+    A            constraint matrix, shape (m, n)
+    relations    one of "<=", "=", ">=" per constraint, shape (m,)
+    b            right-hand sides, shape (m,)
     lower_bounds per-variable lower bound, each either 0.0 or -inf (free)
+
+    The constructor takes the constraints as (coefficients, relation, rhs)
+    rows; LpProblem.stack builds many programs from arrays at once.
     """
 
     objective: np.ndarray
     sense: str
-    constraints: tuple
+    A: np.ndarray
+    relations: np.ndarray
+    b: np.ndarray
     lower_bounds: np.ndarray
 
     def __init__(self, objective, sense, constraints, lower_bounds=None):
-        c = np.asarray(objective, dtype=float)
-        if c.ndim != 1 or c.size == 0:
-            raise UsageError("objective must be a non-empty 1-D coefficient vector")
-        if not np.all(np.isfinite(c)):
-            raise UsageError("objective coefficients must be finite")
-        if sense not in ("max", "min"):
-            raise UsageError(f"sense must be 'max' or 'min', got {sense!r}")
-        rows = []
-        for i, (coeffs, relation, rhs) in enumerate(constraints):
-            a = np.asarray(coeffs, dtype=float)
-            if a.shape != c.shape:
-                raise UsageError(
-                    f"constraint {i} has {a.size} coefficients, expected {c.size}"
-                )
-            if relation not in RELATIONS:
-                raise UsageError(f"constraint {i} relation must be one of {RELATIONS}, got {relation!r}")
-            rhs = float(rhs)
-            if not (np.all(np.isfinite(a)) and np.isfinite(rhs)):
-                raise UsageError(f"constraint {i} has non-finite coefficients or rhs")
-            rows.append((a, relation, rhs))
-        if lower_bounds is None:
-            lb = np.zeros(c.size)
+        rows = tuple(constraints)
+        if rows:
+            A, relations, b = zip(*rows)
         else:
-            lb = np.asarray(lower_bounds, dtype=float)
-            if lb.shape != c.shape:
-                raise UsageError("lower_bounds length must match the objective")
-            bad = ~((lb == 0.0) | np.isneginf(lb))
-            if np.any(bad):
-                raise UsageError("variable lower bounds must be 0 or -inf")
-        object.__setattr__(self, "objective", c)
-        object.__setattr__(self, "sense", sense)
-        object.__setattr__(self, "constraints", tuple(rows))
-        object.__setattr__(self, "lower_bounds", lb)
-        c.setflags(write=False)
-        lb.setflags(write=False)
+            A, relations, b = np.zeros((0, np.size(objective))), (), ()
+        c, A, relations, b, lb = _validated(objective, sense, [A], relations, [b], lower_bounds)
+        _set_fields(self, c, sense, A[0], relations, b[0], lb)
+
+    @classmethod
+    def stack(cls, objective, sense, A, relations, b, lower_bounds=None) -> list[LpProblem]:
+        """The programs that share objective, sense, relations and bounds and
+        take their constraints from A[k] (m, n) and b[k] (m,), for each k of
+        A (K, m, n) and b (K, m); validated in one pass."""
+        c, A, relations, b, lb = _validated(objective, sense, A, relations, b, lower_bounds)
+        problems = []
+        for A_k, b_k in zip(A, b):
+            problem = cls.__new__(cls)
+            _set_fields(problem, c, sense, A_k, relations, b_k, lb)
+            problems.append(problem)
+        return problems
 
     @property
     def n_variables(self) -> int:
@@ -99,7 +104,55 @@ class LpProblem:
 
     @property
     def n_constraints(self) -> int:
-        return len(self.constraints)
+        return self.b.size
+
+
+def _validated(objective, sense, A, relations, b, lower_bounds):
+    """Check a stack of programs that share objective, sense, relations and
+    bounds; return read-only copies of c, A (K, m, n), relations, b (K, m)
+    and the lower bounds."""
+    c = np.array(objective, dtype=float)
+    if c.ndim != 1 or c.size == 0:
+        raise UsageError("objective must be a non-empty 1-D coefficient vector")
+    if not np.all(np.isfinite(c)):
+        raise UsageError("objective coefficients must be finite")
+    if sense not in ("max", "min"):
+        raise UsageError(f"sense must be 'max' or 'min', got {sense!r}")
+    try:
+        A = np.array(A, dtype=float)
+        b = np.array(b, dtype=float)
+    except (TypeError, ValueError):
+        raise UsageError(f"each constraint needs {c.size} coefficients and a numeric rhs") from None
+    rel = np.asarray(relations)
+    m = rel.shape[0] if rel.ndim == 1 else -1
+    if A.ndim != 3 or A.shape[1:] != (m, c.size) or b.shape != A.shape[:2]:
+        raise UsageError(
+            f"constraints must be an (m, {c.size}) matrix with m relations and m right-hand sides")
+    if not set(rel.tolist()) <= set(RELATIONS):
+        i = next(i for i, r in enumerate(rel.tolist()) if r not in RELATIONS)
+        raise UsageError(f"constraint {i} relation must be one of {RELATIONS}, got {rel[i]!r}")
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        finite = (np.isfinite(A).all(axis=2) & np.isfinite(b)).all(axis=0)
+        raise UsageError(f"constraint {int(np.argmin(finite))} has non-finite coefficients or rhs")
+    if lower_bounds is None:
+        lb = np.zeros(c.size)
+    else:
+        lb = np.array(lower_bounds, dtype=float)
+        if lb.shape != c.shape:
+            raise UsageError("lower_bounds length must match the objective")
+        bad = ~((lb == 0.0) | np.isneginf(lb))
+        if np.any(bad):
+            raise UsageError("variable lower bounds must be 0 or -inf")
+    rel = rel.astype("<U2")
+    for array in (c, A, rel, b, lb):
+        array.setflags(write=False)
+    return c, A, rel, b, lb
+
+
+def _set_fields(problem, c, sense, A, relations, b, lb) -> None:
+    for name, value in (("objective", c), ("sense", sense), ("A", A), ("relations", relations),
+                        ("b", b), ("lower_bounds", lb)):
+        object.__setattr__(problem, name, value)
 
 
 @dataclass(frozen=True)
@@ -124,7 +177,7 @@ def format_lp(problem: LpProblem) -> str:
     lines = ["maximize" if problem.sense == "max" else "minimize"]
     lines.append("  " + _linear_expr(problem.objective))
     lines.append("subject to")
-    for i, (a, rel, rhs) in enumerate(problem.constraints):
+    for i, (a, rel, rhs) in enumerate(zip(problem.A, problem.relations, problem.b)):
         lines.append(f"  c{i}: {_linear_expr(a)} {rel} {rhs:g}")
     lines.append("bounds")
     for j, lb in enumerate(problem.lower_bounds):
@@ -137,296 +190,443 @@ def _linear_expr(coeffs) -> str:
     return " ".join(terms) if terms else "0"
 
 
-class _Tableau:
-    """Dense simplex tableau with Dantzig pricing and a Bland fallback."""
-
-    def __init__(self, T: np.ndarray, basis: list[int], allowed: np.ndarray):
-        self.T = T
-        self.basis = basis
-        self.allowed = allowed  # columns eligible to enter
-        self.iterations = 0
-        self.degenerate_run = 0
-        self.bland = False
-
-    def run(self) -> str:
-        T = self.T
-        while True:
-            if self.iterations > _MAX_ITER:
-                raise LpSolverError(
-                    "iteration limit reached",
-                    diagnostics={
-                        "iterations": self.iterations,
-                        "bland_mode": self.bland,
-                        "degenerate_run": self.degenerate_run,
-                    },
-                )
-            cost = T[-1, :-1]
-            candidates = np.flatnonzero(self.allowed & (cost < -PIVOT_TOL))
-            if candidates.size == 0:
-                return OPTIMAL
-            if self.bland:
-                enter = int(candidates[0])
-            else:
-                enter = int(candidates[np.argmin(cost[candidates])])
-            col = T[:-1, enter]
-            rows = np.flatnonzero(col > PIVOT_TOL)
-            if rows.size == 0:
-                return UNBOUNDED
-            ratios = T[rows, -1] / col[rows]
-            best = ratios.min()
-            ties = rows[ratios <= best + 1e-12]
-            if self.bland:
-                # leave by the lowest basic-variable index among the ties
-                leave = int(ties[np.argmin([self.basis[r] for r in ties])])
-            else:
-                leave = int(ties[0])
-            if best < _DEGENERATE_STEP:
-                self.degenerate_run += 1
-                if self.degenerate_run >= _BLAND_TRIGGER:
-                    self.bland = True
-            else:
-                self.degenerate_run = 0
-            self._pivot(leave, enter)
-
-    def _pivot(self, row: int, col: int) -> None:
-        T = self.T
-        piv = T[row, col]
-        if abs(piv) <= PIVOT_TOL:
-            raise LpSolverError(
-                "pivot below tolerance",
-                diagnostics={
-                    "iterations": self.iterations,
-                    "pivot": float(piv),
-                    "bland_mode": self.bland,
-                },
-            )
-        T[row] /= piv
-        factors = T[:, col].copy()
-        factors[row] = 0.0
-        T -= np.outer(factors, T[row])
-        T[:, col] = 0.0
-        T[row, col] = 1.0
-        self.basis[row] = col
-        self.iterations += 1
-
-
 def solve_lp(problem: LpProblem) -> LpSolution:
-    """Solve a linear program with the two-phase primal simplex method.
+    """Solve a linear program with the two-phase primal simplex method:
+    `solve_stack` on a stack of one.
 
     Returns an LpSolution whose status is "optimal", "infeasible", or
     "unbounded". Output is deterministic for identical input. Raises
     LpSolverError with iteration diagnostics on numerical breakdown.
     """
-    n = problem.n_variables
-    m = problem.n_constraints
-    minimize = problem.sense == "min"
+    (outcome,) = solve_stack([problem])
+    if isinstance(outcome, LpSolverError):
+        raise outcome
+    return outcome
+
+
+def solve_stack(problems) -> list:
+    """Solve each of a list of linear programs; return their outcomes in
+    order. An outcome is the program's LpSolution, or the LpSolverError
+    that solve_lp raises for it.
+
+    Programs with the same layout (shape, sense, relations, free variables
+    and the sign of each rhs) are solved as one lockstep stack; the result
+    of each equals solve_lp on it alone, bit for bit.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for k, p in enumerate(problems):
+        key = (p.A.shape, p.sense, p.relations.tobytes(),
+               (p.lower_bounds != 0.0).tobytes(), (p.b < 0.0).tobytes())
+        groups.setdefault(key, []).append(k)
+    outcomes: list = [None] * len(problems)
+    for members in groups.values():
+        for k, outcome in zip(members, _solve_group([problems[k] for k in members])):
+            outcomes[k] = outcome
+    return outcomes
+
+
+def _solve_group(problems: list) -> list:
+    """solve_stack on programs that share one layout."""
+    first = problems[0]
+    n = first.n_variables
+    C = np.array([p.objective for p in problems])
 
     # Standard-form columns: free variables split into x+ - x-.
-    free = np.isneginf(problem.lower_bounds)
+    free = first.lower_bounds != 0.0
     col_var = np.repeat(np.arange(n), np.where(free, 2, 1))
     col_sign = np.ones(col_var.size)
     col_sign[1:][col_var[1:] == col_var[:-1]] = -1.0
-    n_cols = col_var.size
-
-    c_std = problem.objective[col_var] * col_sign
-    if not minimize:
+    c_std = C[:, col_var] * col_sign
+    if first.sense == "max":
         c_std = -c_std
 
-    if m == 0:
+    if first.n_constraints == 0:
         # Bounded iff no improving coordinate direction exists.
-        if np.any(c_std < -PIVOT_TOL):
-            return LpSolution(UNBOUNDED, float("nan"), None, None, 0)
-        x = np.zeros(n)
-        return LpSolution(OPTIMAL, float(problem.objective @ x), x, np.zeros(0), 0)
-
-    M, slack_coef, rhs = _dense_rows(problem)
-    has_slack = slack_coef != 0.0
-    n_slacks = int(has_slack.sum())
-    A = np.zeros((m, n_cols + n_slacks))
-    A[:, :n_cols] = M[:, col_var] * col_sign
-    slack_of_row = np.full(m, -1, dtype=int)
-    slack_of_row[has_slack] = n_cols + np.arange(n_slacks)
-    A[has_slack, slack_of_row[has_slack]] = slack_coef[has_slack]
-    b = rhs.copy()
-
-    row_sign = np.ones(m)
-    negative = b < 0.0
-    A[negative] *= -1.0
-    b[negative] *= -1.0
-    row_sign[negative] = -1.0
-
-    row_scale = np.maximum(np.abs(A).max(axis=1), 1e-12)
-    A /= row_scale[:, None]
-    b /= row_scale
-
-    total_cols = A.shape[1]
-    # A row starts on its own slack when that slack's coefficient is
-    # positive; every other row gets an artificial column.
-    own_slack = has_slack & (A[np.arange(m), slack_of_row] > 0.0)
-    artificial_rows = np.flatnonzero(~own_slack)
-    n_art = artificial_rows.size
-    basis_arr = slack_of_row.copy()
-    basis_arr[artificial_rows] = total_cols + np.arange(n_art)
-
-    T = np.zeros((m + 1, total_cols + n_art + 1))
-    T[:m, :total_cols] = A
-    T[:m, -1] = b
-    T[artificial_rows, total_cols + np.arange(n_art)] = 1.0
-
-    # Normalize rows whose initial basic column is a scaled slack.
-    slack_rows = np.flatnonzero(own_slack)
-    T[slack_rows] /= T[slack_rows, basis_arr[slack_rows]][:, None]
-
-    basis: list[int] = basis_arr.tolist()
-    allowed = np.ones(total_cols + n_art, dtype=bool)
-
-    # Phase 1: minimize the sum of artificials.
-    if n_art:
-        T[-1, total_cols:-1] = 1.0
-        for i in artificial_rows:
-            T[-1] -= T[i]
-        tab = _Tableau(T, basis, allowed)
-        status = tab.run()
-        if status != OPTIMAL:
-            raise LpSolverError("phase 1 reported an unbounded auxiliary problem",
-                                diagnostics={"iterations": tab.iterations})
-        phase1_obj = sum(T[i, -1] for i in range(m) if basis[i] >= total_cols)
-        if phase1_obj > FEAS_TOL:
-            return LpSolution(INFEASIBLE, float("nan"), None, None, tab.iterations)
-        iterations = tab.iterations
-    else:
-        iterations = 0
-
-    # Drive remaining artificials out of the basis; rows that cannot be
-    # pivoted are redundant and get dropped.
-    keep_rows = np.ones(m, dtype=bool)
-    cleanup = _Tableau(T, basis, allowed)
-    for i in range(m):
-        if basis[i] >= total_cols:
-            pivot_cols = np.flatnonzero(np.abs(T[i, :total_cols]) > PIVOT_TOL)
-            if pivot_cols.size:
-                cleanup._pivot(i, int(pivot_cols[0]))
+        outcomes = []
+        for p, c in zip(problems, c_std):
+            if np.any(c < -PIVOT_TOL):
+                outcomes.append(LpSolution(UNBOUNDED, float("nan"), None, None, 0))
             else:
-                keep_rows[i] = False
-    iterations += cleanup.iterations
-
-    row_index = np.flatnonzero(keep_rows)
-    T2 = np.zeros((row_index.size + 1, total_cols + 1))
-    T2[:-1, :total_cols] = T[row_index][:, :total_cols]
-    T2[:-1, -1] = T[row_index, -1]
-    basis2 = [basis[i] for i in row_index]
-
-    # Phase 2: restore the real objective and eliminate basic columns.
-    c_full = np.concatenate([c_std, np.zeros(n_slacks)])
-    T2[-1, :total_cols] = c_full
-    for r, j in enumerate(basis2):
-        cj = T2[-1, j]
-        if cj != 0.0:
-            T2[-1] -= cj * T2[r]
-
-    tab = _Tableau(T2, basis2, np.ones(total_cols, dtype=bool))
-    status = tab.run()
-    iterations += tab.iterations
-    if status == UNBOUNDED:
-        return LpSolution(UNBOUNDED, float("nan"), None, None, iterations)
-
-    # Re-solve the final basis against the stored (scaled) data to clear
-    # accumulated tableau drift, then unwind scaling, signs, and sense.
-    A_rows = A[row_index]
-    b_rows = b[row_index]
-    B = A_rows[:, basis2]
-    try:
-        x_basic = np.linalg.solve(B, b_rows)
-        y_rows = np.linalg.solve(B.T, c_full[basis2])
-    except np.linalg.LinAlgError as exc:
-        raise LpSolverError(
-            "singular final basis",
-            diagnostics={"iterations": iterations, "basis": list(map(int, basis2))},
-        ) from exc
-
-    x_std = np.zeros(total_cols)
-    x_std[basis2] = x_basic
-    np.maximum(x_std, 0.0, out=x_std)  # clip roundoff negatives
-
-    x = np.zeros(n)
-    np.add.at(x, col_var, col_sign * x_std[:n_cols])
-
-    dual = np.zeros(m)
-    sense_factor = 1.0 if minimize else -1.0
-    dual[row_index] = sense_factor * row_sign[row_index] * y_rows / row_scale[row_index]
-
-    objective_value = float(problem.objective @ x)
-    _check_certificates(problem, M, slack_coef, rhs, x, dual, objective_value, iterations)
-    return LpSolution(OPTIMAL, objective_value, x, dual, iterations)
+                x = np.zeros(n)
+                outcomes.append(LpSolution(OPTIMAL, float(p.objective @ x), x, np.zeros(0), 0))
+        return outcomes
+    return _Stack(problems, C, col_var, col_sign, c_std).solve()
 
 
-# slack coefficient of each relation in the standard form
-_SLACK_COEF = {"<=": 1.0, "=": 0.0, ">=": -1.0}
+class _Stack:
+    """The standard form of a group of same-layout programs, and the
+    outcome of each as the phases settle it."""
+
+    def __init__(self, problems, C, col_var, col_sign, c_std):
+        first = problems[0]
+        K = len(problems)
+        m = first.n_constraints
+        n_cols = col_var.size
+        self.problems, self.C, self.col_var, self.col_sign = problems, C, col_var, col_sign
+        self.M = M = np.array([p.A for p in problems])
+        self.rhs = np.array([p.b for p in problems])
+        self.slack_coef = slack_coef = (first.relations == "<=") - (first.relations == ">=").astype(float)
+        has_slack = slack_coef != 0.0
+        n_slacks = int(has_slack.sum())
+        A = np.zeros((K, m, n_cols + n_slacks))
+        A[:, :, :n_cols] = M[:, :, col_var] * col_sign
+        slack_of_row = np.full(m, -1, dtype=int)
+        slack_of_row[has_slack] = n_cols + np.arange(n_slacks)
+        A[:, has_slack, slack_of_row[has_slack]] = slack_coef[has_slack]
+
+        # Rows with a negative rhs are negated, then every row is scaled
+        # to a largest coefficient of 1.
+        self.row_sign = row_sign = np.where(first.b < 0.0, -1.0, 1.0)
+        A *= row_sign[:, None]
+        b = self.rhs * row_sign
+        self.row_scale = row_scale = np.maximum(np.abs(A).max(axis=2), 1e-12)
+        A /= row_scale[:, :, None]
+        b /= row_scale
+        self.A, self.b = A, b
+
+        self.total_cols = total_cols = A.shape[2]
+        self.c_full = np.zeros((K, total_cols))
+        self.c_full[:, :n_cols] = c_std
+        # A row starts on its own slack when that slack's coefficient is
+        # positive, which the layout decides; every other row gets an
+        # artificial column.
+        own_slack = slack_coef * row_sign > 0.0
+        self.artificial_rows = artificial_rows = (~own_slack).nonzero()[0]
+        n_art = artificial_rows.size
+        start = slack_of_row.copy()
+        start[artificial_rows] = total_cols + np.arange(n_art)
+
+        self.T = T = np.zeros((K, m + 1, total_cols + n_art + 1))
+        T[:, :m, :total_cols] = A
+        T[:, :m, -1] = b
+        T[:, artificial_rows, start[artificial_rows]] = 1.0
+        # Normalize rows whose initial basic column is a scaled slack: the
+        # slack's coefficient there is 1 / row_scale.
+        T[:, :m] /= np.where(own_slack, 1.0 / row_scale, 1.0)[:, :, None]
+
+        self.basis = np.empty((K, m), dtype=int)
+        self.basis[:] = start
+        self.iterations = np.zeros(K, dtype=int)
+        self.outcomes: list = [None] * K
+
+    def solve(self) -> list:
+        live = self.phase1()
+        keep_rows = self.drop_artificials(live)
+        sub_stacks: dict[bytes, list[int]] = {}
+        for k in live:
+            sub_stacks.setdefault(keep_rows[k].tobytes(), []).append(k)
+        for members in sub_stacks.values():
+            self.phase2(np.array(members), keep_rows[members[0]].nonzero()[0])
+        return self.outcomes
+
+    def phase1(self) -> list:
+        """Minimize the sum of artificials; record the infeasible members
+        and return the positions of the feasible ones."""
+        T, total_cols = self.T, self.total_cols
+        if not self.artificial_rows.size:
+            return list(range(len(self.problems)))
+        T[:, -1, total_cols:-1] = 1.0
+        for i in self.artificial_rows:
+            T[:, -1] -= T[:, i]
+        status, self.iterations, errors = _run(T, self.basis)
+        # the artificials left in the basis, summed row by row in order
+        phase1_obj = np.add.accumulate(np.where(self.basis >= total_cols, T[:, :-1, -1], 0.0), axis=1)[:, -1]
+        live = []
+        for k, (state, value, its) in enumerate(zip(status.tolist(), phase1_obj.tolist(),
+                                                    self.iterations.tolist())):
+            if k in errors:
+                self.outcomes[k] = errors[k]
+            elif state == _UNBOUNDED:
+                self.outcomes[k] = LpSolverError("phase 1 reported an unbounded auxiliary problem",
+                                                 diagnostics={"iterations": its})
+            elif value > FEAS_TOL:
+                self.outcomes[k] = LpSolution(INFEASIBLE, float("nan"), None, None, its)
+            else:
+                live.append(k)
+        return live
+
+    def drop_artificials(self, live) -> np.ndarray:
+        """Drive remaining artificials out of the basis; rows that cannot be
+        pivoted are redundant and get dropped. Returns the kept rows of
+        each member. A pivot changes only its own row's basic variable, so
+        the rows to visit are known up front."""
+        T, basis, total_cols = self.T, self.basis, self.total_cols
+        keep_rows = np.ones(basis.shape, dtype=bool)
+        live = np.array(live, dtype=int)
+        for i in (basis[live] >= total_cols).any(axis=0).nonzero()[0]:
+            stuck = live[basis[live, i] >= total_cols]
+            nonzero = np.abs(T[stuck, i, :total_cols]) > PIVOT_TOL
+            movable = nonzero.any(axis=1)
+            keep_rows[stuck[~movable], i] = False
+            moved = stuck[movable]
+            if moved.size:
+                cols = nonzero[movable].argmax(axis=1)
+                sub = T[moved]
+                _pivot(sub, np.arange(moved.size), np.full(moved.size, i), cols)
+                T[moved] = sub
+                basis[moved, i] = cols
+                self.iterations[moved] += 1
+        return keep_rows
+
+    def phase2(self, ks, row_index) -> None:
+        """Optimize the real objective over the members ks, which keep the
+        rows row_index, and record their outcomes."""
+        total_cols = self.total_cols
+        Tk = self.T[ks]
+        T2 = np.zeros((ks.size, row_index.size + 1, total_cols + 1))
+        T2[:, :-1, :total_cols] = Tk[:, row_index, :total_cols]
+        T2[:, :-1, -1] = Tk[:, row_index, -1]
+        basis2 = self.basis[ks][:, row_index]
+
+        # Restore the real objective and eliminate basic columns. Basic
+        # columns are unit columns, so each row's basic cost is still the
+        # objective's when its turn comes, and a row whose basic cost is
+        # zero in every member changes nothing.
+        c_full = self.c_full[ks]
+        T2[:, -1, :total_cols] = c_full
+        c_basic = c_full[np.arange(ks.size)[:, None], basis2]
+        for r in (c_basic != 0.0).any(axis=0).nonzero()[0]:
+            cj = c_basic[:, r]
+            T2[:, -1] = np.where((cj != 0.0)[:, None], T2[:, -1] - cj[:, None] * T2[:, r], T2[:, -1])
+
+        status, iterations, errors = _run(T2, basis2)
+        self.iterations[ks] += iterations
+        optimal = []
+        for j, (k, state) in enumerate(zip(ks.tolist(), status.tolist())):
+            if j in errors:
+                self.outcomes[k] = errors[j]
+            elif state == _UNBOUNDED:
+                self.outcomes[k] = LpSolution(UNBOUNDED, float("nan"), None, None, int(self.iterations[k]))
+            else:
+                optimal.append(j)
+        if optimal:
+            self.finish(ks[optimal], row_index, basis2[optimal])
+
+    def finish(self, ks, row_index, basis2) -> None:
+        """Re-solve the final bases of the optimal members ks against the
+        stored (scaled) data to clear accumulated tableau drift, unwind
+        scaling, signs and sense, certify each optimum and record it."""
+        G = ks.size
+        g = np.arange(G)[:, None]
+        B = self.A[ks[:, None, None], row_index[:, None], basis2[:, None, :]]
+        # one call solves B x = b and B'y = c_B for every member
+        systems = np.concatenate([B, B.transpose(0, 2, 1)])
+        rhs = np.concatenate([self.b[ks[:, None], row_index], self.c_full[ks[:, None], basis2]])[:, :, None]
+        singular = np.zeros(2 * G, dtype=bool)
+        try:
+            solved = np.linalg.solve(systems, rhs)[:, :, 0]
+        except np.linalg.LinAlgError:
+            # find the singular bases one at a time
+            solved = np.zeros(rhs.shape[:2])
+            for j in range(2 * G):
+                try:
+                    solved[j] = np.linalg.solve(systems[j], rhs[j, :, 0])
+                except np.linalg.LinAlgError:
+                    singular[j] = True
+        singular = singular[:G] | singular[G:]
+        x_basic, y_rows = solved[:G], solved[G:]
+
+        x_std = np.zeros((G, self.total_cols))
+        x_std[g, basis2] = x_basic
+        np.maximum(x_std, 0.0, out=x_std)  # clip roundoff negatives
+
+        x = np.zeros((G, self.C.shape[1]))
+        np.add.at(x, (g, self.col_var), self.col_sign * x_std[:, :self.col_var.size])
+
+        first = self.problems[0]
+        dual = np.zeros((G, first.n_constraints))
+        sense_factor = 1.0 if first.sense == "min" else -1.0
+        dual[:, row_index] = (sense_factor * self.row_sign[row_index] * y_rows
+                              / self.row_scale[ks[:, None], row_index])
+
+        C = self.C[ks]
+        objective = [float(c @ x_k) for c, x_k in zip(C, x)]
+        errors = _check_certificates(first, C, self.M[ks], self.slack_coef, self.rhs[ks], x, dual,
+                                     np.array(objective), self.iterations[ks])
+        for j, k in enumerate(ks.tolist()):
+            its = int(self.iterations[k])
+            if singular[j]:
+                self.outcomes[k] = LpSolverError(
+                    "singular final basis", diagnostics={"iterations": its, "basis": basis2[j].tolist()})
+            elif j in errors:
+                self.outcomes[k] = errors[j]
+            else:
+                self.outcomes[k] = LpSolution(OPTIMAL, objective[j], x[j], dual[j], its)
 
 
-def _dense_rows(problem: LpProblem):
-    """The constraints as a dense (m, n) matrix, the slack coefficient of
-    each row (+1 for <=, 0 for =, -1 for >=) and the right-hand sides."""
-    rows = problem.constraints
-    M = np.array([a for a, _, _ in rows])
-    slack_coef = np.array([_SLACK_COEF[rel] for _, rel, _ in rows])
-    rhs = np.array([r for _, _, r in rows])
-    return M, slack_coef, rhs
+# member states of a lockstep run
+_FAILED, _OPTIMAL, _UNBOUNDED = range(3)
 
 
-def _check_certificates(problem, M, slack_coef, rhs, x, dual, objective_value, iterations) -> None:
-    """Verify primal feasibility, dual feasibility and strong duality.
+def _run(T, basis):
+    """Pivot every tableau of the stack T (K, rows, cols), whose last row
+    is the cost row and last column the rhs, until it is optimal or
+    unbounded. T and basis (K, rows - 1) are updated in place.
+
+    Each member keeps its own Dantzig or Bland choice, ratio test and
+    degenerate-run counter, and leaves the stack when it stops. Returns
+    each member's final state, its pivot count and the LpSolverError of
+    each member that hit the iteration limit, keyed by position.
+    """
+    K = T.shape[0]
+    status = np.zeros(K, dtype=int)  # _FAILED
+    iterations = np.zeros(K, dtype=int)
+    # the live stack: positions in T, compacted whenever members leave
+    idx = live = np.arange(K)
+    t, bas = T, basis
+    degenerate_run = np.zeros(K, dtype=int)
+    bland = np.zeros(K, dtype=bool)
+    any_bland = False
+    step = 0
+    while step <= _MAX_ITER:
+        cost = t[:, -1, :-1]
+        candidates = cost < -PIVOT_TOL
+        if not candidates.any():  # every live member is optimal
+            status[idx] = _OPTIMAL
+            iterations[idx] = step
+            if t is not T:
+                T[idx] = t
+                basis[idx] = bas
+            return status, iterations, {}
+        priced = np.where(candidates, cost, np.inf)
+        enter = priced.argmin(axis=1)
+        if any_bland:
+            enter = np.where(bland, candidates.argmax(axis=1), enter)
+        column = t[live, :-1, enter]
+        positive = column > PIVOT_TOL
+        ratios = np.where(positive, t[:, :-1, -1] / np.where(positive, column, 1.0), np.inf)
+        best = ratios.min(axis=1)
+        # optimal: no candidate, so priced[enter] is inf; unbounded: no
+        # positive entry in the column, so best is inf
+        entering = priced[live, enter]
+        stopped = np.maximum(entering, best) == np.inf
+        if np.count_nonzero(stopped):
+            gone = idx[stopped]
+            status[gone] = np.where(entering[stopped] == np.inf, _OPTIMAL, _UNBOUNDED)
+            iterations[gone] = step
+            if t is not T:  # otherwise T was pivoted in place
+                T[gone] = t[stopped]
+                basis[gone] = bas[stopped]
+            going = ~stopped
+            if not np.count_nonzero(going):
+                return status, iterations, {}
+            idx, t, bas = idx[going], t[going], bas[going]
+            degenerate_run, bland = degenerate_run[going], bland[going]
+            enter, ratios, best = enter[going], ratios[going], best[going]
+            live = np.arange(idx.size)
+        ties = ratios <= (best + 1e-12)[:, None]
+        leave = ties.argmax(axis=1)
+        if any_bland:
+            # leave by the lowest basic-variable index among the ties
+            lowest = np.where(ties, bas, np.iinfo(bas.dtype).max).argmin(axis=1)
+            leave = np.where(bland, lowest, leave)
+        degenerate_run += 1
+        degenerate_run *= best < _DEGENERATE_STEP
+        if step + 1 >= _BLAND_TRIGGER:  # no run can be that long before
+            bland |= degenerate_run >= _BLAND_TRIGGER
+            any_bland = bool(bland.any())
+        _pivot(t, live, leave, enter)
+        bas[live, leave] = enter
+        step += 1
+
+    errors = {}
+    for j, k in enumerate(idx.tolist()):
+        errors[k] = LpSolverError(
+            "iteration limit reached",
+            diagnostics={
+                "iterations": step,
+                "bland_mode": bool(bland[j]),
+                "degenerate_run": int(degenerate_run[j]),
+            },
+        )
+    iterations[idx] = step
+    T[idx] = t
+    basis[idx] = bas
+    return status, iterations, errors
+
+
+def _pivot(T, k, rows, cols) -> None:
+    """Pivot each tableau T[k] of the stack on (rows[k], cols[k]); k is
+    np.arange(len(T)).
+
+    The pivot row is divided by the pivot and every other row loses its
+    pivot-column entry times it. That leaves the pivot column at exactly
+    1 and 0, because x / x == 1 and x - x * 1 == +0 in floating point.
+    The pivot row itself is rewritten last, plus 0.0, which is the value
+    row - 0 * row has, so the result equals pivoting with a factor of 0
+    on the pivot row and writing the unit column explicitly, bit for bit.
+    """
+    pivot_row = T[k, rows] / T[k, rows, cols][:, None]
+    T -= T[k, :, cols][:, :, None] * pivot_row[:, None, :]
+    T[k, rows] = pivot_row + 0.0
+
+
+def _check_certificates(problem, C, M, slack_coef, rhs, x, dual, objective, iterations) -> dict:
+    """Verify primal feasibility, dual feasibility and strong duality for a
+    stack of claimed optima that share problem's layout.
 
     Together the three prove x optimal and dual an optimal dual solution.
     Each test is relative: a row's residual to max(1, |rhs|, max|a| max|x|),
-    a column's reduced cost to max(1, |c_j|, max|A_j| max|dual|).
-    Breakdowns surface as errors.
+    a column's reduced cost to max(1, |c_j|, max|A_j| max|dual|). Returns
+    the LpSolverError of each member that fails, keyed by position, for the
+    first test it fails.
     """
     abs_M = np.abs(M)
-    residual = M @ x - rhs
+    residual = (M @ x[:, :, None])[:, :, 0] - rhs
     violation = np.where(slack_coef == 0.0, np.abs(residual), slack_coef * residual)
-    scale = np.maximum(1.0, np.maximum(np.abs(rhs), abs_M.max(axis=1) * np.abs(x).max()))
-    bad = np.flatnonzero(violation > FEAS_TOL * scale)
-    if bad.size:
-        i = int(bad[0])
-        raise LpSolverError(
-            f"primal infeasibility {violation[i]:.3e} in constraint {i} at claimed optimum",
-            diagnostics={"iterations": iterations, "constraint": i},
-        )
+    scale = np.maximum(1.0, np.maximum(np.abs(rhs), abs_M.max(axis=2) * np.abs(x).max(axis=1)[:, None]))
+    infeasible_row = violation > FEAS_TOL * scale
     finite = problem.lower_bounds == 0.0
-    if np.any(x[finite] < -FEAS_TOL):
-        raise LpSolverError("negative value for a nonnegative variable at claimed optimum",
-                            diagnostics={"iterations": iterations})
+    negative_x = (x < -FEAS_TOL) & finite
 
     # Dual feasibility. With s = +1 for min and -1 for max: s * dual_i <= 0
     # on a <= row and >= 0 on a >= row; s * (c - M'dual) >= 0 on x >= 0
     # columns and = 0 on free ones. A row's sign is the reduced cost of its
     # unit slack column, so it shares the column test.
     s = 1.0 if problem.sense == "min" else -1.0
-    dual_max = float(np.abs(dual).max(initial=0.0))
+    dual_max = np.abs(dual).max(axis=1, initial=0.0)
     wrong_sign = s * slack_coef * dual
-    bad = np.flatnonzero(wrong_sign > FEAS_TOL * max(1.0, dual_max))
-    if bad.size:
-        i = int(bad[0])
-        raise LpSolverError(
-            f"dual sign violation {wrong_sign[i]:.3e} in constraint {i} at claimed optimum",
-            diagnostics={"iterations": iterations, "constraint": i},
-        )
-    reduced = s * (problem.objective - M.T @ dual)
-    violation = np.where(finite, -reduced, np.abs(reduced))
-    scale = np.maximum(1.0, np.maximum(np.abs(problem.objective), abs_M.max(axis=0) * dual_max))
-    bad = np.flatnonzero(violation > FEAS_TOL * scale)
-    if bad.size:
-        j = int(bad[0])
-        raise LpSolverError(
-            f"dual infeasibility {violation[j]:.3e} in the reduced cost of variable {j} at claimed optimum",
-            diagnostics={"iterations": iterations, "variable": j},
-        )
+    sign_row = wrong_sign > FEAS_TOL * np.maximum(1.0, dual_max)[:, None]
+    reduced = s * (C - (dual[:, None, :] @ M)[:, 0, :])
+    dual_violation = np.where(finite, -reduced, np.abs(reduced))
+    dual_scale = np.maximum(1.0, np.maximum(np.abs(C), abs_M.max(axis=1) * dual_max[:, None]))
+    infeasible_column = dual_violation > FEAS_TOL * dual_scale
 
-    b_dot_y = float(rhs @ dual)
-    gap = abs(objective_value - b_dot_y)
-    if gap > DUALITY_TOL * max(1.0, abs(objective_value)):
-        raise LpSolverError(
-            f"strong duality gap {gap:.3e} at claimed optimum",
-            diagnostics={"iterations": iterations, "objective": objective_value, "dual_objective": b_dot_y},
-        )
+    b_dot_y = (rhs[:, None, :] @ dual[:, :, None])[:, 0, 0]
+    gap = np.abs(objective - b_dot_y)
+    gapped = gap > DUALITY_TOL * np.maximum(1.0, np.abs(objective))
+
+    errors = {}
+    failed = np.concatenate([infeasible_row, negative_x, sign_row, infeasible_column, gapped[:, None]],
+                            axis=1).any(axis=1)
+    for j in failed.nonzero()[0]:
+        its = int(iterations[j])
+        if infeasible_row[j].any():
+            i = int(np.argmax(infeasible_row[j]))
+            errors[j] = LpSolverError(
+                f"primal infeasibility {violation[j, i]:.3e} in constraint {i} at claimed optimum",
+                diagnostics={"iterations": its, "constraint": i},
+            )
+        elif negative_x[j].any():
+            errors[j] = LpSolverError("negative value for a nonnegative variable at claimed optimum",
+                                      diagnostics={"iterations": its})
+        elif sign_row[j].any():
+            i = int(np.argmax(sign_row[j]))
+            errors[j] = LpSolverError(
+                f"dual sign violation {wrong_sign[j, i]:.3e} in constraint {i} at claimed optimum",
+                diagnostics={"iterations": its, "constraint": i},
+            )
+        elif infeasible_column[j].any():
+            v = int(np.argmax(infeasible_column[j]))
+            errors[j] = LpSolverError(
+                f"dual infeasibility {dual_violation[j, v]:.3e} in the reduced cost of variable {v} "
+                "at claimed optimum",
+                diagnostics={"iterations": its, "variable": v},
+            )
+        else:
+            errors[j] = LpSolverError(
+                f"strong duality gap {gap[j]:.3e} at claimed optimum",
+                diagnostics={"iterations": its, "objective": float(objective[j]),
+                             "dual_objective": float(b_dot_y[j])},
+            )
+    return errors

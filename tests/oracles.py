@@ -3,7 +3,10 @@
 Each oracle deliberately avoids the code path it checks: the LP oracle
 enumerates basic points and extreme rays, the clustering oracles enumerate
 set partitions or cut sets of the sorted values, the F-distribution oracle
-integrates the density with composite Simpson quadrature.
+integrates the density with composite Simpson quadrature. scalar_fit and
+scalar_solve_lp are the one-at-a-time forms of the program's stacked PLS
+and simplex kernels, kept as the references those kernels must equal bit
+for bit.
 """
 
 from __future__ import annotations
@@ -14,7 +17,19 @@ from itertools import combinations
 import numpy as np
 
 from paneleff import pls
-from paneleff.errors import CollinearityError, DegenerateColumnError
+from paneleff.errors import CollinearityError, DegenerateColumnError, LpSolverError
+from paneleff.linprog import (
+    _BLAND_TRIGGER,
+    _DEGENERATE_STEP,
+    _MAX_ITER,
+    DUALITY_TOL,
+    FEAS_TOL,
+    INFEASIBLE,
+    OPTIMAL,
+    PIVOT_TOL,
+    UNBOUNDED,
+    LpSolution,
+)
 
 
 def lp_enumeration_oracle(c, A, b, tol=1e-8):
@@ -383,3 +398,322 @@ def scalar_bootstrap(data, spec, samples=500, seed=0):
         t_statistic[p] = float(t)
         p_value[p] = float(t_two_tailed_p(t, n - 1))
     return std_error, t_statistic, p_value, 10 * samples - redraws_left, unconverged
+
+
+# slack coefficient of each relation in the standard form
+_SLACK_COEF = {"<=": 1.0, "=": 0.0, ">=": -1.0}
+
+
+class _Tableau:
+    """Dense simplex tableau with Dantzig pricing and a Bland fallback."""
+
+    def __init__(self, T: np.ndarray, basis: list[int], allowed: np.ndarray):
+        self.T = T
+        self.basis = basis
+        self.allowed = allowed  # columns eligible to enter
+        self.iterations = 0
+        self.degenerate_run = 0
+        self.bland = False
+
+    def run(self) -> str:
+        T = self.T
+        while True:
+            if self.iterations > _MAX_ITER:
+                raise LpSolverError(
+                    "iteration limit reached",
+                    diagnostics={
+                        "iterations": self.iterations,
+                        "bland_mode": self.bland,
+                        "degenerate_run": self.degenerate_run,
+                    },
+                )
+            cost = T[-1, :-1]
+            candidates = np.flatnonzero(self.allowed & (cost < -PIVOT_TOL))
+            if candidates.size == 0:
+                return OPTIMAL
+            if self.bland:
+                enter = int(candidates[0])
+            else:
+                enter = int(candidates[np.argmin(cost[candidates])])
+            col = T[:-1, enter]
+            rows = np.flatnonzero(col > PIVOT_TOL)
+            if rows.size == 0:
+                return UNBOUNDED
+            ratios = T[rows, -1] / col[rows]
+            best = ratios.min()
+            ties = rows[ratios <= best + 1e-12]
+            if self.bland:
+                # leave by the lowest basic-variable index among the ties
+                leave = int(ties[np.argmin([self.basis[r] for r in ties])])
+            else:
+                leave = int(ties[0])
+            if best < _DEGENERATE_STEP:
+                self.degenerate_run += 1
+                if self.degenerate_run >= _BLAND_TRIGGER:
+                    self.bland = True
+            else:
+                self.degenerate_run = 0
+            self._pivot(leave, enter)
+
+    def _pivot(self, row: int, col: int) -> None:
+        T = self.T
+        piv = T[row, col]
+        if abs(piv) <= PIVOT_TOL:
+            raise LpSolverError(
+                "pivot below tolerance",
+                diagnostics={
+                    "iterations": self.iterations,
+                    "pivot": float(piv),
+                    "bland_mode": self.bland,
+                },
+            )
+        T[row] /= piv
+        factors = T[:, col].copy()
+        factors[row] = 0.0
+        T -= np.outer(factors, T[row])
+        T[:, col] = 0.0
+        T[row, col] = 1.0
+        self.basis[row] = col
+        self.iterations += 1
+
+
+def scalar_solve_lp(problem):
+    """The two-phase primal simplex on one program at a time, pivoting a
+    single 2-D tableau: the solver `paneleff.linprog.solve_lp` replaced by
+    its lockstep stack, kept as the reference the stack must equal bit for
+    bit.
+
+    Returns an LpSolution whose status is "optimal", "infeasible", or
+    "unbounded". Output is deterministic for identical input. Raises
+    LpSolverError with iteration diagnostics on numerical breakdown.
+    """
+    n = problem.n_variables
+    m = problem.n_constraints
+    minimize = problem.sense == "min"
+
+    # Standard-form columns: free variables split into x+ - x-.
+    free = np.isneginf(problem.lower_bounds)
+    col_var = np.repeat(np.arange(n), np.where(free, 2, 1))
+    col_sign = np.ones(col_var.size)
+    col_sign[1:][col_var[1:] == col_var[:-1]] = -1.0
+    n_cols = col_var.size
+
+    c_std = problem.objective[col_var] * col_sign
+    if not minimize:
+        c_std = -c_std
+
+    if m == 0:
+        # Bounded iff no improving coordinate direction exists.
+        if np.any(c_std < -PIVOT_TOL):
+            return LpSolution(UNBOUNDED, float("nan"), None, None, 0)
+        x = np.zeros(n)
+        return LpSolution(OPTIMAL, float(problem.objective @ x), x, np.zeros(0), 0)
+
+    M, slack_coef, rhs = _dense_rows(problem)
+    has_slack = slack_coef != 0.0
+    n_slacks = int(has_slack.sum())
+    A = np.zeros((m, n_cols + n_slacks))
+    A[:, :n_cols] = M[:, col_var] * col_sign
+    slack_of_row = np.full(m, -1, dtype=int)
+    slack_of_row[has_slack] = n_cols + np.arange(n_slacks)
+    A[has_slack, slack_of_row[has_slack]] = slack_coef[has_slack]
+    b = rhs.copy()
+
+    row_sign = np.ones(m)
+    negative = b < 0.0
+    A[negative] *= -1.0
+    b[negative] *= -1.0
+    row_sign[negative] = -1.0
+
+    row_scale = np.maximum(np.abs(A).max(axis=1), 1e-12)
+    A /= row_scale[:, None]
+    b /= row_scale
+
+    total_cols = A.shape[1]
+    # A row starts on its own slack when that slack's coefficient is
+    # positive; every other row gets an artificial column.
+    own_slack = has_slack & (A[np.arange(m), slack_of_row] > 0.0)
+    artificial_rows = np.flatnonzero(~own_slack)
+    n_art = artificial_rows.size
+    basis_arr = slack_of_row.copy()
+    basis_arr[artificial_rows] = total_cols + np.arange(n_art)
+
+    T = np.zeros((m + 1, total_cols + n_art + 1))
+    T[:m, :total_cols] = A
+    T[:m, -1] = b
+    T[artificial_rows, total_cols + np.arange(n_art)] = 1.0
+
+    # Normalize rows whose initial basic column is a scaled slack.
+    slack_rows = np.flatnonzero(own_slack)
+    T[slack_rows] /= T[slack_rows, basis_arr[slack_rows]][:, None]
+
+    basis: list[int] = basis_arr.tolist()
+    allowed = np.ones(total_cols + n_art, dtype=bool)
+
+    # Phase 1: minimize the sum of artificials.
+    if n_art:
+        T[-1, total_cols:-1] = 1.0
+        for i in artificial_rows:
+            T[-1] -= T[i]
+        tab = _Tableau(T, basis, allowed)
+        status = tab.run()
+        if status != OPTIMAL:
+            raise LpSolverError("phase 1 reported an unbounded auxiliary problem",
+                                diagnostics={"iterations": tab.iterations})
+        phase1_obj = sum(T[i, -1] for i in range(m) if basis[i] >= total_cols)
+        if phase1_obj > FEAS_TOL:
+            return LpSolution(INFEASIBLE, float("nan"), None, None, tab.iterations)
+        iterations = tab.iterations
+    else:
+        iterations = 0
+
+    # Drive remaining artificials out of the basis; rows that cannot be
+    # pivoted are redundant and get dropped.
+    keep_rows = np.ones(m, dtype=bool)
+    cleanup = _Tableau(T, basis, allowed)
+    for i in range(m):
+        if basis[i] >= total_cols:
+            pivot_cols = np.flatnonzero(np.abs(T[i, :total_cols]) > PIVOT_TOL)
+            if pivot_cols.size:
+                cleanup._pivot(i, int(pivot_cols[0]))
+            else:
+                keep_rows[i] = False
+    iterations += cleanup.iterations
+
+    row_index = np.flatnonzero(keep_rows)
+    T2 = np.zeros((row_index.size + 1, total_cols + 1))
+    T2[:-1, :total_cols] = T[row_index][:, :total_cols]
+    T2[:-1, -1] = T[row_index, -1]
+    basis2 = [basis[i] for i in row_index]
+
+    # Phase 2: restore the real objective and eliminate basic columns.
+    c_full = np.concatenate([c_std, np.zeros(n_slacks)])
+    T2[-1, :total_cols] = c_full
+    for r, j in enumerate(basis2):
+        cj = T2[-1, j]
+        if cj != 0.0:
+            T2[-1] -= cj * T2[r]
+
+    tab = _Tableau(T2, basis2, np.ones(total_cols, dtype=bool))
+    status = tab.run()
+    iterations += tab.iterations
+    if status == UNBOUNDED:
+        return LpSolution(UNBOUNDED, float("nan"), None, None, iterations)
+
+    # Re-solve the final basis against the stored (scaled) data to clear
+    # accumulated tableau drift, then unwind scaling, signs, and sense.
+    A_rows = A[row_index]
+    b_rows = b[row_index]
+    B = A_rows[:, basis2]
+    try:
+        x_basic = np.linalg.solve(B, b_rows)
+        y_rows = np.linalg.solve(B.T, c_full[basis2])
+    except np.linalg.LinAlgError as exc:
+        raise LpSolverError(
+            "singular final basis",
+            diagnostics={"iterations": iterations, "basis": list(map(int, basis2))},
+        ) from exc
+
+    x_std = np.zeros(total_cols)
+    x_std[basis2] = x_basic
+    np.maximum(x_std, 0.0, out=x_std)  # clip roundoff negatives
+
+    x = np.zeros(n)
+    np.add.at(x, col_var, col_sign * x_std[:n_cols])
+
+    dual = np.zeros(m)
+    sense_factor = 1.0 if minimize else -1.0
+    dual[row_index] = sense_factor * row_sign[row_index] * y_rows / row_scale[row_index]
+
+    objective_value = float(problem.objective @ x)
+    _check_certificates(problem, M, slack_coef, rhs, x, dual, objective_value, iterations)
+    return LpSolution(OPTIMAL, objective_value, x, dual, iterations)
+
+
+def _dense_rows(problem):
+    """The constraints as a dense (m, n) matrix, the slack coefficient of
+    each row (+1 for <=, 0 for =, -1 for >=) and the right-hand sides."""
+    M = np.array(problem.A)
+    slack_coef = np.array([_SLACK_COEF[rel] for rel in problem.relations])
+    rhs = np.array(problem.b)
+    return M, slack_coef, rhs
+
+
+def _check_certificates(problem, M, slack_coef, rhs, x, dual, objective_value, iterations) -> None:
+    """Verify primal feasibility, dual feasibility and strong duality.
+
+    Together the three prove x optimal and dual an optimal dual solution.
+    Each test is relative: a row's residual to max(1, |rhs|, max|a| max|x|),
+    a column's reduced cost to max(1, |c_j|, max|A_j| max|dual|).
+    Breakdowns surface as errors.
+    """
+    abs_M = np.abs(M)
+    residual = M @ x - rhs
+    violation = np.where(slack_coef == 0.0, np.abs(residual), slack_coef * residual)
+    scale = np.maximum(1.0, np.maximum(np.abs(rhs), abs_M.max(axis=1) * np.abs(x).max()))
+    bad = np.flatnonzero(violation > FEAS_TOL * scale)
+    if bad.size:
+        i = int(bad[0])
+        raise LpSolverError(
+            f"primal infeasibility {violation[i]:.3e} in constraint {i} at claimed optimum",
+            diagnostics={"iterations": iterations, "constraint": i},
+        )
+    finite = problem.lower_bounds == 0.0
+    if np.any(x[finite] < -FEAS_TOL):
+        raise LpSolverError("negative value for a nonnegative variable at claimed optimum",
+                            diagnostics={"iterations": iterations})
+
+    # Dual feasibility. With s = +1 for min and -1 for max: s * dual_i <= 0
+    # on a <= row and >= 0 on a >= row; s * (c - M'dual) >= 0 on x >= 0
+    # columns and = 0 on free ones. A row's sign is the reduced cost of its
+    # unit slack column, so it shares the column test.
+    s = 1.0 if problem.sense == "min" else -1.0
+    dual_max = float(np.abs(dual).max(initial=0.0))
+    wrong_sign = s * slack_coef * dual
+    bad = np.flatnonzero(wrong_sign > FEAS_TOL * max(1.0, dual_max))
+    if bad.size:
+        i = int(bad[0])
+        raise LpSolverError(
+            f"dual sign violation {wrong_sign[i]:.3e} in constraint {i} at claimed optimum",
+            diagnostics={"iterations": iterations, "constraint": i},
+        )
+    reduced = s * (problem.objective - M.T @ dual)
+    violation = np.where(finite, -reduced, np.abs(reduced))
+    scale = np.maximum(1.0, np.maximum(np.abs(problem.objective), abs_M.max(axis=0) * dual_max))
+    bad = np.flatnonzero(violation > FEAS_TOL * scale)
+    if bad.size:
+        j = int(bad[0])
+        raise LpSolverError(
+            f"dual infeasibility {violation[j]:.3e} in the reduced cost of variable {j} at claimed optimum",
+            diagnostics={"iterations": iterations, "variable": j},
+        )
+
+    b_dot_y = float(rhs @ dual)
+    gap = abs(objective_value - b_dot_y)
+    if gap > DUALITY_TOL * max(1.0, abs(objective_value)):
+        raise LpSolverError(
+            f"strong duality gap {gap:.3e} at claimed optimum",
+            diagnostics={"iterations": iterations, "objective": objective_value, "dual_objective": b_dot_y},
+        )
+
+
+def lp_outcome(solve, problem):
+    """solve(problem), or the LpSolverError it raises."""
+    try:
+        return solve(problem)
+    except LpSolverError as exc:
+        return exc
+
+
+def same_lp_outcome(a, b) -> bool:
+    """Whether two solver outcomes are identical: the same error message
+    and diagnostics, or the same status, iterations and objective, primal
+    and dual bit for bit."""
+    if isinstance(a, LpSolverError) or isinstance(b, LpSolverError):
+        return type(a) is type(b) and str(a) == str(b) and a.diagnostics == b.diagnostics
+    if (a.status, a.iterations) != (b.status, b.iterations):
+        return False
+    if a.status != OPTIMAL:
+        return a.primal is None and b.primal is None
+    return (a.objective_value == b.objective_value and np.array_equal(a.primal, b.primal)
+            and np.array_equal(a.dual, b.dual))

@@ -157,7 +157,19 @@ def test_relabeling_clusters_leaves_statistics_unchanged():
     again = anova_f(pts, permuted)
     assert again.f_value == pytest.approx(base.f_value, abs=1e-9)
     assert again.p_value == pytest.approx(base.p_value, abs=1e-12)
-    assert permuted.sse_within == base.ss_within or True  # sse carried over unchanged
+    assert again.ss_within == pytest.approx(base.ss_within, rel=1e-12)
+    assert again.ss_between == pytest.approx(base.ss_between, rel=1e-12)
+
+
+def test_anova_accepts_varying_points_whose_squares_underflow():
+    # the squared deviations of these points underflow to 0, yet they vary
+    pts = [0.0, 0.0, 4.9e-240, 2.2e-313]
+    report = sweep_k(pts, 3, 2)
+    assert [k for k, _, _ in report.entries] == [3, 2]
+    assert report.entries[0][2].flags == (PERFECT_SEPARATION,)
+    assert report.entries[1][2].f_value == 1.0
+    with pytest.raises(UsageError, match="no variance"):
+        anova_f([2.2e-313] * 4, report.entries[1][1])
 
 
 def test_shifting_points_leaves_assignments_and_f_unchanged():

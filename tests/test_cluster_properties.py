@@ -1,4 +1,4 @@
-"""Property-based tests of the exact one-column clustering."""
+"""Property-based tests of the exact one-column clustering and its ANOVA."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from paneleff.cluster import sweep_k  # noqa: E402
+from paneleff.cluster import anova_f, sweep_k  # noqa: E402
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -51,3 +51,20 @@ def test_equal_values_share_a_label(xs):
     for _, sol, _ in _sweep(xs).entries:
         for value in np.unique(pts):
             assert np.unique(sol.assignments[pts == value]).size == 1
+
+
+# magnitudes from 1e-100 to 1e6, or exactly 0, so that scaling by 2^-600
+# stays clear of subnormals
+scalable = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False).map(
+    lambda v: v if abs(v) >= 1e-100 else 0.0)
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(scalable, min_size=4, max_size=30).filter(lambda xs: len(set(xs)) >= 3))
+def test_f_is_unchanged_when_points_are_scaled_by_powers_of_two(xs):
+    pts = np.array(xs)
+    for _, sol, anova in _sweep(xs).entries:
+        for power in (600, -600):
+            again = anova_f(np.ldexp(pts, power), sol)
+            assert again.f_value == anova.f_value
+            assert again.p_value == anova.p_value

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from oracles import dea_ratio_oracle
-from paneleff.dea import DeaSpec, run_panel_dea, score_period, solve_bcc, solve_ccr
-from paneleff.errors import UsageError, ValidationFailedError
+from oracles import dea_ratio_oracle, lp_outcome, same_lp_outcome, scalar_solve_lp
+from paneleff import dea
+from paneleff.dea import DeaSpec, _envelopment_lps, run_panel_dea, score_period, solve_bcc, solve_ccr
+from paneleff.errors import DeaConsistencyError, LpSolverError, UsageError, ValidationFailedError
 from paneleff.panel_data import CrossSection, PanelDataset, VariableDef, slice_period
 from paneleff.pipeline import parse_config
 from paneleff.synthetic import make_demo_config, make_demo_panel
@@ -240,20 +241,31 @@ def test_spec_validation():
         DeaSpec(("x",), ("y",), returns_to_scale="DRS")
 
 
-def wide_panel_period_2002(seed=108, n=40):
-    """Period 2002 (the second) of the 40-DMU, 3-input, 2-output panel the
+def wide_panel(seed, n=40, periods=4):
+    """The 40-DMU, 3-input, 2-output panel of periods 2001-2004 that the
     dea_wide benchmark generates from seed: inputs scale with a DMU size
     U(10, 1000), outputs are the size times an efficiency draw U(0.4, 1),
     each jittered by U(0.5, 1.5)."""
     rng = np.random.default_rng(seed)
     size = rng.uniform(10.0, 1000.0, n)
-    for _ in range(2):
-        X = size[:, None] * rng.uniform(0.5, 1.5, (n, 3))
-        Y = rng.uniform(0.4, 1.0, (n, 1)) * size[:, None] * rng.uniform(0.5, 1.5, (n, 2))
+    values = np.empty((n, periods, 5))
+    for p in range(periods):
+        values[:, p, :3] = size[:, None] * rng.uniform(0.5, 1.5, (n, 3))
+        values[:, p, 3:] = rng.uniform(0.4, 1.0, (n, 1)) * size[:, None] * rng.uniform(0.5, 1.5, (n, 2))
     schema = tuple(VariableDef(f"x{i + 1}", "dea_input") for i in range(3)) + tuple(
         VariableDef(f"y{r + 1}", "dea_output") for r in range(2))
-    values = np.concatenate([X, Y], axis=1)[:, None, :]
-    return PanelDataset(tuple(f"D{d + 1:02d}" for d in range(n)), ("2002",), schema, values)
+    return PanelDataset(tuple(f"D{d + 1:02d}" for d in range(n)),
+                        tuple(str(2001 + p) for p in range(periods)), schema, values)
+
+
+# the analyses the dea_wide benchmark configures
+WIDE_SPECS = (DeaSpec(("x1", "x2", "x3"), ("y1", "y2"), "CRS", "input"),
+              DeaSpec(("x1", "x2", "x3"), ("y1", "y2"), "VRS", "output"))
+
+
+def wide_panel_period_2002(seed=108):
+    panel = wide_panel(seed, periods=2)
+    return PanelDataset(panel.dmus, ("2002",), panel.variables, panel.values[:, 1:])
 
 
 def test_vrs_output_scores_on_a_wide_panel_that_once_failed():
@@ -279,3 +291,60 @@ def test_score_period_equals_full_solves_on_the_demo_panel():
             cs = slice_period(panel, period, spec)
             scores = score_period(cs, spec)
             assert scores.tolist() == [solve(cs, d, spec.orientation).score for d in cs.dmus]
+
+
+def assert_stack_equals_the_scalar_reference(cs, spec):
+    problems = _envelopment_lps(cs.inputs, cs.outputs, np.arange(len(cs.dmus)),
+                                spec.returns_to_scale, spec.orientation)
+    for p, got in zip(problems, dea.solve_stack(problems)):
+        assert same_lp_outcome(got, lp_outcome(scalar_solve_lp, p))
+
+
+def test_period_stacks_equal_the_scalar_reference_on_the_demo_panel():
+    panel = make_demo_panel()
+    for analysis in parse_config(make_demo_config()).dea_analyses:
+        spec = analysis.spec
+        for period in panel.periods:
+            assert_stack_equals_the_scalar_reference(slice_period(panel, period, spec), spec)
+
+
+@pytest.mark.parametrize("seed", [0, 83, 108, 186])
+def test_period_stacks_equal_the_scalar_reference_on_wide_panels(seed):
+    # seeds 83, 108 and 186 once failed the pipeline with a false "unbounded"
+    panel = wide_panel(seed)
+    for spec in WIDE_SPECS:
+        for period in panel.periods:
+            assert_stack_equals_the_scalar_reference(slice_period(panel, period, spec), spec)
+
+
+def test_score_period_raises_for_the_first_failing_dmu(monkeypatch):
+    # a zero output leaves phi unbounded under output orientation
+    Y = np.array([2.0, 3.0, 0.0, 4.0, 0.0])
+    cs = cross_section([1.0, 2.0, 3.0, 4.0, 5.0], Y)
+    spec = DeaSpec(("x",), ("y",), "CRS", "output")
+    with pytest.raises(DeaConsistencyError, match="'d2'.*unbounded"):
+        score_period(cs, spec)
+
+    # a breakdown of a later DMU's program does not mask d2's failure, one
+    # of an earlier DMU is raised as it is
+    solve_stack = dea.solve_stack
+    for position, expected in ((3, DeaConsistencyError), (1, LpSolverError)):
+        def breaking(problems, position=position):
+            outcomes = solve_stack(problems)
+            outcomes[position] = LpSolverError("injected breakdown")
+            return outcomes
+        monkeypatch.setattr(dea, "solve_stack", breaking)
+        with pytest.raises(expected):
+            score_period(cs, spec)
+
+
+def test_slack_stage_runs_only_when_its_results_are_read(monkeypatch):
+    solved = []
+    solve_lp = dea.solve_lp
+    monkeypatch.setattr(dea, "solve_lp", lambda problem: solved.append(problem) or solve_lp(problem))
+    cs = cross_section([2.0, 4.0, 3.0], [4.0, 4.0, 1.0])
+    r = solve_ccr(cs, "d1")
+    assert r.score == pytest.approx(0.5) and solved == []
+    assert r.peers == (0,)
+    assert r.input_slacks.tolist() == [0.0] and not r.weakly_efficient
+    assert len(solved) == 1

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from oracles import lp_enumeration_oracle, random_lp
+from oracles import lp_enumeration_oracle, lp_outcome, random_lp, same_lp_outcome, scalar_solve_lp
 from paneleff.errors import UsageError
-from paneleff.linprog import LpProblem, LpSolution, format_lp, solve_lp
+from paneleff.linprog import LpProblem, LpSolution, format_lp, solve_lp, solve_stack
 
 
 def max_problem(c, A, b):
@@ -179,3 +179,84 @@ def test_format_lp_dump():
     assert "c0:" in text and "<= 4" in text
     assert ">= 6" in text
     assert "x1 free" in text
+
+
+def random_family(rng, count):
+    """Random programs with mixed relations, free variables, either sense
+    and rhs of either sign; every third is degenerate, with zero right-hand
+    sides and its last row a copy of its first."""
+    problems = []
+    for i in range(count):
+        c, A, b = random_lp(rng, max_vars=6, max_cons=6)
+        rels = rng.choice(["<=", "=", ">="], size=len(b))
+        if i % 3 == 0:
+            b = np.where(rng.random(len(b)) < 0.5, 0.0, b)
+            A[-1], b[-1], rels[-1] = A[0], b[0], rels[0]
+        free = rng.random(len(c)) < 0.3
+        problems.append(LpProblem(c, str(rng.choice(["min", "max"])),
+                                  [(A[i], rels[i], b[i]) for i in range(len(b))],
+                                  lower_bounds=np.where(free, -np.inf, 0.0)))
+    return problems
+
+
+def test_solve_lp_equals_the_scalar_reference():
+    rng = np.random.default_rng(2024)
+    statuses = set()
+    for p in random_family(rng, 600):
+        expected = lp_outcome(scalar_solve_lp, p)
+        assert same_lp_outcome(lp_outcome(solve_lp, p), expected)
+        statuses.add(getattr(expected, "status", "error"))
+    assert statuses >= {"optimal", "infeasible", "unbounded"}
+
+
+def test_stack_of_mixed_programs_equals_the_scalar_reference():
+    # one call on programs of many shapes and layouts, which the stack
+    # groups, and splits again where phase 1 drops different rows
+    rng = np.random.default_rng(77)
+    problems = random_family(rng, 300)
+    for p, got in zip(problems, solve_stack(problems)):
+        assert same_lp_outcome(got, lp_outcome(scalar_solve_lp, p))
+
+
+def test_members_that_drop_different_rows_equal_the_scalar_reference():
+    # same layout; in half the members the equality rows repeat, so phase 1
+    # leaves an artificial on a redundant row that has to be dropped
+    rng = np.random.default_rng(5)
+    A = rng.uniform(0.5, 2.0, (40, 3, 4))
+    b = rng.uniform(1.0, 2.0, (40, 3))
+    A[::2, 1], b[::2, 1] = A[::2, 0], b[::2, 0]
+    problems = LpProblem.stack(rng.uniform(-1, 1, 4), "max", A, ["=", "=", "<="], b)
+    outcomes = solve_stack(problems)
+    for p, got in zip(problems, outcomes):
+        assert same_lp_outcome(got, lp_outcome(scalar_solve_lp, p))
+    assert {o.dual[1] == 0.0 for o in outcomes[::2] if o.status == "optimal"} == {True}
+
+
+def test_stack_builds_programs_from_arrays():
+    A = np.array([[[1.0, 2.0]], [[3.0, 1.0]]])
+    problems = LpProblem.stack([1.0, 1.0], "max", A, ["<="], [[4.0], [6.0]])
+    assert [p.A.tolist() for p in problems] == [[[1.0, 2.0]], [[3.0, 1.0]]]
+    assert [s.objective_value for s in solve_stack(problems)] == [4.0, 6.0]
+    with pytest.raises(UsageError):
+        LpProblem.stack([1.0, 1.0], "max", A, ["<"], [[4.0], [6.0]])
+    with pytest.raises(UsageError):
+        LpProblem.stack([1.0, 1.0], "max", A, ["<="], [[4.0], [np.nan]])
+    with pytest.raises(UsageError):
+        LpProblem.stack([1.0, 1.0], "max", A, ["<=", "<="], [[4.0], [6.0]])
+
+
+@pytest.mark.parametrize("trigger, max_iter", [(1, 20000), (3, 20000), (50, 2)])
+def test_bland_fallback_and_iteration_limit_equal_the_scalar_reference(monkeypatch, trigger, max_iter):
+    # a low trigger sends most programs through Bland's rule, a low limit
+    # through the iteration-limit error, in the stack and the reference alike
+    import oracles
+    from paneleff import linprog
+    for module in (linprog, oracles):
+        monkeypatch.setattr(module, "_BLAND_TRIGGER", trigger)
+        monkeypatch.setattr(module, "_MAX_ITER", max_iter)
+    problems = random_family(np.random.default_rng(trigger), 300)
+    outcomes = solve_stack(problems)
+    for p, got in zip(problems, outcomes):
+        assert same_lp_outcome(got, lp_outcome(scalar_solve_lp, p))
+    errors = [o for o in outcomes if not isinstance(o, LpSolution)]
+    assert bool(errors) == (max_iter == 2)
