@@ -566,15 +566,15 @@ def _check_certificates(problem, C, M, slack_coef, rhs, x, dual, objective, iter
     stack of claimed optima that share problem's layout.
 
     Together the three prove x optimal and dual an optimal dual solution.
-    Each test is relative: a row's residual to max(1, |rhs|, max|a| max|x|),
-    a column's reduced cost to max(1, |c_j|, max|A_j| max|dual|). Returns
-    the LpSolverError of each member that fails, keyed by position, for the
-    first test it fails.
+    Each test is relative to the magnitudes of its own terms: row i's
+    residual to max(1, |b_i|, sum_j |a_ij| |x_j|), column j's reduced cost
+    to max(1, |c_j|, sum_i |a_ij| |dual_i|). Returns the LpSolverError of
+    each member that fails, keyed by position, for the first test it fails.
     """
     abs_M = np.abs(M)
     residual = (M @ x[:, :, None])[:, :, 0] - rhs
     violation = np.where(slack_coef == 0.0, np.abs(residual), slack_coef * residual)
-    scale = np.maximum(1.0, np.maximum(np.abs(rhs), abs_M.max(axis=2) * np.abs(x).max(axis=1)[:, None]))
+    scale = np.maximum(1.0, np.maximum(np.abs(rhs), (abs_M @ np.abs(x)[:, :, None])[:, :, 0]))
     infeasible_row = violation > FEAS_TOL * scale
     finite = problem.lower_bounds == 0.0
     negative_x = (x < -FEAS_TOL) & finite
@@ -589,7 +589,7 @@ def _check_certificates(problem, C, M, slack_coef, rhs, x, dual, objective, iter
     sign_row = wrong_sign > FEAS_TOL * np.maximum(1.0, dual_max)[:, None]
     reduced = s * (C - (dual[:, None, :] @ M)[:, 0, :])
     dual_violation = np.where(finite, -reduced, np.abs(reduced))
-    dual_scale = np.maximum(1.0, np.maximum(np.abs(C), abs_M.max(axis=1) * dual_max[:, None]))
+    dual_scale = np.maximum(1.0, np.maximum(np.abs(C), (np.abs(dual)[:, None, :] @ abs_M)[:, 0, :]))
     infeasible_column = dual_violation > FEAS_TOL * dual_scale
 
     b_dot_y = (rhs[:, None, :] @ dual[:, :, None])[:, 0, 0]

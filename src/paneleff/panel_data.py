@@ -218,8 +218,11 @@ def load_panel(source, schema) -> PanelDataset:
 
 
 def write_panel_csv(panel: PanelDataset, dest) -> None:
-    """Write a dataset back to long CSV; inverse of load_panel for datasets
-    without missing cells. Missing cells are written as empty value fields."""
+    """Write a dataset back to long CSV, one row per cell, each value as
+    its shortest round-tripping literal. A missing cell is written as an
+    empty value field, which load_panel reads as missing, so load_panel
+    inverts it with or without missing cells: the same DMUs, periods,
+    variables and values, also for a DMU whose every cell is missing."""
     if isinstance(dest, (str, os.PathLike)):
         with open(dest, "w", encoding="utf-8", newline="") as fh:
             write_panel_csv(panel, fh)

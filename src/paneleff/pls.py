@@ -12,6 +12,13 @@ suite's primary oracle.
 
 Only the linear algorithm is implemented; no proprietary nonlinear
 transforms are applied to the inner relations.
+
+The full-sample fit and the bootstrap share one kernel, `_fit_stack`,
+which fits a stack of resamples at once (the full sample is a stack of
+one) and gives each the result of fitting it alone, bit for bit. An ALS
+step costs a fixed number of numpy calls per block size, term position and
+predecessor count, whatever the number of blocks; `_fit_stack` states the
+data layout and the rules that keep its arithmetic exact.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -219,6 +227,96 @@ class _CompiledModel:
             partial(CollinearityError, f"structural regression on {list(names)} is singular", columns=names)
             for names in (tuple(self.names[j] for j in p) for p in self.pred if p)
         ]
+        self._index_blocks()
+
+    def _index_blocks(self):
+        """The index arrays that let `_fit_stack` run each step once per
+        block size, term position or predecessor count, not once per block.
+
+        groups: the blocks of each indicator count (`_Group`), whose columns
+        are consecutive in the stack's column order `order`; `inverse` maps
+        that order back. initial_weights: the starting outer weights, in
+        that order. padded: each block's columns in column order, padded
+        with the index one past the last column (latents x largest block).
+        positions: per term position q, the inner-weight columns of the
+        q-th terms, the latents that have one and the latent each names. A
+        latent's terms are its adjacent latents (centroid) or its
+        predecessors, then its successors (path weighting), in the order
+        the lone fit adds them. pairs: the (latent, term latent) of each
+        inner-weight column. equations: the structural equations of each
+        predecessor count (`_Equations`).
+        """
+        sizes = [sl.stop - sl.start for sl in self.slices]
+        order: list = []
+        initial = []
+        self.groups = []
+        for size in sorted(set(sizes)):
+            latents = [i for i, s in enumerate(sizes) if s == size]
+            start = len(order)
+            for i in latents:
+                order += range(self.slices[i].start, self.slices[i].stop)
+            initial += [_stack_canonical_weights(np.ones(size))[0]] * len(latents)
+            self.groups.append(_Group(_index(latents), slice(start, len(order)), len(latents), size))
+        self.order = np.array(order)
+        self.inverse = np.argsort(self.order)
+        self.initial_weights = np.concatenate(initial)
+        self.padded = np.array([[*range(sl.start, sl.stop)] + [len(order)] * (max(sizes) - s)
+                                for sl, s in zip(self.slices, sizes)])
+
+        terms = [self.adjacent[i] if self.centroid else self.pred[i] + self.succ[i]
+                 for i in range(len(self.names))]
+        column: dict = {}  # (latent, position) -> inner-weight column
+        self.positions = []
+        for q in range(max(map(len, terms))):
+            latents = [i for i, t in enumerate(terms) if len(t) > q]
+            start = len(column)
+            for i in latents:
+                column[i, q] = len(column)
+            self.positions.append((slice(start, len(column)), _index(latents),
+                                   np.array([terms[i][q] for i in latents])))
+        self.pairs = np.array([(i, terms[i][q]) for i, q in column]).T
+
+        endogenous = [i for i, p in enumerate(self.pred) if p]
+        first = np.cumsum([0] + [len(self.pred[i]) for i in endogenous])
+        self.equations = []
+        for m in sorted({len(self.pred[i]) for i in endogenous}):
+            rows = [e for e, i in enumerate(endogenous) if len(self.pred[i]) == m]
+            latents = [endogenous[e] for e in rows]
+            self.equations.append(_Equations(
+                np.array(latents),
+                _index(latents),
+                np.array([self.pred[i] for i in latents]),
+                np.array([[column[i, q] for q in range(m)] for i in latents]),
+                np.array([range(first[e], first[e] + m) for e in rows]),
+                np.array(rows),
+            ))
+
+
+class _Group(NamedTuple):
+    """The blocks of one indicator count."""
+
+    latents: slice | np.ndarray  # a slice when consecutive
+    columns: slice  # in the stack's column order
+    blocks: int
+    size: int
+
+
+class _Equations(NamedTuple):
+    """The structural equations with one predecessor count."""
+
+    latents: np.ndarray
+    scores: slice | np.ndarray  # the latents, as a slice when consecutive
+    preds: np.ndarray  # (equation, predecessor)
+    terms: np.ndarray  # the predecessors' inner-weight columns (path weighting)
+    coefficients: np.ndarray  # the coefficients' positions in `structural`
+    rows: np.ndarray  # the latents' positions in `spec.endogenous`
+
+
+def _index(positions: list):
+    """positions as a slice when they are consecutive, else as an array."""
+    if positions == list(range(positions[0], positions[-1] + 1)):
+        return slice(positions[0], positions[-1] + 1)
+    return np.array(positions)
 
 
 def _matrix_from_mapping(data, columns) -> np.ndarray:
@@ -310,6 +408,8 @@ def bootstrap_significance(data, spec: PathModelSpec, samples: int = 500, seed: 
         full = _fit_sample(model, X_raw)
 
     paths = [(model.names[j], model.names[i]) for j, i in model.structural]
+    full_loadings = np.array([full.outer_loadings[c] for c in model.columns])
+    tails, heads = np.array(model.structural).T
     draws = np.empty((len(paths), samples))
     redraws = unconverged = 0
     chunk = max(1, STACK_BYTES // X_raw.nbytes)
@@ -334,9 +434,8 @@ def bootstrap_significance(data, spec: PathModelSpec, samples: int = 500, seed: 
             coefficients[k] = one.coefficients[0]
             loadings[k] = one.loadings[0]
             unconverged += int(not one.converged[0])
-        flip = _sign_alignment(full.outer_loadings, loadings, model)
-        for q, (j, i) in enumerate(model.structural):
-            draws[q, start:start + len(rngs)] = coefficients[:, q] * flip[:, j] * flip[:, i]
+        flip = _sign_alignment(full_loadings, loadings, model)
+        draws[:, start:start + len(rngs)] = (coefficients * flip[:, tails] * flip[:, heads]).T
 
     std_error = {}
     t_statistic = {}
@@ -358,17 +457,15 @@ def _sign(x: float) -> float:
     return -1.0 if x < 0.0 else 1.0
 
 
-def _sign_alignment(full_loadings, loadings: np.ndarray, model: _CompiledModel) -> np.ndarray:
+def _sign_alignment(full_loadings: np.ndarray, loadings: np.ndarray, model: _CompiledModel) -> np.ndarray:
     """Per-replicate, per-latent sign (replicates x latents) that aligns
-    each replicate's orientation with the full-sample solution; loadings
-    holds one replicate's outer loadings per row, in column order."""
-    flip = np.empty((loadings.shape[0], len(model.names)))
-    for b, (block, sl) in enumerate(zip(model.spec.blocks, model.slices)):
-        dot = 0.0
-        for name, column in zip(block.indicators, loadings[:, sl].T):
-            dot = dot + full_loadings[name] * column
-        flip[:, b] = np.where(dot < 0.0, -1.0, 1.0)
-    return flip
+    each replicate's orientation with the full-sample solution: the sign
+    of the dot product of the two loading vectors of each block, summed
+    in indicator order. Both loadings are in column order, one replicate
+    per row of `loadings`."""
+    products = np.zeros((len(loadings), loadings.shape[1] + 1))  # the last column pads short blocks
+    np.multiply(full_loadings, loadings, out=products[:, :-1])
+    return np.where(np.cumsum(products[:, model.padded], axis=2)[:, :, -1] < 0.0, -1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -391,6 +488,21 @@ def _fit_stack(X_raw: np.ndarray, idx: np.ndarray, model: _CompiledModel) -> _St
     ALS, orient each latent so its loading sum is nonnegative, and regress
     every endogenous score on its predecessors.
 
+    Each step runs once per block size, inner-proxy term position or
+    predecessor count (see `_CompiledModel._index_blocks`), never once per
+    block, and stays bit-identical to the lone fit of tests/oracles.py:
+    - The resampled data is (row, replicate, column), rows outermost, with
+      the columns of equal-sized blocks consecutive, so one block size is
+      one strided view. Column sums then run row by row, as `standardize`
+      sums one sample; the mean is formed once.
+    - Latent scores are (replicate, latent, row), rows contiguous, so each
+      score sums pairwise, as a 1-D score does.
+    - Every product is one batched matmul whose items have the lone fit's
+      shapes and strides, so numpy sends each to the same BLAS routine
+      (dot, gemv or syrk); over an inner dimension of one, `_matmul` forms
+      numpy's 0 + a b. LAPACK solves and conditions each system alone.
+    - Inner proxies add their terms in the lone fit's order, from zero.
+
     Each ALS step updates only the replicates still iterating, so a
     replicate's weights stop at the step where they settle, or unconverged
     after MAX_ITERATIONS steps. A replicate is left out when its fit meets
@@ -400,61 +512,63 @@ def _fit_stack(X_raw: np.ndarray, idx: np.ndarray, model: _CompiledModel) -> _St
     the fit makes its checks.
     """
     n = X_raw.shape[0]
-    X = X_raw[idx]
-    sd = X.std(axis=1, ddof=1, keepdims=True)
-    X -= X.mean(axis=1, keepdims=True)
+    X = X_raw[:, model.order].take(idx.T, axis=0)
+    X -= X.sum(axis=0) / n
+    sd = np.sqrt((X * X).sum(axis=0) / (n - 1))
     X /= sd
     rows = np.arange(len(idx))
     errors: dict = {}
-    failed = _record(errors, rows, sd[:, 0] != 0.0, model.column_errors)
-    X, rows = _rows_where(~failed, X, rows)
-    W = np.concatenate(
-        [_stack_canonical_weights(np.ones((len(rows), sl.stop - sl.start)))[0] for sl in model.slices], axis=1
-    )
+    failed = _record(errors, rows, (sd != 0.0)[:, model.inverse], model.column_errors)
+    X, rows = _replicates_where(~failed, X, rows)
+    W = np.broadcast_to(model.initial_weights, (len(rows), X.shape[2]))
     iterations = np.zeros(len(rows), dtype=int)
     active = np.ones(len(rows), dtype=bool)
+    scored = None  # the weights of the scores S
     for _ in range(MAX_ITERATIONS):
         if not active.any():
             break
-        W_new, passed = _als_step(X, W, model)
+        S, spread = _stack_scores(X, W, model)
+        W_new, passed = _als_step(X, S, spread, model)
         failed = _record(errors, rows, passed, model.step_errors, checked=active)
         settled = np.abs(W_new - W).max(axis=1) < CONVERGENCE_TOL
-        W = np.where(active[:, None], W_new, W)
+        scored, W = W, np.where(active[:, None], W_new, W)
         iterations += active
         active &= ~settled
-        X, W, iterations, active, rows = _rows_where(~failed, X, W, iterations, active, rows)
+        X, W, scored, S, spread, iterations, active, rows = _replicates_where(
+            ~failed, X, W, scored, S, spread, iterations, active, rows)
 
-    S, spread = _stack_scores(X, W, model)
-    checks = [spread]
-    loadings = np.empty((len(rows), X.shape[2]))
-    for i, sl in enumerate(model.slices):
-        lam = (X[:, :, sl].transpose(0, 2, 1) @ S[:, i, :, None])[:, :, 0] / (n - 1)
-        flip = lam.sum(axis=1) < 0.0
-        S[:, i] = np.where(flip[:, None], -S[:, i], S[:, i])
-        loadings[:, sl] = np.where(flip[:, None], -lam, lam)
+    if not np.array_equal(scored, W):
+        S, spread = _stack_scores(X, W, model)
+    loadings = np.empty(W.shape)
+    for group in model.groups:
+        lam = _block_products(X, S[:, group.latents], group) / (n - 1)
+        sign = np.where(lam.sum(axis=2) < 0.0, -1.0, 1.0)[:, :, None]
+        S[:, group.latents] *= sign
+        loadings[:, group.columns] = (lam * sign).reshape(len(W), group.blocks * group.size)
+    del X  # the regressions need only the scores: free the data before they allocate
 
-    endogenous = [(i, preds) for i, preds in enumerate(model.pred) if preds]
     coefficients = np.empty((len(rows), len(model.structural)))
-    r_squared = np.empty((len(rows), len(endogenous)))
-    q = 0
-    for e, (i, preds) in enumerate(endogenous):
-        T = np.stack([S[:, j] for j in preds], axis=-1)
-        y = S[:, i, :, None]
-        gram = T.transpose(0, 2, 1) @ T
+    r_squared = np.empty((len(rows), len(model.spec.endogenous)))
+    regular = np.empty(r_squared.shape, dtype=bool)
+    for equations in model.equations:
+        # (replicate, equation, row, predecessor)
+        T = np.ascontiguousarray(S[:, equations.preds].swapaxes(2, 3))
+        y = S[:, equations.scores, :, None]
+        gram = T.swapaxes(2, 3) @ T
         # guard against numerically repeated predecessor scores
         cond = np.linalg.cond(gram)
-        regular = np.isfinite(cond) & (cond <= 1e12)
-        gram[~regular] = np.eye(len(preds))
-        beta = np.linalg.solve(gram, T.transpose(0, 2, 1) @ y)
-        resid = y - T @ beta
-        rss = (resid.transpose(0, 2, 1) @ resid)[:, 0, 0]
-        tss = (y.transpose(0, 2, 1) @ y)[:, 0, 0]
-        coefficients[:, q:q + len(preds)] = beta[:, :, 0]
-        r_squared[:, e] = 1.0 - rss / tss
-        q += len(preds)
-        checks.append(regular[:, None])
-    fitted = ~_record(errors, rows, np.concatenate(checks, axis=1), model.final_errors)
-    return _StackFit(rows[fitted], coefficients[fitted], loadings[fitted], r_squared[fitted],
+        ok = np.isfinite(cond) & (cond <= 1e12)
+        gram[~ok] = np.eye(T.shape[3])
+        beta = np.linalg.solve(gram, T.swapaxes(2, 3) @ y)
+        resid = _matmul(T, beta)
+        np.subtract(y, resid, out=resid)
+        rss = (resid.swapaxes(2, 3) @ resid)[:, :, 0, 0]
+        tss = (y.swapaxes(2, 3) @ y)[:, :, 0, 0]
+        coefficients[:, equations.coefficients] = beta[:, :, :, 0]
+        r_squared[:, equations.rows] = 1.0 - rss / tss
+        regular[:, equations.rows] = ok
+    fitted = ~_record(errors, rows, np.concatenate([spread, regular], axis=1), model.final_errors)
+    return _StackFit(rows[fitted], coefficients[fitted], loadings[fitted][:, model.inverse], r_squared[fitted],
                      iterations[fitted], ~active[fitted], errors)
 
 
@@ -470,89 +584,123 @@ def _record(errors: dict, rows: np.ndarray, passed: np.ndarray, make_errors, che
     return failed
 
 
-def _als_step(X: np.ndarray, W: np.ndarray, model: _CompiledModel):
-    """One ALS pass for every replicate: the new outer weights, and which
-    checks of the pass each replicate passed (see `_record`): a
-    nonconstant score per latent, then per latent a nonsingular
-    predecessor system and nonzero outer weights."""
-    n = X.shape[1]
-    S, spread = _stack_scores(X, W, model)
-    checks = [spread]
+def _replicates_where(keep: np.ndarray, X: np.ndarray, *arrays):
+    """The replicates (axis 1) of the data X and the rows of each array
+    where keep is true."""
+    return (X, *arrays) if keep.all() else (X[:, keep], *(a[keep] for a in arrays))
+
+
+def _als_step(X: np.ndarray, S: np.ndarray, spread: np.ndarray, model: _CompiledModel):
+    """One ALS pass for every replicate from its scores S and their
+    spread (see `_stack_scores`): the new outer weights, and which checks
+    of the pass each replicate passed (see `_record`): a nonconstant score
+    per latent, then per latent a nonsingular predecessor system and
+    nonzero outer weights."""
+    weights, solved = _inner_weights(_correlations(S), model)
+    (columns, _, terms), *later = model.positions
+    proxy = S.take(terms, axis=1)  # every latent has a first term
+    proxy *= weights[:, columns, None]
+    proxy += 0.0  # the lone fit adds its first term to zeros
+    for columns, latents, terms in later:
+        proxy[:, latents] += S.take(terms, axis=1) * weights[:, columns, None]
+    W_new = np.empty((len(S), X.shape[2]))
+    nonzero = np.empty(spread.shape, dtype=bool)
+    for group in model.groups:
+        w, nonzero[:, group.latents] = _stack_canonical_weights(_block_products(X, proxy[:, group.latents], group))
+        W_new[:, group.columns] = w.reshape(len(S), group.blocks * group.size)
+    return W_new, np.concatenate([spread, np.stack([solved, nonzero], axis=2).reshape(len(S), -1)], axis=1)
+
+
+def _correlations(S: np.ndarray) -> np.ndarray:
+    """The latent correlation matrix of every replicate from its scores S
+    (replicate, latent, row), formed as the lone fit forms it: S'S / (n - 1)
+    with S a (row, latent) matrix."""
     S_cols = np.ascontiguousarray(S.transpose(0, 2, 1))
-    corr = S_cols.transpose(0, 2, 1) @ S_cols / (n - 1)
-    W_new = np.empty_like(W)
-    for i, sl in enumerate(model.slices):
-        proxy, solved = _stack_inner_proxy(i, S, corr, model)
-        u = (X[:, :, sl].transpose(0, 2, 1) @ proxy[:, :, None])[:, :, 0]
-        W_new[:, sl], nonzero = _stack_canonical_weights(u)
-        checks += [solved[:, None], nonzero[:, None]]
-    return W_new, np.concatenate(checks, axis=1)
+    return S_cols.transpose(0, 2, 1) @ S_cols / (S.shape[2] - 1)
+
+
+def _blocks(X: np.ndarray, group: _Group) -> np.ndarray:
+    """The blocks of one group as a (replicate, block, row, indicator) view."""
+    return X[:, :, group.columns].reshape(X.shape[0], X.shape[1], group.blocks, group.size).transpose(1, 2, 0, 3)
+
+
+def _block_products(X: np.ndarray, V: np.ndarray, group: _Group) -> np.ndarray:
+    """X_b' v for each block b of one group and its row vector v in V
+    (replicate, block, row): (replicate, block, indicator)."""
+    return (_blocks(X, group).swapaxes(2, 3) @ V[:, :, :, None])[:, :, :, 0]
+
+
+def _matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B. Over an inner dimension of one, numpy's matmul skips BLAS and
+    forms 0 + a b for each entry, which one elementwise product and sum
+    form faster."""
+    if A.shape[-1] != 1:
+        return A @ B
+    product = np.multiply(A, B, order="C")
+    product += 0.0
+    return product
 
 
 def _stack_scores(X: np.ndarray, W: np.ndarray, model: _CompiledModel):
     """The standardized latent scores of every replicate (replicates x
     latents x n), and which of them are not constant (replicates x
     latents)."""
-    S = np.stack([(X[:, :, sl] @ W[:, sl, None])[:, :, 0] for sl in model.slices], axis=1)
-    sd = S.std(axis=2, ddof=1, keepdims=True)
-    S -= S.mean(axis=2, keepdims=True)
+    n = X.shape[0]
+    S = np.empty((len(W), len(model.names), n))
+    for group in model.groups:
+        weights = W[:, group.columns].reshape(len(W), group.blocks, group.size, 1)
+        S[:, group.latents] = _matmul(_blocks(X, group), weights)[:, :, :, 0]
+    S -= S.sum(axis=2, keepdims=True) / n
+    sd = np.sqrt((S * S).sum(axis=2, keepdims=True) / (n - 1))
     S /= sd
     return S, sd[:, :, 0] != 0.0
 
 
-def _rows_where(keep: np.ndarray, *arrays):
-    """The rows of each array where keep is true."""
-    return arrays if keep.all() else tuple(a[keep] for a in arrays)
-
-
-def _stack_inner_proxy(i, S: np.ndarray, corr: np.ndarray, model: _CompiledModel):
-    """The inner proxy of latent i for every replicate, and which
-    replicates had a nonsingular predecessor system. Centroid weights are
-    the signs of the correlations with adjacent latents; path weighting
-    regresses on the predecessors and takes correlations with successors."""
-    solved = np.ones(S.shape[0], dtype=bool)
+def _inner_weights(corr: np.ndarray, model: _CompiledModel):
+    """The weight of every inner-proxy term (replicates x terms, columns as
+    in `model.positions`), and which replicates had a nonsingular
+    predecessor system for each latent. Centroid weights are the signs of
+    the correlations with adjacent latents; path weighting regresses on
+    the predecessors and takes correlations with successors."""
+    i, j = model.pairs
+    weights = corr[:, i, j]
+    solved = np.ones((len(corr), corr.shape[1]), dtype=bool)
     if model.centroid:
-        terms = [(j, np.where(corr[:, i, j] < 0.0, -1.0, 1.0)) for j in model.adjacent[i]]
-    else:
-        terms = []
-        preds = model.pred[i]
-        if preds:
-            coef, solved = _stack_solve(corr[:, preds][:, :, preds], corr[:, preds, i])
-            terms += zip(preds, coef.T)
-        terms += [(j, corr[:, i, j]) for j in model.succ[i]]
-    proxy = np.zeros(S.shape[::2])
-    for j, w in terms:
-        proxy += w[:, None] * S[:, j]
-    return proxy, solved
+        return np.where(weights < 0.0, -1.0, 1.0), solved
+    for equations in model.equations:
+        preds, latents = equations.preds, equations.latents
+        weights[:, equations.terms], solved[:, latents] = _stack_solve(
+            corr[:, preds[:, :, None], preds[:, None, :]], corr[:, preds, latents[:, None]])
+    return weights, solved
 
 
 def _stack_solve(A: np.ndarray, b: np.ndarray):
-    """Solve A[k] x = b[k] for every k; a singular system gives NaN and
-    False in the returned mask."""
+    """Solve A[k] x = b[k] for every leading index k; a singular system
+    gives NaN and False in the returned mask."""
     try:
-        return np.linalg.solve(A, b[:, :, None])[:, :, 0], np.ones(len(A), dtype=bool)
+        return np.linalg.solve(A, b[..., None])[..., 0], np.ones(b.shape[:-1], dtype=bool)
     except np.linalg.LinAlgError:
         x = np.full(b.shape, np.nan)
-        for k in range(len(A)):
+        for k in np.ndindex(b.shape[:-1]):
             try:
                 x[k] = np.linalg.solve(A[k], b[k])
             except np.linalg.LinAlgError:
                 pass
-        return x, ~np.isnan(x).any(axis=1)
+        return x, ~np.isnan(x).any(axis=-1)
 
 
 def _stack_canonical_weights(u: np.ndarray):
-    """Each row scaled to unit norm and signed so its sum is positive (or,
-    summing to zero, its first nonzero entry is), and which rows had a
-    nonzero norm."""
-    norm = np.sqrt((u[:, None, :] @ u[:, :, None])[:, 0, 0])
-    w = u / norm[:, None]
-    total = w.sum(axis=1)
+    """Each vector along the last axis scaled to unit norm and signed so
+    its sum is positive (or, summing to zero, its first nonzero entry is),
+    and which vectors had a nonzero norm."""
+    norm = np.sqrt((u[..., None, :] @ u[..., None])[..., 0, 0])
+    w = u / norm[..., None]
+    total = w.sum(axis=-1)
     flip = total < 0.0
     if (total == 0.0).any():
-        first = w[np.arange(len(w)), np.argmax(w != 0.0, axis=1)]
+        first = np.take_along_axis(w, np.argmax(w != 0.0, axis=-1)[..., None], axis=-1)[..., 0]
         flip |= (total == 0.0) & (first < 0.0)
-    return np.where(flip[:, None], -w, w), norm != 0.0
+    return np.where(flip[..., None], -w, w), norm != 0.0
 
 
 def fit_with_bootstrap(data, spec: PathModelSpec, samples: int = 500, seed: int = 0) -> PathEstimates:

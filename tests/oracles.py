@@ -643,14 +643,14 @@ def _check_certificates(problem, M, slack_coef, rhs, x, dual, objective_value, i
     """Verify primal feasibility, dual feasibility and strong duality.
 
     Together the three prove x optimal and dual an optimal dual solution.
-    Each test is relative: a row's residual to max(1, |rhs|, max|a| max|x|),
-    a column's reduced cost to max(1, |c_j|, max|A_j| max|dual|).
-    Breakdowns surface as errors.
+    Each test is relative to the magnitudes of its own terms: row i's
+    residual to max(1, |b_i|, sum_j |a_ij| |x_j|), column j's reduced cost
+    to max(1, |c_j|, sum_i |a_ij| |dual_i|). Breakdowns surface as errors.
     """
     abs_M = np.abs(M)
     residual = M @ x - rhs
     violation = np.where(slack_coef == 0.0, np.abs(residual), slack_coef * residual)
-    scale = np.maximum(1.0, np.maximum(np.abs(rhs), abs_M.max(axis=1) * np.abs(x).max()))
+    scale = np.maximum(1.0, np.maximum(np.abs(rhs), abs_M @ np.abs(x)))
     bad = np.flatnonzero(violation > FEAS_TOL * scale)
     if bad.size:
         i = int(bad[0])
@@ -679,7 +679,7 @@ def _check_certificates(problem, M, slack_coef, rhs, x, dual, objective_value, i
         )
     reduced = s * (problem.objective - M.T @ dual)
     violation = np.where(finite, -reduced, np.abs(reduced))
-    scale = np.maximum(1.0, np.maximum(np.abs(problem.objective), abs_M.max(axis=0) * dual_max))
+    scale = np.maximum(1.0, np.maximum(np.abs(problem.objective), np.abs(dual) @ abs_M))
     bad = np.flatnonzero(violation > FEAS_TOL * scale)
     if bad.size:
         j = int(bad[0])

@@ -260,3 +260,46 @@ def test_bland_fallback_and_iteration_limit_equal_the_scalar_reference(monkeypat
         assert same_lp_outcome(got, lp_outcome(scalar_solve_lp, p))
     errors = [o for o in outcomes if not isinstance(o, LpSolution)]
     assert bool(errors) == (max_iter == 2)
+
+
+@pytest.mark.parametrize("case", ["row", "column"])
+def test_certificates_scale_each_row_and_column_by_its_own_terms(case):
+    # A claimed optimum that is off by 1e-4 in a row (column) of magnitude
+    # 1, next to a row (column) of magnitude 1e6. Scaled by maxima over the
+    # whole program, as the certificates once were, its tolerance was
+    # 1e-7 * 1e6 and it passed; scaled by its own terms it fails.
+    import oracles
+    from paneleff import linprog
+    from paneleff.errors import LpSolverError
+
+    if case == "row":
+        # min x1 s.t. x0 <= 1e6, x1 >= 1: x1 = 1 - 1e-4 is infeasible
+        problem = LpProblem([0.0, 1.0], "min", [([1.0, 0.0], "<=", 1e6), ([0.0, 1.0], ">=", 1.0)])
+        x, dual = np.array([1e6, 1.0 - 1e-4]), np.array([0.0, 1.0 - 1e-4])
+        message = "primal infeasibility .* in constraint 1"
+    else:
+        # min x0 + x1 s.t. 1e-6 x0 >= 1e-6, x1 >= 0: the dual 1 + 1e-4 on
+        # row 1 prices x1 below its cost
+        problem = LpProblem([1.0, 1.0], "min", [([1e-6, 0.0], ">=", 1e-6), ([0.0, 1.0], ">=", 0.0)])
+        x, dual = np.array([1.0, 0.0]), np.array([1e6, 1.0 + 1e-4])
+        message = "dual infeasibility .* of variable 1"
+    M, slack_coef, rhs = oracles._dense_rows(problem)
+    c = problem.objective
+    objective = float(c @ x)
+
+    abs_M = np.abs(M)
+    row_violation = np.abs(M @ x - rhs)
+    old_row_scale = np.maximum(1.0, np.maximum(np.abs(rhs), abs_M.max(axis=1) * np.abs(x).max()))
+    column_violation = np.maximum(0.0, -(c - M.T @ dual))
+    old_column_scale = np.maximum(1.0, np.maximum(np.abs(c), abs_M.max(axis=0) * np.abs(dual).max()))
+    assert (row_violation <= linprog.FEAS_TOL * old_row_scale).all()
+    assert (column_violation <= linprog.FEAS_TOL * old_column_scale).all()
+    assert max(row_violation.max(), column_violation.max()) == pytest.approx(1e-4, rel=1e-6)
+
+    errors = linprog._check_certificates(problem, c[None], M[None], slack_coef, rhs[None], x[None], dual[None],
+                                         np.array([objective]), np.array([0]))
+    assert list(errors) == [0]
+    with pytest.raises(LpSolverError, match=message):
+        raise errors[0]
+    with pytest.raises(LpSolverError, match=message):
+        oracles._check_certificates(problem, M, slack_coef, rhs, x, dual, objective, 0)

@@ -8,9 +8,12 @@ from paneleff.errors import CollinearityError, DegenerateColumnError, DomainErro
 from paneleff.panel_data import PanelDataset, VariableDef
 from paneleff.pls import (
     LatentBlock,
+    STACK_BYTES,
     PathModelSpec,
     _CompiledModel,
+    _matmul,
     _matrix_from_mapping,
+    _sign_alignment,
     bootstrap_significance,
     build_cobb_douglas_design,
     fit_path_model,
@@ -414,6 +417,70 @@ def test_stacked_bootstrap_matches_scalar_loop_on_multi_indicator_models(scheme)
         assert_matches_scalar_loop(data, spec, samples=120, seed=trial, rel=1e-12)
 
 
+def interleaved_spec_and_data(rng, scheme, n):
+    """Blocks listed out of topological order (E -> C -> D -> {A, B}, plus
+    E -> D), of 1-3 indicators, where the same-sized blocks A, B and C, E
+    are not adjacent and D's predecessors C, E (indices 0 and 4) and
+    successors A, B (indices 1 and 3) interleave in index order."""
+    sizes = {"C": 2, "A": 1, "D": 3, "B": 1, "E": 2}
+    E = rng.normal(size=n)
+    C = 0.6 * E + rng.normal(size=n)
+    D = 0.5 * C + 0.3 * E + rng.normal(size=n)
+    latent = {"E": E, "C": C, "D": D, "A": 0.7 * D + rng.normal(size=n), "B": -0.5 * D + rng.normal(size=n)}
+    blocks, data = [], {}
+    for name, size in sizes.items():
+        indicators = tuple(f"{name.lower()}_{k}" for k in range(size))
+        for k, ind in enumerate(indicators):
+            sign = -1.0 if (name, k) == ("D", 1) else 1.0
+            data[ind] = sign * rng.uniform(0.5, 3.0) * (latent[name] + rng.normal(0.0, 0.7, n)) + rng.uniform(-5, 5)
+        blocks.append(LatentBlock(name, indicators))
+    paths = (("E", "C"), ("C", "D"), ("E", "D"), ("D", "A"), ("D", "B"))
+    return PathModelSpec(tuple(blocks), paths, inner_scheme=scheme), data
+
+
+@pytest.mark.parametrize("scheme", ["path_weighting", "centroid"])
+def test_out_of_order_blocks_with_interleaved_neighbours_match_scalar_loop(scheme):
+    rng = np.random.default_rng(113 if scheme == "centroid" else 127)
+    for trial in range(3):
+        spec, data = interleaved_spec_and_data(rng, scheme, n=int(rng.integers(40, 120)))
+        model = _CompiledModel(spec)
+        assert model.pred[model.index["D"]] == [0, 4] and model.succ[model.index["D"]] == [1, 3]
+        assert [latents.tolist() if isinstance(latents, np.ndarray) else latents
+                for latents, *_ in model.groups] == [[1, 3], [0, 4], slice(2, 3)]
+        assert assert_fit_equals_scalar_fit(data, spec).converged
+        assert_matches_scalar_loop(data, spec, samples=120, seed=trial, rel=1e-12)
+
+
+def test_sign_alignment_sums_each_block_in_indicator_order():
+    # the lone replicate's dot product, sum(full * replicate) in indicator
+    # order, is (-1 - 2**-53) + 1 == 0 here, so the block keeps its sign;
+    # summed as -1 + (-2**-53 + 1) it would be negative
+    spec = PathModelSpec(
+        blocks=(LatentBlock("X", ("x1", "x2", "x3")), LatentBlock("Y", ("y",))),
+        paths=(("X", "Y"),),
+    )
+    full = np.ones(4)
+    loadings = np.array([[-1.0, -2.0 ** -53, 1.0, -0.5], [-1.0, -2.0 ** -53, 0.5, 0.5]])
+    want = [[1.0 if sum(full[:3] * row[:3]) >= 0.0 else -1.0, 1.0 if row[3] >= 0.0 else -1.0] for row in loadings]
+    assert want == [[1.0, -1.0], [-1.0, 1.0]]
+    assert _sign_alignment(full, loadings, _CompiledModel(spec)).tolist() == want
+
+
+def test_matmul_helper_equals_numpy_matmul_bit_for_bit():
+    # inner dimension one (numpy forms 0 + a b, so -0.0 becomes +0.0) and
+    # larger, batched like the scores and the regressions
+    rng = np.random.default_rng(131)
+    for inner in (3, 1):
+        A = rng.normal(size=(4, 2, 30, inner))
+        A[:, :, ::7] = -0.0
+        B = rng.normal(size=(4, 2, inner, 1))
+        B[0] = -B[0]
+        got, want = _matmul(A, B), A @ B
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    zeros = got == 0.0
+    assert np.signbit((A * B)[zeros]).any() and not np.signbit(got[zeros]).any()
+
+
 def demo_models():
     """The demo panel's pooled observations, the specs of the demo
     configuration's path models and its bootstrap seed."""
@@ -476,7 +543,7 @@ def test_stacked_bootstrap_aligns_replicate_orientation_like_scalar_loop():
     assert_matches_scalar_loop(data, spec, samples=150, seed=2, rel=1e-12)
 
 
-@pytest.mark.parametrize("stack_bytes", [1, 7 * 60 * 2 * 8, 24 * 60 * 2 * 8])
+@pytest.mark.parametrize("stack_bytes", [1, 7 * 60 * 2 * 8, 24 * 60 * 2 * 8, STACK_BYTES])
 def test_stacked_bootstrap_sample_count_not_a_multiple_of_the_stack(monkeypatch, stack_bytes):
     import paneleff.pls as pls_module
 
