@@ -212,12 +212,16 @@ def _cmd_pls(args) -> int:
 
 def _read_report(config: PipelineConfig) -> ReportBundle | None:
     """The report.json of this configuration and seed in the output
-    directory, or None. A report of another run counts as absent."""
+    directory, or None. A report of another run, or a file that is not a
+    report (truncated, not JSON, missing a key), counts as absent."""
     path = os.path.join(config.output_dir, f"{REPORT_BASENAME}.json")
     if not os.path.exists(path):
         return None
-    with open(path, "r", encoding="utf-8") as fh:
-        report = ReportBundle.from_json(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            report = ReportBundle.from_json(fh.read())
+    except (ValueError, KeyError, TypeError):
+        return None
     if report.provenance != build_provenance(config):
         return None
     # report.json has sorted keys; tables and text follow configuration order

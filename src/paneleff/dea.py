@@ -1,20 +1,21 @@
 """Radial DEA efficiency models over per-period cross-sections.
 
 Each score is one envelopment program. Within a period every DMU's program
-has the same shape, relations and rhs signs; only the radial column and the
-rhs differ. `_envelopment_lps` therefore builds a period's programs as one
-stack by broadcasting, and the solver pivots them in lockstep
-(`linprog.solve_stack`). The solver certifies each optimum (primal
-feasibility, dual feasibility and strong duality), and the certified duals
-are the multiplier program's solution: the virtual input and output weights
-and, under VRS, the free scale offset. The score is therefore
-units-invariant by construction and its weights come at no extra solve.
-solve_ccr/solve_bcc solve one DMU's program as a stack of one. Their
-result runs a second-stage slack-maximizing envelopment solve when its
-peers or slacks are first read; it flags weak efficiency and finds the
-peers. No non-Archimedean epsilon is used, because any absolute epsilon
-would break units invariance. Panel scoring (score_period, run_panel_dea)
-reads only the scores.
+has the same objective, relations and rhs signs; only the radial column and
+the rhs differ, so `_envelopment_lps` builds a period's constraint matrices
+and rhs as arrays by broadcasting and `linprog.solve_stack` pivots them in
+lockstep. The solver certifies each optimum (primal feasibility, dual
+feasibility and strong duality), and the certified duals are the multiplier
+program's solution: the virtual input and output weights and, under VRS,
+the free scale offset. The score is therefore units-invariant by
+construction and its weights come at no extra solve.
+solve_ccr/solve_bcc solve one DMU's program as a stack of one. Their result
+runs a second-stage slack-maximizing envelopment solve when its peers or
+slacks are first read; it flags weak efficiency and finds the peers. These
+diagnostics are library-only: no CLI command reads them, and printing them
+would take a new flag. No non-Archimedean epsilon is used, because any
+absolute epsilon would break units invariance. Panel scoring (score_period,
+run_panel_dea) reads only the scores.
 """
 
 from __future__ import annotations
@@ -196,7 +197,7 @@ def _radial(X, Y, dmus, names, rts, orientation) -> list[tuple[float, LpSolution
     names) as one stack; return each one's snapped score and certified
     solution, whose duals are the multiplier weights."""
     solved = []
-    for env, dmu in zip(solve_stack(_envelopment_lps(X, Y, dmus, rts, orientation)), names):
+    for env, dmu in zip(solve_stack(*_envelopment_lps(X, Y, dmus, rts, orientation)), names):
         if isinstance(env, LpSolverError):
             raise env
         if env.status != "optimal":
@@ -214,10 +215,11 @@ def _radial(X, Y, dmus, names, rts, orientation) -> list[tuple[float, LpSolution
     return solved
 
 
-def _envelopment_lps(X, Y, dmus, rts, orientation) -> list[LpProblem]:
-    """The envelopment programs of the DMUs at positions dmus, built as one
-    (len(dmus), m + s [+ 1], n + 1) stack: the lambda columns are the same
-    for every DMU, the radial column and the rhs are its own data."""
+def _envelopment_lps(X, Y, dmus, rts, orientation) -> tuple:
+    """solve_stack's arguments for the envelopment programs of the DMUs at
+    positions dmus, with A of shape (len(dmus), m + s [+ 1], n + 1): the
+    lambda columns are the same for every DMU, the radial column and the
+    rhs are its own data."""
     # columns: [radial factor, lambda_1 .. lambda_n]
     n, m = X.shape
     s = Y.shape[1]
@@ -241,7 +243,7 @@ def _envelopment_lps(X, Y, dmus, rts, orientation) -> list[LpProblem]:
         b[:, -1] = 1.0
     c = np.zeros(n + 1)
     c[0] = 1.0
-    return LpProblem.stack(c, sense, A, ["<="] * m + [">="] * s + ["="] * vrs, b)
+    return c, sense, A, ["<="] * m + [">="] * s + ["="] * vrs, b
 
 
 def _slack_stage_lp(X, Y, o, rts, orientation, score) -> LpProblem:
@@ -258,8 +260,7 @@ def _slack_stage_lp(X, Y, o, rts, orientation, score) -> LpProblem:
     x_target = score * X[o] if orientation == "input" else X[o]
     y_target = Y[o] if orientation == "input" else score * Y[o]
     b = np.concatenate([x_target, y_target, [1.0] * (rts == "VRS")])
-    (problem,) = LpProblem.stack(c, "max", A[None], ["="] * len(b), b[None])
-    return problem
+    return LpProblem(c, "max", zip(A, ["="] * len(b), b))
 
 
 def run_panel_dea(panel: PanelDataset, spec: DeaSpec) -> EfficiencyPanel:

@@ -1,14 +1,16 @@
 """Self-contained dense linear-programming solver.
 
 Two-phase primal simplex on the dense standard form, run in lockstep over a
-stack of programs. `solve_stack` takes a list of programs and groups those
-that share a tableau layout: shape, sense, relations, free variables and
-the sign of each right-hand side, which together fix the start basis.
-Every tableau of a group takes one pivot per step, and each step is the
-same few numpy operations whatever the group's size. A program that
-reaches optimality or unboundedness, or breaks down, leaves the group;
-programs whose phase 1 drops different redundant rows go on in separate
-sub-stacks. `solve_lp` is the stack of one.
+stack of programs. `solve_stack(objective, sense, A, relations, b)` takes
+programs that share objective, sense, relations and free variables, with
+a constraint matrix A[k] and rhs b[k] each. Only the sign of each rhs,
+which fixes the start basis, can still differ, so a stack splits only on
+its members' rhs sign patterns. Every tableau of a stack takes one pivot
+per step, and each step is the same few numpy operations whatever the
+stack's size. A program that reaches optimality or unboundedness, or
+breaks down, leaves the stack; programs whose phase 1 drops different
+redundant rows go on in separate sub-stacks. `solve_lp` solves one
+LpProblem as a stack of one.
 
 Each program keeps its own pricing state. Pricing starts with Dantzig's rule
 and falls back to Bland's rule once 50 consecutive degenerate pivots are
@@ -66,7 +68,7 @@ class LpProblem:
     lower_bounds per-variable lower bound, each either 0.0 or -inf (free)
 
     The constructor takes the constraints as (coefficients, relation, rhs)
-    rows; LpProblem.stack builds many programs from arrays at once.
+    rows; solve_stack takes many programs' constraints as arrays.
     """
 
     objective: np.ndarray
@@ -83,20 +85,9 @@ class LpProblem:
         else:
             A, relations, b = np.zeros((0, np.size(objective))), (), ()
         c, A, relations, b, lb = _validated(objective, sense, [A], relations, [b], lower_bounds)
-        _set_fields(self, c, sense, A[0], relations, b[0], lb)
-
-    @classmethod
-    def stack(cls, objective, sense, A, relations, b, lower_bounds=None) -> list[LpProblem]:
-        """The programs that share objective, sense, relations and bounds and
-        take their constraints from A[k] (m, n) and b[k] (m,), for each k of
-        A (K, m, n) and b (K, m); validated in one pass."""
-        c, A, relations, b, lb = _validated(objective, sense, A, relations, b, lower_bounds)
-        problems = []
-        for A_k, b_k in zip(A, b):
-            problem = cls.__new__(cls)
-            _set_fields(problem, c, sense, A_k, relations, b_k, lb)
-            problems.append(problem)
-        return problems
+        for name, value in (("objective", c), ("sense", sense), ("A", A[0]), ("relations", relations),
+                            ("b", b[0]), ("lower_bounds", lb)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_variables(self) -> int:
@@ -149,12 +140,6 @@ def _validated(objective, sense, A, relations, b, lower_bounds):
     return c, A, rel, b, lb
 
 
-def _set_fields(problem, c, sense, A, relations, b, lb) -> None:
-    for name, value in (("objective", c), ("sense", sense), ("A", A), ("relations", relations),
-                        ("b", b), ("lower_bounds", lb)):
-        object.__setattr__(problem, name, value)
-
-
 @dataclass(frozen=True)
 class LpSolution:
     """Solved state of an LpProblem.
@@ -198,74 +183,52 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     "unbounded". Output is deterministic for identical input. Raises
     LpSolverError with iteration diagnostics on numerical breakdown.
     """
-    (outcome,) = solve_stack([problem])
+    p = problem
+    (outcome,) = _Stack(p.objective, p.sense, p.A[None], p.relations, p.b[None], p.lower_bounds).solve()
     if isinstance(outcome, LpSolverError):
         raise outcome
     return outcome
 
 
-def solve_stack(problems) -> list:
-    """Solve each of a list of linear programs; return their outcomes in
-    order. An outcome is the program's LpSolution, or the LpSolverError
-    that solve_lp raises for it.
+def solve_stack(objective, sense, A, relations, b, lower_bounds=None) -> list:
+    """Solve the programs that share objective, sense, relations and bounds
+    and take their constraints from A[k] (m, n) and b[k] (m,), for each k of
+    A (K, m, n) and b (K, m); return their outcomes in order. An outcome is
+    the program's LpSolution, or the LpSolverError that solve_lp raises for
+    it.
 
-    Programs with the same layout (shape, sense, relations, free variables
-    and the sign of each rhs) are solved as one lockstep stack; the result
-    of each equals solve_lp on it alone, bit for bit.
+    The members whose right-hand sides share a sign pattern, which fixes
+    the start basis, are solved as one lockstep stack; the result of each
+    equals solve_lp on it alone, bit for bit.
     """
-    groups: dict[tuple, list[int]] = {}
-    for k, p in enumerate(problems):
-        key = (p.A.shape, p.sense, p.relations.tobytes(),
-               (p.lower_bounds != 0.0).tobytes(), (p.b < 0.0).tobytes())
-        groups.setdefault(key, []).append(k)
-    outcomes: list = [None] * len(problems)
-    for members in groups.values():
-        for k, outcome in zip(members, _solve_group([problems[k] for k in members])):
+    c, A, relations, b, lb = _validated(objective, sense, A, relations, b, lower_bounds)
+    outcomes: list = [None] * len(A)
+    negative = b < 0.0
+    rest = np.arange(len(A))
+    while rest.size:
+        same = (negative[rest] == negative[rest[0]]).all(axis=1)
+        members = rest[same]
+        for k, outcome in zip(members.tolist(), _Stack(c, sense, A[members], relations, b[members], lb).solve()):
             outcomes[k] = outcome
+        rest = rest[~same]
     return outcomes
 
 
-def _solve_group(problems: list) -> list:
-    """solve_stack on programs that share one layout."""
-    first = problems[0]
-    n = first.n_variables
-    C = np.array([p.objective for p in problems])
-
-    # Standard-form columns: free variables split into x+ - x-.
-    free = first.lower_bounds != 0.0
-    col_var = np.repeat(np.arange(n), np.where(free, 2, 1))
-    col_sign = np.ones(col_var.size)
-    col_sign[1:][col_var[1:] == col_var[:-1]] = -1.0
-    c_std = C[:, col_var] * col_sign
-    if first.sense == "max":
-        c_std = -c_std
-
-    if first.n_constraints == 0:
-        # Bounded iff no improving coordinate direction exists.
-        outcomes = []
-        for p, c in zip(problems, c_std):
-            if np.any(c < -PIVOT_TOL):
-                outcomes.append(LpSolution(UNBOUNDED, float("nan"), None, None, 0))
-            else:
-                x = np.zeros(n)
-                outcomes.append(LpSolution(OPTIMAL, float(p.objective @ x), x, np.zeros(0), 0))
-        return outcomes
-    return _Stack(problems, C, col_var, col_sign, c_std).solve()
-
-
 class _Stack:
-    """The standard form of a group of same-layout programs, and the
-    outcome of each as the phases settle it."""
+    """The standard form of a stack of programs that share objective,
+    sense, relations, bounds and rhs signs, and the outcome of each as the
+    phases settle it."""
 
-    def __init__(self, problems, C, col_var, col_sign, c_std):
-        first = problems[0]
-        K = len(problems)
-        m = first.n_constraints
+    def __init__(self, c, sense, M, relations, rhs, lb):
+        K, m, n = M.shape
+        self.c, self.sense, self.lb, self.M, self.rhs = c, sense, lb, M, rhs
+
+        # Standard-form columns: free variables split into x+ - x-.
+        self.col_var = col_var = np.repeat(np.arange(n), np.where(lb != 0.0, 2, 1))
+        self.col_sign = col_sign = np.ones(col_var.size)
+        col_sign[1:][col_var[1:] == col_var[:-1]] = -1.0
         n_cols = col_var.size
-        self.problems, self.C, self.col_var, self.col_sign = problems, C, col_var, col_sign
-        self.M = M = np.array([p.A for p in problems])
-        self.rhs = np.array([p.b for p in problems])
-        self.slack_coef = slack_coef = (first.relations == "<=") - (first.relations == ">=").astype(float)
+        self.slack_coef = slack_coef = (relations == "<=") - (relations == ">=").astype(float)
         has_slack = slack_coef != 0.0
         n_slacks = int(has_slack.sum())
         A = np.zeros((K, m, n_cols + n_slacks))
@@ -276,20 +239,21 @@ class _Stack:
 
         # Rows with a negative rhs are negated, then every row is scaled
         # to a largest coefficient of 1.
-        self.row_sign = row_sign = np.where(first.b < 0.0, -1.0, 1.0)
+        self.row_sign = row_sign = np.where(rhs[0] < 0.0, -1.0, 1.0)
         A *= row_sign[:, None]
-        b = self.rhs * row_sign
+        b = rhs * row_sign
         self.row_scale = row_scale = np.maximum(np.abs(A).max(axis=2), 1e-12)
         A /= row_scale[:, :, None]
         b /= row_scale
         self.A, self.b = A, b
 
         self.total_cols = total_cols = A.shape[2]
-        self.c_full = np.zeros((K, total_cols))
-        self.c_full[:, :n_cols] = c_std
+        c_std = c[col_var] * col_sign
+        self.c_full = np.zeros(total_cols)
+        self.c_full[:n_cols] = -c_std if sense == "max" else c_std
         # A row starts on its own slack when that slack's coefficient is
-        # positive, which the layout decides; every other row gets an
-        # artificial column.
+        # positive, which the relations and rhs signs decide; every other
+        # row gets an artificial column.
         own_slack = slack_coef * row_sign > 0.0
         self.artificial_rows = artificial_rows = (~own_slack).nonzero()[0]
         n_art = artificial_rows.size
@@ -310,6 +274,12 @@ class _Stack:
         self.outcomes: list = [None] * K
 
     def solve(self) -> list:
+        if not self.M.shape[1]:
+            # Bounded iff no improving coordinate direction exists.
+            if np.any(self.c_full < -PIVOT_TOL):
+                return [LpSolution(UNBOUNDED, float("nan"), None, None, 0) for _ in self.outcomes]
+            value = float(self.c @ np.zeros(self.c.size))
+            return [LpSolution(OPTIMAL, value, np.zeros(self.c.size), np.zeros(0), 0) for _ in self.outcomes]
         live = self.phase1()
         keep_rows = self.drop_artificials(live)
         sub_stacks: dict[bytes, list[int]] = {}
@@ -324,7 +294,7 @@ class _Stack:
         and return the positions of the feasible ones."""
         T, total_cols = self.T, self.total_cols
         if not self.artificial_rows.size:
-            return list(range(len(self.problems)))
+            return list(range(len(self.outcomes)))
         T[:, -1, total_cols:-1] = 1.0
         for i in self.artificial_rows:
             T[:, -1] -= T[:, i]
@@ -382,9 +352,8 @@ class _Stack:
         # columns are unit columns, so each row's basic cost is still the
         # objective's when its turn comes, and a row whose basic cost is
         # zero in every member changes nothing.
-        c_full = self.c_full[ks]
-        T2[:, -1, :total_cols] = c_full
-        c_basic = c_full[np.arange(ks.size)[:, None], basis2]
+        T2[:, -1, :total_cols] = self.c_full
+        c_basic = self.c_full[basis2]
         for r in (c_basic != 0.0).any(axis=0).nonzero()[0]:
             cj = c_basic[:, r]
             T2[:, -1] = np.where((cj != 0.0)[:, None], T2[:, -1] - cj[:, None] * T2[:, r], T2[:, -1])
@@ -411,7 +380,7 @@ class _Stack:
         B = self.A[ks[:, None, None], row_index[:, None], basis2[:, None, :]]
         # one call solves B x = b and B'y = c_B for every member
         systems = np.concatenate([B, B.transpose(0, 2, 1)])
-        rhs = np.concatenate([self.b[ks[:, None], row_index], self.c_full[ks[:, None], basis2]])[:, :, None]
+        rhs = np.concatenate([self.b[ks[:, None], row_index], self.c_full[basis2]])[:, :, None]
         singular = np.zeros(2 * G, dtype=bool)
         try:
             solved = np.linalg.solve(systems, rhs)[:, :, 0]
@@ -430,19 +399,17 @@ class _Stack:
         x_std[g, basis2] = x_basic
         np.maximum(x_std, 0.0, out=x_std)  # clip roundoff negatives
 
-        x = np.zeros((G, self.C.shape[1]))
+        x = np.zeros((G, self.c.size))
         np.add.at(x, (g, self.col_var), self.col_sign * x_std[:, :self.col_var.size])
 
-        first = self.problems[0]
-        dual = np.zeros((G, first.n_constraints))
-        sense_factor = 1.0 if first.sense == "min" else -1.0
+        dual = np.zeros((G, self.M.shape[1]))
+        sense_factor = 1.0 if self.sense == "min" else -1.0
         dual[:, row_index] = (sense_factor * self.row_sign[row_index] * y_rows
                               / self.row_scale[ks[:, None], row_index])
 
-        C = self.C[ks]
-        objective = [float(c @ x_k) for c, x_k in zip(C, x)]
-        errors = _check_certificates(first, C, self.M[ks], self.slack_coef, self.rhs[ks], x, dual,
-                                     np.array(objective), self.iterations[ks])
+        objective = [float(self.c @ x_k) for x_k in x]
+        errors = _check_certificates(self.sense, self.lb, self.c, self.M[ks], self.slack_coef, self.rhs[ks],
+                                     x, dual, np.array(objective), self.iterations[ks])
         for j, k in enumerate(ks.tolist()):
             its = int(self.iterations[k])
             if singular[j]:
@@ -561,9 +528,10 @@ def _pivot(T, k, rows, cols) -> None:
     T[k, rows] = pivot_row + 0.0
 
 
-def _check_certificates(problem, C, M, slack_coef, rhs, x, dual, objective, iterations) -> dict:
+def _check_certificates(sense, lb, c, M, slack_coef, rhs, x, dual, objective, iterations) -> dict:
     """Verify primal feasibility, dual feasibility and strong duality for a
-    stack of claimed optima that share problem's layout.
+    stack of claimed optima of programs that share sense, bounds lb,
+    objective c and relations (slack_coef).
 
     Together the three prove x optimal and dual an optimal dual solution.
     Each test is relative to the magnitudes of its own terms: row i's
@@ -576,20 +544,20 @@ def _check_certificates(problem, C, M, slack_coef, rhs, x, dual, objective, iter
     violation = np.where(slack_coef == 0.0, np.abs(residual), slack_coef * residual)
     scale = np.maximum(1.0, np.maximum(np.abs(rhs), (abs_M @ np.abs(x)[:, :, None])[:, :, 0]))
     infeasible_row = violation > FEAS_TOL * scale
-    finite = problem.lower_bounds == 0.0
+    finite = lb == 0.0
     negative_x = (x < -FEAS_TOL) & finite
 
     # Dual feasibility. With s = +1 for min and -1 for max: s * dual_i <= 0
     # on a <= row and >= 0 on a >= row; s * (c - M'dual) >= 0 on x >= 0
     # columns and = 0 on free ones. A row's sign is the reduced cost of its
     # unit slack column, so it shares the column test.
-    s = 1.0 if problem.sense == "min" else -1.0
+    s = 1.0 if sense == "min" else -1.0
     dual_max = np.abs(dual).max(axis=1, initial=0.0)
     wrong_sign = s * slack_coef * dual
     sign_row = wrong_sign > FEAS_TOL * np.maximum(1.0, dual_max)[:, None]
-    reduced = s * (C - (dual[:, None, :] @ M)[:, 0, :])
+    reduced = s * (c - (dual[:, None, :] @ M)[:, 0, :])
     dual_violation = np.where(finite, -reduced, np.abs(reduced))
-    dual_scale = np.maximum(1.0, np.maximum(np.abs(C), (np.abs(dual)[:, None, :] @ abs_M)[:, 0, :]))
+    dual_scale = np.maximum(1.0, np.maximum(np.abs(c), (np.abs(dual)[:, None, :] @ abs_M)[:, 0, :]))
     infeasible_column = dual_violation > FEAS_TOL * dual_scale
 
     b_dot_y = (rhs[:, None, :] @ dual[:, :, None])[:, 0, 0]

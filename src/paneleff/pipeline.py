@@ -40,6 +40,7 @@ from .panel_data import (
     validate_for_dea,
 )
 from .pls import (
+    MIN_BOOTSTRAP_SAMPLES,
     LatentBlock,
     PathModelSpec,
     bootstrap_significance,
@@ -195,11 +196,11 @@ def parse_config(document: dict, config_hash: str | None = None, base_dir: str |
     if "cluster" in document and document["cluster"]:
         entry = document["cluster"]
         cluster = ClusterStageConfig(
-            k_max=int(_require(entry, "k_max", int)),
-            k_min=int(_require(entry, "k_min", int)),
-            restarts=int(entry.get("restarts", 32)),
+            k_max=_require(entry, "k_max", int),
+            k_min=_require(entry, "k_min", int),
+            restarts=_optional(entry, "restarts", int, 32),
             seed=_seed(entry, "cluster.seed"),
-            significance=float(entry.get("significance", 0.05)),
+            significance=_optional(entry, "significance", float, 0.05),
         )
         if not (cluster.k_max >= cluster.k_min >= 2):
             raise ConfigError("cluster stage needs k_max >= k_min >= 2")
@@ -222,7 +223,7 @@ def parse_config(document: dict, config_hash: str | None = None, base_dir: str |
             for b in _require(m, "blocks", list):
                 indicators = [known(i, f"pls model {mname!r}") for i in _require(b, "indicators", list)]
                 blocks.append(LatentBlock(_require(b, "latent", str), tuple(indicators)))
-            paths = tuple((p[0], p[1]) for p in _require(m, "paths", list))
+            paths = tuple(_path_pair(p, mname) for p in _require(m, "paths", list))
             try:
                 spec = PathModelSpec(tuple(blocks), paths, m.get("inner_scheme", "path_weighting"))
             except PanelEffError as exc:
@@ -231,9 +232,9 @@ def parse_config(document: dict, config_hash: str | None = None, base_dir: str |
         if not models:
             raise ConfigError("pls stage needs at least one model")
         boot = _require(entry, "bootstrap", dict)
-        samples = int(boot.get("samples", 500))
-        if samples < 100:
-            raise ConfigError("pls.bootstrap.samples must be >= 100")
+        samples = _optional(boot, "samples", int, 500)
+        if samples < MIN_BOOTSTRAP_SAMPLES:
+            raise ConfigError(f"pls.bootstrap.samples must be >= {MIN_BOOTSTRAP_SAMPLES}")
         cobb = []
         for c in entry.get("cobb_douglas", []):
             baseline = CobbDouglasConfig(
@@ -247,11 +248,11 @@ def parse_config(document: dict, config_hash: str | None = None, base_dir: str |
             cobb.append(baseline)
         pls = PlsStageConfig(tuple(models), samples, _seed(boot, "pls.bootstrap.seed"), tuple(cobb))
 
-    output = document.get("output", {})
-    out_dir = output.get("directory", "reports")
+    output = _optional(document, "output", dict, {})
+    out_dir = _optional(output, "directory", str, "reports")
     if base_dir and not os.path.isabs(out_dir):
         out_dir = os.path.join(base_dir, out_dir)
-    formats = tuple(output.get("formats", ["json"]))
+    formats = tuple(_optional(output, "formats", list, ["json"]))
     for f in formats:
         if f not in FORMATS:
             raise ConfigError(f"output.formats: unknown format {f!r} (choose from {FORMATS})")
@@ -278,6 +279,20 @@ def _require(obj, key, kind):
     if not isinstance(value, kind):
         raise ConfigError(f"configuration key {key!r} must be {kind.__name__}")
     return value
+
+
+def _optional(obj, key, kind, default):
+    """obj[key] checked as _require checks it, or default when obj has no key."""
+    if isinstance(obj, dict) and key not in obj:
+        return default
+    return _require(obj, key, kind)
+
+
+def _path_pair(pair, model) -> tuple[str, str]:
+    if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(v, str) for v in pair)):
+        raise ConfigError(f"pls model {model!r}: each path must be a [from, to] pair of latent names, "
+                          f"got {pair!r}")
+    return pair[0], pair[1]
 
 
 def _seed(obj, where) -> int:

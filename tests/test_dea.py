@@ -5,6 +5,7 @@ from oracles import dea_ratio_oracle, lp_outcome, same_lp_outcome, scalar_solve_
 from paneleff import dea
 from paneleff.dea import DeaSpec, _envelopment_lps, run_panel_dea, score_period, solve_bcc, solve_ccr
 from paneleff.errors import DeaConsistencyError, LpSolverError, UsageError, ValidationFailedError
+from paneleff.linprog import LpProblem
 from paneleff.panel_data import CrossSection, PanelDataset, VariableDef, slice_period
 from paneleff.pipeline import parse_config
 from paneleff.synthetic import make_demo_config, make_demo_panel
@@ -294,9 +295,10 @@ def test_score_period_equals_full_solves_on_the_demo_panel():
 
 
 def assert_stack_equals_the_scalar_reference(cs, spec):
-    problems = _envelopment_lps(cs.inputs, cs.outputs, np.arange(len(cs.dmus)),
-                                spec.returns_to_scale, spec.orientation)
-    for p, got in zip(problems, dea.solve_stack(problems)):
+    c, sense, A, relations, b = _envelopment_lps(cs.inputs, cs.outputs, np.arange(len(cs.dmus)),
+                                                 spec.returns_to_scale, spec.orientation)
+    for A_k, b_k, got in zip(A, b, dea.solve_stack(c, sense, A, relations, b)):
+        p = LpProblem(c, sense, zip(A_k, relations, b_k))
         assert same_lp_outcome(got, lp_outcome(scalar_solve_lp, p))
 
 
@@ -329,8 +331,8 @@ def test_score_period_raises_for_the_first_failing_dmu(monkeypatch):
     # of an earlier DMU is raised as it is
     solve_stack = dea.solve_stack
     for position, expected in ((3, DeaConsistencyError), (1, LpSolverError)):
-        def breaking(problems, position=position):
-            outcomes = solve_stack(problems)
+        def breaking(*stack, position=position):
+            outcomes = solve_stack(*stack)
             outcomes[position] = LpSolverError("injected breakdown")
             return outcomes
         monkeypatch.setattr(dea, "solve_stack", breaking)

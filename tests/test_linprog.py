@@ -209,13 +209,55 @@ def test_solve_lp_equals_the_scalar_reference():
     assert statuses >= {"optimal", "infeasible", "unbounded"}
 
 
-def test_stack_of_mixed_programs_equals_the_scalar_reference():
-    # one call on programs of many shapes and layouts, which the stack
-    # groups, and splits again where phase 1 drops different rows
-    rng = np.random.default_rng(77)
-    problems = random_family(rng, 300)
-    for p, got in zip(problems, solve_stack(problems)):
+def random_stacks(rng, count, size=20, span=5.0):
+    """count random solve_stack argument tuples of size members each, drawn
+    as random_family draws a program: mixed relations, free variables and
+    either sense, shared by the stack. Each stack has one rhs sign pattern
+    and a quarter of its members flip one row's sign, so the stack splits;
+    every third member is degenerate, with zero right-hand sides and, in
+    half the stacks, its last row a copy of its first."""
+    stacks = []
+    for _ in range(count):
+        n, m = (int(v) for v in rng.integers(1, 7, size=2))
+        c = rng.uniform(-span, span, n)
+        rels = rng.choice(["<=", "=", ">="], size=m)
+        repeat_first_row = m > 1 and rng.random() < 0.5
+        if repeat_first_row:
+            rels[-1] = rels[0]
+        A = rng.uniform(-span, span, (size, m, n))
+        b = np.abs(rng.uniform(-span, span, (size, m))) * rng.choice([-1.0, 1.0], size=m)
+        for k in range(size):
+            if rng.random() < 0.25:
+                b[k, rng.integers(m)] *= -1.0
+            if k % 3 == 0:
+                b[k] = np.where(rng.random(m) < 0.5, 0.0, b[k])
+                if repeat_first_row:
+                    A[k, -1], b[k, -1] = A[k, 0], b[k, 0]
+        free = rng.random(n) < 0.3
+        stacks.append((c, str(rng.choice(["min", "max"])), A, rels, b, np.where(free, -np.inf, 0.0)))
+    return stacks
+
+
+def assert_stack_equals_the_scalar_reference(c, sense, A, relations, b, lower_bounds=None) -> list:
+    """solve_stack's outcomes, each checked against the scalar reference on
+    an LpProblem built from its member's rows."""
+    outcomes = solve_stack(c, sense, A, relations, b, lower_bounds)
+    assert len(outcomes) == len(A)
+    for A_k, b_k, got in zip(A, b, outcomes):
+        p = LpProblem(c, sense, zip(A_k, relations, b_k), lower_bounds=lower_bounds)
         assert same_lp_outcome(got, lp_outcome(scalar_solve_lp, p))
+    return outcomes
+
+
+def test_random_stacks_equal_the_scalar_reference():
+    statuses = set()
+    split = 0
+    for c, sense, A, relations, b, lower_bounds in random_stacks(np.random.default_rng(77), 40):
+        outcomes = assert_stack_equals_the_scalar_reference(c, sense, A, relations, b, lower_bounds)
+        statuses |= {getattr(o, "status", "error") for o in outcomes}
+        split += len(np.unique(b < 0.0, axis=0)) > 1
+    assert statuses >= {"optimal", "infeasible", "unbounded"}
+    assert split >= 30
 
 
 def test_members_that_drop_different_rows_equal_the_scalar_reference():
@@ -225,24 +267,22 @@ def test_members_that_drop_different_rows_equal_the_scalar_reference():
     A = rng.uniform(0.5, 2.0, (40, 3, 4))
     b = rng.uniform(1.0, 2.0, (40, 3))
     A[::2, 1], b[::2, 1] = A[::2, 0], b[::2, 0]
-    problems = LpProblem.stack(rng.uniform(-1, 1, 4), "max", A, ["=", "=", "<="], b)
-    outcomes = solve_stack(problems)
-    for p, got in zip(problems, outcomes):
-        assert same_lp_outcome(got, lp_outcome(scalar_solve_lp, p))
+    outcomes = assert_stack_equals_the_scalar_reference(rng.uniform(-1, 1, 4), "max", A, ["=", "=", "<="], b)
     assert {o.dual[1] == 0.0 for o in outcomes[::2] if o.status == "optimal"} == {True}
 
 
-def test_stack_builds_programs_from_arrays():
+def test_solve_stack_takes_and_validates_arrays():
     A = np.array([[[1.0, 2.0]], [[3.0, 1.0]]])
-    problems = LpProblem.stack([1.0, 1.0], "max", A, ["<="], [[4.0], [6.0]])
-    assert [p.A.tolist() for p in problems] == [[[1.0, 2.0]], [[3.0, 1.0]]]
-    assert [s.objective_value for s in solve_stack(problems)] == [4.0, 6.0]
+    assert [s.objective_value for s in solve_stack([1.0, 1.0], "max", A, ["<="], [[4.0], [6.0]])] == [4.0, 6.0]
+    assert solve_stack([1.0, 1.0], "max", np.zeros((0, 1, 2)), ["<="], np.zeros((0, 1))) == []
     with pytest.raises(UsageError):
-        LpProblem.stack([1.0, 1.0], "max", A, ["<"], [[4.0], [6.0]])
+        solve_stack([1.0, 1.0], "max", A, ["<"], [[4.0], [6.0]])
     with pytest.raises(UsageError):
-        LpProblem.stack([1.0, 1.0], "max", A, ["<="], [[4.0], [np.nan]])
+        solve_stack([1.0, 1.0], "max", A, ["<="], [[4.0], [np.nan]])
     with pytest.raises(UsageError):
-        LpProblem.stack([1.0, 1.0], "max", A, ["<=", "<="], [[4.0], [6.0]])
+        solve_stack([1.0, 1.0], "max", A, ["<=", "<="], [[4.0], [6.0]])
+    with pytest.raises(UsageError):
+        solve_stack([1.0, 1.0], "max", A, ["<="], [[4.0], [6.0]], lower_bounds=[0.0, 1.0])
 
 
 @pytest.mark.parametrize("trigger, max_iter", [(1, 20000), (3, 20000), (50, 2)])
@@ -254,10 +294,9 @@ def test_bland_fallback_and_iteration_limit_equal_the_scalar_reference(monkeypat
     for module in (linprog, oracles):
         monkeypatch.setattr(module, "_BLAND_TRIGGER", trigger)
         monkeypatch.setattr(module, "_MAX_ITER", max_iter)
-    problems = random_family(np.random.default_rng(trigger), 300)
-    outcomes = solve_stack(problems)
-    for p, got in zip(problems, outcomes):
-        assert same_lp_outcome(got, lp_outcome(scalar_solve_lp, p))
+    outcomes = []
+    for stack in random_stacks(np.random.default_rng(trigger), 20):
+        outcomes += assert_stack_equals_the_scalar_reference(*stack)
     errors = [o for o in outcomes if not isinstance(o, LpSolution)]
     assert bool(errors) == (max_iter == 2)
 
@@ -296,8 +335,8 @@ def test_certificates_scale_each_row_and_column_by_its_own_terms(case):
     assert (column_violation <= linprog.FEAS_TOL * old_column_scale).all()
     assert max(row_violation.max(), column_violation.max()) == pytest.approx(1e-4, rel=1e-6)
 
-    errors = linprog._check_certificates(problem, c[None], M[None], slack_coef, rhs[None], x[None], dual[None],
-                                         np.array([objective]), np.array([0]))
+    errors = linprog._check_certificates(problem.sense, problem.lower_bounds, c, M[None], slack_coef, rhs[None],
+                                         x[None], dual[None], np.array([objective]), np.array([0]))
     assert list(errors) == [0]
     with pytest.raises(LpSolverError, match=message):
         raise errors[0]

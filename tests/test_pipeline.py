@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 from dataclasses import replace
 from itertools import permutations
 
@@ -262,6 +263,34 @@ def test_missing_seed_rejected():
     assert "seed" in str(exc.value)
 
 
+@pytest.mark.parametrize("where, value, named", [
+    (("cluster", "significance"), "abc", "'significance'"),
+    (("cluster", "significance"), None, "'significance'"),
+    (("cluster", "restarts"), "many", "'restarts'"),
+    (("cluster", "restarts"), 2.5, "'restarts'"),
+    (("cluster", "restarts"), True, "'restarts'"),
+    (("pls", "bootstrap", "samples"), "x", "'samples'"),
+    (("pls", "bootstrap", "samples"), 250.7, "'samples'"),
+    (("pls", "models", 0, "paths", 0), ["MCS"], "['MCS']"),
+    (("output", "formats"), "json", "'formats'"),
+], ids=["significance-str", "significance-null", "restarts-str", "restarts-float", "restarts-bool",
+        "samples-str", "samples-float", "path-of-one-name", "formats-str"])
+def test_config_values_of_the_wrong_type_are_config_errors(demo_dir, tmp_path, capsys, where, value, named):
+    # each once leaked a Python exception (exit 2) or was silently truncated
+    document = json.loads((demo_dir / "config.json").read_text())
+    document["dataset"]["path"] = str(demo_dir / "dataset.csv")
+    target = document
+    for key in where[:-1]:
+        target = target[key]
+    target[where[-1]] = value
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        parse_config(document)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(document))
+    assert cli_main(["validate", "--config", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("configuration error:")
+
+
 def test_stage_gating_skips_unconfigured_sections(demo_dir):
     document = json.loads((demo_dir / "config.json").read_text())
     del document["cluster"]
@@ -348,6 +377,26 @@ def test_cli_stage_ignores_report_of_another_run(demo_dir, tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["cluster"]["k_max"] == 4
     assert report["cluster"]["seed"] == 9
+
+
+@pytest.mark.parametrize("text", ['{"provenance": {"config_hash": "', '{"provenance": {}}', "[]", ""],
+                         ids=["truncated", "keyless", "list", "empty"])
+def test_cli_stage_treats_a_malformed_report_as_absent(demo_dir, tmp_path, capsys, text):
+    # each once failed the stage with an internal error (exit 2)
+    config = str(demo_dir / "config.json")
+    for stage, fresh in (("cluster", None), ("dea", "dea"), ("pls", "pls")):
+        out = tmp_path / stage
+        out.mkdir()
+        (out / "report.json").write_text(text)
+        code = cli_main([stage, "--config", config, "--out", str(out), "--quiet"])
+        if fresh is None:
+            assert code == 2
+            assert "no DEA results" in capsys.readouterr().err
+            continue
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report[fresh] != {"pending": True}
+        assert all(report[s] == {"pending": True} for s in ("dea", "cluster", "pls") if s != fresh)
 
 
 def test_cli_validate_ok(demo_dir, capsys):
