@@ -161,11 +161,14 @@ def _emit(args, config: PipelineConfig, bundle: ReportBundle) -> int:
 
 def _cmd_validate(args) -> int:
     config = _load_config(args)
-    reports = validate_config_dataset(config)
+    reports, pls = validate_config_dataset(config)
     failed = False
     for name, report in reports.items():
         print(f"analysis {name}: {report.summary()}")
         failed = failed or not report.ok
+    if pls is not None:
+        print(f"pls stage: {pls.summary()}")
+        failed = failed or not pls.ok
     return 1 if failed else 0
 
 
@@ -213,16 +216,17 @@ def _cmd_pls(args) -> int:
 def _read_report(config: PipelineConfig) -> ReportBundle | None:
     """The report.json of this configuration and seed in the output
     directory, or None. A report of another run, or a file that is not a
-    report (truncated, not JSON, missing a key), counts as absent."""
+    well-formed report (truncated, not JSON, missing a key, a section of
+    the wrong shape), counts as absent."""
     path = os.path.join(config.output_dir, f"{REPORT_BASENAME}.json")
     if not os.path.exists(path):
         return None
     try:
         with open(path, "r", encoding="utf-8") as fh:
             report = ReportBundle.from_json(fh.read())
-    except (ValueError, KeyError, TypeError):
-        return None
-    if report.provenance != build_provenance(config):
+        if report.provenance != build_provenance(config) or not _well_formed(report, config):
+            return None
+    except (ValueError, KeyError, TypeError, AttributeError, IndexError):
         return None
     # report.json has sorted keys; tables and text follow configuration order
     dea_names = [a.name for a in config.dea_analyses]
@@ -233,6 +237,17 @@ def _read_report(config: PipelineConfig) -> ReportBundle | None:
     if "models" in pls:
         pls = {**pls, "models": _in_order(pls["models"], [m.name for m in config.pls.models])}
     return replace(report, dea=_in_order(report.dea, dea_names), cluster=cluster, pls=pls)
+
+
+def _well_formed(report: ReportBundle, config: PipelineConfig) -> bool:
+    """Whether each section of a report is a JSON object that the emitter
+    renders, and the DEA section, which the cluster stage reads, pending
+    or one table per configured analysis. A malformed section may also
+    raise."""
+    if not all(isinstance(s, dict) for s in (report.dea, report.cluster, report.correspondence, report.pls)):
+        return False
+    render_text(report)
+    return "pending" in report.dea or set(report.dea) == {a.name for a in config.dea_analyses}
 
 
 def _in_order(section: dict, names) -> dict:

@@ -236,6 +236,24 @@ def write_panel_csv(panel: PanelDataset, dest) -> None:
                 writer.writerow([dmu, period, var.name, "" if math.isnan(x) else repr(float(x))])
 
 
+def cell_findings(panel: PanelDataset, names, positive: bool = False) -> list[Finding]:
+    """A finding per missing or infinite cell of the named variables, and
+    with positive per nonpositive one, by variable, DMU and period."""
+    findings = []
+    for name in names:
+        col = panel.column(name)
+        for d, p in np.argwhere(~(np.isfinite(col) & (col > 0.0) if positive else np.isfinite(col))):
+            x = col[d, p]
+            loc = f"dmu={panel.dmus[d]} period={panel.periods[p]} variable={name}"
+            if math.isnan(x):
+                findings.append(Finding("MISSING", "cell is missing", loc))
+            elif positive:
+                findings.append(Finding("NONPOSITIVE", f"cell value {x!r} must be strictly positive", loc))
+            else:
+                findings.append(Finding("NONFINITE", f"cell value {x!r} is not finite", loc))
+    return findings
+
+
 def validate_for_dea(panel: PanelDataset, spec) -> ValidationReport:
     """Check a dataset against one DEA model configuration.
 
@@ -273,18 +291,7 @@ def validate_for_dea(panel: PanelDataset, spec) -> ValidationReport:
                     )
                 )
 
-    for name in tuple(spec.input_vars) + tuple(spec.output_vars):
-        if name not in known:
-            continue
-        col = panel.column(name)
-        for d, dmu in enumerate(panel.dmus):
-            for p, period in enumerate(panel.periods):
-                x = col[d, p]
-                loc = f"dmu={dmu} period={period} variable={name}"
-                if math.isnan(x):
-                    errors.append(Finding("MISSING", "cell is missing", loc))
-                elif not math.isfinite(x) or x <= 0.0:
-                    errors.append(Finding("NONPOSITIVE", f"cell value {x!r} must be strictly positive", loc))
+    errors += cell_findings(panel, [n for n in (*spec.input_vars, *spec.output_vars) if n in known], positive=True)
 
     n_dmus = len(panel.dmus)
     product = len(spec.input_vars) * len(spec.output_vars)

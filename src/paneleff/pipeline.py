@@ -32,9 +32,11 @@ from .errors import (
     UsageError,
 )
 from .panel_data import (
+    Finding,
     PanelDataset,
     ValidationReport,
     VariableDef,
+    cell_findings,
     load_panel,
     transform_undesirable,
     validate_for_dea,
@@ -373,10 +375,20 @@ def load_dataset(config: PipelineConfig) -> PanelDataset:
     return panel
 
 
-def validate_config_dataset(config: PipelineConfig) -> dict[str, ValidationReport]:
-    """validate_for_dea for every configured analysis, keyed by name."""
+def validate_config_dataset(config: PipelineConfig) -> tuple[dict[str, ValidationReport], ValidationReport | None]:
+    """validate_for_dea for every configured analysis, keyed by name, and
+    with a PLS stage the report of its missing or infinite cells."""
     panel = load_dataset(config)
-    return {a.name: validate_for_dea(panel, a.spec) for a in config.dea_analyses}
+    dea = {a.name: validate_for_dea(panel, a.spec) for a in config.dea_analyses}
+    return dea, ValidationReport(tuple(_nonfinite_pls_cells(config.pls, panel))) if config.pls else None
+
+
+def _nonfinite_pls_cells(cfg: PlsStageConfig, panel: PanelDataset) -> list[Finding]:
+    """`cell_findings` of the variables the PLS stage reads: model
+    indicators, then Cobb-Douglas variables."""
+    names = [i for m in cfg.models for i in m.spec.indicator_names]
+    names += [v for c in cfg.cobb_douglas for v in (c.ict_var, *c.health_vars, c.target)]
+    return cell_findings(panel, dict.fromkeys(names))
 
 
 # ---------------------------------------------------------------------------
@@ -562,6 +574,10 @@ def _max_assignment(table) -> int:
 
 def run_pls_stage(config: PipelineConfig, panel: PanelDataset) -> dict:
     cfg = config.pls
+    cells = _nonfinite_pls_cells(cfg, panel)
+    if cells:
+        raise UsageError(f"{cells[0].message} at {cells[0].location} "
+                         f"({len(cells)} missing or infinite cell(s); see paneleff validate)")
     data = _pooled_observations(panel)
     models = {}
     for model in cfg.models:

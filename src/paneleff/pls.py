@@ -13,12 +13,21 @@ suite's primary oracle.
 Only the linear algorithm is implemented; no proprietary nonlinear
 transforms are applied to the inner relations.
 
+Every step of the iteration reads the standardized indicators only through
+their correlation matrix R, so the fit runs on p x p moments and never on
+the rows (Lohmöller, "Latent Variable Path Modeling with Partial Least
+Squares", 1989; Rönkkö, "matrixpls: Matrix-based Partial Least Squares
+Estimation"). With w_a latent a's outer weights scaled to give its score
+unit variance, latent correlations are w_a' R_ab w_b, the mode-A update of
+block a is sum_b e_ab R_ab w_b for inner weights e, loadings are
+R_aa w_a, and a structural regression's R-squared is beta' C_Pi from the
+latent correlations C.
+
 The full-sample fit and the bootstrap share one kernel, `_fit_stack`,
-which fits a stack of resamples at once (the full sample is a stack of
-one) and gives each the result of fitting it alone, bit for bit. An ALS
-step costs a fixed number of numpy calls per block size, term position and
-predecessor count, whatever the number of blocks; `_fit_stack` states the
-data layout and the rules that keep its arithmetic exact.
+which fits a stack of correlation matrices at once; the full sample is a
+stack of one. A bootstrap replicate counts how often it draws each row, so
+one product of a block of replicates' row counts with the rows' centred
+first and pairwise products gives every replicate's R (`_Sample`).
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -42,11 +52,9 @@ INNER_SCHEMES = ("path_weighting", "centroid")
 CONVERGENCE_TOL = 1e-7
 MAX_ITERATIONS = 300
 MIN_BOOTSTRAP_SAMPLES = 100
-# bytes of resampled data the bootstrap fits at once: enough replicates to
-# spread numpy's per-call cost, few enough to keep peak memory flat
-STACK_BYTES = 256 * 1024
-
-
+# bootstrap replicates whose row counts are formed at once: a (replicates x
+# rows) count block stays small whatever the sample count
+REPLICATE_BLOCK = 64
 @dataclass(frozen=True)
 class LatentBlock:
     """A reflective (mode A) latent variable and its indicator columns."""
@@ -198,11 +206,9 @@ class _CompiledModel:
         self.spec = spec
         self.columns = spec.indicator_names
         self.names = spec.latent_names
-        start = 0
-        self.slices = []
-        for b in spec.blocks:
-            self.slices.append(slice(start, start + len(b.indicators)))
-            start += len(b.indicators)
+        self.sizes = np.array([len(b.indicators) for b in spec.blocks])
+        ends = np.cumsum(self.sizes).tolist()
+        self.slices = [slice(end - size, end) for end, size in zip(ends, self.sizes.tolist())]
         self.index = {n: i for i, n in enumerate(self.names)}
         self.pred = [ [self.index[p] for p in spec.predecessors(n)] for n in self.names ]
         self.succ = [ [self.index[s] for s in spec.successors(n)] for n in self.names ]
@@ -230,93 +236,48 @@ class _CompiledModel:
         self._index_blocks()
 
     def _index_blocks(self):
-        """The index arrays that let `_fit_stack` run each step once per
-        block size, term position or predecessor count, not once per block.
+        """The index arrays of `_fit_stack`. block: each column's latent;
+        member: (column, latent) membership; padded: each block's columns,
+        padded with the index one past the last column, and unpad each
+        column's position in a flattened padded row. terms: the (latent,
+        latent) inner-proxy terms that take a correlation (path weighting:
+        successors) or its sign (centroid: adjacent latents). regressed:
+        the latents with predecessors, in `spec.endogenous` order, and
+        equations their regressions by predecessor count."""
+        p = len(self.columns)
+        self.block = np.repeat(np.arange(len(self.names)), self.sizes)
+        self.member = np.zeros((p, len(self.names)))
+        self.member[np.arange(p), self.block] = 1.0
+        self.initial_weights = (1.0 / np.sqrt(self.sizes))[self.block]
+        self.padded = np.array([[*range(sl.start, sl.stop)] + [p] * (self.sizes.max() - s)
+                                for sl, s in zip(self.slices, self.sizes)])
+        self.unpad = np.flatnonzero(self.padded.reshape(-1) < p)
 
-        groups: the blocks of each indicator count (`_Group`), whose columns
-        are consecutive in the stack's column order `order`; `inverse` maps
-        that order back. initial_weights: the starting outer weights, in
-        that order. padded: each block's columns in column order, padded
-        with the index one past the last column (latents x largest block).
-        positions: per term position q, the inner-weight columns of the
-        q-th terms, the latents that have one and the latent each names. A
-        latent's terms are its adjacent latents (centroid) or its
-        predecessors, then its successors (path weighting), in the order
-        the lone fit adds them. pairs: the (latent, term latent) of each
-        inner-weight column. equations: the structural equations of each
-        predecessor count (`_Equations`).
-        """
-        sizes = [sl.stop - sl.start for sl in self.slices]
-        order: list = []
-        initial = []
-        self.groups = []
-        for size in sorted(set(sizes)):
-            latents = [i for i, s in enumerate(sizes) if s == size]
-            start = len(order)
-            for i in latents:
-                order += range(self.slices[i].start, self.slices[i].stop)
-            initial += [_stack_canonical_weights(np.ones(size))[0]] * len(latents)
-            self.groups.append(_Group(_index(latents), slice(start, len(order)), len(latents), size))
-        self.order = np.array(order)
-        self.inverse = np.argsort(self.order)
-        self.initial_weights = np.concatenate(initial)
-        self.padded = np.array([[*range(sl.start, sl.stop)] + [len(order)] * (max(sizes) - s)
-                                for sl, s in zip(self.slices, sizes)])
-
-        terms = [self.adjacent[i] if self.centroid else self.pred[i] + self.succ[i]
-                 for i in range(len(self.names))]
-        column: dict = {}  # (latent, position) -> inner-weight column
-        self.positions = []
-        for q in range(max(map(len, terms))):
-            latents = [i for i, t in enumerate(terms) if len(t) > q]
-            start = len(column)
-            for i in latents:
-                column[i, q] = len(column)
-            self.positions.append((slice(start, len(column)), _index(latents),
-                                   np.array([terms[i][q] for i in latents])))
-        self.pairs = np.array([(i, terms[i][q]) for i, q in column]).T
-
-        endogenous = [i for i, p in enumerate(self.pred) if p]
-        first = np.cumsum([0] + [len(self.pred[i]) for i in endogenous])
+        self.terms = np.zeros((len(self.names), len(self.names)))
+        for i, latents in enumerate(self.adjacent if self.centroid else self.succ):
+            self.terms[i, latents] = 1.0
+        self.tails, self.heads = np.array(self.structural).T
+        self.regressed = np.array([i for i, p in enumerate(self.pred) if p])
+        first = np.cumsum([0] + [len(self.pred[i]) for i in self.regressed])
         self.equations = []
-        for m in sorted({len(self.pred[i]) for i in endogenous}):
-            rows = [e for e, i in enumerate(endogenous) if len(self.pred[i]) == m]
-            latents = [endogenous[e] for e in rows]
+        for m in sorted({len(self.pred[i]) for i in self.regressed}):
+            rows = [e for e, i in enumerate(self.regressed) if len(self.pred[i]) == m]
+            latents = self.regressed[rows]
             self.equations.append(_Equations(
-                np.array(latents),
-                _index(latents),
+                latents,
                 np.array([self.pred[i] for i in latents]),
-                np.array([[column[i, q] for q in range(m)] for i in latents]),
                 np.array([range(first[e], first[e] + m) for e in rows]),
                 np.array(rows),
             ))
-
-
-class _Group(NamedTuple):
-    """The blocks of one indicator count."""
-
-    latents: slice | np.ndarray  # a slice when consecutive
-    columns: slice  # in the stack's column order
-    blocks: int
-    size: int
 
 
 class _Equations(NamedTuple):
     """The structural equations with one predecessor count."""
 
     latents: np.ndarray
-    scores: slice | np.ndarray  # the latents, as a slice when consecutive
     preds: np.ndarray  # (equation, predecessor)
-    terms: np.ndarray  # the predecessors' inner-weight columns (path weighting)
     coefficients: np.ndarray  # the coefficients' positions in `structural`
     rows: np.ndarray  # the latents' positions in `spec.endogenous`
-
-
-def _index(positions: list):
-    """positions as a slice when they are consecutive, else as an array."""
-    if positions == list(range(positions[0], positions[-1] + 1)):
-        return slice(positions[0], positions[-1] + 1)
-    return np.array(positions)
 
 
 def _matrix_from_mapping(data, columns) -> np.ndarray:
@@ -335,9 +296,9 @@ def _matrix_from_mapping(data, columns) -> np.ndarray:
 
 
 def _prepare(data, spec: PathModelSpec):
-    """The compiled spec and the raw data matrix that every fit starts
-    from: at least three more rows than the largest structural equation has
-    predictors, all of them finite."""
+    """The compiled spec and the `_Sample` of the data that every fit
+    starts from: at least three more rows than the largest structural
+    equation has predictors, all of them finite."""
     model = _CompiledModel(spec)
     X_raw = _matrix_from_mapping(data, model.columns)
     largest = max(len(p) for p in model.pred)
@@ -347,7 +308,66 @@ def _prepare(data, spec: PathModelSpec):
         )
     if not np.all(np.isfinite(X_raw)):
         raise UsageError("standardize requires finite values")
-    return model, X_raw
+    return model, _Sample(X_raw)
+
+
+class _Sample:
+    """The rows every fit reads its moments from.
+
+    products: each row's columns centred on their full-sample means, then
+    their pairwise products (row x (p + p * p)), so that one product with
+    a (replicate x row) count matrix gives every replicate's first and
+    second moments; centring once keeps E[x^2] - E[x]^2 from cancelling.
+    probes: each column's value-class index and its square, whose
+    count-weighted sums are integers, so they tell exactly whether a
+    replicate drew one class only. They stay exact in float64 while below
+    2**53 and in int64 up to 2**63 (about two million rows).
+    """
+
+    def __init__(self, X_raw: np.ndarray):
+        self.n, self.p = X_raw.shape
+        X = X_raw - X_raw.mean(axis=0)
+        self.products = np.concatenate([X, (X[:, :, None] * X[:, None, :]).reshape(self.n, -1)], axis=1)
+        classes = np.stack([np.unique(column, return_inverse=True)[1] for column in X_raw.T], axis=1)
+        exact = float if self.n * int(classes.max()) ** 2 < 2 ** 53 else np.int64
+        self.probes = np.concatenate([classes, classes * classes], axis=1).astype(exact)
+
+    @np.errstate(divide="ignore", invalid="ignore")  # constant columns divide by zero
+    def correlations(self, counts: np.ndarray):
+        """Each replicate's indicator correlation matrix (replicate x p x
+        p) from its row counts (replicate x row, each row summing to n),
+        and which of its columns are constant (replicate x p): all the
+        rows it draws in one value class, so that each probe's sum is n
+        times the probe of one drawn row."""
+        n, p = self.n, self.p
+        weights = counts.astype(float)
+        moments = weights @ self.products / n
+        mean = moments[:, :p]
+        cov = moments[:, p:].reshape(-1, p, p) - mean[:, :, None] * mean[:, None, :]
+        sd = np.sqrt(np.diagonal(cov, axis1=1, axis2=2))
+        R = cov / sd[:, :, None] / sd[:, None, :]
+        sums = (weights if self.probes.dtype == float else counts) @ self.probes
+        same = sums == n * self.probes[np.argmax(counts > 0, axis=1)]
+        return R, same[:, :p] & same[:, p:]
+
+
+def _counts(draws: np.ndarray) -> np.ndarray:
+    """How often each replicate (row of draws) draws each of the n rows."""
+    k, n = draws.shape
+    return np.bincount((draws + n * np.arange(k)[:, None]).ravel(), minlength=k * n).reshape(k, n)
+
+
+def _fit_draws(sample: _Sample, streams, model: _CompiledModel) -> _StackFit:
+    """`_fit_stack` on one resample drawn from each random stream, whose
+    moments are formed REPLICATE_BLOCK replicates at a time."""
+    blocks = []
+    streams = iter(streams)
+    while block := list(islice(streams, REPLICATE_BLOCK)):
+        blocks.append(sample.correlations(_counts(np.stack([rng.integers(0, sample.n, size=sample.n)
+                                                            for rng in block]))))
+    R, constant = np.concatenate([R for R, _ in blocks]), np.concatenate([c for _, c in blocks])
+    del blocks  # the fit needs only the joined arrays
+    return _fit_stack(R, constant, model, sample.n)
 
 
 def fit_path_model(data, spec: PathModelSpec) -> PathEstimates:
@@ -364,9 +384,10 @@ def fit_path_model(data, spec: PathModelSpec) -> PathEstimates:
     return _fit_sample(*_prepare(data, spec))
 
 
-def _fit_sample(model: _CompiledModel, X_raw: np.ndarray) -> PathEstimates:
-    """The fit to the whole sample: `_fit_stack` on a stack of one."""
-    fit = _fit_stack(X_raw, np.arange(X_raw.shape[0])[None], model)
+def _fit_sample(model: _CompiledModel, sample: _Sample) -> PathEstimates:
+    """The fit to the whole sample: `_fit_stack` on a stack of one, every
+    row counted once."""
+    fit = _fit_stack(*sample.correlations(np.ones((1, sample.n), dtype=np.int64)), model, sample.n)
     if fit.errors:
         raise fit.errors[0]
     names = model.names
@@ -397,46 +418,43 @@ def bootstrap_significance(data, spec: PathModelSpec, samples: int = 500, seed: 
     distribution with n - 1 degrees of freedom. `full` is the model already
     fitted to the whole sample; without it the whole sample is fitted here.
 
-    Replicates are fitted by `_fit_stack` in stacks of STACK_BYTES of
-    resampled data, and a redrawn replicate as a stack of one.
+    Every replicate is fitted by one `_fit_stack` call, and each round of
+    redraws by one more.
     """
     if samples < MIN_BOOTSTRAP_SAMPLES:
         raise UsageError(f"bootstrap needs at least {MIN_BOOTSTRAP_SAMPLES} samples, got {samples}")
-    model, X_raw = _prepare(data, spec)
-    n = X_raw.shape[0]
+    model, sample = _prepare(data, spec)
+    n = sample.n
     if full is None:
-        full = _fit_sample(model, X_raw)
+        full = _fit_sample(model, sample)
 
     paths = [(model.names[j], model.names[i]) for j, i in model.structural]
-    full_loadings = np.array([full.outer_loadings[c] for c in model.columns])
-    tails, heads = np.array(model.structural).T
-    draws = np.empty((len(paths), samples))
+    coefficients = np.empty((samples, len(paths)))
+    loadings = np.empty((samples, len(model.columns)))
+    fit = _fit_draws(sample, (np.random.default_rng((seed, i)) for i in range(samples)), model)
+    replicates = np.arange(samples)
     redraws = unconverged = 0
-    chunk = max(1, STACK_BYTES // X_raw.nbytes)
-    for start in range(0, samples, chunk):
-        rngs = [np.random.default_rng((seed, i)) for i in range(start, min(start + chunk, samples))]
-        fit = _fit_stack(X_raw, np.stack([rng.integers(0, n, size=n) for rng in rngs]), model)
-        coefficients = np.empty((len(rngs), len(paths)))
-        loadings = np.empty((len(rngs), len(model.columns)))
-        coefficients[fit.rows] = fit.coefficients
-        loadings[fit.rows] = fit.loadings
+    streams: dict = {}
+    while True:
+        coefficients[replicates[fit.rows]] = fit.coefficients
+        loadings[replicates[fit.rows]] = fit.loadings
         unconverged += int((~fit.converged).sum())
-        for k in sorted(fit.errors):
-            while True:
-                redraws += 1
-                if redraws > 10 * samples:
-                    raise DegenerateColumnError(
-                        f"more than {10 * samples} degenerate resamples; data is too discrete to bootstrap"
-                    )
-                one = _fit_stack(X_raw, rngs[k].integers(0, n, size=n)[None], model)
-                if not one.errors:
-                    break
-            coefficients[k] = one.coefficients[0]
-            loadings[k] = one.loadings[0]
-            unconverged += int(not one.converged[0])
-        flip = _sign_alignment(full_loadings, loadings, model)
-        draws[:, start:start + len(rngs)] = (coefficients * flip[:, tails] * flip[:, heads]).T
+        if not fit.errors:
+            break
+        replicates = replicates[sorted(fit.errors)]
+        redraws += len(replicates)
+        if redraws > 10 * samples:
+            raise DegenerateColumnError(
+                f"more than {10 * samples} degenerate resamples; data is too discrete to bootstrap"
+            )
+        for k in replicates.tolist():
+            if k not in streams:  # continue the stream past the replicate's first draw
+                streams[k] = np.random.default_rng((seed, k))
+                streams[k].integers(0, n, size=n)
+        fit = _fit_draws(sample, (streams[k] for k in replicates.tolist()), model)
 
+    flip = _sign_alignment(np.array([full.outer_loadings[c] for c in model.columns]), loadings, model)
+    draws = (coefficients * flip[:, model.tails] * flip[:, model.heads]).T
     std_error = {}
     t_statistic = {}
     p_value = {}
@@ -444,7 +462,7 @@ def bootstrap_significance(data, spec: PathModelSpec, samples: int = 500, seed: 
         se = float(draws[q].std(ddof=1))
         beta = full.path_coefficients[p]
         if se == 0.0:
-            t = 0.0 if beta == 0.0 else math.inf * _sign(beta)
+            t = 0.0 if beta == 0.0 else math.copysign(math.inf, beta)
         else:
             t = beta / se
         std_error[p] = se
@@ -453,8 +471,16 @@ def bootstrap_significance(data, spec: PathModelSpec, samples: int = 500, seed: 
     return BootstrapSummary(std_error, t_statistic, p_value, samples, seed, redraws, unconverged)
 
 
-def _sign(x: float) -> float:
-    return -1.0 if x < 0.0 else 1.0
+def _padded(a: np.ndarray, model: _CompiledModel) -> np.ndarray:
+    """Rows of a (replicate x column) array by block: (replicate, latent,
+    indicator), short blocks padded with zeros."""
+    return np.concatenate([a, np.zeros((len(a), 1))], axis=1)[:, model.padded]
+
+
+def _block_sums(a: np.ndarray, model: _CompiledModel) -> np.ndarray:
+    """Each block's sum of a (replicate x column) array, added in indicator
+    order: (replicate, latent)."""
+    return np.cumsum(_padded(a, model), axis=2)[:, :, -1]
 
 
 def _sign_alignment(full_loadings: np.ndarray, loadings: np.ndarray, model: _CompiledModel) -> np.ndarray:
@@ -463,9 +489,7 @@ def _sign_alignment(full_loadings: np.ndarray, loadings: np.ndarray, model: _Com
     of the dot product of the two loading vectors of each block, summed
     in indicator order. Both loadings are in column order, one replicate
     per row of `loadings`."""
-    products = np.zeros((len(loadings), loadings.shape[1] + 1))  # the last column pads short blocks
-    np.multiply(full_loadings, loadings, out=products[:, :-1])
-    return np.where(np.cumsum(products[:, model.padded], axis=2)[:, :, -1] < 0.0, -1.0, 1.0)
+    return np.where(_block_sums(full_loadings * loadings, model) < 0.0, -1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -482,211 +506,143 @@ class _StackFit:
 
 
 @np.errstate(divide="ignore", invalid="ignore")  # failed replicates may divide by zero
-def _fit_stack(X_raw: np.ndarray, idx: np.ndarray, model: _CompiledModel) -> _StackFit:
-    """Fit the path model to each resample X_raw[idx[k]] of a stack of
-    replicates, with the arithmetic of fitting it alone: standardize, run
-    ALS, orient each latent so its loading sum is nonnegative, and regress
-    every endogenous score on its predecessors.
-
-    Each step runs once per block size, inner-proxy term position or
-    predecessor count (see `_CompiledModel._index_blocks`), never once per
-    block, and stays bit-identical to the lone fit of tests/oracles.py:
-    - The resampled data is (row, replicate, column), rows outermost, with
-      the columns of equal-sized blocks consecutive, so one block size is
-      one strided view. Column sums then run row by row, as `standardize`
-      sums one sample; the mean is formed once.
-    - Latent scores are (replicate, latent, row), rows contiguous, so each
-      score sums pairwise, as a 1-D score does.
-    - Every product is one batched matmul whose items have the lone fit's
-      shapes and strides, so numpy sends each to the same BLAS routine
-      (dot, gemv or syrk); over an inner dimension of one, `_matmul` forms
-      numpy's 0 + a b. LAPACK solves and conditions each system alone.
-    - Inner proxies add their terms in the lone fit's order, from zero.
+def _fit_stack(R: np.ndarray, constant: np.ndarray, model: _CompiledModel, n: int) -> _StackFit:
+    """Fit the path model to each replicate of a stack from its indicator
+    correlation matrix R and constant-column flags (`_Sample.correlations`)
+    with n rows: run ALS, orient each latent so its loading sum is
+    nonnegative, and regress every endogenous latent on its predecessors.
 
     Each ALS step updates only the replicates still iterating, so a
     replicate's weights stop at the step where they settle, or unconverged
     after MAX_ITERATIONS steps. A replicate is left out when its fit meets
-    a zero-variance column, a collapsed score, a singular predecessor
-    system, zero outer weights or a singular or ill-conditioned structural
-    regression; `errors` holds the first of these it meets, in the order
-    the fit makes its checks.
+    a constant column, a collapsed score, an ill-conditioned predecessor
+    system, zero outer weights or an ill-conditioned structural regression;
+    `errors` holds the first of these it meets, in the order the fit makes
+    its checks. A column whose moments leave it no positive variance, which
+    rounding can do to a nearly constant one, counts as constant.
+
+    A score collapses when its variance w' R_bb w, for unit outer weights
+    w on the block's unit-variance indicators, is at most n * size * eps:
+    each entry of R sums n terms, so carries a rounding error of up to
+    about n * eps, and w' R_bb w adds size^2 entries with weights whose
+    absolute values sum to at most size. A smaller variance cannot be told
+    from zero.
     """
-    n = X_raw.shape[0]
-    X = X_raw[:, model.order].take(idx.T, axis=0)
-    X -= X.sum(axis=0) / n
-    sd = np.sqrt((X * X).sum(axis=0) / (n - 1))
-    X /= sd
-    rows = np.arange(len(idx))
+    p = len(model.columns)
+    rows = np.arange(len(R))
     errors: dict = {}
-    failed = _record(errors, rows, (sd != 0.0)[:, model.inverse], model.column_errors)
-    X, rows = _replicates_where(~failed, X, rows)
-    W = np.broadcast_to(model.initial_weights, (len(rows), X.shape[2]))
-    iterations = np.zeros(len(rows), dtype=int)
-    active = np.ones(len(rows), dtype=bool)
-    scored = None  # the weights of the scores S
+    variances = np.diagonal(R, axis1=1, axis2=2)
+    fitted = ~_record(errors, rows, ~constant & np.isfinite(variances), model.column_errors)
+    bound = n * model.sizes * np.finfo(float).eps
+    W = np.tile(model.initial_weights, (len(R), 1))
+    iterations = np.zeros(len(R), dtype=int)
+    active = rows[fitted]
     for _ in range(MAX_ITERATIONS):
-        if not active.any():
+        if not active.size:
             break
-        S, spread = _stack_scores(X, W, model)
-        W_new, passed = _als_step(X, S, spread, model)
-        failed = _record(errors, rows, passed, model.step_errors, checked=active)
-        settled = np.abs(W_new - W).max(axis=1) < CONVERGENCE_TOL
-        scored, W = W, np.where(active[:, None], W_new, W)
-        iterations += active
-        active &= ~settled
-        X, W, scored, S, spread, iterations, active, rows = _replicates_where(
-            ~failed, X, W, scored, S, spread, iterations, active, rows)
+        W_new, passed = _als_step(R if active.size == len(R) else R[active], W[active], model, bound)
+        failed = _record(errors, active, passed, model.step_errors)
+        settled = np.abs(W_new - W[active]).max(axis=1) < CONVERGENCE_TOL
+        W[active] = W_new
+        iterations[active] += 1
+        fitted[active[failed]] = False
+        active = active[~failed & ~settled]
+    converged = np.ones(len(R), dtype=bool)
+    converged[active] = False
 
-    if not np.array_equal(scored, W):
-        S, spread = _stack_scores(X, W, model)
-    loadings = np.empty(W.shape)
-    for group in model.groups:
-        lam = _block_products(X, S[:, group.latents], group) / (n - 1)
-        sign = np.where(lam.sum(axis=2) < 0.0, -1.0, 1.0)[:, :, None]
-        S[:, group.latents] *= sign
-        loadings[:, group.columns] = (lam * sign).reshape(len(W), group.blocks * group.size)
-    del X  # the regressions need only the scores: free the data before they allocate
-
-    coefficients = np.empty((len(rows), len(model.structural)))
-    r_squared = np.empty((len(rows), len(model.spec.endogenous)))
-    regular = np.empty(r_squared.shape, dtype=bool)
-    for equations in model.equations:
-        # (replicate, equation, row, predecessor)
-        T = np.ascontiguousarray(S[:, equations.preds].swapaxes(2, 3))
-        y = S[:, equations.scores, :, None]
-        gram = T.swapaxes(2, 3) @ T
-        # guard against numerically repeated predecessor scores
-        cond = np.linalg.cond(gram)
-        ok = np.isfinite(cond) & (cond <= 1e12)
-        gram[~ok] = np.eye(T.shape[3])
-        beta = np.linalg.solve(gram, T.swapaxes(2, 3) @ y)
-        resid = _matmul(T, beta)
-        np.subtract(y, resid, out=resid)
-        rss = (resid.swapaxes(2, 3) @ resid)[:, :, 0, 0]
-        tss = (y.swapaxes(2, 3) @ y)[:, :, 0, 0]
-        coefficients[:, equations.coefficients] = beta[:, :, :, 0]
-        r_squared[:, equations.rows] = 1.0 - rss / tss
-        regular[:, equations.rows] = ok
-    fitted = ~_record(errors, rows, np.concatenate([spread, regular], axis=1), model.final_errors)
-    return _StackFit(rows[fitted], coefficients[fitted], loadings[fitted][:, model.inverse], r_squared[fitted],
-                     iterations[fitted], ~active[fitted], errors)
+    rows = rows[fitted]
+    RW, C, spread = _latent_moments(R[rows], W[rows], model, bound)
+    lam = RW[:, np.arange(p), model.block]
+    sign = np.where(_block_sums(lam, model) < 0.0, -1.0, 1.0)
+    C *= sign[:, :, None] * sign[:, None, :]
+    coefficients, r_squared, regular = _regressions(C, model)
+    ok = ~_record(errors, rows, np.concatenate([spread, regular], axis=1), model.final_errors)
+    return _StackFit(rows[ok], coefficients[ok], (lam * sign[:, model.block])[ok], r_squared[ok],
+                     iterations[rows[ok]], converged[rows[ok]], errors)
 
 
-def _record(errors: dict, rows: np.ndarray, passed: np.ndarray, make_errors, checked=True) -> np.ndarray:
-    """Note in errors, for each replicate of the stack where `checked`
-    holds, the error of the first check it failed, keyed by its position
-    rows[k]; return which replicates failed a check. passed holds one row
-    per replicate and one column per check, in the order a lone fit makes
+def _record(errors: dict, rows: np.ndarray, passed: np.ndarray, make_errors) -> np.ndarray:
+    """Note in errors, for each replicate of the stack that failed a
+    check, the error of the first check it failed, keyed by its position
+    rows[k]; return which replicates failed. passed holds one row per
+    replicate and one column per check, in the order a lone fit makes
     them, and make_errors the callables that make their errors."""
-    failed = checked & ~passed.all(axis=1)
+    failed = ~passed.all(axis=1)
     for k in np.flatnonzero(failed):
         errors[int(rows[k])] = make_errors[int(np.argmin(passed[k]))]()
     return failed
 
 
-def _replicates_where(keep: np.ndarray, X: np.ndarray, *arrays):
-    """The replicates (axis 1) of the data X and the rows of each array
-    where keep is true."""
-    return (X, *arrays) if keep.all() else (X[:, keep], *(a[keep] for a in arrays))
+def _latent_moments(R: np.ndarray, W: np.ndarray, model: _CompiledModel, bound: np.ndarray):
+    """For outer weights W (replicate x column): R Ŵ (replicate x column x
+    latent), the latent correlations Ŵ' R Ŵ and which scores do not
+    collapse (replicate x latent, see `_fit_stack`), where column a of Ŵ
+    holds latent a's weights in its block's rows, scaled to give its score
+    unit variance."""
+    Wm = W[:, :, None] * model.member
+    RWm = R @ Wm
+    variance = (Wm * RWm).sum(axis=1)
+    spread = variance > bound
+    scale = 1.0 / np.sqrt(np.where(spread, variance, 1.0))
+    RW = RWm * scale[:, None, :]
+    return RW, Wm.transpose(0, 2, 1) @ RW * scale[:, :, None], spread
 
 
-def _als_step(X: np.ndarray, S: np.ndarray, spread: np.ndarray, model: _CompiledModel):
-    """One ALS pass for every replicate from its scores S and their
-    spread (see `_stack_scores`): the new outer weights, and which checks
-    of the pass each replicate passed (see `_record`): a nonconstant score
-    per latent, then per latent a nonsingular predecessor system and
-    nonzero outer weights."""
-    weights, solved = _inner_weights(_correlations(S), model)
-    (columns, _, terms), *later = model.positions
-    proxy = S.take(terms, axis=1)  # every latent has a first term
-    proxy *= weights[:, columns, None]
-    proxy += 0.0  # the lone fit adds its first term to zeros
-    for columns, latents, terms in later:
-        proxy[:, latents] += S.take(terms, axis=1) * weights[:, columns, None]
-    W_new = np.empty((len(S), X.shape[2]))
-    nonzero = np.empty(spread.shape, dtype=bool)
-    for group in model.groups:
-        w, nonzero[:, group.latents] = _stack_canonical_weights(_block_products(X, proxy[:, group.latents], group))
-        W_new[:, group.columns] = w.reshape(len(S), group.blocks * group.size)
-    return W_new, np.concatenate([spread, np.stack([solved, nonzero], axis=2).reshape(len(S), -1)], axis=1)
+def _als_step(R: np.ndarray, W: np.ndarray, model: _CompiledModel, bound: np.ndarray):
+    """One ALS pass for every replicate: the new outer weights, and which
+    checks of the pass each replicate passed (see `_record`): a
+    nonconstant score per latent, then per latent a well-conditioned
+    predecessor system and nonzero outer weights. Block a's mode-A update
+    is (R Ŵ E')[a's rows, a] for the inner weights E."""
+    RW, C, spread = _latent_moments(R, W, model, bound)
+    E, solved = _inner_weights(C, model)
+    u = (RW @ E.transpose(0, 2, 1))[:, np.arange(W.shape[1]), model.block]
+    w, nonzero = _stack_canonical_weights(_padded(u, model))
+    W_new = w.reshape(len(W), -1)[:, model.unpad]
+    return W_new, np.concatenate([spread, np.stack([solved, nonzero], axis=2).reshape(len(W), -1)], axis=1)
 
 
-def _correlations(S: np.ndarray) -> np.ndarray:
-    """The latent correlation matrix of every replicate from its scores S
-    (replicate, latent, row), formed as the lone fit forms it: S'S / (n - 1)
-    with S a (row, latent) matrix."""
-    S_cols = np.ascontiguousarray(S.transpose(0, 2, 1))
-    return S_cols.transpose(0, 2, 1) @ S_cols / (S.shape[2] - 1)
-
-
-def _blocks(X: np.ndarray, group: _Group) -> np.ndarray:
-    """The blocks of one group as a (replicate, block, row, indicator) view."""
-    return X[:, :, group.columns].reshape(X.shape[0], X.shape[1], group.blocks, group.size).transpose(1, 2, 0, 3)
-
-
-def _block_products(X: np.ndarray, V: np.ndarray, group: _Group) -> np.ndarray:
-    """X_b' v for each block b of one group and its row vector v in V
-    (replicate, block, row): (replicate, block, indicator)."""
-    return (_blocks(X, group).swapaxes(2, 3) @ V[:, :, :, None])[:, :, :, 0]
-
-
-def _matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A @ B. Over an inner dimension of one, numpy's matmul skips BLAS and
-    forms 0 + a b for each entry, which one elementwise product and sum
-    form faster."""
-    if A.shape[-1] != 1:
-        return A @ B
-    product = np.multiply(A, B, order="C")
-    product += 0.0
-    return product
-
-
-def _stack_scores(X: np.ndarray, W: np.ndarray, model: _CompiledModel):
-    """The standardized latent scores of every replicate (replicates x
-    latents x n), and which of them are not constant (replicates x
-    latents)."""
-    n = X.shape[0]
-    S = np.empty((len(W), len(model.names), n))
-    for group in model.groups:
-        weights = W[:, group.columns].reshape(len(W), group.blocks, group.size, 1)
-        S[:, group.latents] = _matmul(_blocks(X, group), weights)[:, :, :, 0]
-    S -= S.sum(axis=2, keepdims=True) / n
-    sd = np.sqrt((S * S).sum(axis=2, keepdims=True) / (n - 1))
-    S /= sd
-    return S, sd[:, :, 0] != 0.0
-
-
-def _inner_weights(corr: np.ndarray, model: _CompiledModel):
-    """The weight of every inner-proxy term (replicates x terms, columns as
-    in `model.positions`), and which replicates had a nonsingular
-    predecessor system for each latent. Centroid weights are the signs of
-    the correlations with adjacent latents; path weighting regresses on
-    the predecessors and takes correlations with successors."""
-    i, j = model.pairs
-    weights = corr[:, i, j]
-    solved = np.ones((len(corr), corr.shape[1]), dtype=bool)
+def _inner_weights(C: np.ndarray, model: _CompiledModel):
+    """The inner weights E (replicate x latent x latent; E[a, b] weighs
+    latent b's score in latent a's proxy), and which replicates had a
+    well-conditioned predecessor system for each latent. Centroid weights
+    are the signs of the correlations with adjacent latents; path
+    weighting regresses on the predecessors and takes correlations with
+    successors."""
+    solved = np.ones(C.shape[:2], dtype=bool)
     if model.centroid:
-        return np.where(weights < 0.0, -1.0, 1.0), solved
+        return np.where(C < 0.0, -1.0, 1.0) * model.terms, solved
+    E = C * model.terms
+    E[:, model.heads, model.tails], _, solved[:, model.regressed] = _regressions(C, model)
+    return E, solved
+
+
+def _regressions(C: np.ndarray, model: _CompiledModel):
+    """Every structural regression from the latent correlations C: the
+    coefficients (in `model.structural` order), the R-squared of each
+    endogenous latent, and whether its predecessors' correlation matrix
+    has a condition number of at most 1e12 (else its coefficients are
+    meaningless)."""
+    coefficients = np.empty((len(C), len(model.structural)))
+    r_squared = np.empty((len(C), len(model.regressed)))
+    regular = np.empty(r_squared.shape, dtype=bool)
     for equations in model.equations:
-        preds, latents = equations.preds, equations.latents
-        weights[:, equations.terms], solved[:, latents] = _stack_solve(
-            corr[:, preds[:, :, None], preds[:, None, :]], corr[:, preds, latents[:, None]])
-    return weights, solved
-
-
-def _stack_solve(A: np.ndarray, b: np.ndarray):
-    """Solve A[k] x = b[k] for every leading index k; a singular system
-    gives NaN and False in the returned mask."""
-    try:
-        return np.linalg.solve(A, b[..., None])[..., 0], np.ones(b.shape[:-1], dtype=bool)
-    except np.linalg.LinAlgError:
-        x = np.full(b.shape, np.nan)
-        for k in np.ndindex(b.shape[:-1]):
-            try:
-                x[k] = np.linalg.solve(A[k], b[k])
-            except np.linalg.LinAlgError:
-                pass
-        return x, ~np.isnan(x).any(axis=-1)
+        preds = equations.preds
+        A = C[:, preds[:, :, None], preds[:, None, :]]
+        b = C[:, preds, equations.latents[:, None]]
+        # guard against numerically repeated predecessor scores; a nonzero
+        # 1 x 1 matrix has condition number 1, without an SVD per replicate
+        if preds.shape[1] == 1:
+            ok = A[:, :, 0, 0] != 0.0
+        else:
+            cond = np.linalg.cond(A)
+            ok = np.isfinite(cond) & (cond <= 1e12)
+        A[~ok] = np.eye(preds.shape[1])
+        beta = np.linalg.solve(A, b[..., None])[..., 0]
+        coefficients[:, equations.coefficients] = beta
+        r_squared[:, equations.rows] = (beta * b).sum(axis=2)
+        regular[:, equations.rows] = ok
+    return coefficients, r_squared, regular
 
 
 def _stack_canonical_weights(u: np.ndarray):

@@ -121,7 +121,7 @@ def test_emitted_files(demo_bundle, tmp_path):
 
 # sha256 of every file emitted for the demo_dir fixture, in emission order
 DEMO_REPORT_SHA256 = [
-    ("report.json", "4c9b4f195602af2a92ae84253ba5c58f5514662746c2ef4306ed8fd8d77eee11"),
+    ("report.json", "0f2895d3a20547315f2260f234534c53d18c85c5e03276c1a78baab24a894aba"),
     ("dea_ict_scores.csv", "894be26e07f8d285023dbc1a4b9aff491b86c41ef9a1f97ddb9d026e0a7f747b"),
     ("dea_health_scores.csv", "479e78ae1c18d85b3946175df02e264146cd94b02ee1c949306a0e1712fd0ff4"),
     ("cluster_ict_sweep.csv", "0736d7c2f5cb713e203f512efc83677166d5e0493a9bf0b4b0c96eba84f34b01"),
@@ -399,6 +399,35 @@ def test_cli_stage_treats_a_malformed_report_as_absent(demo_dir, tmp_path, capsy
         assert all(report[s] == {"pending": True} for s in ("dea", "cluster", "pls") if s != fresh)
 
 
+@pytest.mark.parametrize("damage", [
+    {"dea": []},
+    {"dea": {"ict": {"scores": 5}, "health": {}}},
+    {"dea": "ict"},
+    {"cluster": {"analyses": []}},
+    {"pls": {"models": {"m": {"paths": 7}}}},
+], ids=["dea-list", "dea-tables-without-keys", "dea-string", "cluster-analyses-list", "pls-paths-number"])
+def test_cli_stage_treats_a_report_with_a_malformed_section_as_absent(demo_dir, tmp_path, capsys, damage):
+    # a report of this run whose sections have the wrong shape once failed
+    # the next stage with an internal error (exit 2)
+    config = str(demo_dir / "config.json")
+    out = tmp_path / "out"
+    assert cli_main(["dea", "--config", config, "--out", str(out), "--quiet"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    for stage in ("cluster", "pls"):
+        (out / "report.json").write_text(json.dumps({**report, **damage}))
+        code = cli_main([stage, "--config", config, "--out", str(out), "--quiet"])
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        if stage == "cluster":
+            assert code == 2
+            assert "no DEA results" in err
+            continue
+        assert code == 0
+        fresh = json.loads((out / "report.json").read_text())
+        assert "models" in fresh["pls"]
+        assert all(fresh[s] == {"pending": True} for s in ("dea", "cluster"))
+
+
 def test_cli_validate_ok(demo_dir, capsys):
     assert cli_main(["validate", "--config", str(demo_dir / "config.json")]) == 0
     out = capsys.readouterr().out
@@ -449,6 +478,24 @@ def test_cli_nonpositive_dataset_fails_validation(tmp_path, capsys):
     code = cli_main(["validate", "--config", str(tmp_path / "config.json")])
     assert code == 1
     assert "NONPOSITIVE" in capsys.readouterr().out
+
+
+def test_cli_validate_reports_the_missing_pls_cell_that_the_pls_stage_names(demo_dir, tmp_path, capsys):
+    # leb is a PLS indicator and the Cobb-Douglas target, not a DEA
+    # variable: validate once passed this dataset, and the stage failed it
+    config = str(demo_dir / "config.json")
+    assert cli_main(["validate", "--config", config]) == 0
+    clean = capsys.readouterr().out.splitlines()
+    (tmp_path / "config.json").write_text((demo_dir / "config.json").read_text())
+    lines = (demo_dir / "dataset.csv").read_text().splitlines(keepends=True)
+    (tmp_path / "dataset.csv").write_text("".join(l for l in lines if not l.startswith("C05,2001,leb,")))
+    assert cli_main(["validate", "--config", str(tmp_path / "config.json")]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [l for l in out if l.startswith("analysis ")] == [l for l in clean if l.startswith("analysis ")]
+    assert out[-2:] == ["pls stage: 1 error(s), 0 warning(s)",
+                        "  ERROR MISSING at dmu=C05 period=2001 variable=leb: cell is missing"]
+    assert cli_main(["pipeline", "--config", str(tmp_path / "config.json"), "--quiet"]) == 2
+    assert "cell is missing at dmu=C05 period=2001 variable=leb" in capsys.readouterr().err
 
 
 def test_cli_pipeline_emits_partial_bundle_on_stage_failure(tmp_path, capsys):

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from oracles import ols_by_lstsq, scalar_bootstrap, scalar_fit
+from paneleff.distributions import t_two_tailed_p
 from paneleff.errors import CollinearityError, DegenerateColumnError, DomainError, UsageError
 from paneleff.panel_data import PanelDataset, VariableDef
 from paneleff.pls import (
+    REPLICATE_BLOCK,
     LatentBlock,
-    STACK_BYTES,
     PathModelSpec,
     _CompiledModel,
-    _matmul,
     _matrix_from_mapping,
     _sign_alignment,
     bootstrap_significance,
@@ -247,14 +247,17 @@ def test_too_few_observations_rejected():
 
 # --- the full-sample fit against the scalar ALS loop -----------------------
 
-def assert_fit_equals_scalar_fit(data, spec):
+def assert_fit_equals_scalar_fit(data, spec, rel=1e-12):
     model = _CompiledModel(spec)
     want = scalar_fit(standardize(_matrix_from_mapping(data, model.columns), columns=model.columns), model)
     est = fit_path_model(data, spec)
     for got, expected in ((est.path_coefficients, want.path_coefficients), (est.r_squared, want.r_squared),
                           (est.outer_loadings, want.outer_loadings)):
         assert list(got) == list(expected)
-    assert est == want
+        for key in expected:
+            assert got[key] == pytest.approx(expected[key], rel=rel, abs=1e-300)
+    assert (est.converged, est.iterations, est.inner_scheme, est.bootstrap) == (
+        want.converged, want.iterations, want.inner_scheme, want.bootstrap)
     return est
 
 
@@ -394,18 +397,22 @@ def random_multi_indicator_spec_and_data(rng, scheme, n):
     return PathModelSpec(tuple(blocks), tuple(paths), inner_scheme=scheme), data
 
 
-def assert_matches_scalar_loop(data, spec, samples, seed, rel=0.0):
+def assert_matches_scalar_loop(data, spec, samples, seed, rel=1e-12):
     boot = bootstrap_significance(data, spec, samples=samples, seed=seed)
     std_error, t_statistic, p_value, redraws, unconverged = scalar_bootstrap(data, spec, samples=samples, seed=seed)
     assert boot.redraws == redraws
     assert boot.unconverged == unconverged
-    for got, want in ((boot.std_error, std_error), (boot.t_statistic, t_statistic), (boot.p_value, p_value)):
+    for got, want in ((boot.std_error, std_error), (boot.t_statistic, t_statistic)):
         assert list(got) == list(want)
-        if rel == 0.0:
-            assert got == want
-        else:
-            for key in want:
-                assert got[key] == pytest.approx(want[key], rel=rel, abs=1e-300)
+        for key in want:
+            assert got[key] == pytest.approx(want[key], rel=rel, abs=1e-300)
+    # far in the tail, d ln p / d ln t grows like t**2 and amplifies the
+    # last bits of t: each p-value must be the p of some t within rel of t
+    assert list(boot.p_value) == list(p_value)
+    df = len(next(iter(data.values()))) - 1
+    for key, t in t_statistic.items():
+        low, high = sorted(t_two_tailed_p(t * (1.0 + s * rel), df) for s in (-1.0, 1.0))
+        assert low <= boot.p_value[key] <= high
     return boot
 
 
@@ -414,7 +421,7 @@ def test_stacked_bootstrap_matches_scalar_loop_on_multi_indicator_models(scheme)
     rng = np.random.default_rng(53 if scheme == "centroid" else 59)
     for trial in range(4):
         spec, data = random_multi_indicator_spec_and_data(rng, scheme, n=int(rng.integers(30, 90)))
-        assert_matches_scalar_loop(data, spec, samples=120, seed=trial, rel=1e-12)
+        assert_matches_scalar_loop(data, spec, samples=120, seed=trial)
 
 
 def interleaved_spec_and_data(rng, scheme, n):
@@ -445,10 +452,8 @@ def test_out_of_order_blocks_with_interleaved_neighbours_match_scalar_loop(schem
         spec, data = interleaved_spec_and_data(rng, scheme, n=int(rng.integers(40, 120)))
         model = _CompiledModel(spec)
         assert model.pred[model.index["D"]] == [0, 4] and model.succ[model.index["D"]] == [1, 3]
-        assert [latents.tolist() if isinstance(latents, np.ndarray) else latents
-                for latents, *_ in model.groups] == [[1, 3], [0, 4], slice(2, 3)]
         assert assert_fit_equals_scalar_fit(data, spec).converged
-        assert_matches_scalar_loop(data, spec, samples=120, seed=trial, rel=1e-12)
+        assert_matches_scalar_loop(data, spec, samples=120, seed=trial)
 
 
 def test_sign_alignment_sums_each_block_in_indicator_order():
@@ -464,21 +469,6 @@ def test_sign_alignment_sums_each_block_in_indicator_order():
     want = [[1.0 if sum(full[:3] * row[:3]) >= 0.0 else -1.0, 1.0 if row[3] >= 0.0 else -1.0] for row in loadings]
     assert want == [[1.0, -1.0], [-1.0, 1.0]]
     assert _sign_alignment(full, loadings, _CompiledModel(spec)).tolist() == want
-
-
-def test_matmul_helper_equals_numpy_matmul_bit_for_bit():
-    # inner dimension one (numpy forms 0 + a b, so -0.0 becomes +0.0) and
-    # larger, batched like the scores and the regressions
-    rng = np.random.default_rng(131)
-    for inner in (3, 1):
-        A = rng.normal(size=(4, 2, 30, inner))
-        A[:, :, ::7] = -0.0
-        B = rng.normal(size=(4, 2, inner, 1))
-        B[0] = -B[0]
-        got, want = _matmul(A, B), A @ B
-        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
-    zeros = got == 0.0
-    assert np.signbit((A * B)[zeros]).any() and not np.signbit(got[zeros]).any()
 
 
 def demo_models():
@@ -540,17 +530,17 @@ def test_stacked_bootstrap_aligns_replicate_orientation_like_scalar_loop():
         blocks=(LatentBlock("X", ("x1", "x2")), LatentBlock("Y", ("y",))),
         paths=(("X", "Y"),),
     )
-    assert_matches_scalar_loop(data, spec, samples=150, seed=2, rel=1e-12)
+    assert_matches_scalar_loop(data, spec, samples=150, seed=2)
 
 
-@pytest.mark.parametrize("stack_bytes", [1, 7 * 60 * 2 * 8, 24 * 60 * 2 * 8, STACK_BYTES])
-def test_stacked_bootstrap_sample_count_not_a_multiple_of_the_stack(monkeypatch, stack_bytes):
+@pytest.mark.parametrize("block", [1, 7, 24, REPLICATE_BLOCK])
+def test_stacked_bootstrap_sample_count_not_a_multiple_of_the_stack(monkeypatch, block):
     import paneleff.pls as pls_module
 
     rng = np.random.default_rng(67)
     x = rng.normal(size=60)
     y = 0.3 * x + rng.normal(size=60)
-    monkeypatch.setattr(pls_module, "STACK_BYTES", stack_bytes)
+    monkeypatch.setattr(pls_module, "REPLICATE_BLOCK", block)
     assert_matches_scalar_loop({"x": x, "y": y}, two_block_spec(), samples=101, seed=4)
 
 
