@@ -14,7 +14,7 @@ import sys
 from dataclasses import replace
 
 from . import __version__
-from .dea import score_period
+from .dea import require_valid, score_period
 from .errors import ConfigError, PanelEffError, StageError, ValidationFailedError
 from .panel_data import slice_period, write_panel_csv
 from .pipeline import (
@@ -93,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory (overrides the configuration)")
         p.add_argument("--format", dest="formats", action="append", choices=("csv", "json", "text"),
                        help="report format (repeatable; overrides the configuration)")
-        p.add_argument("--seed", type=int, help="override every stage seed")
+        p.add_argument("--seed", type=int, help="override the bootstrap seed")
         p.add_argument("--quiet", action="store_true", help="suppress progress notes")
         p.set_defaults(load_config=_load_config)
 
@@ -182,6 +182,8 @@ def _cmd_dea(args) -> int:
     config = _load_config(args)
     panel = load_dataset(config)
     if args.period is not None:
+        for analysis in config.dea_analyses:
+            require_valid(panel, analysis.spec)
         for analysis in config.dea_analyses:
             cs = slice_period(panel, args.period, analysis.spec)  # raises lookup error
             print(f"analysis {analysis.name}, period {args.period}")

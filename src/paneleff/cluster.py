@@ -1,15 +1,13 @@
 """K-means clustering of efficiency scores with one-way ANOVA validation.
 
-One-column points (the pipeline's per-DMU mean scores) are clustered
-exactly: in one dimension an optimal k-means partition is a set of
-contiguous runs of the sorted values, which one dynamic program finds for
-every k up to k_max at once (Wang & Song, "Ckmeans.1d.dp", R Journal 3(2),
-2011). Multivariate points run Lloyd iterations from k-means++ seeds, best
-of several restarts, each restart seeded as seed + restart index so results
-are reproducible and schedule independent. sweep_k tries candidate cluster
-counts from k_max down to k_min and selects the most significant one
-(maximal F among the counts whose ANOVA p-value clears the threshold, ties
-to the smallest k).
+The points are one number per DMU (the pipeline's per-DMU mean scores)
+and are clustered exactly: in one dimension an optimal k-means partition
+is a set of contiguous runs of the sorted values, which one dynamic
+program finds for every k up to k_max at once (Wang & Song,
+"Ckmeans.1d.dp", R Journal 3(2), 2011), so no random numbers are drawn.
+sweep_k tries candidate cluster counts from k_max down to k_min and
+selects the most significant one (maximal F among the counts whose ANOVA
+p-value clears the threshold, ties to the smallest k).
 
 The F statistic here is computed on the clustering variable itself, so it
 is inflated by construction; reports carry that caveat verbatim.
@@ -24,8 +22,6 @@ import numpy as np
 
 from .distributions import f_sf
 from .errors import UsageError
-
-MAX_LLOYD_ITERATIONS = 300
 
 PERFECT_SEPARATION = "PERFECT_SEPARATION"
 NO_SIGNIFICANT_K = "NO_SIGNIFICANT_K"
@@ -44,22 +40,18 @@ CLUSTER_F_CAVEAT = (
 
 @dataclass(frozen=True)
 class ClusterSolution:
-    """K-means result: the exact optimum for one-column points, the best of
-    restarts for multivariate points.
+    """An optimal k-means partition of one column of points.
 
     Clusters are labeled in descending centroid order. Every cluster is
     non-empty, each point is assigned to its nearest centroid (ties to the
-    lowest cluster index), and each centroid equals the mean of its members.
-    restarts_used is 0 for an exact one-column solution, which uses no
-    restarts; seed is the one passed and affects only multivariate points.
+    lowest cluster index), and each centroid, a row of the (k, 1) array,
+    equals the mean of its members.
     """
 
     k: int
     assignments: np.ndarray
     centroids: np.ndarray
     sse_within: float
-    restarts_used: int
-    seed: int
 
     def __post_init__(self):
         self.assignments.setflags(write=False)
@@ -111,55 +103,23 @@ def _as_points(points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise UsageError("points must be a non-empty 1-D or 2-D array")
+    if pts.ndim != 2 or pts.shape[1] != 1 or pts.shape[0] == 0:
+        raise UsageError("points must be one non-empty column: a 1-D array or an (n, 1) array")
     if not np.all(np.isfinite(pts)):
         raise UsageError("points must be finite")
     return pts
 
 
-def kmeans(points, k: int, restarts: int = 32, seed: int = 0) -> ClusterSolution:
-    """Cluster points (one row per DMU, 1-D or multivariate) into k groups.
-
-    One-column points get the exact optimum from the dynamic program
-    (_exact_1d); restarts and seed do not act on them. For multivariate
-    points, Lloyd iterations stop when assignments are unchanged or after
-    300 iterations; the winner across restarts is the lowest within-cluster
-    sum of squares, earliest restart on ties. Deterministic for identical
-    (points, k, restarts, seed).
-    """
+def kmeans(points, k: int) -> ClusterSolution:
+    """The optimal partition of one column of points (one per DMU) into k
+    groups, from the dynamic program of _exact_1d. Deterministic."""
     pts = _as_points(points)
-    if restarts < 1:
-        raise UsageError("restarts must be >= 1")
     if k < 1:
         raise UsageError("k must be >= 1")
-    if pts.shape[1] == 1:
-        return _exact_1d(pts, k, k, seed)[0]
-    n_distinct = np.unique(pts, axis=0).shape[0]
-    if k > n_distinct:
-        raise UsageError(f"k={k} exceeds the {n_distinct} distinct points")
-
-    best: tuple[float, int, np.ndarray, np.ndarray] | None = None
-    for r in range(restarts):
-        rng = np.random.default_rng(seed + r)
-        centroids = _kmeans_pp_init(pts, k, rng)
-        assign, cents, sse, _ = _lloyd(pts, centroids)
-        if best is None or sse < best[0]:
-            best = (sse, r, assign, cents)
-
-    sse, _, assign, cents = best
-    assign, cents, sse = _canonical_labels(pts, assign, cents)
-    return ClusterSolution(
-        k=k,
-        assignments=assign,
-        centroids=cents,
-        sse_within=float(sse),
-        restarts_used=restarts,
-        seed=seed,
-    )
+    return _exact_1d(pts, k, k)[0]
 
 
-def _exact_1d(pts: np.ndarray, k_max: int, k_min: int, seed: int) -> list[ClusterSolution]:
+def _exact_1d(pts: np.ndarray, k_max: int, k_min: int) -> list[ClusterSolution]:
     """Optimal k-means solutions of one-column points for k = k_max down to
     k_min, from one dynamic program over the sorted distinct values.
 
@@ -212,96 +172,16 @@ def _exact_1d(pts: np.ndarray, k_max: int, k_min: int, seed: int) -> list[Cluste
             assignments=assign,
             centroids=centroids,
             sse_within=_sse(pts, assign, centroids),
-            restarts_used=0,
-            seed=seed,
         ))
     return solutions
-
-
-def _kmeans_pp_init(pts: np.ndarray, k: int, rng) -> np.ndarray:
-    """k-means++ seeding: subsequent centers drawn with probability
-    proportional to squared distance from the chosen set."""
-    n = pts.shape[0]
-    chosen = [int(rng.integers(n))]
-    d2 = ((pts - pts[chosen[0]]) ** 2).sum(axis=1)
-    while len(chosen) < k:
-        total = d2.sum()
-        if total <= 0.0:
-            # duplicates of every chosen center; fall back to any unseen point
-            remaining = np.setdiff1d(np.arange(n), chosen)
-            nxt = int(remaining[0])
-        else:
-            nxt = int(rng.choice(n, p=d2 / total))
-        chosen.append(nxt)
-        d2 = np.minimum(d2, ((pts - pts[nxt]) ** 2).sum(axis=1))
-    return pts[chosen].copy()
-
-
-def _assign(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    d2 = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    return d2.argmin(axis=1)  # argmin takes the lowest index on ties
-
-
-def _lloyd(pts: np.ndarray, centroids: np.ndarray, trace: list | None = None):
-    """Lloyd iterations from given centers; returns (assignments, centroids,
-    sse, iterations). Empty clusters are repaired by donating the point
-    farthest from its centroid (from clusters that can spare one)."""
-    k = centroids.shape[0]
-    assign = np.full(pts.shape[0], -1, dtype=int)
-    iterations = 0
-    for _ in range(MAX_LLOYD_ITERATIONS):
-        new_assign = _assign(pts, centroids)
-        new_assign = _repair_empty(pts, new_assign, centroids, k)
-        centroids = np.vstack([pts[new_assign == c].mean(axis=0) for c in range(k)])
-        iterations += 1
-        if trace is not None:
-            trace.append(_sse(pts, new_assign, centroids))
-        if np.array_equal(new_assign, assign):
-            break
-        assign = new_assign
-    return assign, centroids, _sse(pts, assign, centroids), iterations
-
-
-def _repair_empty(pts, assign, centroids, k) -> np.ndarray:
-    counts = np.bincount(assign, minlength=k)
-    while np.any(counts == 0):
-        empty = int(np.flatnonzero(counts == 0)[0])
-        donors = np.flatnonzero(counts[assign] > 1)
-        dist = ((pts[donors] - centroids[assign[donors]]) ** 2).sum(axis=1)
-        moved = int(donors[dist.argmax()])
-        counts[assign[moved]] -= 1
-        assign = assign.copy()
-        assign[moved] = empty
-        counts[empty] += 1
-    return assign
 
 
 def _sse(pts, assign, centroids) -> float:
     return float(((pts - centroids[assign]) ** 2).sum())
 
 
-def _canonical_labels(pts, assign, centroids):
-    """Relabel clusters in descending centroid order and settle any exact
-    assignment ties under the new labels."""
-    for _ in range(5):
-        order = sorted(range(centroids.shape[0]), key=lambda c: tuple(centroids[c]), reverse=True)
-        remap = np.empty(len(order), dtype=int)
-        for new, old in enumerate(order):
-            remap[old] = new
-        assign = remap[assign]
-        centroids = centroids[order]
-        settled = _assign(pts, centroids)
-        settled = _repair_empty(pts, settled, centroids, centroids.shape[0])
-        if np.array_equal(settled, assign):
-            break
-        assign, centroids, _, _ = _lloyd(pts, np.vstack(
-            [pts[settled == c].mean(axis=0) for c in range(centroids.shape[0])]
-        ))
-    return assign, centroids, _sse(pts, assign, centroids)
-
-
 def anova_f(points, solution: ClusterSolution) -> AnovaResult:
-    """One-way ANOVA of the clustering variable(s) across the solution's
+    """One-way ANOVA of the clustering variable across the solution's
     clusters. p = P(F > f) with the F CDF evaluated through the regularized
     incomplete beta function. SSW of zero yields an infinite F sentinel
     with p = 0 and the PERFECT_SEPARATION flag.
@@ -347,14 +227,10 @@ def anova_f(points, solution: ClusterSolution) -> AnovaResult:
     return AnovaResult(df_between, df_within, float(f_value), float(p_value), ss_between, ss_within)
 
 
-def sweep_k(points, k_max: int, k_min: int, restarts: int = 32, seed: int = 0,
-            significance: float = 0.05) -> KSweepReport:
-    """Cluster the points for each k from k_max down to k_min, score each
+def sweep_k(points, k_max: int, k_min: int, significance: float = 0.05) -> KSweepReport:
+    """Cluster one column of points for each k from k_max down to k_min,
+    with one exact dynamic program for the whole sweep, score each
     solution with anova_f and select the most significant cluster count.
-
-    One-column points run one exact dynamic program for the whole sweep;
-    restarts and seed act only on multivariate points, which run kmeans
-    once per k.
 
     selected_k is the k with maximal F among those with p below the
     significance threshold, smallest k on ties; None (with the
@@ -362,16 +238,10 @@ def sweep_k(points, k_max: int, k_min: int, restarts: int = 32, seed: int = 0,
     """
     if not (k_max >= k_min >= 2):
         raise UsageError(f"need k_max >= k_min >= 2, got k_max={k_max}, k_min={k_min}")
-    if restarts < 1:
-        raise UsageError("restarts must be >= 1")
     pts = _as_points(points)
-    if pts.shape[1] == 1:
-        solutions = _exact_1d(pts, k_max, k_min, seed)
-    else:
-        solutions = [kmeans(pts, k, restarts=restarts, seed=seed) for k in range(k_max, k_min - 1, -1)]
-    entries = [(s.k, s, anova_f(pts, s)) for s in solutions]
+    entries = [(s.k, s, anova_f(pts, s)) for s in _exact_1d(pts, k_max, k_min)]
 
-    spread = float((pts.max(axis=0) - pts.min(axis=0)).max())
+    spread = float(pts.max() - pts.min())
     negligible = spread <= _SPREAD_RESOLUTION * max(1.0, float(np.abs(pts).max()))
 
     selected_k = None

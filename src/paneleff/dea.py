@@ -263,6 +263,17 @@ def _slack_stage_lp(X, Y, o, rts, orientation, score) -> LpProblem:
     return LpProblem(c, "max", zip(A, ["="] * len(b), b))
 
 
+def require_valid(panel: PanelDataset, spec: DeaSpec) -> None:
+    """Raise ValidationFailedError unless validate_for_dea passes the panel
+    for spec; every panel is checked this way before any of its periods is
+    solved."""
+    report = validate_for_dea(panel, spec)
+    if not report.ok:
+        raise ValidationFailedError(
+            f"dataset failed DEA validation: {report.summary()}", report=report
+        )
+
+
 def run_panel_dea(panel: PanelDataset, spec: DeaSpec) -> EfficiencyPanel:
     """Solve one independent DEA per period and aggregate mean scores.
 
@@ -270,11 +281,7 @@ def run_panel_dea(panel: PanelDataset, spec: DeaSpec) -> EfficiencyPanel:
     (dmu, period) order regardless of how individual solves are scheduled,
     and means are plain arithmetic means over periods in period order.
     """
-    report = validate_for_dea(panel, spec)
-    if not report.ok:
-        raise ValidationFailedError(
-            f"dataset failed DEA validation: {report.summary()}", report=report
-        )
+    require_valid(panel, spec)
     n_dmus = len(panel.dmus)
     n_periods = len(panel.periods)
     scores = np.zeros((n_dmus, n_periods))

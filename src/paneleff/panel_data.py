@@ -248,9 +248,9 @@ def cell_findings(panel: PanelDataset, names, positive: bool = False) -> list[Fi
             if math.isnan(x):
                 findings.append(Finding("MISSING", "cell is missing", loc))
             elif positive:
-                findings.append(Finding("NONPOSITIVE", f"cell value {x!r} must be strictly positive", loc))
+                findings.append(Finding("NONPOSITIVE", f"cell value {float(x)!r} must be strictly positive", loc))
             else:
-                findings.append(Finding("NONFINITE", f"cell value {x!r} is not finite", loc))
+                findings.append(Finding("NONFINITE", f"cell value {float(x)!r} is not finite", loc))
     return findings
 
 

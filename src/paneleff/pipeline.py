@@ -73,8 +73,6 @@ class DeaAnalysisConfig:
 class ClusterStageConfig:
     k_max: int
     k_min: int
-    restarts: int
-    seed: int
     significance: float
 
 
@@ -112,10 +110,9 @@ class PipelineConfig:
     config_hash: str
 
     def with_seed(self, seed: int) -> "PipelineConfig":
-        """Override every stochastic stage's seed (the --seed flag)."""
-        cluster = replace(self.cluster, seed=seed) if self.cluster else None
-        pls = replace(self.pls, bootstrap_seed=seed) if self.pls else None
-        return replace(self, cluster=cluster, pls=pls)
+        """Override the bootstrap seed (the --seed flag), the only seed of a
+        run."""
+        return replace(self, pls=replace(self.pls, bootstrap_seed=seed)) if self.pls else self
 
 
 def config_from_file(path) -> PipelineConfig:
@@ -200,14 +197,10 @@ def parse_config(document: dict, config_hash: str | None = None, base_dir: str |
         cluster = ClusterStageConfig(
             k_max=_require(entry, "k_max", int),
             k_min=_require(entry, "k_min", int),
-            restarts=_optional(entry, "restarts", int, 32),
-            seed=_seed(entry, "cluster.seed"),
             significance=_optional(entry, "significance", float, 0.05),
         )
         if not (cluster.k_max >= cluster.k_min >= 2):
             raise ConfigError("cluster stage needs k_max >= k_min >= 2")
-        if cluster.restarts < 1:
-            raise ConfigError("cluster.restarts must be >= 1")
         if not (0.0 < cluster.significance < 1.0):
             raise ConfigError("cluster.significance must be in (0, 1)")
 
@@ -354,11 +347,7 @@ class ReportBundle:
 
 
 def build_provenance(config: PipelineConfig) -> dict:
-    seeds = {}
-    if config.cluster:
-        seeds["cluster"] = config.cluster.seed
-    if config.pls:
-        seeds["bootstrap"] = config.pls.bootstrap_seed
+    seeds = {"bootstrap": config.pls.bootstrap_seed} if config.pls else {}
     return {
         "tool": "paneleff",
         "version": __version__,
@@ -428,16 +417,12 @@ def run_cluster_stage(config: PipelineConfig, dea_section: dict) -> tuple[dict, 
             np.array(table["means"]),
             cfg.k_max,
             cfg.k_min,
-            restarts=cfg.restarts,
-            seed=cfg.seed,
             significance=cfg.significance,
         )
         analyses[name] = _cluster_table(report, table["dmus"])
     section = {
         "k_max": cfg.k_max,
         "k_min": cfg.k_min,
-        "restarts": cfg.restarts,
-        "seed": cfg.seed,
         "significance": cfg.significance,
         "caveat": CLUSTER_F_CAVEAT,
         "analyses": analyses,

@@ -150,8 +150,6 @@ def make_demo_config(dataset_path: str = "dataset.csv", out_dir: str = "reports"
         "cluster": {
             "k_max": 6,
             "k_min": 3,
-            "restarts": 32,
-            "seed": 271998,
             "significance": 0.05,
         },
         "pls": {

@@ -137,7 +137,7 @@ def test_criterion_5_kmeans_brute_force_equivalence():
         separation = 3.0 * spread * k  # separation ratio >= 3
         centers = np.arange(k) * separation
         pts = np.array([centers[i % k] + rng.uniform(0, spread) for i in range(n)])
-        solution = kmeans(pts, k, restarts=64, seed=trial)
+        solution = kmeans(pts, k)
         optimum = best_partition_sse(pts, k)
         worst = max(worst, abs(solution.sse_within - optimum))
     ok = worst <= 1e-10
@@ -153,7 +153,7 @@ def test_criterion_6_anova_degrees_of_freedom_and_f_cdf():
             if k >= n:
                 continue
             pts = rng.normal(size=n)
-            solution = kmeans(pts, k, restarts=4, seed=0)
+            solution = kmeans(pts, k)
             result = anova_f(pts, solution)
             if result.df_between != k - 1 or result.df_within != n - k:
                 df_ok = False

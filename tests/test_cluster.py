@@ -12,14 +12,12 @@ from paneleff.cluster import (
     anova_f,
     kmeans,
     sweep_k,
-    _lloyd,
 )
-from paneleff import cluster
 from paneleff.errors import UsageError
 
 
 def test_two_cluster_hand_example():
-    sol = kmeans([0.1, 0.2, 0.9, 1.0], 2, restarts=8, seed=1)
+    sol = kmeans([0.1, 0.2, 0.9, 1.0], 2)
     assert sol.sse_within == pytest.approx(0.01, abs=1e-12)
     # labels are ordered by descending centroid
     assert sol.centroids[:, 0] == pytest.approx([0.95, 0.15])
@@ -27,25 +25,14 @@ def test_two_cluster_hand_example():
 
 
 def test_k_equals_n_gives_zero_sse():
-    sol = kmeans([1.0, 2.0, 3.0, 4.0], 4, restarts=4, seed=0)
+    sol = kmeans([1.0, 2.0, 3.0, 4.0], 4)
     assert sol.sse_within == 0.0
     assert sorted(sol.assignments.tolist()) == [0, 1, 2, 3]
 
 
 def test_k_larger_than_distinct_points_rejected():
     with pytest.raises(UsageError):
-        kmeans([1.0, 1.0, 2.0], 3, restarts=2, seed=0)
-
-
-def test_lloyd_sse_never_increases():
-    rng = np.random.default_rng(3)
-    pts = rng.uniform(0, 1, size=(40, 2))
-    for _ in range(5):
-        init = pts[rng.choice(40, size=3, replace=False)]
-        trace: list = []
-        _lloyd(pts, init.copy(), trace=trace)
-        for earlier, later in zip(trace, trace[1:]):
-            assert later <= earlier + 1e-12
+        kmeans([1.0, 1.0, 2.0], 3)
 
 
 def test_best_of_restarts_matches_exhaustive_partitions():
@@ -55,23 +42,14 @@ def test_best_of_restarts_matches_exhaustive_partitions():
         n = int(rng.integers(k + 2, 9))  # n points in total
         centers = np.arange(k) * 3.0  # separation 3 vs spread 1
         pts = np.array([rng.uniform(centers[i % k], centers[i % k] + 1.0) for i in range(n)])
-        sol = kmeans(pts, k, restarts=64, seed=11)
-        assert sol.sse_within == pytest.approx(best_partition_sse(pts, k), abs=1e-10)
-    # 1-D points are clustered exactly; 2-D points keep the restart loop covered
-    for _ in range(25):
-        k = int(rng.integers(2, 4))
-        n = int(rng.integers(k + 2, 9))
-        centers = np.stack([np.arange(k) * 3.0, rng.permutation(k) * 3.0], axis=1)
-        pts = np.array([rng.uniform(centers[i % k], centers[i % k] + 1.0) for i in range(n)])
-        sol = kmeans(pts, k, restarts=64, seed=11)
-        assert sol.restarts_used == 64
+        sol = kmeans(pts, k)
         assert sol.sse_within == pytest.approx(best_partition_sse(pts, k), abs=1e-10)
 
 
 def test_solution_invariants():
     rng = np.random.default_rng(15)
     pts = rng.normal(size=(30, 1))
-    sol = kmeans(pts, 4, restarts=16, seed=2)
+    sol = kmeans(pts, 4)
     assert all(size > 0 for size in sol.sizes)
     d2 = ((pts[:, None, :] - sol.centroids[None]) ** 2).sum(axis=2)
     assert np.array_equal(d2.argmin(axis=1), sol.assignments)
@@ -83,23 +61,25 @@ def test_solution_invariants():
 def test_deterministic_given_seed():
     rng = np.random.default_rng(4)
     pts = rng.normal(size=50)
-    a = kmeans(pts, 3, restarts=8, seed=123)
-    b = kmeans(pts, 3, restarts=8, seed=123)
+    a = kmeans(pts, 3)
+    b = kmeans(pts, 3)
     assert np.array_equal(a.assignments, b.assignments)
     assert a.sse_within == b.sse_within
 
 
-def test_multivariate_points_accepted():
+def test_points_of_two_columns_are_rejected():
     rng = np.random.default_rng(6)
     pts = np.vstack([rng.normal(0, 0.1, (10, 2)), rng.normal(5, 0.1, (10, 2))])
-    sol = kmeans(pts, 2, restarts=8, seed=3)
-    assert sol.centroids.shape == (2, 2)
-    assert len(set(sol.assignments[:10])) == 1
+    with pytest.raises(UsageError, match="one non-empty column"):
+        kmeans(pts, 2)
+    with pytest.raises(UsageError, match="one non-empty column"):
+        sweep_k(pts, 3, 2)
+    assert kmeans(pts[:, :1], 2).centroids.shape == (2, 1)
 
 
 def test_anova_hand_example():
     pts = np.array([1.0, 2.0, 3.0, 7.0, 8.0, 9.0])
-    sol = kmeans(pts, 2, restarts=8, seed=5)
+    sol = kmeans(pts, 2)
     a = anova_f(pts, sol)
     assert a.df_between == 1 and a.df_within == 4
     assert a.ss_between == pytest.approx(54.0)
@@ -116,7 +96,7 @@ def test_anova_degrees_of_freedom_exhaustive():
             pts = rng.normal(size=n)
             if np.unique(pts).size < k:
                 continue
-            sol = kmeans(pts, k, restarts=4, seed=1)
+            sol = kmeans(pts, k)
             a = anova_f(pts, sol)
             assert a.df_between == k - 1
             assert a.df_within == n - k
@@ -125,14 +105,14 @@ def test_anova_degrees_of_freedom_exhaustive():
 def test_anova_table5_case_df():
     rng = np.random.default_rng(12)
     pts = rng.normal(size=27)
-    sol = kmeans(pts, 3, restarts=8, seed=2)
+    sol = kmeans(pts, 3)
     a = anova_f(pts, sol)
     assert (a.df_between, a.df_within) == (2, 24)
 
 
 def test_anova_perfect_separation_sentinel():
     pts = np.array([0.0, 0.0, 1.0, 1.0])
-    sol = kmeans(pts, 2, restarts=4, seed=0)
+    sol = kmeans(pts, 2)
     a = anova_f(pts, sol)
     assert math.isinf(a.f_value)
     assert a.p_value == 0.0
@@ -142,7 +122,7 @@ def test_anova_perfect_separation_sentinel():
 def test_relabeling_clusters_leaves_statistics_unchanged():
     rng = np.random.default_rng(31)
     pts = np.concatenate([rng.normal(c, 0.3, 9) for c in (0.0, 4.0, 9.0)])
-    sol = kmeans(pts, 3, restarts=8, seed=7)
+    sol = kmeans(pts, 3)
     base = anova_f(pts, sol)
     perm = np.array([2, 0, 1])
     inverse = np.argsort(perm)
@@ -151,8 +131,6 @@ def test_relabeling_clusters_leaves_statistics_unchanged():
         assignments=perm[sol.assignments],
         centroids=sol.centroids[inverse],
         sse_within=sol.sse_within,
-        restarts_used=sol.restarts_used,
-        seed=sol.seed,
     )
     again = anova_f(pts, permuted)
     assert again.f_value == pytest.approx(base.f_value, abs=1e-9)
@@ -175,8 +153,8 @@ def test_anova_accepts_varying_points_whose_squares_underflow():
 def test_shifting_points_leaves_assignments_and_f_unchanged():
     rng = np.random.default_rng(33)
     pts = np.concatenate([rng.normal(c, 0.2, 9) for c in (0.0, 3.0, 7.0)])
-    a = kmeans(pts, 3, restarts=16, seed=9)
-    b = kmeans(pts + 100.0, 3, restarts=16, seed=9)
+    a = kmeans(pts, 3)
+    b = kmeans(pts + 100.0, 3)
     assert np.array_equal(a.assignments, b.assignments)
     fa = anova_f(pts, a).f_value
     fb = anova_f(pts + 100.0, b).f_value
@@ -197,7 +175,7 @@ def test_sweep_selects_three_on_tightly_planted_tiers():
         0.88 + rng.uniform(-1e-9, 1e-9, 16),
         0.58 + rng.uniform(-1e-9, 1e-9, 10),
     ])
-    report = sweep_k(pts, 6, 3, restarts=32, seed=5)
+    report = sweep_k(pts, 6, 3)
     assert report.selected_k == 3
     assert all(PERFECT_SEPARATION in anova.flags for _, _, anova in report.entries)
     assert report.entry(3)[2].df_between == 2
@@ -206,13 +184,13 @@ def test_sweep_selects_three_on_tightly_planted_tiers():
 def test_sweep_selects_three_on_separated_gaussians():
     rng = np.random.default_rng(1)
     pts = np.concatenate([c + rng.normal(0, 1e-10, 9) for c in (0.3, 0.6, 0.9)])
-    report = sweep_k(pts, 6, 3, restarts=32, seed=5)
+    report = sweep_k(pts, 6, 3)
     assert report.selected_k == 3
 
 
 def test_sweep_flags_negligible_spread():
     pts = 0.5 + np.random.default_rng(2).uniform(-5e-10, 5e-10, 27)
-    report = sweep_k(pts, 6, 3, restarts=8, seed=3)
+    report = sweep_k(pts, 6, 3)
     assert report.selected_k is None
     assert NO_SIGNIFICANT_K in report.flags
     assert NEGLIGIBLE_SPREAD in report.flags
@@ -221,20 +199,20 @@ def test_sweep_flags_negligible_spread():
 def test_sweep_single_candidate():
     rng = np.random.default_rng(44)
     pts = np.concatenate([rng.normal(c, 0.05, 9) for c in (0.2, 0.5, 0.8)])
-    report = sweep_k(pts, 3, 3, restarts=8, seed=1)
+    report = sweep_k(pts, 3, 3)
     assert report.selected_k == 3
     assert len(report.entries) == 1
 
 
 def test_sweep_rejects_bad_range():
     with pytest.raises(UsageError):
-        sweep_k([1.0, 2.0, 3.0], 2, 3, restarts=2, seed=0)
+        sweep_k([1.0, 2.0, 3.0], 2, 3)
 
 
 # Mean VRS output-oriented scores of the 40 DMUs of the benchmark's dea_wide
-# panel at generator seed 0. kmeans with 32 restarts at seed 271998 (the
-# workload's cluster seed) ends 2.4e-4 (0.06%) above the optimum sum of squares
-# at k=4.
+# panel at generator seed 0. Lloyd iterations from k-means++ seeds, best of 32
+# restarts at seed 271998, ended 2.4e-4 (0.06%) above the optimum sum of
+# squares at k=4.
 DEA_WIDE_VRS_OUT_MEANS = [
     2.332003935304183, 1.4765806294684185, 1.7080587255195745, 1.2201296763255673,
     1.4621780893357794, 1.3746149379637438, 1.5988944467176607, 1.2842566909735176,
@@ -250,7 +228,7 @@ DEA_WIDE_VRS_OUT_MEANS = [
 
 
 def test_sweep_reaches_the_optimum_where_restarts_miss():
-    report = sweep_k(DEA_WIDE_VRS_OUT_MEANS, 9, 3, restarts=32, seed=271998)
+    report = sweep_k(DEA_WIDE_VRS_OUT_MEANS, 9, 3)
     for k in (3, 4):
         optimum = best_contiguous_sse(DEA_WIDE_VRS_OUT_MEANS, k)
         assert report.entry(k)[1].sse_within == pytest.approx(optimum, rel=1e-12)
@@ -267,12 +245,11 @@ def test_exact_1d_matches_exhaustive_partitions_on_unseparated_points():
         k_max = min(np.unique(pts).size, n - 1, 4 if n <= 8 else 3)  # anova_f needs n > k
         if k_max < 2:
             continue
-        report = sweep_k(pts, k_max, 2, restarts=1, seed=0)
+        report = sweep_k(pts, k_max, 2)
         for k, sol, _ in report.entries:
             optimum = best_partition_sse(pts, k)
             assert sol.sse_within == pytest.approx(optimum, rel=1e-12, abs=1e-12)
-            assert kmeans(pts, k, restarts=1, seed=0).sse_within == sol.sse_within
-            assert sol.restarts_used == 0
+            assert kmeans(pts, k).sse_within == sol.sse_within
 
 
 def test_near_duplicate_tiers_keep_nonnegative_sse_and_equal_values_together():
@@ -281,7 +258,7 @@ def test_near_duplicate_tiers_keep_nonnegative_sse_and_equal_values_together():
     j = np.array([0, 0, 1, 2, 2, 3, 5])
     for tiers in [(1.0,), (1.0, 0.9), (1.0, 0.88, 0.58)]:
         pts = np.concatenate([tier - j * 1e-9 for tier in tiers])
-        report = sweep_k(pts, 5, 2, restarts=32, seed=5)
+        report = sweep_k(pts, 5, 2)
         for k, sol, _ in report.entries:
             assert sol.sse_within >= 0.0
             for value in np.unique(pts):
@@ -291,12 +268,10 @@ def test_near_duplicate_tiers_keep_nonnegative_sse_and_equal_values_together():
 
 def test_one_column_sweep_runs_no_restarts(monkeypatch):
     def forbidden(*args, **kwargs):
-        raise AssertionError("the one-column path must not run restarts")
+        raise AssertionError("clustering must draw no random numbers")
 
-    monkeypatch.setattr(cluster, "_lloyd", forbidden)
-    monkeypatch.setattr(cluster, "_kmeans_pp_init", forbidden)
     monkeypatch.setattr(np.random, "default_rng", forbidden)
     pts = np.concatenate([c + np.linspace(0.0, 0.05, 9) for c in (0.3, 0.6, 0.9)])
-    report = sweep_k(pts, 6, 3, restarts=32, seed=5)
+    report = sweep_k(pts, 6, 3)
     assert report.selected_k is not None
-    assert kmeans(pts, 3, restarts=32, seed=5).sizes == (9, 9, 9)
+    assert kmeans(pts, 3).sizes == (9, 9, 9)

@@ -21,7 +21,7 @@ point_sets = st.lists(values, min_size=1, max_size=8).flatmap(
 
 def _sweep(xs):
     k_max = min(len(set(xs)), len(xs) - 1, 6)
-    return sweep_k(np.array(xs), k_max, 2, restarts=1, seed=0)
+    return sweep_k(np.array(xs), k_max, 2)
 
 
 @PROPERTY_SETTINGS

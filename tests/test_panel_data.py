@@ -17,6 +17,7 @@ from paneleff.errors import (
 from paneleff.panel_data import (
     PanelDataset,
     VariableDef,
+    cell_findings,
     load_panel,
     slice_period,
     transform_undesirable,
@@ -147,6 +148,14 @@ def test_validate_zero_input_cell_is_nonpositive_error():
     report = validate_for_dea(panel, DeaSpec(("x",), ("y",)))
     assert not report.ok
     assert any(f.code == "NONPOSITIVE" and "D0" in f.location for f in report.errors)
+
+
+def test_cell_findings_print_cell_values_as_plain_floats():
+    # under numpy 2 the repr of a cell read np.float64(-5.0)
+    panel = make_panel([[-5.0], [math.inf]], [[1.0], [1.0]])
+    report = validate_for_dea(panel, DeaSpec(("x",), ("y",)))
+    assert report.errors[0].message == "cell value -5.0 must be strictly positive"
+    assert [f.message for f in cell_findings(panel, ["x"])] == ["cell value inf is not finite"]
 
 
 def test_validate_missing_cell_is_error():

@@ -18,6 +18,7 @@ from paneleff.pipeline import (
     load_dataset,
     parse_config,
     render_text,
+    run_cluster_stage,
     run_pipeline,
     significance_marker,
     unrun_report,
@@ -94,7 +95,7 @@ def test_pls_grid_shape_matches_three_by_four(demo_bundle):
 def test_provenance_carries_hash_and_seeds(demo_bundle):
     bundle, config = demo_bundle
     assert bundle.provenance["config_hash"] == config.config_hash
-    assert bundle.provenance["seeds"] == {"cluster": 271998, "bootstrap": 271999}
+    assert bundle.provenance["seeds"] == {"bootstrap": 271999}
 
 
 def test_json_round_trip_is_structurally_identical(demo_bundle):
@@ -121,7 +122,7 @@ def test_emitted_files(demo_bundle, tmp_path):
 
 # sha256 of every file emitted for the demo_dir fixture, in emission order
 DEMO_REPORT_SHA256 = [
-    ("report.json", "0f2895d3a20547315f2260f234534c53d18c85c5e03276c1a78baab24a894aba"),
+    ("report.json", "0e5616928e04bbaec7bd155141e614410fc05bfaba78d90bc46eacc795202101"),
     ("dea_ict_scores.csv", "894be26e07f8d285023dbc1a4b9aff491b86c41ef9a1f97ddb9d026e0a7f747b"),
     ("dea_health_scores.csv", "479e78ae1c18d85b3946175df02e264146cd94b02ee1c949306a0e1712fd0ff4"),
     ("cluster_ict_sweep.csv", "0736d7c2f5cb713e203f512efc83677166d5e0493a9bf0b4b0c96eba84f34b01"),
@@ -133,7 +134,7 @@ DEMO_REPORT_SHA256 = [
     ("pls_paths.csv", "f33690d84d6eb2d4c99200301542ead59ea17c73ab726665b36a8b03814bc280"),
     ("pls_grid.csv", "7870698463164e7bc2f613cbed9d997e9efe86f0ca411699a3690cdccb7c03ec"),
     ("cobb_douglas_ln_leb.csv", "31f40d7f1c4c4ef553e646bfa853258b071ac7af939b225953a8ba3c98182ed4"),
-    ("report.txt", "7e1569b48fda86e8ab063cb4fe0659f00010f170e28272931d810304b9fd7143"),
+    ("report.txt", "c89abe3252913ff2d4ee443d3de48f1a436ba3639843f38d2ef3aaab8c2c753f"),
 ]
 
 
@@ -257,24 +258,42 @@ def test_unknown_variable_in_config_names_it():
 
 def test_missing_seed_rejected():
     document = make_demo_config()
-    del document["cluster"]["seed"]
+    del document["pls"]["bootstrap"]["seed"]
     with pytest.raises(ConfigError) as exc:
         parse_config(document)
-    assert "seed" in str(exc.value)
+    assert "pls.bootstrap.seed" in str(exc.value)
+
+
+def test_every_benchmark_workload_config_parses(monkeypatch):
+    monkeypatch.syspath_prepend(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    from perfbench.workloads import WORKLOADS
+
+    for workload in WORKLOADS.values():
+        _, document = workload.build(0)
+        parse_config(document)
+
+
+def test_retired_cluster_keys_are_ignored(demo_dir, demo_bundle):
+    # cluster.restarts and cluster.seed once drove a multivariate k-means
+    # path; configs that still carry them parse as if they did not
+    bundle, config = demo_bundle
+    document = json.loads((demo_dir / "config.json").read_text())
+    document["cluster"].update(restarts=32, seed=271998)
+    retired = parse_config(document, config_hash=config.config_hash, base_dir=str(demo_dir))
+    assert retired == config
+    cluster, correspondence = run_cluster_stage(retired, bundle.dea)
+    assert json.dumps(cluster, sort_keys=True) == json.dumps(bundle.cluster, sort_keys=True)
+    assert json.dumps(correspondence, sort_keys=True) == json.dumps(bundle.correspondence, sort_keys=True)
 
 
 @pytest.mark.parametrize("where, value, named", [
     (("cluster", "significance"), "abc", "'significance'"),
     (("cluster", "significance"), None, "'significance'"),
-    (("cluster", "restarts"), "many", "'restarts'"),
-    (("cluster", "restarts"), 2.5, "'restarts'"),
-    (("cluster", "restarts"), True, "'restarts'"),
     (("pls", "bootstrap", "samples"), "x", "'samples'"),
     (("pls", "bootstrap", "samples"), 250.7, "'samples'"),
     (("pls", "models", 0, "paths", 0), ["MCS"], "['MCS']"),
     (("output", "formats"), "json", "'formats'"),
-], ids=["significance-str", "significance-null", "restarts-str", "restarts-float", "restarts-bool",
-        "samples-str", "samples-float", "path-of-one-name", "formats-str"])
+], ids=["significance-str", "significance-null", "samples-str", "samples-float", "path-of-one-name", "formats-str"])
 def test_config_values_of_the_wrong_type_are_config_errors(demo_dir, tmp_path, capsys, where, value, named):
     # each once leaked a Python exception (exit 2) or was silently truncated
     document = json.loads((demo_dir / "config.json").read_text())
@@ -366,7 +385,7 @@ def test_cli_stage_ignores_report_of_another_run(demo_dir, tmp_path):
     assert cli_main(["dea", "--config", str(other), "--out", str(out), "--seed", "9",
                      "--quiet"]) == 0
     report = json.loads((out / "report.json").read_text())
-    assert report["provenance"]["seeds"] == {"cluster": 9, "bootstrap": 9}
+    assert report["provenance"]["seeds"] == {"bootstrap": 9}
     assert report["cluster"] == {"pending": True}
     assert report["correspondence"] == {"pending": True}
     assert report["pls"] == {"pending": True}
@@ -376,7 +395,7 @@ def test_cli_stage_ignores_report_of_another_run(demo_dir, tmp_path):
                      "--quiet"]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["cluster"]["k_max"] == 4
-    assert report["cluster"]["seed"] == 9
+    assert report["provenance"]["seeds"] == {"bootstrap": 9}
 
 
 @pytest.mark.parametrize("text", ['{"provenance": {"config_hash": "', '{"provenance": {}}', "[]", ""],
@@ -459,6 +478,23 @@ def test_cli_dea_single_period_prints_scores(demo_dir, capsys):
     assert "C01" in out and "1.0000000" in out
 
 
+@pytest.mark.parametrize("cell, code", [("-5", "NONPOSITIVE"), (None, "MISSING")], ids=["nonpositive", "missing"])
+def test_cli_dea_period_validates_the_panel_before_printing(demo_dir, tmp_path, capsys, cell, code):
+    # dea --period once printed 0.0000000 for every DMU beside a nonpositive
+    # cell, and failed in the solver (exit 2) on a missing one
+    (tmp_path / "config.json").write_text((demo_dir / "config.json").read_text())
+    lines = [l for l in (demo_dir / "dataset.csv").read_text().splitlines(keepends=True)
+             if not l.startswith("C02,1998,ict_spend,")]
+    if cell is not None:
+        lines.append(f"C02,1998,ict_spend,{cell}\n")
+    (tmp_path / "dataset.csv").write_text("".join(lines))
+    assert cli_main(["dea", "--config", str(tmp_path / "config.json"), "--period", "1998", "--quiet"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("validation failed:")
+    assert f"ERROR {code} at dmu=C02 period=1998 variable=ict_spend" in captured.err
+
+
 def test_cli_cluster_without_dea_results_exits_two(demo_dir, tmp_path, capsys):
     code = cli_main(["cluster", "--config", str(demo_dir / "config.json"),
                      "--out", str(tmp_path / "empty"), "--quiet"])
@@ -525,7 +561,7 @@ def test_cli_seed_override_changes_provenance(demo_dir, tmp_path):
     assert cli_main(["pipeline", "--config", config, "--out", str(out), "--seed", "42",
                      "--quiet"]) == 0
     report = json.loads((out / "report.json").read_text())
-    assert report["provenance"]["seeds"] == {"cluster": 42, "bootstrap": 42}
+    assert report["provenance"]["seeds"] == {"bootstrap": 42}
 
 
 def test_cli_format_override(demo_dir, tmp_path):
