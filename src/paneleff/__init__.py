@@ -34,6 +34,7 @@ from .pls import (
     fit_path_model,
     fit_with_bootstrap,
     ols,
+    resample_counts,
     standardize,
 )
 
@@ -66,6 +67,7 @@ __all__ = [
     "kmeans",
     "load_panel",
     "ols",
+    "resample_counts",
     "run_panel_dea",
     "slice_period",
     "solve_bcc",

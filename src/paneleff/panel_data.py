@@ -238,7 +238,7 @@ def write_panel_csv(panel: PanelDataset, dest) -> None:
 
 def cell_findings(panel: PanelDataset, names, positive: bool = False) -> list[Finding]:
     """A finding per missing or infinite cell of the named variables, and
-    with positive per nonpositive one, by variable, DMU and period."""
+    with positive per finite nonpositive one, by variable, DMU and period."""
     findings = []
     for name in names:
         col = panel.column(name)
@@ -247,10 +247,10 @@ def cell_findings(panel: PanelDataset, names, positive: bool = False) -> list[Fi
             loc = f"dmu={panel.dmus[d]} period={panel.periods[p]} variable={name}"
             if math.isnan(x):
                 findings.append(Finding("MISSING", "cell is missing", loc))
-            elif positive:
-                findings.append(Finding("NONPOSITIVE", f"cell value {float(x)!r} must be strictly positive", loc))
-            else:
+            elif math.isinf(x):
                 findings.append(Finding("NONFINITE", f"cell value {float(x)!r} is not finite", loc))
+            else:
+                findings.append(Finding("NONPOSITIVE", f"cell value {float(x)!r} must be strictly positive", loc))
     return findings
 
 

@@ -49,6 +49,7 @@ from .pls import (
     build_cobb_douglas_design,
     fit_path_model,
     ols,
+    resample_counts,
 )
 
 FORMATS = ("csv", "json", "text")
@@ -564,11 +565,14 @@ def run_pls_stage(config: PipelineConfig, panel: PanelDataset) -> dict:
         raise UsageError(f"{cells[0].message} at {cells[0].location} "
                          f"({len(cells)} missing or infinite cell(s); see paneleff validate)")
     data = _pooled_observations(panel)
+    # every model pools the same rows, so they share each replicate's first draw
+    counts = resample_counts(len(panel.dmus) * len(panel.periods), cfg.bootstrap_samples, cfg.bootstrap_seed)
     models = {}
     for model in cfg.models:
         estimates = fit_path_model(data, model.spec)
         boot = bootstrap_significance(
-            data, model.spec, samples=cfg.bootstrap_samples, seed=cfg.bootstrap_seed, full=estimates
+            data, model.spec, samples=cfg.bootstrap_samples, seed=cfg.bootstrap_seed, full=estimates,
+            counts=counts,
         )
         paths = []
         for (source, target), beta in estimates.path_coefficients.items():

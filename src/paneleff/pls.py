@@ -27,7 +27,9 @@ The full-sample fit and the bootstrap share one kernel, `_fit_stack`,
 which fits a stack of correlation matrices at once; the full sample is a
 stack of one. A bootstrap replicate counts how often it draws each row, so
 one product of a block of replicates' row counts with the rows' centred
-first and pairwise products gives every replicate's R (`_Sample`).
+first and pairwise products gives every replicate's R (`_Sample`). Path
+models fitted to the same rows with the same seed share each replicate's
+first draw (`resample_counts`).
 """
 
 from __future__ import annotations
@@ -357,14 +359,39 @@ def _counts(draws: np.ndarray) -> np.ndarray:
     return np.bincount((draws + n * np.arange(k)[:, None]).ravel(), minlength=k * n).reshape(k, n)
 
 
-def _fit_draws(sample: _Sample, streams, model: _CompiledModel) -> _StackFit:
-    """`_fit_stack` on one resample drawn from each random stream, whose
-    moments are formed REPLICATE_BLOCK replicates at a time."""
+def _draw_counts(streams, n: int) -> np.ndarray:
+    """The row counts of one draw of n rows from each random stream,
+    formed REPLICATE_BLOCK replicates at a time, each block in the
+    narrowest unsigned dtype that holds its largest count."""
     blocks = []
     streams = iter(streams)
     while block := list(islice(streams, REPLICATE_BLOCK)):
-        blocks.append(sample.correlations(_counts(np.stack([rng.integers(0, sample.n, size=sample.n)
-                                                            for rng in block]))))
+        counts = _counts(np.stack([rng.integers(0, n, size=n) for rng in block]))
+        blocks.append(counts.astype(np.min_scalar_type(int(counts.max()))))
+    return np.concatenate(blocks)
+
+
+def _check_samples(samples: int) -> None:
+    if samples < MIN_BOOTSTRAP_SAMPLES:
+        raise UsageError(f"bootstrap needs at least {MIN_BOOTSTRAP_SAMPLES} samples, got {samples}")
+
+
+def resample_counts(n: int, samples: int, seed: int) -> np.ndarray:
+    """The (samples, n) row counts of each bootstrap replicate's first
+    draw, `default_rng((seed, i)).integers(0, n, size=n)` for replicate i,
+    read-only and in the narrowest unsigned dtype that holds the largest
+    count. Path models fitted to the same n rows with the same seed share
+    them (see `bootstrap_significance`)."""
+    _check_samples(samples)
+    counts = _draw_counts((np.random.default_rng((seed, i)) for i in range(samples)), n)
+    counts.setflags(write=False)
+    return counts
+
+
+def _fit_counts(sample: _Sample, counts: np.ndarray, model: _CompiledModel) -> _StackFit:
+    """`_fit_stack` on the replicates of a (replicate x row) count matrix,
+    whose moments are formed REPLICATE_BLOCK replicates at a time."""
+    blocks = [sample.correlations(counts[k:k + REPLICATE_BLOCK]) for k in range(0, len(counts), REPLICATE_BLOCK)]
     R, constant = np.concatenate([R for R, _ in blocks]), np.concatenate([c for _, c in blocks])
     del blocks  # the fit needs only the joined arrays
     return _fit_stack(R, constant, model, sample.n)
@@ -404,34 +431,41 @@ def _fit_sample(model: _CompiledModel, sample: _Sample) -> PathEstimates:
 
 
 def bootstrap_significance(data, spec: PathModelSpec, samples: int = 500, seed: int = 0,
-                           full: PathEstimates | None = None) -> BootstrapSummary:
+                           full: PathEstimates | None = None,
+                           counts: np.ndarray | None = None) -> BootstrapSummary:
     """Bootstrap standard errors and two-tailed p-values for every path.
 
     Rows are resampled with replacement; each replicate's random stream is
     derived from (seed, replicate index) so results do not depend on
     scheduling. A replicate whose fit raises (a zero-variance column, a
     collapsed score, collinear predecessors, zero outer weights or a
-    singular structural regression) is redrawn from its own stream, up to
-    10x the requested count in total; one that does not converge is kept
-    as fitted. t statistics divide the full-sample coefficient by the
-    resampling standard deviation and are referred to a Student-t
-    distribution with n - 1 degrees of freedom. `full` is the model already
-    fitted to the whole sample; without it the whole sample is fitted here.
+    singular structural regression) is redrawn from its own stream, past
+    its first draw, up to 10x the requested count in total; one that does
+    not converge is kept as fitted. t statistics divide the full-sample
+    coefficient by the resampling standard deviation and are referred to a
+    Student-t distribution with n - 1 degrees of freedom. `full` is the
+    model already fitted to the whole sample; without it the whole sample
+    is fitted here. `counts` are the replicates' first draws as
+    `resample_counts(n, samples, seed)` returns them, so that models fitted
+    to the same rows draw them once; without them they are drawn here.
 
     Every replicate is fitted by one `_fit_stack` call, and each round of
     redraws by one more.
     """
-    if samples < MIN_BOOTSTRAP_SAMPLES:
-        raise UsageError(f"bootstrap needs at least {MIN_BOOTSTRAP_SAMPLES} samples, got {samples}")
+    _check_samples(samples)
     model, sample = _prepare(data, spec)
     n = sample.n
+    if counts is None:
+        counts = resample_counts(n, samples, seed)
+    elif counts.shape != (samples, n):
+        raise UsageError(f"bootstrap counts have shape {counts.shape}, expected {(samples, n)}")
     if full is None:
         full = _fit_sample(model, sample)
 
     paths = [(model.names[j], model.names[i]) for j, i in model.structural]
     coefficients = np.empty((samples, len(paths)))
     loadings = np.empty((samples, len(model.columns)))
-    fit = _fit_draws(sample, (np.random.default_rng((seed, i)) for i in range(samples)), model)
+    fit = _fit_counts(sample, counts, model)
     replicates = np.arange(samples)
     redraws = unconverged = 0
     streams: dict = {}
@@ -451,7 +485,7 @@ def bootstrap_significance(data, spec: PathModelSpec, samples: int = 500, seed: 
             if k not in streams:  # continue the stream past the replicate's first draw
                 streams[k] = np.random.default_rng((seed, k))
                 streams[k].integers(0, n, size=n)
-        fit = _fit_draws(sample, (streams[k] for k in replicates.tolist()), model)
+        fit = _fit_counts(sample, _draw_counts((streams[k] for k in replicates.tolist()), n), model)
 
     flip = _sign_alignment(np.array([full.outer_loadings[c] for c in model.columns]), loadings, model)
     draws = (coefficients * flip[:, model.tails] * flip[:, model.heads]).T

@@ -20,6 +20,7 @@ from paneleff.pipeline import (
     render_text,
     run_cluster_stage,
     run_pipeline,
+    run_pls_stage,
     significance_marker,
     unrun_report,
     _cobb_douglas_table,
@@ -310,6 +311,24 @@ def test_config_values_of_the_wrong_type_are_config_errors(demo_dir, tmp_path, c
     assert capsys.readouterr().err.startswith("configuration error:")
 
 
+def test_pls_stage_draws_each_replicate_once_for_all_models(monkeypatch):
+    # the demo's three path models pool the same rows with the same seed,
+    # so one set of 500 replicate streams serves them all (none redraws)
+    config = parse_config(make_demo_config())
+    assert len(config.pls.models) == 3 and config.pls.bootstrap_samples == 500
+    panel = make_demo_panel()
+    made = []
+    default_rng = np.random.default_rng
+
+    def counting_rng(seed=None):
+        made.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    run_pls_stage(config, panel)
+    assert made == [(config.pls.bootstrap_seed, i) for i in range(500)]
+
+
 def test_stage_gating_skips_unconfigured_sections(demo_dir):
     document = json.loads((demo_dir / "config.json").read_text())
     del document["cluster"]
@@ -514,6 +533,18 @@ def test_cli_nonpositive_dataset_fails_validation(tmp_path, capsys):
     code = cli_main(["validate", "--config", str(tmp_path / "config.json")])
     assert code == 1
     assert "NONPOSITIVE" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("cell", ["inf", "-inf"])
+def test_cli_validate_reports_an_infinite_dea_cell_as_nonfinite(demo_dir, tmp_path, capsys, cell):
+    # an infinite DEA cell was once reported as nonpositive
+    (tmp_path / "config.json").write_text((demo_dir / "config.json").read_text())
+    lines = [l for l in (demo_dir / "dataset.csv").read_text().splitlines(keepends=True)
+             if not l.startswith("C02,1998,ict_spend,")]
+    (tmp_path / "dataset.csv").write_text("".join(lines) + f"C02,1998,ict_spend,{cell}\n")
+    assert cli_main(["validate", "--config", str(tmp_path / "config.json")]) == 1
+    errors = [l.strip() for l in capsys.readouterr().out.splitlines() if l.strip().startswith("ERROR")]
+    assert errors == [f"ERROR NONFINITE at dmu=C02 period=1998 variable=ict_spend: cell value {cell} is not finite"]
 
 
 def test_cli_validate_reports_the_missing_pls_cell_that_the_pls_stage_names(demo_dir, tmp_path, capsys):

@@ -19,6 +19,7 @@ from paneleff.pls import (
     fit_path_model,
     fit_with_bootstrap,
     ols,
+    resample_counts,
     standardize,
 )
 from paneleff.synthetic import make_demo_config, make_demo_panel
@@ -499,6 +500,25 @@ def test_stacked_bootstrap_redraws_discrete_resamples_like_scalar_loop():
     y = x + rng.normal(size=12)
     boot = assert_matches_scalar_loop({"x": x, "y": y}, two_block_spec(), samples=200, seed=5)
     assert boot.redraws > 0
+
+
+def test_bootstrap_from_given_counts_equals_drawing_them_and_redraws_alike():
+    rng = np.random.default_rng(61)
+    x = np.array([1.0, 1.0] + [0.0] * 10)
+    data = {"x": x, "y": x + rng.normal(size=12)}
+    counts = resample_counts(12, 200, 5)
+    assert counts.dtype == np.uint8 and not counts.flags.writeable
+    given = bootstrap_significance(data, two_block_spec(), samples=200, seed=5, counts=counts)
+    assert given.redraws > 0
+    assert given == bootstrap_significance(data, two_block_spec(), samples=200, seed=5)
+
+
+@pytest.mark.parametrize("shape", [(199, 12), (200, 11), (200,)])
+def test_bootstrap_rejects_counts_of_the_wrong_shape(shape):
+    x = np.random.default_rng(62).normal(size=12)
+    with pytest.raises(UsageError, match="bootstrap counts have shape"):
+        bootstrap_significance({"x": x, "y": -x ** 2}, two_block_spec(), samples=200, seed=5,
+                               counts=np.ones(shape, dtype=np.uint8))
 
 
 def test_stacked_bootstrap_redraws_collinear_resamples_like_scalar_loop():

@@ -40,9 +40,15 @@ def test_replicate_moments_equal_the_explicit_resample(case):
     assert counts.tolist() == [np.bincount(idx, minlength=X.shape[0]).tolist() for idx in draws]
     sample = _Sample(X)
     R, constant = sample.correlations(counts)
+    # counts come in the narrowest unsigned dtype that holds them
+    for dtype in (np.uint8, np.uint16):
+        narrow_R, narrow_constant = sample.correlations(counts.astype(dtype))
+        assert np.array_equal(narrow_R, R, equal_nan=True)
+        assert np.array_equal(narrow_constant, constant)
     # past 2**53 the probes' sums are formed in int64; they flag the same columns
     sample.probes = sample.probes.astype(np.int64)
-    assert np.array_equal(sample.correlations(counts)[1], constant)
+    for dtype in (np.int64, np.uint8, np.uint16):
+        assert np.array_equal(sample.correlations(counts.astype(dtype))[1], constant)
     for k, idx in enumerate(draws):
         resample = X[idx]
         # the flag is exact: all drawn rows share one value
