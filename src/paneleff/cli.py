@@ -93,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory (overrides the configuration)")
         p.add_argument("--format", dest="formats", action="append", choices=("csv", "json", "text"),
                        help="report format (repeatable; overrides the configuration)")
-        p.add_argument("--seed", type=int, help="override the bootstrap seed")
+        p.add_argument("--seed", type=int, help="override the bootstrap seed (needs a pls stage)")
         p.add_argument("--quiet", action="store_true", help="suppress progress notes")
         p.set_defaults(load_config=_load_config)
 
@@ -243,10 +243,15 @@ def _read_report(config: PipelineConfig) -> ReportBundle | None:
 
 def _well_formed(report: ReportBundle, config: PipelineConfig) -> bool:
     """Whether each section of a report is a JSON object that the emitter
-    renders, and the DEA section, which the cluster stage reads, pending
-    or one table per configured analysis. A malformed section may also
-    raise."""
+    renders, the sections of a stage the configuration lacks are skipped,
+    and the DEA section, which the cluster stage reads, is pending or one
+    table per configured analysis. A malformed section may also raise."""
     if not all(isinstance(s, dict) for s in (report.dea, report.cluster, report.correspondence, report.pls)):
+        return False
+    skipped = {"skipped": True}
+    if config.cluster is None and (report.cluster, report.correspondence) != (skipped, skipped):
+        return False
+    if config.pls is None and report.pls != skipped:
         return False
     render_text(report)
     return "pending" in report.dea or set(report.dea) == {a.name for a in config.dea_analyses}

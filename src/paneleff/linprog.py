@@ -2,10 +2,10 @@
 
 Two-phase primal simplex on the dense standard form, run in lockstep over a
 stack of programs. `solve_stack(objective, sense, A, relations, b)` takes
-programs that share objective, sense, relations and free variables, with
-a constraint matrix A[k] and rhs b[k] each. Only the sign of each rhs,
-which fixes the start basis, can still differ, so a stack splits only on
-its members' rhs sign patterns. Every tableau of a stack takes one pivot
+programs that share objective, sense and relations, with a constraint
+matrix A[k] and rhs b[k] each. Only the sign of each rhs, which fixes the
+start basis, can still differ, so a stack splits only on its members' rhs
+sign patterns. Every tableau of a stack takes one pivot
 per step, and each step is the same few numpy operations whatever the
 stack's size. A program that reaches optimality or unboundedness, or
 breaks down, leaves the stack; programs whose phase 1 drops different
@@ -18,8 +18,8 @@ observed, and each phase stops at 20000 pivots. The radial efficiency
 programs this package produces are tiny (tens of columns) but notoriously
 degenerate. Every operation on a tableau is elementwise, so a program's
 pivots, and its solution bit for bit, do not depend on the stack it is
-solved in. Variable lower bounds are restricted to 0 or -inf; free
-variables are split into positive and negative parts.
+solved in. Every variable is nonnegative; a free variable is written as
+two columns, x = x+ - x-, with the second column the negated first.
 
 Tolerances are fixed rather than configurable so that downstream efficiency
 scores stay bit-stable: pivot tolerance 1e-9, feasibility tolerance 1e-7,
@@ -27,10 +27,10 @@ both relative to an up-front row equilibration of the constraint matrix.
 
 Every optimum is certified before it is returned: the primal point is
 feasible, the duals are dual-feasible (each sign matches its relation and
-the sense, and every reduced cost has the sign optimality needs, zero on
-free variables), and the two objectives agree within 1e-6. Together these
-prove both solutions optimal, so a caller may use the duals as the dual
-program's solution without solving it.
+the sense, and every reduced cost has the sign optimality needs), and the
+two objectives agree within 1e-6. Together these prove both solutions
+optimal, so a caller may use the duals as the dual program's solution
+without solving it.
 """
 
 from __future__ import annotations
@@ -58,15 +58,16 @@ UNBOUNDED = "unbounded"
 @dataclass(frozen=True, init=False)
 class LpProblem:
     """A dense linear program: optimize objective . x subject to
-    A x (relations) b and x >= lower_bounds.
+    A x (relations) b and x >= 0.
 
-    objective    coefficient vector c, shape (n,)
-    sense        "max" or "min"
-    A            constraint matrix, shape (m, n)
-    relations    one of "<=", "=", ">=" per constraint, shape (m,)
-    b            right-hand sides, shape (m,)
-    lower_bounds per-variable lower bound, each either 0.0 or -inf (free)
+    objective  coefficient vector c, shape (n,)
+    sense      "max" or "min"
+    A          constraint matrix, shape (m, n)
+    relations  one of "<=", "=", ">=" per constraint, shape (m,)
+    b          right-hand sides, shape (m,)
 
+    A free variable x is written as two columns, x+ and x-, whose objective
+    and constraint coefficients are x's and their negation; x = x+ - x-.
     The constructor takes the constraints as (coefficients, relation, rhs)
     rows; solve_stack takes many programs' constraints as arrays.
     """
@@ -76,17 +77,16 @@ class LpProblem:
     A: np.ndarray
     relations: np.ndarray
     b: np.ndarray
-    lower_bounds: np.ndarray
 
-    def __init__(self, objective, sense, constraints, lower_bounds=None):
+    def __init__(self, objective, sense, constraints):
         rows = tuple(constraints)
         if rows:
             A, relations, b = zip(*rows)
         else:
             A, relations, b = np.zeros((0, np.size(objective))), (), ()
-        c, A, relations, b, lb = _validated(objective, sense, [A], relations, [b], lower_bounds)
+        c, A, relations, b = _validated(objective, sense, [A], relations, [b])
         for name, value in (("objective", c), ("sense", sense), ("A", A[0]), ("relations", relations),
-                            ("b", b[0]), ("lower_bounds", lb)):
+                            ("b", b[0])):
             object.__setattr__(self, name, value)
 
     @property
@@ -98,10 +98,9 @@ class LpProblem:
         return self.b.size
 
 
-def _validated(objective, sense, A, relations, b, lower_bounds):
-    """Check a stack of programs that share objective, sense, relations and
-    bounds; return read-only copies of c, A (K, m, n), relations, b (K, m)
-    and the lower bounds."""
+def _validated(objective, sense, A, relations, b):
+    """Check a stack of programs that share objective, sense and relations;
+    return read-only copies of c, A (K, m, n), relations and b (K, m)."""
     c = np.array(objective, dtype=float)
     if c.ndim != 1 or c.size == 0:
         raise UsageError("objective must be a non-empty 1-D coefficient vector")
@@ -125,19 +124,10 @@ def _validated(objective, sense, A, relations, b, lower_bounds):
     if not (np.isfinite(A).all() and np.isfinite(b).all()):
         finite = (np.isfinite(A).all(axis=2) & np.isfinite(b)).all(axis=0)
         raise UsageError(f"constraint {int(np.argmin(finite))} has non-finite coefficients or rhs")
-    if lower_bounds is None:
-        lb = np.zeros(c.size)
-    else:
-        lb = np.array(lower_bounds, dtype=float)
-        if lb.shape != c.shape:
-            raise UsageError("lower_bounds length must match the objective")
-        bad = ~((lb == 0.0) | np.isneginf(lb))
-        if np.any(bad):
-            raise UsageError("variable lower bounds must be 0 or -inf")
     rel = rel.astype("<U2")
-    for array in (c, A, rel, b, lb):
+    for array in (c, A, rel, b):
         array.setflags(write=False)
-    return c, A, rel, b, lb
+    return c, A, rel, b
 
 
 @dataclass(frozen=True)
@@ -164,9 +154,6 @@ def format_lp(problem: LpProblem) -> str:
     lines.append("subject to")
     for i, (a, rel, rhs) in enumerate(zip(problem.A, problem.relations, problem.b)):
         lines.append(f"  c{i}: {_linear_expr(a)} {rel} {rhs:g}")
-    lines.append("bounds")
-    for j, lb in enumerate(problem.lower_bounds):
-        lines.append(f"  x{j} free" if np.isneginf(lb) else f"  x{j} >= 0")
     return "\n".join(lines)
 
 
@@ -184,15 +171,15 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     LpSolverError with iteration diagnostics on numerical breakdown.
     """
     p = problem
-    (outcome,) = _Stack(p.objective, p.sense, p.A[None], p.relations, p.b[None], p.lower_bounds).solve()
+    (outcome,) = _Stack(p.objective, p.sense, p.A[None], p.relations, p.b[None]).solve()
     if isinstance(outcome, LpSolverError):
         raise outcome
     return outcome
 
 
-def solve_stack(objective, sense, A, relations, b, lower_bounds=None) -> list:
-    """Solve the programs that share objective, sense, relations and bounds
-    and take their constraints from A[k] (m, n) and b[k] (m,), for each k of
+def solve_stack(objective, sense, A, relations, b) -> list:
+    """Solve the programs that share objective, sense and relations and
+    take their constraints from A[k] (m, n) and b[k] (m,), for each k of
     A (K, m, n) and b (K, m); return their outcomes in order. An outcome is
     the program's LpSolution, or the LpSolverError that solve_lp raises for
     it.
@@ -201,14 +188,14 @@ def solve_stack(objective, sense, A, relations, b, lower_bounds=None) -> list:
     the start basis, are solved as one lockstep stack; the result of each
     equals solve_lp on it alone, bit for bit.
     """
-    c, A, relations, b, lb = _validated(objective, sense, A, relations, b, lower_bounds)
+    c, A, relations, b = _validated(objective, sense, A, relations, b)
     outcomes: list = [None] * len(A)
     negative = b < 0.0
     rest = np.arange(len(A))
     while rest.size:
         same = (negative[rest] == negative[rest[0]]).all(axis=1)
         members = rest[same]
-        for k, outcome in zip(members.tolist(), _Stack(c, sense, A[members], relations, b[members], lb).solve()):
+        for k, outcome in zip(members.tolist(), _Stack(c, sense, A[members], relations, b[members]).solve()):
             outcomes[k] = outcome
         rest = rest[~same]
     return outcomes
@@ -216,25 +203,20 @@ def solve_stack(objective, sense, A, relations, b, lower_bounds=None) -> list:
 
 class _Stack:
     """The standard form of a stack of programs that share objective,
-    sense, relations, bounds and rhs signs, and the outcome of each as the
-    phases settle it."""
+    sense, relations and rhs signs, and the outcome of each as the phases
+    settle it."""
 
-    def __init__(self, c, sense, M, relations, rhs, lb):
+    def __init__(self, c, sense, M, relations, rhs):
         K, m, n = M.shape
-        self.c, self.sense, self.lb, self.M, self.rhs = c, sense, lb, M, rhs
+        self.c, self.sense, self.M, self.rhs = c, sense, M, rhs
 
-        # Standard-form columns: free variables split into x+ - x-.
-        self.col_var = col_var = np.repeat(np.arange(n), np.where(lb != 0.0, 2, 1))
-        self.col_sign = col_sign = np.ones(col_var.size)
-        col_sign[1:][col_var[1:] == col_var[:-1]] = -1.0
-        n_cols = col_var.size
         self.slack_coef = slack_coef = (relations == "<=") - (relations == ">=").astype(float)
         has_slack = slack_coef != 0.0
         n_slacks = int(has_slack.sum())
-        A = np.zeros((K, m, n_cols + n_slacks))
-        A[:, :, :n_cols] = M[:, :, col_var] * col_sign
+        A = np.zeros((K, m, n + n_slacks))
+        A[:, :, :n] = M
         slack_of_row = np.full(m, -1, dtype=int)
-        slack_of_row[has_slack] = n_cols + np.arange(n_slacks)
+        slack_of_row[has_slack] = n + np.arange(n_slacks)
         A[:, has_slack, slack_of_row[has_slack]] = slack_coef[has_slack]
 
         # Rows with a negative rhs are negated, then every row is scaled
@@ -248,9 +230,8 @@ class _Stack:
         self.A, self.b = A, b
 
         self.total_cols = total_cols = A.shape[2]
-        c_std = c[col_var] * col_sign
         self.c_full = np.zeros(total_cols)
-        self.c_full[:n_cols] = -c_std if sense == "max" else c_std
+        self.c_full[:n] = -c if sense == "max" else c
         # A row starts on its own slack when that slack's coefficient is
         # positive, which the relations and rhs signs decide; every other
         # row gets an artificial column.
@@ -274,12 +255,6 @@ class _Stack:
         self.outcomes: list = [None] * K
 
     def solve(self) -> list:
-        if not self.M.shape[1]:
-            # Bounded iff no improving coordinate direction exists.
-            if np.any(self.c_full < -PIVOT_TOL):
-                return [LpSolution(UNBOUNDED, float("nan"), None, None, 0) for _ in self.outcomes]
-            value = float(self.c @ np.zeros(self.c.size))
-            return [LpSolution(OPTIMAL, value, np.zeros(self.c.size), np.zeros(0), 0) for _ in self.outcomes]
         live = self.phase1()
         keep_rows = self.drop_artificials(live)
         sub_stacks: dict[bytes, list[int]] = {}
@@ -399,8 +374,7 @@ class _Stack:
         x_std[g, basis2] = x_basic
         np.maximum(x_std, 0.0, out=x_std)  # clip roundoff negatives
 
-        x = np.zeros((G, self.c.size))
-        np.add.at(x, (g, self.col_var), self.col_sign * x_std[:, :self.col_var.size])
+        x = x_std[:, :self.c.size]
 
         dual = np.zeros((G, self.M.shape[1]))
         sense_factor = 1.0 if self.sense == "min" else -1.0
@@ -408,7 +382,7 @@ class _Stack:
                               / self.row_scale[ks[:, None], row_index])
 
         objective = [float(self.c @ x_k) for x_k in x]
-        errors = _check_certificates(self.sense, self.lb, self.c, self.M[ks], self.slack_coef, self.rhs[ks],
+        errors = _check_certificates(self.sense, self.c, self.M[ks], self.slack_coef, self.rhs[ks],
                                      x, dual, np.array(objective), self.iterations[ks])
         for j, k in enumerate(ks.tolist()):
             its = int(self.iterations[k])
@@ -462,7 +436,7 @@ def _run(T, basis):
         column = t[live, :-1, enter]
         positive = column > PIVOT_TOL
         ratios = np.where(positive, t[:, :-1, -1] / np.where(positive, column, 1.0), np.inf)
-        best = ratios.min(axis=1)
+        best = ratios.min(axis=1, initial=np.inf)
         # optimal: no candidate, so priced[enter] is inf; unbounded: no
         # positive entry in the column, so best is inf
         entering = priced[live, enter]
@@ -528,10 +502,10 @@ def _pivot(T, k, rows, cols) -> None:
     T[k, rows] = pivot_row + 0.0
 
 
-def _check_certificates(sense, lb, c, M, slack_coef, rhs, x, dual, objective, iterations) -> dict:
+def _check_certificates(sense, c, M, slack_coef, rhs, x, dual, objective, iterations) -> dict:
     """Verify primal feasibility, dual feasibility and strong duality for a
-    stack of claimed optima of programs that share sense, bounds lb,
-    objective c and relations (slack_coef).
+    stack of claimed optima of programs that share sense, objective c and
+    relations (slack_coef).
 
     Together the three prove x optimal and dual an optimal dual solution.
     Each test is relative to the magnitudes of its own terms: row i's
@@ -544,19 +518,18 @@ def _check_certificates(sense, lb, c, M, slack_coef, rhs, x, dual, objective, it
     violation = np.where(slack_coef == 0.0, np.abs(residual), slack_coef * residual)
     scale = np.maximum(1.0, np.maximum(np.abs(rhs), (abs_M @ np.abs(x)[:, :, None])[:, :, 0]))
     infeasible_row = violation > FEAS_TOL * scale
-    finite = lb == 0.0
-    negative_x = (x < -FEAS_TOL) & finite
+    negative_x = x < -FEAS_TOL
 
     # Dual feasibility. With s = +1 for min and -1 for max: s * dual_i <= 0
-    # on a <= row and >= 0 on a >= row; s * (c - M'dual) >= 0 on x >= 0
-    # columns and = 0 on free ones. A row's sign is the reduced cost of its
-    # unit slack column, so it shares the column test.
+    # on a <= row and >= 0 on a >= row; s * (c - M'dual) >= 0 on every
+    # column. A row's sign is the reduced cost of its unit slack column, so
+    # it shares the column test.
     s = 1.0 if sense == "min" else -1.0
     dual_max = np.abs(dual).max(axis=1, initial=0.0)
     wrong_sign = s * slack_coef * dual
     sign_row = wrong_sign > FEAS_TOL * np.maximum(1.0, dual_max)[:, None]
     reduced = s * (c - (dual[:, None, :] @ M)[:, 0, :])
-    dual_violation = np.where(finite, -reduced, np.abs(reduced))
+    dual_violation = -reduced
     dual_scale = np.maximum(1.0, np.maximum(np.abs(c), (np.abs(dual)[:, None, :] @ abs_M)[:, 0, :]))
     infeasible_column = dual_violation > FEAS_TOL * dual_scale
 

@@ -43,6 +43,7 @@ from .panel_data import (
 )
 from .pls import (
     MIN_BOOTSTRAP_SAMPLES,
+    DesignMatrix,
     LatentBlock,
     PathModelSpec,
     bootstrap_significance,
@@ -112,8 +113,11 @@ class PipelineConfig:
 
     def with_seed(self, seed: int) -> "PipelineConfig":
         """Override the bootstrap seed (the --seed flag), the only seed of a
-        run."""
-        return replace(self, pls=replace(self.pls, bootstrap_seed=seed)) if self.pls else self
+        run; a configuration without a pls stage has no seed to override."""
+        if self.pls is None:
+            raise ConfigError("--seed sets the bootstrap seed and needs a pls stage; "
+                              "this configuration has none")
+        return replace(self, pls=replace(self.pls, bootstrap_seed=seed))
 
 
 def config_from_file(path) -> PipelineConfig:
@@ -614,11 +618,10 @@ def _cobb_douglas_table(panel: PanelDataset, cfg: CobbDouglasConfig) -> dict:
     if np.any(~(np.isfinite(target) & (target > 0.0))):
         raise UsageError(f"cobb_douglas target {cfg.target!r} must be strictly positive")
     X = np.column_stack([np.ones(design.values.shape[0]), design.values])
-    fit = ols(X, np.log(target))
-    columns = ("const",) + design.columns
+    fit = ols(DesignMatrix(("const",) + design.columns, X), np.log(target))
     return {
         "target": f"ln_{cfg.target}",
-        "columns": list(columns),
+        "columns": list(fit.columns),
         "coefficients": [float(b) for b in fit.coefficients],
         "standard_errors": [float(s) for s in fit.standard_errors],
     }
@@ -723,14 +726,15 @@ def emit_report(bundle: ReportBundle, out_dir: str, formats=("json",)) -> list[s
     """Write the bundle to disk; one file per table for CSV, a single
     document for JSON, aligned tables for text. Returns written paths."""
     os.makedirs(out_dir, exist_ok=True)
+    tables = report_tables(bundle) if {"csv", "text"} & set(formats) else []
     written = []
     for fmt in formats:
         if fmt == "json":
             files = [(f"{REPORT_BASENAME}.json", bundle.to_json())]
         elif fmt == "text":
-            files = [(f"{REPORT_BASENAME}.txt", render_text(bundle))]
+            files = [(f"{REPORT_BASENAME}.txt", _render_text(bundle, tables))]
         elif fmt == "csv":
-            files = [(f"{table.name}.csv", _csv_text(table)) for table in report_tables(bundle)]
+            files = [(f"{table.name}.csv", _csv_text(table)) for table in tables]
         else:
             raise UsageError(f"unknown report format {fmt!r}")
         for name, text in files:
@@ -856,7 +860,11 @@ def _pls_grid(pls_section: dict) -> Table:
 
 def render_text(bundle: ReportBundle) -> str:
     """Aligned, human-readable rendering of the full bundle."""
-    tables = report_tables(bundle)
+    return _render_text(bundle, report_tables(bundle))
+
+
+def _render_text(bundle: ReportBundle, tables: list[Table]) -> str:
+    """render_text of the bundle from its report_tables."""
     by_name = {table.name: table for table in tables}
     out = []
     prov = bundle.provenance

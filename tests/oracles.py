@@ -491,16 +491,7 @@ def scalar_solve_lp(problem):
     m = problem.n_constraints
     minimize = problem.sense == "min"
 
-    # Standard-form columns: free variables split into x+ - x-.
-    free = np.isneginf(problem.lower_bounds)
-    col_var = np.repeat(np.arange(n), np.where(free, 2, 1))
-    col_sign = np.ones(col_var.size)
-    col_sign[1:][col_var[1:] == col_var[:-1]] = -1.0
-    n_cols = col_var.size
-
-    c_std = problem.objective[col_var] * col_sign
-    if not minimize:
-        c_std = -c_std
+    c_std = problem.objective if minimize else -problem.objective
 
     if m == 0:
         # Bounded iff no improving coordinate direction exists.
@@ -512,10 +503,10 @@ def scalar_solve_lp(problem):
     M, slack_coef, rhs = _dense_rows(problem)
     has_slack = slack_coef != 0.0
     n_slacks = int(has_slack.sum())
-    A = np.zeros((m, n_cols + n_slacks))
-    A[:, :n_cols] = M[:, col_var] * col_sign
+    A = np.zeros((m, n + n_slacks))
+    A[:, :n] = M
     slack_of_row = np.full(m, -1, dtype=int)
-    slack_of_row[has_slack] = n_cols + np.arange(n_slacks)
+    slack_of_row[has_slack] = n + np.arange(n_slacks)
     A[has_slack, slack_of_row[has_slack]] = slack_coef[has_slack]
     b = rhs.copy()
 
@@ -618,8 +609,7 @@ def scalar_solve_lp(problem):
     x_std[basis2] = x_basic
     np.maximum(x_std, 0.0, out=x_std)  # clip roundoff negatives
 
-    x = np.zeros(n)
-    np.add.at(x, col_var, col_sign * x_std[:n_cols])
+    x = x_std[:n]
 
     dual = np.zeros(m)
     sense_factor = 1.0 if minimize else -1.0
@@ -658,15 +648,14 @@ def _check_certificates(problem, M, slack_coef, rhs, x, dual, objective_value, i
             f"primal infeasibility {violation[i]:.3e} in constraint {i} at claimed optimum",
             diagnostics={"iterations": iterations, "constraint": i},
         )
-    finite = problem.lower_bounds == 0.0
-    if np.any(x[finite] < -FEAS_TOL):
+    if np.any(x < -FEAS_TOL):
         raise LpSolverError("negative value for a nonnegative variable at claimed optimum",
                             diagnostics={"iterations": iterations})
 
     # Dual feasibility. With s = +1 for min and -1 for max: s * dual_i <= 0
-    # on a <= row and >= 0 on a >= row; s * (c - M'dual) >= 0 on x >= 0
-    # columns and = 0 on free ones. A row's sign is the reduced cost of its
-    # unit slack column, so it shares the column test.
+    # on a <= row and >= 0 on a >= row; s * (c - M'dual) >= 0 on every
+    # column. A row's sign is the reduced cost of its unit slack column, so
+    # it shares the column test.
     s = 1.0 if problem.sense == "min" else -1.0
     dual_max = float(np.abs(dual).max(initial=0.0))
     wrong_sign = s * slack_coef * dual
@@ -678,7 +667,7 @@ def _check_certificates(problem, M, slack_coef, rhs, x, dual, objective_value, i
             diagnostics={"iterations": iterations, "constraint": i},
         )
     reduced = s * (problem.objective - M.T @ dual)
-    violation = np.where(finite, -reduced, np.abs(reduced))
+    violation = -reduced
     scale = np.maximum(1.0, np.maximum(np.abs(problem.objective), np.abs(dual) @ abs_M))
     bad = np.flatnonzero(violation > FEAS_TOL * scale)
     if bad.size:

@@ -27,6 +27,24 @@ def test_unbounded_without_constraints():
     assert solve_lp(LpProblem([1.0], "max", [])).status == "unbounded"
 
 
+@pytest.mark.parametrize("sense", ["min", "max"])
+@pytest.mark.parametrize("c", [[2.0], [-2.0], [0.0], [1.0, 0.0, 3.0], [1.0, -1e-3, 3.0], [-1.0, 0.0, -3.0]])
+def test_programs_without_constraints_equal_the_scalar_reference(sense, c):
+    # no rows: unbounded when some c_j improves, otherwise optimal at x = 0
+    # with an empty dual, in the stack and the reference alike
+    p = LpProblem(c, sense, [])
+    expected = lp_outcome(scalar_solve_lp, p)
+    got = lp_outcome(solve_lp, p)
+    assert same_lp_outcome(got, expected)
+    improving = np.any(np.array(c) < 0.0) if sense == "min" else np.any(np.array(c) > 0.0)
+    assert got.status == ("unbounded" if improving else "optimal")
+    if got.status == "optimal":
+        assert got.objective_value == 0.0 and np.array_equal(got.primal, np.zeros(len(c)))
+        assert got.dual.shape == (0,)
+    outcomes = solve_stack(c, sense, np.zeros((3, 0, len(c))), [], np.zeros((3, 0)))
+    assert all(same_lp_outcome(o, expected) for o in outcomes)
+
+
 def test_unbounded_direction():
     # y unconstrained from above
     p = LpProblem([0.0, 1.0], "max", [([1.0, 0.0], "<=", 2.0)])
@@ -34,11 +52,11 @@ def test_unbounded_direction():
 
 
 def test_equality_and_free_variable():
+    # min x + y s.t. x + y = 2, x - y >= -4, y free, written as y+ - y-
     p = LpProblem(
-        [1.0, 1.0],
+        [1.0, 1.0, -1.0],
         "min",
-        [([1.0, 1.0], "=", 2.0), ([1.0, -1.0], ">=", -4.0)],
-        lower_bounds=[0.0, -np.inf],
+        [([1.0, 1.0, -1.0], "=", 2.0), ([1.0, -1.0, 1.0], ">=", -4.0)],
     )
     s = solve_lp(p)
     assert s.status == "optimal"
@@ -46,11 +64,11 @@ def test_equality_and_free_variable():
 
 
 def test_free_variable_can_go_negative():
-    # min y s.t. y >= -3, y free
-    p = LpProblem([1.0], "min", [([1.0], ">=", -3.0)], lower_bounds=[-np.inf])
+    # min y s.t. y >= -3, y free, written as y+ - y-
+    p = LpProblem([1.0, -1.0], "min", [([1.0, -1.0], ">=", -3.0)])
     s = solve_lp(p)
     assert s.status == "optimal"
-    assert s.primal[0] == pytest.approx(-3.0, abs=1e-9)
+    assert s.primal[0] - s.primal[1] == pytest.approx(-3.0, abs=1e-9)
 
 
 def test_dimension_mismatch_rejected():
@@ -61,11 +79,6 @@ def test_dimension_mismatch_rejected():
 def test_bad_relation_rejected():
     with pytest.raises(UsageError):
         LpProblem([1.0], "max", [([1.0], "<", 1.0)])
-
-
-def test_finite_nonzero_lower_bound_rejected():
-    with pytest.raises(UsageError):
-        LpProblem([1.0], "max", [([1.0], "<=", 1.0)], lower_bounds=[2.0])
 
 
 def test_oracle_agreement_on_random_lps():
@@ -96,30 +109,6 @@ def test_strong_duality_and_complementary_slackness():
         for i in range(len(b)):
             slack = b[i] - A[i] @ s.primal
             assert abs(slack * s.dual[i]) <= 1e-6 * scale
-
-
-def test_free_variable_split_matches_explicit_columns():
-    # a free x_j is solved as x_j+ - x_j- in adjacent columns; writing those
-    # columns out by hand must give the same pivots and the same bits
-    rng = np.random.default_rng(47)
-    for _ in range(60):
-        c, A, b = random_lp(rng)
-        rels = rng.choice(["<=", "=", ">="], size=len(b))
-        sense = str(rng.choice(["min", "max"]))
-        free = rng.random(len(c)) < 0.4
-        split = np.repeat(np.arange(len(c)), np.where(free, 2, 1))
-        sign = np.where(np.r_[False, split[1:] == split[:-1]], -1.0, 1.0)
-        p1 = LpProblem(c, sense, [(A[i], rels[i], b[i]) for i in range(len(b))],
-                       lower_bounds=np.where(free, -np.inf, 0.0))
-        p2 = LpProblem(c[split] * sign, sense,
-                       [(A[i][split] * sign, rels[i], b[i]) for i in range(len(b))])
-        s1, s2 = solve_lp(p1), solve_lp(p2)
-        assert (s1.status, s1.iterations) == (s2.status, s2.iterations)
-        if s1.status == "optimal":
-            x2 = np.zeros(len(c))
-            np.add.at(x2, split, sign * s2.primal)
-            assert np.array_equal(s1.primal, x2)
-            assert np.array_equal(s1.dual, s2.dual)
 
 
 def test_row_permutation_invariance():
@@ -172,18 +161,15 @@ def test_format_lp_dump():
         [3.0, 2.0],
         "max",
         [([1.0, 1.0], "<=", 4.0), ([1.0, 3.0], ">=", 6.0)],
-        lower_bounds=[0.0, -np.inf],
     )
     text = format_lp(p)
     assert "maximize" in text
     assert "c0:" in text and "<= 4" in text
     assert ">= 6" in text
-    assert "x1 free" in text
 
 
 def random_family(rng, count):
-    """Random programs with mixed relations, free variables, either sense
-    and rhs of either sign; every third is degenerate, with zero right-hand
+    """Random programs with mixed relations, either sense and rhs of either sign; every third is degenerate, with zero right-hand
     sides and its last row a copy of its first."""
     problems = []
     for i in range(count):
@@ -192,10 +178,8 @@ def random_family(rng, count):
         if i % 3 == 0:
             b = np.where(rng.random(len(b)) < 0.5, 0.0, b)
             A[-1], b[-1], rels[-1] = A[0], b[0], rels[0]
-        free = rng.random(len(c)) < 0.3
         problems.append(LpProblem(c, str(rng.choice(["min", "max"])),
-                                  [(A[i], rels[i], b[i]) for i in range(len(b))],
-                                  lower_bounds=np.where(free, -np.inf, 0.0)))
+                                  [(A[i], rels[i], b[i]) for i in range(len(b))]))
     return problems
 
 
@@ -211,8 +195,8 @@ def test_solve_lp_equals_the_scalar_reference():
 
 def random_stacks(rng, count, size=20, span=5.0):
     """count random solve_stack argument tuples of size members each, drawn
-    as random_family draws a program: mixed relations, free variables and
-    either sense, shared by the stack. Each stack has one rhs sign pattern
+    as random_family draws a program: mixed relations and either sense,
+    shared by the stack. Each stack has one rhs sign pattern
     and a quarter of its members flip one row's sign, so the stack splits;
     every third member is degenerate, with zero right-hand sides and, in
     half the stacks, its last row a copy of its first."""
@@ -233,18 +217,17 @@ def random_stacks(rng, count, size=20, span=5.0):
                 b[k] = np.where(rng.random(m) < 0.5, 0.0, b[k])
                 if repeat_first_row:
                     A[k, -1], b[k, -1] = A[k, 0], b[k, 0]
-        free = rng.random(n) < 0.3
-        stacks.append((c, str(rng.choice(["min", "max"])), A, rels, b, np.where(free, -np.inf, 0.0)))
+        stacks.append((c, str(rng.choice(["min", "max"])), A, rels, b))
     return stacks
 
 
-def assert_stack_equals_the_scalar_reference(c, sense, A, relations, b, lower_bounds=None) -> list:
+def assert_stack_equals_the_scalar_reference(c, sense, A, relations, b) -> list:
     """solve_stack's outcomes, each checked against the scalar reference on
     an LpProblem built from its member's rows."""
-    outcomes = solve_stack(c, sense, A, relations, b, lower_bounds)
+    outcomes = solve_stack(c, sense, A, relations, b)
     assert len(outcomes) == len(A)
     for A_k, b_k, got in zip(A, b, outcomes):
-        p = LpProblem(c, sense, zip(A_k, relations, b_k), lower_bounds=lower_bounds)
+        p = LpProblem(c, sense, zip(A_k, relations, b_k))
         assert same_lp_outcome(got, lp_outcome(scalar_solve_lp, p))
     return outcomes
 
@@ -252,8 +235,8 @@ def assert_stack_equals_the_scalar_reference(c, sense, A, relations, b, lower_bo
 def test_random_stacks_equal_the_scalar_reference():
     statuses = set()
     split = 0
-    for c, sense, A, relations, b, lower_bounds in random_stacks(np.random.default_rng(77), 40):
-        outcomes = assert_stack_equals_the_scalar_reference(c, sense, A, relations, b, lower_bounds)
+    for c, sense, A, relations, b in random_stacks(np.random.default_rng(77), 40):
+        outcomes = assert_stack_equals_the_scalar_reference(c, sense, A, relations, b)
         statuses |= {getattr(o, "status", "error") for o in outcomes}
         split += len(np.unique(b < 0.0, axis=0)) > 1
     assert statuses >= {"optimal", "infeasible", "unbounded"}
@@ -281,8 +264,6 @@ def test_solve_stack_takes_and_validates_arrays():
         solve_stack([1.0, 1.0], "max", A, ["<="], [[4.0], [np.nan]])
     with pytest.raises(UsageError):
         solve_stack([1.0, 1.0], "max", A, ["<=", "<="], [[4.0], [6.0]])
-    with pytest.raises(UsageError):
-        solve_stack([1.0, 1.0], "max", A, ["<="], [[4.0], [6.0]], lower_bounds=[0.0, 1.0])
 
 
 @pytest.mark.parametrize("trigger, max_iter", [(1, 20000), (3, 20000), (50, 2)])
@@ -335,7 +316,7 @@ def test_certificates_scale_each_row_and_column_by_its_own_terms(case):
     assert (column_violation <= linprog.FEAS_TOL * old_column_scale).all()
     assert max(row_violation.max(), column_violation.max()) == pytest.approx(1e-4, rel=1e-6)
 
-    errors = linprog._check_certificates(problem.sense, problem.lower_bounds, c, M[None], slack_coef, rhs[None],
+    errors = linprog._check_certificates(problem.sense, c, M[None], slack_coef, rhs[None],
                                          x[None], dual[None], np.array([objective]), np.array([0]))
     assert list(errors) == [0]
     with pytest.raises(LpSolverError, match=message):

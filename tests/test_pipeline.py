@@ -170,6 +170,30 @@ def test_cobb_douglas_baselines_sharing_a_target_get_distinct_files(demo_bundle,
     assert "-- log-log baseline for iu_ln_leb" in text
 
 
+def test_emit_report_builds_the_tables_once(demo_bundle, tmp_path, monkeypatch):
+    # csv and text render the same tables; they are built once per emission
+    import paneleff.pipeline as pipeline
+
+    bundle, _ = demo_bundle
+    calls = []
+    report_tables = pipeline.report_tables
+
+    def counting_tables(b):
+        calls.append(b)
+        return report_tables(b)
+
+    monkeypatch.setattr(pipeline, "report_tables", counting_tables)
+    emit_report(bundle, str(tmp_path), ("json", "csv", "text"))
+    assert len(calls) == 1
+
+
+def test_cli_collinear_cobb_douglas_baseline_names_its_columns(demo_dir, tmp_path, capsys):
+    config = write_config(demo_dir, tmp_path, lambda d: d["pls"]["cobb_douglas"][0].update(
+        ict_var="mcs", health_vars=["hec", "hec"]))
+    assert cli_main(["pipeline", "--config", config, "--quiet"]) == 2
+    assert "dependent columns: ln_hec, ln_mcs*ln_hec" in capsys.readouterr().err
+
+
 def test_repeated_cobb_douglas_baseline_rejected():
     document = make_demo_config()
     document["pls"]["cobb_douglas"].append(dict(document["pls"]["cobb_douglas"][0], health_vars=["imr"]))
@@ -466,6 +490,34 @@ def test_cli_stage_treats_a_report_with_a_malformed_section_as_absent(demo_dir, 
         assert all(fresh[s] == {"pending": True} for s in ("dea", "cluster"))
 
 
+def write_config(demo_dir, tmp_path, edit) -> str:
+    """The demo config edited by edit(document), with its dataset, in
+    tmp_path; returns the config path."""
+    document = json.loads((demo_dir / "config.json").read_text())
+    edit(document)
+    (tmp_path / "config.json").write_text(json.dumps(document))
+    (tmp_path / "dataset.csv").write_bytes((demo_dir / "dataset.csv").read_bytes())
+    return str(tmp_path / "config.json")
+
+
+@pytest.mark.parametrize("stage, sections", [("pls", ["pls"]), ("cluster", ["cluster", "correspondence"])])
+def test_cli_stage_treats_a_report_with_a_foreign_section_as_absent(demo_dir, demo_bundle, tmp_path, capsys,
+                                                                     stage, sections):
+    # a report of a configuration without a stage, holding that stage's
+    # results, once crashed the next stage command with an internal error
+    config = write_config(demo_dir, tmp_path, lambda d: d.pop(stage))
+    out = tmp_path / "reports"
+    assert cli_main(["dea", "--config", config, "--quiet"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    full = json.loads(demo_bundle[0].to_json())
+    (out / "report.json").write_text(json.dumps({**report, **{s: full[s] for s in sections}}))
+    assert cli_main(["dea", "--config", config, "--quiet"]) == 0
+    assert "internal error" not in capsys.readouterr().err
+    fresh = json.loads((out / "report.json").read_text())
+    assert all(fresh[s] == {"skipped": True} for s in sections)
+    assert fresh["dea"] == report["dea"]
+
+
 def test_cli_validate_ok(demo_dir, capsys):
     assert cli_main(["validate", "--config", str(demo_dir / "config.json")]) == 0
     out = capsys.readouterr().out
@@ -584,6 +636,16 @@ def test_cli_pipeline_emits_partial_bundle_on_stage_failure(tmp_path, capsys):
     assert report["incomplete"]["stage"] == "cluster"
     assert set(report["dea"]) == {"ict", "health"}
     assert report["pls"] == {"pending": True}
+
+
+@pytest.mark.parametrize("stage", ["pipeline", "dea"])
+def test_cli_seed_without_a_pls_stage_is_a_config_error(demo_dir, tmp_path, capsys, stage):
+    # --seed sets the bootstrap seed; without a pls stage it once changed nothing
+    config = write_config(demo_dir, tmp_path, lambda d: d.pop("pls"))
+    assert cli_main([stage, "--config", config, "--seed", "42", "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "--seed" in err and "pls stage" in err
+    assert not (tmp_path / "reports").exists()
 
 
 def test_cli_seed_override_changes_provenance(demo_dir, tmp_path):
