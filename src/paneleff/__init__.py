@@ -32,7 +32,6 @@ from .pls import (
     bootstrap_significance,
     build_cobb_douglas_design,
     fit_path_model,
-    fit_with_bootstrap,
     ols,
     resample_counts,
     standardize,
@@ -63,7 +62,6 @@ __all__ = [
     "bootstrap_significance",
     "build_cobb_douglas_design",
     "fit_path_model",
-    "fit_with_bootstrap",
     "kmeans",
     "load_panel",
     "ols",

@@ -32,6 +32,7 @@ from .errors import (
     UsageError,
 )
 from .panel_data import (
+    TRANSFORM_METHODS,
     Finding,
     PanelDataset,
     ValidationReport,
@@ -117,7 +118,7 @@ class PipelineConfig:
         if self.pls is None:
             raise ConfigError("--seed sets the bootstrap seed and needs a pls stage; "
                               "this configuration has none")
-        return replace(self, pls=replace(self.pls, bootstrap_seed=seed))
+        return replace(self, pls=replace(self.pls, bootstrap_seed=_seed({"seed": seed}, "--seed")))
 
 
 def config_from_file(path) -> PipelineConfig:
@@ -157,7 +158,7 @@ def parse_config(document: dict, config_hash: str | None = None, base_dir: str |
             schema.append(VariableDef(entry["name"], entry["role"], entry.get("direction", "desirable")))
         except PanelEffError as exc:
             raise ConfigError(str(exc)) from exc
-    names = {v.name for v in schema}
+    names = {v.name: v for v in schema}
     if len(names) != len(schema):
         raise ConfigError("dataset.schema variable names must be unique")
 
@@ -167,11 +168,15 @@ def parse_config(document: dict, config_hash: str | None = None, base_dir: str |
         return name
 
     transforms = []
-    for entry in dataset.get("transforms", []):
+    for entry in _optional(dataset, "transforms", list, []):
         variable = known(_require(entry, "variable", str), "dataset.transforms")
         method = entry.get("method", "max_minus")
-        if method not in ("reciprocal", "max_minus"):
+        if method not in TRANSFORM_METHODS:
             raise ConfigError(f"dataset.transforms: unknown method {method!r}")
+        if names[variable].direction != "undesirable":
+            raise ConfigError(f"dataset.transforms: variable {variable!r} is not marked undesirable")
+        if any(variable == done for done, _ in transforms):
+            raise ConfigError(f"dataset.transforms: variable {variable!r} is transformed twice")
         transforms.append((variable, method))
 
     analyses = []
@@ -236,7 +241,7 @@ def parse_config(document: dict, config_hash: str | None = None, base_dir: str |
         if samples < MIN_BOOTSTRAP_SAMPLES:
             raise ConfigError(f"pls.bootstrap.samples must be >= {MIN_BOOTSTRAP_SAMPLES}")
         cobb = []
-        for c in entry.get("cobb_douglas", []):
+        for c in _optional(entry, "cobb_douglas", list, []):
             baseline = CobbDouglasConfig(
                 ict_var=known(_require(c, "ict_var", str), "pls.cobb_douglas"),
                 health_vars=tuple(known(v, "pls.cobb_douglas") for v in _require(c, "health_vars", list)),
@@ -252,7 +257,7 @@ def parse_config(document: dict, config_hash: str | None = None, base_dir: str |
     out_dir = _optional(output, "directory", str, "reports")
     if base_dir and not os.path.isabs(out_dir):
         out_dir = os.path.join(base_dir, out_dir)
-    formats = tuple(_optional(output, "formats", list, ["json"]))
+    formats = _optional(output, "formats", list, ["json"])
     for f in formats:
         if f not in FORMATS:
             raise ConfigError(f"output.formats: unknown format {f!r} (choose from {FORMATS})")
@@ -265,7 +270,7 @@ def parse_config(document: dict, config_hash: str | None = None, base_dir: str |
         cluster=cluster,
         pls=pls,
         output_dir=out_dir,
-        formats=formats or ("json",),
+        formats=tuple(dict.fromkeys(formats)) or ("json",),
         config_hash=config_hash,
     )
 
@@ -574,10 +579,8 @@ def run_pls_stage(config: PipelineConfig, panel: PanelDataset) -> dict:
     models = {}
     for model in cfg.models:
         estimates = fit_path_model(data, model.spec)
-        boot = bootstrap_significance(
-            data, model.spec, samples=cfg.bootstrap_samples, seed=cfg.bootstrap_seed, full=estimates,
-            counts=counts,
-        )
+        boot = bootstrap_significance(estimates, samples=cfg.bootstrap_samples, seed=cfg.bootstrap_seed,
+                                      counts=counts)
         paths = []
         for (source, target), beta in estimates.path_coefficients.items():
             paths.append({

@@ -25,7 +25,8 @@ latent correlations C.
 
 The full-sample fit and the bootstrap share one kernel, `_fit_stack`,
 which fits a stack of correlation matrices at once; the full sample is a
-stack of one. A bootstrap replicate counts how often it draws each row, so
+stack of one. The fit keeps its `_Sample` of the rows, which the bootstrap
+resamples. A bootstrap replicate counts how often it draws each row, so
 one product of a block of replicates' row counts with the rows' centred
 first and pairwise products gives every replicate's R (`_Sample`). Path
 models fitted to the same rows with the same seed share each replicate's
@@ -35,7 +36,7 @@ first draw (`resample_counts`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
 from typing import NamedTuple
@@ -164,8 +165,9 @@ class BootstrapSummary:
 @dataclass(frozen=True)
 class PathEstimates:
     """Fitted path model: standardized path coefficients, R-squared per
-    endogenous latent, outer loadings per indicator, and optionally the
-    bootstrap block."""
+    endogenous latent and outer loadings per indicator. `fitted` holds the
+    compiled spec and the `_Sample` of the rows that `fit_path_model`
+    fitted, which `bootstrap_significance` resamples."""
 
     path_coefficients: dict
     r_squared: dict
@@ -173,10 +175,7 @@ class PathEstimates:
     converged: bool
     iterations: int
     inner_scheme: str
-    bootstrap: BootstrapSummary | None = None
-
-    def with_bootstrap(self, bootstrap: BootstrapSummary) -> "PathEstimates":
-        return replace(self, bootstrap=bootstrap)
+    fitted: tuple[_CompiledModel, _Sample] | None = field(default=None, repr=False, compare=False)
 
 
 def standardize(matrix, columns=None) -> np.ndarray:
@@ -297,22 +296,6 @@ def _matrix_from_mapping(data, columns) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _prepare(data, spec: PathModelSpec):
-    """The compiled spec and the `_Sample` of the data that every fit
-    starts from: at least three more rows than the largest structural
-    equation has predictors, all of them finite."""
-    model = _CompiledModel(spec)
-    X_raw = _matrix_from_mapping(data, model.columns)
-    largest = max(len(p) for p in model.pred)
-    if X_raw.shape[0] < largest + 3:
-        raise UsageError(
-            f"need at least {largest + 3} observations for {largest} predictor(s), got {X_raw.shape[0]}"
-        )
-    if not np.all(np.isfinite(X_raw)):
-        raise UsageError("standardize requires finite values")
-    return model, _Sample(X_raw)
-
-
 class _Sample:
     """The rows every fit reads its moments from.
 
@@ -371,18 +354,20 @@ def _draw_counts(streams, n: int) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def _check_samples(samples: int) -> None:
+def _check_resampling(samples: int, seed: int) -> None:
     if samples < MIN_BOOTSTRAP_SAMPLES:
         raise UsageError(f"bootstrap needs at least {MIN_BOOTSTRAP_SAMPLES} samples, got {samples}")
+    if seed < 0:
+        raise UsageError(f"bootstrap seed must be non-negative, got {seed}")
 
 
 def resample_counts(n: int, samples: int, seed: int) -> np.ndarray:
     """The (samples, n) row counts of each bootstrap replicate's first
-    draw, `default_rng((seed, i)).integers(0, n, size=n)` for replicate i,
-    read-only and in the narrowest unsigned dtype that holds the largest
-    count. Path models fitted to the same n rows with the same seed share
-    them (see `bootstrap_significance`)."""
-    _check_samples(samples)
+    draw, `default_rng((seed, i)).integers(0, n, size=n)` for replicate i
+    and a non-negative seed, read-only and in the narrowest unsigned dtype
+    that holds the largest count. Path models fitted to the same n rows
+    with the same seed share them (see `bootstrap_significance`)."""
+    _check_resampling(samples, seed)
     counts = _draw_counts((np.random.default_rng((seed, i)) for i in range(samples)), n)
     counts.setflags(write=False)
     return counts
@@ -402,18 +387,24 @@ def fit_path_model(data, spec: PathModelSpec) -> PathEstimates:
 
     Raw columns are standardized first, so rescaling any indicator leaves
     every coefficient unchanged. Requires at least three more observations
-    than the largest structural equation's predictor count. Returns
-    converged=False (rather than raising) when 300 iterations do not settle
-    the outer weights; a constant indicator raises DegenerateColumnError,
-    and a collapsed score, collinear predecessors, zero outer weights or a
-    singular structural regression raise CollinearityError.
+    than the largest structural equation's predictor count, all of them
+    finite. Returns converged=False (rather than raising) when 300
+    iterations do not settle the outer weights; a constant indicator raises
+    DegenerateColumnError, and a collapsed score, collinear predecessors,
+    zero outer weights or a singular structural regression raise
+    CollinearityError. The whole sample is fitted by `_fit_stack` as a
+    stack of one, every row counted once.
     """
-    return _fit_sample(*_prepare(data, spec))
-
-
-def _fit_sample(model: _CompiledModel, sample: _Sample) -> PathEstimates:
-    """The fit to the whole sample: `_fit_stack` on a stack of one, every
-    row counted once."""
+    model = _CompiledModel(spec)
+    X_raw = _matrix_from_mapping(data, model.columns)
+    largest = max(len(p) for p in model.pred)
+    if X_raw.shape[0] < largest + 3:
+        raise UsageError(
+            f"need at least {largest + 3} observations for {largest} predictor(s), got {X_raw.shape[0]}"
+        )
+    if not np.all(np.isfinite(X_raw)):
+        raise UsageError("standardize requires finite values")
+    sample = _Sample(X_raw)
     fit = _fit_stack(*sample.correlations(np.ones((1, sample.n), dtype=np.int64)), model, sample.n)
     if fit.errors:
         raise fit.errors[0]
@@ -422,18 +413,20 @@ def _fit_sample(model: _CompiledModel, sample: _Sample) -> PathEstimates:
         path_coefficients={
             (names[j], names[i]): b for (j, i), b in zip(model.structural, fit.coefficients[0].tolist())
         },
-        r_squared=dict(zip(model.spec.endogenous, fit.r_squared[0].tolist())),
+        r_squared=dict(zip(spec.endogenous, fit.r_squared[0].tolist())),
         outer_loadings=dict(zip(model.columns, fit.loadings[0].tolist())),
         converged=bool(fit.converged[0]),
         iterations=int(fit.iterations[0]),
-        inner_scheme=model.spec.inner_scheme,
+        inner_scheme=spec.inner_scheme,
+        fitted=(model, sample),
     )
 
 
-def bootstrap_significance(data, spec: PathModelSpec, samples: int = 500, seed: int = 0,
-                           full: PathEstimates | None = None,
+def bootstrap_significance(full: PathEstimates, samples: int = 500, seed: int = 0,
                            counts: np.ndarray | None = None) -> BootstrapSummary:
-    """Bootstrap standard errors and two-tailed p-values for every path.
+    """Bootstrap standard errors and two-tailed p-values for every path of
+    `full`, a model fitted by `fit_path_model`, from resamples of the rows
+    it was fitted to.
 
     Rows are resampled with replacement; each replicate's random stream is
     derived from (seed, replicate index) so results do not depend on
@@ -443,24 +436,23 @@ def bootstrap_significance(data, spec: PathModelSpec, samples: int = 500, seed: 
     its first draw, up to 10x the requested count in total; one that does
     not converge is kept as fitted. t statistics divide the full-sample
     coefficient by the resampling standard deviation and are referred to a
-    Student-t distribution with n - 1 degrees of freedom. `full` is the
-    model already fitted to the whole sample; without it the whole sample
-    is fitted here. `counts` are the replicates' first draws as
-    `resample_counts(n, samples, seed)` returns them, so that models fitted
-    to the same rows draw them once; without them they are drawn here.
+    Student-t distribution with n - 1 degrees of freedom. `counts` are the
+    replicates' first draws as `resample_counts(n, samples, seed)` returns
+    them, so that models fitted to the same rows draw them once; without
+    them they are drawn here.
 
     Every replicate is fitted by one `_fit_stack` call, and each round of
     redraws by one more.
     """
-    _check_samples(samples)
-    model, sample = _prepare(data, spec)
+    _check_resampling(samples, seed)
+    if full.fitted is None:
+        raise UsageError("bootstrap needs estimates returned by fit_path_model")
+    model, sample = full.fitted
     n = sample.n
     if counts is None:
         counts = resample_counts(n, samples, seed)
     elif counts.shape != (samples, n):
         raise UsageError(f"bootstrap counts have shape {counts.shape}, expected {(samples, n)}")
-    if full is None:
-        full = _fit_sample(model, sample)
 
     paths = [(model.names[j], model.names[i]) for j, i in model.structural]
     coefficients = np.empty((samples, len(paths)))
@@ -691,12 +683,6 @@ def _stack_canonical_weights(u: np.ndarray):
         first = np.take_along_axis(w, np.argmax(w != 0.0, axis=-1)[..., None], axis=-1)[..., 0]
         flip |= (total == 0.0) & (first < 0.0)
     return np.where(flip[..., None], -w, w), norm != 0.0
-
-
-def fit_with_bootstrap(data, spec: PathModelSpec, samples: int = 500, seed: int = 0) -> PathEstimates:
-    """fit_path_model plus bootstrap_significance in one call."""
-    full = fit_path_model(data, spec)
-    return full.with_bootstrap(bootstrap_significance(data, spec, samples=samples, seed=seed, full=full))
 
 
 @dataclass(frozen=True)

@@ -213,7 +213,7 @@ def test_criterion_8_bootstrap_calibration():
     for trial in range(100):
         x = rng.normal(size=30)
         y = rng.normal(size=30)
-        boot = bootstrap_significance({"x": x, "y": y}, spec, samples=500, seed=trial)
+        boot = bootstrap_significance(fit_path_model({"x": x, "y": y}, spec), samples=500, seed=trial)
         if boot.p_value[("X", "Y")] < 0.05:
             rejections += 1
     rate = rejections / 100.0
@@ -222,7 +222,7 @@ def test_criterion_8_bootstrap_calibration():
     for trial in range(5):
         x = rng.normal(size=30)
         y = x + rng.normal(0.0, 1e-6, size=30)
-        boot = bootstrap_significance({"x": x, "y": y}, spec, samples=500, seed=1000 + trial)
+        boot = bootstrap_significance(fit_path_model({"x": x, "y": y}, spec), samples=500, seed=1000 + trial)
         tight_ok = tight_ok and boot.p_value[("X", "Y")] < 0.001
     elapsed = time.perf_counter() - start
     ok = 0.01 <= rate <= 0.12 and tight_ok and elapsed < 60.0

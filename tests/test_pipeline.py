@@ -318,7 +318,10 @@ def test_retired_cluster_keys_are_ignored(demo_dir, demo_bundle):
     (("pls", "bootstrap", "samples"), 250.7, "'samples'"),
     (("pls", "models", 0, "paths", 0), ["MCS"], "['MCS']"),
     (("output", "formats"), "json", "'formats'"),
-], ids=["significance-str", "significance-null", "samples-str", "samples-float", "path-of-one-name", "formats-str"])
+    (("dataset", "transforms"), 5, "'transforms'"),
+    (("pls", "cobb_douglas"), 3, "'cobb_douglas'"),
+], ids=["significance-str", "significance-null", "samples-str", "samples-float", "path-of-one-name", "formats-str",
+        "transforms-int", "cobb_douglas-int"])
 def test_config_values_of_the_wrong_type_are_config_errors(demo_dir, tmp_path, capsys, where, value, named):
     # each once leaked a Python exception (exit 2) or was silently truncated
     document = json.loads((demo_dir / "config.json").read_text())
@@ -333,6 +336,48 @@ def test_config_values_of_the_wrong_type_are_config_errors(demo_dir, tmp_path, c
     bad.write_text(json.dumps(document))
     assert cli_main(["validate", "--config", str(bad)]) == 1
     assert capsys.readouterr().err.startswith("configuration error:")
+
+
+@pytest.mark.parametrize("transforms, named", [
+    ([{"variable": "imr"}, {"variable": "imr", "method": "reciprocal"}], "'imr' is transformed twice"),
+    ([{"variable": "leb"}], "'leb' is not marked undesirable"),
+    ([{"variable": "imr", "method": "log"}], "unknown method 'log'"),
+], ids=["twice", "desirable", "method"])
+def test_transforms_the_schema_rules_out_are_config_errors(demo_dir, tmp_path, capsys, transforms, named):
+    # the first two once passed parse_config and failed at load as a dea stage error (exit 2)
+    config = write_config(demo_dir, tmp_path, lambda d: d["dataset"].update(transforms=transforms))
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        config_from_file(config)
+    assert cli_main(["pipeline", "--config", config, "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith("configuration error:")
+    assert not (tmp_path / "reports").exists()
+
+
+def test_repeated_output_formats_are_written_once(demo_dir, tmp_path, capsys):
+    config = write_config(demo_dir, tmp_path, lambda d: d["output"].update(formats=["json", "text", "json"]))
+    assert config_from_file(config).formats == ("json", "text")
+    assert cli_main(["dea", "--config", config]) == 0
+    wrote = [line for line in capsys.readouterr().err.splitlines() if line.startswith("wrote ")]
+    assert [os.path.basename(line) for line in wrote] == ["report.json", "report.txt"]
+
+
+def test_pls_stage_prepares_each_model_once(monkeypatch):
+    # a model's bootstrap resamples the sample its full-sample fit built
+    import paneleff.pls as pls_module
+
+    config = parse_config(make_demo_config())
+    panel = make_demo_panel()
+    prepared = []
+
+    class CountingSample(pls_module._Sample):
+        def __init__(self, X_raw):
+            prepared.append(X_raw.shape)
+            super().__init__(X_raw)
+
+    monkeypatch.setattr(pls_module, "_Sample", CountingSample)
+    run_pls_stage(config, panel)
+    n = len(panel.dmus) * len(panel.periods)
+    assert prepared == [(n, len(model.spec.indicator_names)) for model in config.pls.models]
 
 
 def test_pls_stage_draws_each_replicate_once_for_all_models(monkeypatch):
@@ -646,6 +691,20 @@ def test_cli_seed_without_a_pls_stage_is_a_config_error(demo_dir, tmp_path, caps
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and "--seed" in err and "pls stage" in err
     assert not (tmp_path / "reports").exists()
+
+
+@pytest.mark.parametrize("where", ["flag", "file"])
+def test_negative_seed_is_a_config_error(demo_dir, tmp_path, capsys, where):
+    # the flag once reached numpy and exited 2 with an internal error
+    if where == "flag":
+        config, seed = str(demo_dir / "config.json"), ["--seed", "-1"]
+    else:
+        config, seed = write_config(demo_dir, tmp_path, lambda d: d["pls"]["bootstrap"].update(seed=-1)), []
+    out = tmp_path / "out"
+    assert cli_main(["pipeline", "--config", config, "--out", str(out), "--quiet", *seed]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "must be a non-negative integer" in err
+    assert not out.exists()
 
 
 def test_cli_seed_override_changes_provenance(demo_dir, tmp_path):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from paneleff.pls import (
     bootstrap_significance,
     build_cobb_douglas_design,
     fit_path_model,
-    fit_with_bootstrap,
     ols,
     resample_counts,
     standardize,
@@ -257,8 +257,7 @@ def assert_fit_equals_scalar_fit(data, spec, rel=1e-12):
         assert list(got) == list(expected)
         for key in expected:
             assert got[key] == pytest.approx(expected[key], rel=rel, abs=1e-300)
-    assert (est.converged, est.iterations, est.inner_scheme, est.bootstrap) == (
-        want.converged, want.iterations, want.inner_scheme, want.bootstrap)
+    assert (est.converged, est.iterations, est.inner_scheme) == (want.converged, want.iterations, want.inner_scheme)
     return est
 
 
@@ -328,15 +327,13 @@ def test_bootstrap_checks_the_observation_count():
     data = {"x": np.array([1.0, 2.0, 4.0]), "y": np.array([1.0, 3.0, 2.0])}
     with pytest.raises(UsageError, match="need at least 4 observations"):
         fit_path_model(data, two_block_spec())
-    with pytest.raises(UsageError, match="need at least 4 observations"):
-        bootstrap_significance(data, two_block_spec(), samples=100)
 
 
 def test_bootstrap_near_perfect_relation_is_significant():
     rng = np.random.default_rng(31)
     x = rng.normal(size=30)
     y = x + rng.normal(0, 1e-6, size=30)
-    boot = bootstrap_significance({"x": x, "y": y}, two_block_spec(), samples=200, seed=3)
+    boot = bootstrap_significance(fit_path_model({"x": x, "y": y}, two_block_spec()), samples=200, seed=3)
     assert boot.p_value[("X", "Y")] < 0.001
 
 
@@ -344,8 +341,8 @@ def test_bootstrap_deterministic_given_seed():
     rng = np.random.default_rng(37)
     x = rng.normal(size=25)
     y = 0.5 * x + rng.normal(0, 1.0, size=25)
-    a = bootstrap_significance({"x": x, "y": y}, two_block_spec(), samples=150, seed=9)
-    b = bootstrap_significance({"x": x, "y": y}, two_block_spec(), samples=150, seed=9)
+    a = bootstrap_significance(fit_path_model({"x": x, "y": y}, two_block_spec()), samples=150, seed=9)
+    b = bootstrap_significance(fit_path_model({"x": x, "y": y}, two_block_spec()), samples=150, seed=9)
     assert a.p_value == b.p_value
     assert a.std_error == b.std_error
 
@@ -354,7 +351,7 @@ def test_bootstrap_p_values_in_unit_interval_and_se_positive():
     rng = np.random.default_rng(41)
     x = rng.normal(size=30)
     y = 0.4 * x + rng.normal(size=30)
-    boot = bootstrap_significance({"x": x, "y": y}, two_block_spec(), samples=120, seed=1)
+    boot = bootstrap_significance(fit_path_model({"x": x, "y": y}, two_block_spec()), samples=120, seed=1)
     p = boot.p_value[("X", "Y")]
     assert 0.0 <= p <= 1.0
     assert boot.std_error[("X", "Y")] > 0.0
@@ -363,18 +360,40 @@ def test_bootstrap_p_values_in_unit_interval_and_se_positive():
 def test_bootstrap_minimum_sample_count_enforced():
     rng = np.random.default_rng(43)
     x = rng.normal(size=20)
+    est = fit_path_model({"x": x, "y": x}, two_block_spec())
     with pytest.raises(UsageError):
-        bootstrap_significance({"x": x, "y": x}, two_block_spec(), samples=50, seed=0)
+        bootstrap_significance(est, samples=50, seed=0)
 
 
-def test_fit_with_bootstrap_attaches_summary():
+def test_bootstrap_summary_covers_every_path_of_the_fit():
     rng = np.random.default_rng(47)
     x = rng.normal(size=30)
     y = 0.9 * x + rng.normal(0, 0.2, 30)
-    est = fit_with_bootstrap({"x": x, "y": y}, two_block_spec(), samples=120, seed=2)
-    assert est.bootstrap is not None
-    assert est.bootstrap.samples == 120
-    assert set(est.bootstrap.p_value) == set(est.path_coefficients)
+    est = fit_path_model({"x": x, "y": y}, two_block_spec())
+    boot = bootstrap_significance(est, samples=120, seed=2)
+    assert boot.samples == 120
+    assert set(boot.p_value) == set(est.path_coefficients)
+
+
+def test_bootstrap_rejects_a_negative_seed():
+    x = np.random.default_rng(48).normal(size=20)
+    est = fit_path_model({"x": x, "y": x ** 3}, two_block_spec())
+    with pytest.raises(UsageError, match="seed must be non-negative"):
+        resample_counts(20, 100, -1)
+    with pytest.raises(UsageError, match="seed must be non-negative"):
+        bootstrap_significance(est, samples=100, seed=-1)
+    # given first draws, only a redraw would seed a stream: still refused
+    with pytest.raises(UsageError, match="seed must be non-negative"):
+        bootstrap_significance(est, samples=100, seed=-1, counts=resample_counts(20, 100, 0))
+
+
+def test_bootstrap_needs_estimates_from_fit_path_model():
+    x = np.random.default_rng(49).normal(size=20)
+    full = fit_path_model({"x": x, "y": x ** 3}, two_block_spec())
+    bare = replace(full, fitted=None)
+    assert bare == full  # `fitted` is left out of equality
+    with pytest.raises(UsageError, match="estimates returned by fit_path_model"):
+        bootstrap_significance(bare, samples=100)
 
 
 # --- stacked bootstrap against the one-replicate-at-a-time loop -------------
@@ -399,7 +418,7 @@ def random_multi_indicator_spec_and_data(rng, scheme, n):
 
 
 def assert_matches_scalar_loop(data, spec, samples, seed, rel=1e-12):
-    boot = bootstrap_significance(data, spec, samples=samples, seed=seed)
+    boot = bootstrap_significance(fit_path_model(data, spec), samples=samples, seed=seed)
     std_error, t_statistic, p_value, redraws, unconverged = scalar_bootstrap(data, spec, samples=samples, seed=seed)
     assert boot.redraws == redraws
     assert boot.unconverged == unconverged
@@ -508,17 +527,17 @@ def test_bootstrap_from_given_counts_equals_drawing_them_and_redraws_alike():
     data = {"x": x, "y": x + rng.normal(size=12)}
     counts = resample_counts(12, 200, 5)
     assert counts.dtype == np.uint8 and not counts.flags.writeable
-    given = bootstrap_significance(data, two_block_spec(), samples=200, seed=5, counts=counts)
+    given = bootstrap_significance(fit_path_model(data, two_block_spec()), samples=200, seed=5, counts=counts)
     assert given.redraws > 0
-    assert given == bootstrap_significance(data, two_block_spec(), samples=200, seed=5)
+    assert given == bootstrap_significance(fit_path_model(data, two_block_spec()), samples=200, seed=5)
 
 
 @pytest.mark.parametrize("shape", [(199, 12), (200, 11), (200,)])
 def test_bootstrap_rejects_counts_of_the_wrong_shape(shape):
     x = np.random.default_rng(62).normal(size=12)
+    est = fit_path_model({"x": x, "y": -x ** 2}, two_block_spec())
     with pytest.raises(UsageError, match="bootstrap counts have shape"):
-        bootstrap_significance({"x": x, "y": -x ** 2}, two_block_spec(), samples=200, seed=5,
-                               counts=np.ones(shape, dtype=np.uint8))
+        bootstrap_significance(est, samples=200, seed=5, counts=np.ones(shape, dtype=np.uint8))
 
 
 def test_stacked_bootstrap_redraws_collinear_resamples_like_scalar_loop():
@@ -582,18 +601,33 @@ def test_bootstrap_redraw_cap_still_raises():
         blocks=(LatentBlock("X", tuple(f"x{k}" for k in range(8))), LatentBlock("Y", ("y",))),
         paths=(("X", "Y"),),
     )
+    est = fit_path_model(data, spec)
     with pytest.raises(DegenerateColumnError, match="more than 1000 degenerate resamples"):
-        bootstrap_significance(data, spec, samples=100, seed=0)
+        bootstrap_significance(est, samples=100, seed=0)
 
 
-def test_bootstrap_reuses_a_given_full_sample_fit():
+def test_bootstrap_reuses_a_given_full_sample_fit(monkeypatch):
+    import paneleff.pls as pls_module
+
     rng = np.random.default_rng(79)
     x = rng.normal(size=40)
     y = 0.5 * x + rng.normal(size=40)
     data = {"x": x, "y": y}
-    given = bootstrap_significance(data, two_block_spec(), samples=100, seed=6,
-                                   full=fit_path_model(data, two_block_spec()))
-    assert given == bootstrap_significance(data, two_block_spec(), samples=100, seed=6)
+    full = fit_path_model(data, two_block_spec())
+    model, sample = full.fitted
+    assert (model.spec, sample.n) == (two_block_spec(), 40)
+    prepared = []
+
+    class CountingSample(pls_module._Sample):
+        def __init__(self, X_raw):
+            prepared.append(X_raw.shape)
+            super().__init__(X_raw)
+
+    monkeypatch.setattr(pls_module, "_Sample", CountingSample)
+    given = bootstrap_significance(full, samples=100, seed=6)
+    assert prepared == []
+    assert given == bootstrap_significance(fit_path_model(data, two_block_spec()), samples=100, seed=6)
+    assert prepared == [(40, 2)]
 
 
 # --- design builder and OLS ---------------------------------------------------
