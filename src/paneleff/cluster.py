@@ -57,9 +57,6 @@ class ClusterSolution:
         self.assignments.setflags(write=False)
         self.centroids.setflags(write=False)
 
-    def members(self, cluster: int) -> np.ndarray:
-        return np.flatnonzero(self.assignments == cluster)
-
     @property
     def sizes(self) -> tuple[int, ...]:
         return tuple(int((self.assignments == c).sum()) for c in range(self.k))

@@ -103,18 +103,6 @@ def f_sf(f: float, df_num: float, df_den: float) -> float:
     return regularized_incomplete_beta(0.5 * df_den, 0.5 * df_num, x)
 
 
-def t_cdf(t: float, df: float) -> float:
-    """P(T <= t) for a Student-t distribution with df degrees of freedom."""
-    if df <= 0:
-        raise UsageError(f"Student-t distribution requires positive degrees of freedom, got {df}")
-    if t == 0.0:
-        return 0.5
-    if math.isinf(t):
-        return 1.0 if t > 0 else 0.0
-    tail = 0.5 * regularized_incomplete_beta(0.5 * df, 0.5, df / (df + t * t))
-    return 1.0 - tail if t > 0 else tail
-
-
 def t_two_tailed_p(t: float, df: float) -> float:
     """Two-tailed p-value P(|T| >= |t|) under Student-t with df degrees of freedom."""
     if df <= 0:

@@ -89,14 +89,6 @@ class LpProblem:
                             ("b", b[0])):
             object.__setattr__(self, name, value)
 
-    @property
-    def n_variables(self) -> int:
-        return self.objective.size
-
-    @property
-    def n_constraints(self) -> int:
-        return self.b.size
-
 
 def _validated(objective, sense, A, relations, b):
     """Check a stack of programs that share objective, sense and relations;
@@ -145,21 +137,6 @@ class LpSolution:
     primal: np.ndarray | None
     dual: np.ndarray | None
     iterations: int
-
-
-def format_lp(problem: LpProblem) -> str:
-    """Render a problem in LP-literate text form, for troubleshooting."""
-    lines = ["maximize" if problem.sense == "max" else "minimize"]
-    lines.append("  " + _linear_expr(problem.objective))
-    lines.append("subject to")
-    for i, (a, rel, rhs) in enumerate(zip(problem.A, problem.relations, problem.b)):
-        lines.append(f"  c{i}: {_linear_expr(a)} {rel} {rhs:g}")
-    return "\n".join(lines)
-
-
-def _linear_expr(coeffs) -> str:
-    terms = [f"{v:+g} x{j}" for j, v in enumerate(coeffs) if v != 0.0]
-    return " ".join(terms) if terms else "0"
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:

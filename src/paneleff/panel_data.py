@@ -141,9 +141,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.errors
 
-    def has_warning(self, code: str) -> bool:
-        return any(f.code == code for f in self.warnings)
-
     def summary(self) -> str:
         lines = [f"{len(self.errors)} error(s), {len(self.warnings)} warning(s)"]
         for f in self.errors:

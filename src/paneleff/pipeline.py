@@ -155,7 +155,8 @@ def parse_config(document: dict, config_hash: str | None = None, base_dir: str |
         if not isinstance(entry, dict) or "name" not in entry or "role" not in entry:
             raise ConfigError(f"dataset.schema entries need 'name' and 'role': {entry!r}")
         try:
-            schema.append(VariableDef(entry["name"], entry["role"], entry.get("direction", "desirable")))
+            schema.append(VariableDef(_name(entry["name"], "dataset.schema"), entry["role"],
+                                      entry.get("direction", "desirable")))
         except PanelEffError as exc:
             raise ConfigError(str(exc)) from exc
     names = {v.name: v for v in schema}
@@ -163,7 +164,7 @@ def parse_config(document: dict, config_hash: str | None = None, base_dir: str |
         raise ConfigError("dataset.schema variable names must be unique")
 
     def known(name, where):
-        if name not in names:
+        if _name(name, where) not in names:
             raise ConfigError(f"{where} references unknown variable {name!r}")
         return name
 
@@ -182,7 +183,7 @@ def parse_config(document: dict, config_hash: str | None = None, base_dir: str |
     analyses = []
     seen = set()
     for entry in _require(document, "dea", list):
-        name = _require(entry, "name", str)
+        name = _file_name(entry, "name", "dea analysis")
         if name in seen:
             raise ConfigError(f"duplicate dea analysis name {name!r}")
         seen.add(name)
@@ -243,9 +244,9 @@ def parse_config(document: dict, config_hash: str | None = None, base_dir: str |
         cobb = []
         for c in _optional(entry, "cobb_douglas", list, []):
             baseline = CobbDouglasConfig(
-                ict_var=known(_require(c, "ict_var", str), "pls.cobb_douglas"),
+                ict_var=known(_file_name(c, "ict_var", "pls.cobb_douglas"), "pls.cobb_douglas"),
                 health_vars=tuple(known(v, "pls.cobb_douglas") for v in _require(c, "health_vars", list)),
-                target=known(_require(c, "target", str), "pls.cobb_douglas"),
+                target=known(_file_name(c, "target", "pls.cobb_douglas"), "pls.cobb_douglas"),
             )
             if any((b.ict_var, b.target) == (baseline.ict_var, baseline.target) for b in cobb):
                 raise ConfigError(f"pls.cobb_douglas: two baselines of {baseline.ict_var!r} "
@@ -291,6 +292,22 @@ def _optional(obj, key, kind, default):
     if isinstance(obj, dict) and key not in obj:
         return default
     return _require(obj, key, kind)
+
+
+def _name(name, where) -> str:
+    """A variable name, which must be a string."""
+    if not isinstance(name, str):
+        raise ConfigError(f"{where}: variable name {name!r} must be a string")
+    return name
+
+
+def _file_name(obj, key, where) -> str:
+    """obj[key], a string that becomes part of report file names, so may
+    hold no path separator or NUL."""
+    name = _require(obj, key, str)
+    if any(sep and sep in name for sep in ("/", os.sep, os.altsep, "\0")):
+        raise ConfigError(f"{where} {key} {name!r} must not hold a path separator or NUL: it names report files")
+    return name
 
 
 def _path_pair(pair, model) -> tuple[str, str]:

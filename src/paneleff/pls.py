@@ -28,9 +28,12 @@ which fits a stack of correlation matrices at once; the full sample is a
 stack of one. The fit keeps its `_Sample` of the rows, which the bootstrap
 resamples. A bootstrap replicate counts how often it draws each row, so
 one product of a block of replicates' row counts with the rows' centred
-first and pairwise products gives every replicate's R (`_Sample`). Path
-models fitted to the same rows with the same seed share each replicate's
-first draw (`resample_counts`).
+first and pairwise products gives every replicate's R (`_Sample`). Every
+replicate's first draw is a row of one generator's draws from the seed,
+the nonparametric bootstrap of Efron & Tibshirani ("An Introduction to
+the Bootstrap", 1993), and path models fitted to the same rows with the
+same seed share them (`resample_counts`). A replicate drawn again draws
+from a stream of its own, spawned from the seed by its index.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -342,18 +344,6 @@ def _counts(draws: np.ndarray) -> np.ndarray:
     return np.bincount((draws + n * np.arange(k)[:, None]).ravel(), minlength=k * n).reshape(k, n)
 
 
-def _draw_counts(streams, n: int) -> np.ndarray:
-    """The row counts of one draw of n rows from each random stream,
-    formed REPLICATE_BLOCK replicates at a time, each block in the
-    narrowest unsigned dtype that holds its largest count."""
-    blocks = []
-    streams = iter(streams)
-    while block := list(islice(streams, REPLICATE_BLOCK)):
-        counts = _counts(np.stack([rng.integers(0, n, size=n) for rng in block]))
-        blocks.append(counts.astype(np.min_scalar_type(int(counts.max()))))
-    return np.concatenate(blocks)
-
-
 def _check_resampling(samples: int, seed: int) -> None:
     if samples < MIN_BOOTSTRAP_SAMPLES:
         raise UsageError(f"bootstrap needs at least {MIN_BOOTSTRAP_SAMPLES} samples, got {samples}")
@@ -363,14 +353,29 @@ def _check_resampling(samples: int, seed: int) -> None:
 
 def resample_counts(n: int, samples: int, seed: int) -> np.ndarray:
     """The (samples, n) row counts of each bootstrap replicate's first
-    draw, `default_rng((seed, i)).integers(0, n, size=n)` for replicate i
-    and a non-negative seed, read-only and in the narrowest unsigned dtype
-    that holds the largest count. Path models fitted to the same n rows
-    with the same seed share them (see `bootstrap_significance`)."""
+    draw: for a non-negative seed, replicate i draws row i of
+    `default_rng(seed).integers(0, n, (samples, n))`, so a replicate's draw
+    does not depend on `samples`. The rows are drawn REPLICATE_BLOCK at a
+    time from the one generator, each block's counts in the narrowest
+    unsigned dtype that holds its largest count; the result is read-only.
+    Path models fitted to the same n rows with the same seed share them
+    (see `bootstrap_significance`)."""
     _check_resampling(samples, seed)
-    counts = _draw_counts((np.random.default_rng((seed, i)) for i in range(samples)), n)
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for k in range(0, samples, REPLICATE_BLOCK):
+        counts = _counts(rng.integers(0, n, (min(REPLICATE_BLOCK, samples - k), n)))
+        blocks.append(counts.astype(np.min_scalar_type(int(counts.max()))))
+    counts = np.concatenate(blocks)
     counts.setflags(write=False)
     return counts
+
+
+def _redraw_stream(seed: int, replicate: int) -> np.random.Generator:
+    """A replicate's stream for redraws, spawned from the seed by its index
+    (numpy pads short entropy with zeros, so `default_rng((seed, 0))` would
+    be the first draws' generator)."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(replicate,)))
 
 
 def _fit_counts(sample: _Sample, counts: np.ndarray, model: _CompiledModel) -> _StackFit:
@@ -428,13 +433,14 @@ def bootstrap_significance(full: PathEstimates, samples: int = 500, seed: int = 
     `full`, a model fitted by `fit_path_model`, from resamples of the rows
     it was fitted to.
 
-    Rows are resampled with replacement; each replicate's random stream is
-    derived from (seed, replicate index) so results do not depend on
-    scheduling. A replicate whose fit raises (a zero-variance column, a
-    collapsed score, collinear predecessors, zero outer weights or a
-    singular structural regression) is redrawn from its own stream, past
-    its first draw, up to 10x the requested count in total; one that does
-    not converge is kept as fitted. t statistics divide the full-sample
+    Rows are resampled with replacement; replicate i first draws row i of
+    one generator's draws from the seed (`resample_counts`). A replicate
+    whose fit raises (a zero-variance column, a collapsed score, collinear
+    predecessors, zero outer weights or a singular structural regression)
+    is redrawn from a stream of its own, spawned from the seed by its
+    index, so its redraws do not depend on which other replicates fail; in
+    total up to 10x the requested count. One that does not converge is
+    kept as fitted. t statistics divide the full-sample
     coefficient by the resampling standard deviation and are referred to a
     Student-t distribution with n - 1 degrees of freedom. `counts` are the
     replicates' first draws as `resample_counts(n, samples, seed)` returns
@@ -473,11 +479,9 @@ def bootstrap_significance(full: PathEstimates, samples: int = 500, seed: int = 
             raise DegenerateColumnError(
                 f"more than {10 * samples} degenerate resamples; data is too discrete to bootstrap"
             )
-        for k in replicates.tolist():
-            if k not in streams:  # continue the stream past the replicate's first draw
-                streams[k] = np.random.default_rng((seed, k))
-                streams[k].integers(0, n, size=n)
-        fit = _fit_counts(sample, _draw_counts((streams[k] for k in replicates.tolist()), n), model)
+        streams.update((k, _redraw_stream(seed, k)) for k in replicates.tolist() if k not in streams)
+        again = np.stack([streams[k].integers(0, n, size=n) for k in replicates.tolist()])
+        fit = _fit_counts(sample, _counts(again), model)
 
     flip = _sign_alignment(np.array([full.outer_loadings[c] for c in model.columns]), loadings, model)
     draws = (coefficients * flip[:, model.tails] * flip[:, model.heads]).T

@@ -346,8 +346,10 @@ def _structural_ols(T, y, names):
 
 def scalar_bootstrap(data, spec, samples=500, seed=0):
     """The bootstrap fitted one replicate at a time: each resample is
-    standardized and fitted by itself, degenerate resamples are redrawn
-    from the replicate's own stream, up to 10x samples in total.
+    standardized and fitted by itself. Replicate i first draws row i of
+    one generator's (samples, n) draws from the seed; a degenerate
+    resample is redrawn from the replicate's own stream, spawned from the
+    seed by i, up to 10x samples in total.
 
     Returns (std_error, t_statistic, p_value, redraws, unconverged), keyed
     like BootstrapSummary."""
@@ -363,10 +365,11 @@ def scalar_bootstrap(data, spec, samples=500, seed=0):
     draws = {p: np.empty(samples) for p in paths}
     redraws_left = 10 * samples
     unconverged = 0
+    first = np.random.default_rng(seed).integers(0, n, size=(samples, n))
     for i in range(samples):
-        rng = np.random.default_rng((seed, i))
+        idx = first[i]
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
         while True:
-            idx = rng.integers(0, n, size=n)
             try:
                 X = standardize(X_raw[idx], columns=model.columns)
                 est = scalar_fit(X, model)
@@ -376,6 +379,7 @@ def scalar_bootstrap(data, spec, samples=500, seed=0):
                     raise DegenerateColumnError(
                         f"more than {10 * samples} degenerate resamples; data is too discrete to bootstrap"
                     ) from None
+                idx = rng.integers(0, n, size=n)
                 continue
             break
         unconverged += not est.converged
@@ -487,8 +491,8 @@ def scalar_solve_lp(problem):
     "unbounded". Output is deterministic for identical input. Raises
     LpSolverError with iteration diagnostics on numerical breakdown.
     """
-    n = problem.n_variables
-    m = problem.n_constraints
+    n = problem.objective.size
+    m = problem.b.size
     minimize = problem.sense == "min"
 
     c_std = problem.objective if minimize else -problem.objective

@@ -7,7 +7,6 @@ from paneleff.distributions import (
     f_cdf,
     f_sf,
     regularized_incomplete_beta,
-    t_cdf,
     t_two_tailed_p,
 )
 from paneleff.errors import UsageError
@@ -69,13 +68,15 @@ def test_f_cdf_monotone_in_f():
 
 
 def test_t_cdf_matches_quadrature():
+    # the two-tailed p-value is twice the lower tail below -|t|
     for t, df in ((0.0, 5), (1.0, 3), (2.5, 29), (-1.7, 10), (4.0, 2), (-0.3, 50)):
-        assert t_cdf(t, df) == pytest.approx(t_cdf_by_quadrature(t, df), abs=1e-6)
+        assert t_two_tailed_p(t, df) == pytest.approx(2.0 * t_cdf_by_quadrature(-abs(t), df), abs=2e-6)
 
 
 def test_t_symmetry():
     for t, df in ((0.8, 7), (2.2, 29)):
-        assert t_cdf(t, df) + t_cdf(-t, df) == pytest.approx(1.0, abs=1e-12)
+        assert t_two_tailed_p(t, df) == t_two_tailed_p(-t, df)
+        assert 1.0 - 0.5 * t_two_tailed_p(t, df) == pytest.approx(t_cdf_by_quadrature(t, df), abs=1e-6)
 
 
 def test_t_two_tailed_values():

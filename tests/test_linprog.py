@@ -3,7 +3,7 @@ import pytest
 
 from oracles import lp_enumeration_oracle, lp_outcome, random_lp, same_lp_outcome, scalar_solve_lp
 from paneleff.errors import UsageError
-from paneleff.linprog import LpProblem, LpSolution, format_lp, solve_lp, solve_stack
+from paneleff.linprog import LpProblem, LpSolution, solve_lp, solve_stack
 
 
 def max_problem(c, A, b):
@@ -154,18 +154,6 @@ def test_solution_is_frozen_dataclass():
     assert isinstance(s, LpSolution)
     with pytest.raises(AttributeError):
         s.status = "hacked"
-
-
-def test_format_lp_dump():
-    p = LpProblem(
-        [3.0, 2.0],
-        "max",
-        [([1.0, 1.0], "<=", 4.0), ([1.0, 3.0], ">=", 6.0)],
-    )
-    text = format_lp(p)
-    assert "maximize" in text
-    assert "c0:" in text and "<= 4" in text
-    assert ">= 6" in text
 
 
 def random_family(rng, count):

@@ -115,7 +115,7 @@ def test_validate_flags_discrimination_when_dmus_too_few():
     spec = DeaSpec(tuple(f"in{i}" for i in range(4)), tuple(f"out{i}" for i in range(10)))
     report = validate_for_dea(panel, spec)
     assert report.ok
-    assert report.has_warning("DISCRIMINATION")
+    assert any(f.code == "DISCRIMINATION" for f in report.warnings)
 
 
 def test_validate_no_discrimination_with_headroom():
@@ -128,7 +128,7 @@ def test_validate_no_discrimination_with_headroom():
     spec = DeaSpec(tuple(f"in{i}" for i in range(2)), tuple(f"out{i}" for i in range(5)))
     report = validate_for_dea(panel, spec)
     assert report.ok
-    assert not report.has_warning("DISCRIMINATION")
+    assert not any(f.code == "DISCRIMINATION" for f in report.warnings)
 
 
 def test_validate_discrimination_rule_exhaustively():
@@ -140,7 +140,7 @@ def test_validate_discrimination_rule_exhaustively():
         panel = PanelDataset(tuple(f"D{i}" for i in range(n_dmus)), ("p",), schema, values)
         spec = DeaSpec(tuple(f"in{i}" for i in range(n_in)), tuple(f"out{i}" for i in range(n_out)))
         report = validate_for_dea(panel, spec)
-        assert report.has_warning("DISCRIMINATION") == (n_dmus <= n_in * n_out)
+        assert any(f.code == "DISCRIMINATION" for f in report.warnings) == (n_dmus <= n_in * n_out)
 
 
 def test_validate_zero_input_cell_is_nonpositive_error():
@@ -175,7 +175,7 @@ def test_validate_warns_on_undesirable_output():
     values = np.ones((2, 1, 2))
     panel = PanelDataset(("A", "B"), ("1998",), (X, bad), values)
     report = validate_for_dea(panel, DeaSpec(("x",), ("y",)))
-    assert report.has_warning("UNDESIRABLE")
+    assert any(f.code == "UNDESIRABLE" for f in report.warnings)
 
 
 def test_dea_input_never_undesirable():

@@ -123,7 +123,7 @@ def test_emitted_files(demo_bundle, tmp_path):
 
 # sha256 of every file emitted for the demo_dir fixture, in emission order
 DEMO_REPORT_SHA256 = [
-    ("report.json", "0e5616928e04bbaec7bd155141e614410fc05bfaba78d90bc46eacc795202101"),
+    ("report.json", "282450bb6bc18ab5e791ab18820dccc95e8f098c6c4cc9db7cc60ee70b86349e"),
     ("dea_ict_scores.csv", "894be26e07f8d285023dbc1a4b9aff491b86c41ef9a1f97ddb9d026e0a7f747b"),
     ("dea_health_scores.csv", "479e78ae1c18d85b3946175df02e264146cd94b02ee1c949306a0e1712fd0ff4"),
     ("cluster_ict_sweep.csv", "0736d7c2f5cb713e203f512efc83677166d5e0493a9bf0b4b0c96eba84f34b01"),
@@ -132,7 +132,7 @@ DEMO_REPORT_SHA256 = [
     ("cluster_health_membership.csv", "7ba4e44e0ea046923b05cd90fb0754e8e16768c22bdd4206ac5a5e7d3756934a"),
     ("correspondence.csv", "7b85187f27a2715821b8afaaa1d2588fe07f0896d911bdef1355a406c3ab285d"),
     ("contingency_ict_vs_health.csv", "5413e49d4705f561048fbdf0111473d3f544641c59ac3e416222c1070884cacb"),
-    ("pls_paths.csv", "f33690d84d6eb2d4c99200301542ead59ea17c73ab726665b36a8b03814bc280"),
+    ("pls_paths.csv", "78101a4ae564a82e461b2a1d1daf26c57ad5a62fe41243ef32f0659242d0c764"),
     ("pls_grid.csv", "7870698463164e7bc2f613cbed9d997e9efe86f0ca411699a3690cdccb7c03ec"),
     ("cobb_douglas_ln_leb.csv", "31f40d7f1c4c4ef553e646bfa853258b071ac7af939b225953a8ba3c98182ed4"),
     ("report.txt", "c89abe3252913ff2d4ee443d3de48f1a436ba3639843f38d2ef3aaab8c2c753f"),
@@ -353,6 +353,43 @@ def test_transforms_the_schema_rules_out_are_config_errors(demo_dir, tmp_path, c
     assert not (tmp_path / "reports").exists()
 
 
+@pytest.mark.parametrize("edit", [
+    lambda d: d["dea"][0].update(inputs=[["ict_spend"]]),
+    lambda d: d["dataset"]["schema"][0].update(name=["ict_spend"]),
+    lambda d: d["dataset"]["schema"][0].update(name=7),
+    lambda d: d["pls"]["models"][0]["blocks"][0].update(indicators=[{"name": "mcs"}]),
+    lambda d: d["pls"]["cobb_douglas"][0].update(health_vars=["leb", ["imr"]]),
+], ids=["dea-input-list", "schema-name-list", "schema-name-int", "pls-indicator-object", "cobb-douglas-list"])
+def test_variable_names_that_are_not_strings_are_config_errors(demo_dir, tmp_path, capsys, edit):
+    # all but the int once raised an unhashable-type TypeError (exit 2); the
+    # int was accepted, then reported as an unknown variable
+    config = write_config(demo_dir, tmp_path, edit)
+    with pytest.raises(ConfigError, match="must be a string"):
+        config_from_file(config)
+    assert cli_main(["pipeline", "--config", config, "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith("configuration error:")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d["dea"][0].update(name="a/b"),
+    lambda d: d["dea"][1].update(name="health\0"),
+    lambda d: d["pls"]["cobb_douglas"][0].update(ict_var="m/cs"),
+    lambda d: d["pls"]["cobb_douglas"][0].update(target=os.sep + "leb"),
+], ids=["dea-slash", "dea-nul", "cobb-douglas-ict-var", "cobb-douglas-target"])
+def test_names_of_report_files_with_a_path_separator_are_config_errors(demo_dir, tmp_path, capsys, edit):
+    # a dea name "a/b" once ran every stage, then failed to write dea_a/b_scores.csv (exit 2)
+    def edit_with_csv(document):
+        edit(document)
+        document["output"]["formats"] = ["json", "csv"]
+
+    config = write_config(demo_dir, tmp_path, edit_with_csv)
+    with pytest.raises(ConfigError, match="must not hold a path separator or NUL"):
+        config_from_file(config)
+    assert cli_main(["pipeline", "--config", config, "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith("configuration error:")
+    assert not (tmp_path / "reports").exists()
+
+
 def test_repeated_output_formats_are_written_once(demo_dir, tmp_path, capsys):
     config = write_config(demo_dir, tmp_path, lambda d: d["output"].update(formats=["json", "text", "json"]))
     assert config_from_file(config).formats == ("json", "text")
@@ -382,7 +419,7 @@ def test_pls_stage_prepares_each_model_once(monkeypatch):
 
 def test_pls_stage_draws_each_replicate_once_for_all_models(monkeypatch):
     # the demo's three path models pool the same rows with the same seed,
-    # so one set of 500 replicate streams serves them all (none redraws)
+    # so one generator draws all 500 replicates for them all (none redraws)
     config = parse_config(make_demo_config())
     assert len(config.pls.models) == 3 and config.pls.bootstrap_samples == 500
     panel = make_demo_panel()
@@ -395,7 +432,7 @@ def test_pls_stage_draws_each_replicate_once_for_all_models(monkeypatch):
 
     monkeypatch.setattr(np.random, "default_rng", counting_rng)
     run_pls_stage(config, panel)
-    assert made == [(config.pls.bootstrap_seed, i) for i in range(500)]
+    assert made == [config.pls.bootstrap_seed]
 
 
 def test_stage_gating_skips_unconfigured_sections(demo_dir):

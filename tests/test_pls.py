@@ -13,7 +13,9 @@ from paneleff.pls import (
     LatentBlock,
     PathModelSpec,
     _CompiledModel,
+    _counts,
     _matrix_from_mapping,
+    _redraw_stream,
     _sign_alignment,
     bootstrap_significance,
     build_cobb_douglas_design,
@@ -530,6 +532,24 @@ def test_bootstrap_from_given_counts_equals_drawing_them_and_redraws_alike():
     given = bootstrap_significance(fit_path_model(data, two_block_spec()), samples=200, seed=5, counts=counts)
     assert given.redraws > 0
     assert given == bootstrap_significance(fit_path_model(data, two_block_spec()), samples=200, seed=5)
+
+
+@pytest.mark.parametrize("n, samples, seed", [(12, 101, 4), (270, 500, 2), (720, 3 * REPLICATE_BLOCK + 5, 0)])
+def test_first_draws_are_rows_of_one_generator(n, samples, seed):
+    counts = resample_counts(n, samples, seed)
+    assert samples % REPLICATE_BLOCK
+    assert np.array_equal(counts, _counts(np.random.default_rng(seed).integers(0, n, (samples, n))))
+    # a replicate's first draw does not depend on how many are drawn
+    assert np.array_equal(counts, resample_counts(n, samples + 37, seed)[:samples])
+
+
+def test_redraw_streams_are_not_the_first_draw_stream():
+    # numpy pads short entropy with zeros: default_rng((seed, 0)) would
+    # replay the first draws, so replicate 0 must be keyed apart from them
+    first = np.random.default_rng(5).integers(0, 12, (100, 12))
+    redraw = _redraw_stream(5, 0).integers(0, 12, (100, 12))
+    assert not (redraw[:, None, :] == first[None, :, :]).all(axis=2).any()
+    assert not np.array_equal(_redraw_stream(5, 0).integers(0, 12, 12), _redraw_stream(5, 1).integers(0, 12, 12))
 
 
 @pytest.mark.parametrize("shape", [(199, 12), (200, 11), (200,)])
