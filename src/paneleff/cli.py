@@ -2,7 +2,9 @@
 
 Subcommands: validate, dea, cluster, pls, pipeline, demo. Exit codes:
 0 success, 1 validation errors, 2 runtime errors. Diagnostics go to
-stderr with stage context; stack traces never reach the user.
+stderr with stage context; stack traces never reach the user. Each command
+parses its configuration once; the report it writes, and what a stage
+command may reuse from report.json, are the pipeline module's business.
 """
 
 from __future__ import annotations
@@ -18,19 +20,16 @@ from .dea import require_valid, score_period
 from .errors import ConfigError, PanelEffError, StageError, ValidationFailedError
 from .panel_data import slice_period, write_panel_csv
 from .pipeline import (
-    REPORT_BASENAME,
     PipelineConfig,
-    ReportBundle,
-    build_provenance,
+    chain_cluster_stage,
+    chain_report,
     config_from_file,
     emit_report,
     load_dataset,
     render_text,
-    run_cluster_stage,
     run_dea_stage,
     run_pls_stage,
     run_pipeline,
-    unrun_report,
     validate_config_dataset,
 )
 from .synthetic import DEMO_SEED, make_demo_config, make_demo_panel
@@ -60,13 +59,6 @@ def cli_main(argv=None) -> int:
         return 1
     except StageError as exc:
         _err(args, f"stage error in {exc.stage}: {exc}")
-        if exc.partial_bundle is not None:
-            try:
-                config = args.load_config(args)
-                emit_report(exc.partial_bundle, config.output_dir, config.formats)
-                _note(args, f"partial report (INCOMPLETE) written to {config.output_dir}")
-            except (PanelEffError, OSError):
-                pass
         return 2
     except PanelEffError as exc:
         _err(args, f"error: {exc}")
@@ -95,7 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="report format (repeatable; overrides the configuration)")
         p.add_argument("--seed", type=int, help="override the bootstrap seed (needs a pls stage)")
         p.add_argument("--quiet", action="store_true", help="suppress progress notes")
-        p.set_defaults(load_config=_load_config)
 
     p = sub.add_parser("validate", help="check a configuration and its dataset")
     common(p)
@@ -123,7 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEMO_SEED, help="dataset generator seed")
     p.add_argument("--samples", type=int, default=500, help="bootstrap resamples")
     p.add_argument("--quiet", action="store_true")
-    p.set_defaults(handler=_cmd_demo, load_config=_demo_config)
+    p.set_defaults(handler=_cmd_demo)
     return parser
 
 
@@ -148,15 +139,28 @@ def _load_config(args) -> PipelineConfig:
     )
 
 
-def _demo_config(args) -> PipelineConfig:
-    """The configuration `paneleff demo` wrote into its --out directory."""
-    return config_from_file(os.path.join(args.out, "config.json"))
-
-
-def _emit(args, config: PipelineConfig, bundle: ReportBundle) -> int:
-    for path in emit_report(bundle, config.output_dir, config.formats):
+def _emit(args, config: PipelineConfig, report: dict) -> int:
+    for path in emit_report(report, config.output_dir, config.formats):
         _note(args, f"wrote {path}")
     return 0
+
+
+def _run(args, config: PipelineConfig) -> dict | None:
+    """run_pipeline's report, written out; None after a stage failure,
+    once the partial report the failure carries is written."""
+    try:
+        report = run_pipeline(config)
+    except StageError as exc:
+        _err(args, f"stage error in {exc.stage}: {exc}")
+        try:
+            emit_report(exc.partial_bundle, config.output_dir, config.formats)
+        except (PanelEffError, OSError) as write_exc:
+            _err(args, f"partial report not written: {write_exc}")
+        else:
+            _note(args, f"partial report (INCOMPLETE) written to {config.output_dir}")
+        return None
+    _emit(args, config, report)
+    return report
 
 
 def _cmd_validate(args) -> int:
@@ -175,7 +179,7 @@ def _cmd_validate(args) -> int:
 def _cmd_pipeline(args) -> int:
     config = _load_config(args)
     _note(args, "running dea, cluster, and pls stages")
-    return _emit(args, config, run_pipeline(config))
+    return 2 if _run(args, config) is None else 0
 
 
 def _cmd_dea(args) -> int:
@@ -190,83 +194,21 @@ def _cmd_dea(args) -> int:
             for dmu, score in zip(cs.dmus, score_period(cs, analysis.spec)):
                 print(f"  {dmu}  {score:.7f}")
         return 0
-    section = run_dea_stage(config, panel)
-    return _emit(args, config, _merge_stage(config, _read_report(config), dea=section))
+    return _emit(args, config, chain_report(config, dea=run_dea_stage(config, panel)))
 
 
 def _cmd_cluster(args) -> int:
     config = _load_config(args)
     if config.cluster is None:
         raise ConfigError("configuration has no cluster stage")
-    existing = _read_report(config)
-    if existing is None or not existing.dea or "pending" in existing.dea:
-        raise StageError("cluster", "no DEA results of this configuration and seed on disk; "
-                                    "run the dea stage first")
-    cluster_section, correspondence = run_cluster_stage(config, existing.dea)
-    bundle = _merge_stage(config, existing, cluster=cluster_section, correspondence=correspondence)
-    return _emit(args, config, bundle)
+    return _emit(args, config, chain_cluster_stage(config))
 
 
 def _cmd_pls(args) -> int:
     config = _load_config(args)
     if config.pls is None:
         raise ConfigError("configuration has no pls stage")
-    section = run_pls_stage(config, load_dataset(config))
-    return _emit(args, config, _merge_stage(config, _read_report(config), pls=section))
-
-
-def _read_report(config: PipelineConfig) -> ReportBundle | None:
-    """The report.json of this configuration and seed in the output
-    directory, or None. A report of another run, or a file that is not a
-    well-formed report (truncated, not JSON, missing a key, a section of
-    the wrong shape), counts as absent."""
-    path = os.path.join(config.output_dir, f"{REPORT_BASENAME}.json")
-    if not os.path.exists(path):
-        return None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            report = ReportBundle.from_json(fh.read())
-        if report.provenance != build_provenance(config) or not _well_formed(report, config):
-            return None
-    except (ValueError, KeyError, TypeError, AttributeError, IndexError):
-        return None
-    # report.json has sorted keys; tables and text follow configuration order
-    dea_names = [a.name for a in config.dea_analyses]
-    cluster = report.cluster
-    if "analyses" in cluster:
-        cluster = {**cluster, "analyses": _in_order(cluster["analyses"], dea_names)}
-    pls = report.pls
-    if "models" in pls:
-        pls = {**pls, "models": _in_order(pls["models"], [m.name for m in config.pls.models])}
-    return replace(report, dea=_in_order(report.dea, dea_names), cluster=cluster, pls=pls)
-
-
-def _well_formed(report: ReportBundle, config: PipelineConfig) -> bool:
-    """Whether each section of a report is a JSON object that the emitter
-    renders, the sections of a stage the configuration lacks are skipped,
-    and the DEA section, which the cluster stage reads, is pending or one
-    table per configured analysis. A malformed section may also raise."""
-    if not all(isinstance(s, dict) for s in (report.dea, report.cluster, report.correspondence, report.pls)):
-        return False
-    skipped = {"skipped": True}
-    if config.cluster is None and (report.cluster, report.correspondence) != (skipped, skipped):
-        return False
-    if config.pls is None and report.pls != skipped:
-        return False
-    render_text(report)
-    return "pending" in report.dea or set(report.dea) == {a.name for a in config.dea_analyses}
-
-
-def _in_order(section: dict, names) -> dict:
-    """section with the entries named in names first, in that order."""
-    rank = {name: i for i, name in enumerate(names)}
-    return dict(sorted(section.items(), key=lambda item: rank.get(item[0], len(rank))))
-
-
-def _merge_stage(config: PipelineConfig, existing: ReportBundle | None, **fresh) -> ReportBundle:
-    """The on-disk report, or without one the unrun report, with freshly
-    computed sections in place of its own."""
-    return replace(existing or unrun_report(config), incomplete=None, **fresh)
+    return _emit(args, config, chain_report(config, pls=run_pls_stage(config, load_dataset(config))))
 
 
 def _cmd_demo(args) -> int:
@@ -282,11 +224,12 @@ def _cmd_demo(args) -> int:
         fh.write("\n")
     _note(args, f"wrote {dataset_path} and {config_path}")
 
-    config = _demo_config(args)
-    bundle = run_pipeline(config)
-    _emit(args, config, bundle)
+    config = config_from_file(config_path)
+    report = _run(args, config)
+    if report is None:
+        return 2
     if not args.quiet:
-        print(render_text(bundle))
+        print(render_text(report))
     return 0
 
 

@@ -199,7 +199,7 @@ def _radial(X, Y, dmus, names, rts, orientation) -> list[tuple[float, LpSolution
     solved = []
     for env, dmu in zip(solve_stack(*_envelopment_lps(X, Y, dmus, rts, orientation)), names):
         if isinstance(env, LpSolverError):
-            raise env
+            raise LpSolverError(f"envelopment program for dmu {dmu!r}: {env}", env.diagnostics) from env
         if env.status != "optimal":
             raise DeaConsistencyError(
                 f"envelopment program for dmu {dmu!r} reported {env.status}; input data must be strictly positive"
@@ -291,5 +291,7 @@ def run_panel_dea(panel: PanelDataset, spec: DeaSpec) -> EfficiencyPanel:
             scores[:, p] = score_period(cs, spec)
         except DeaConsistencyError as exc:
             raise DeaConsistencyError(f"period={period}: {exc}") from exc
+        except LpSolverError as exc:
+            raise LpSolverError(f"period={period}: {exc}", exc.diagnostics) from exc
     means = scores.sum(axis=1) / n_periods
     return EfficiencyPanel(panel.dmus, panel.periods, scores, means, spec)

@@ -76,7 +76,9 @@ class ConfigError(PanelEffError):
 
 
 class StageError(PanelEffError):
-    """A pipeline stage failed. Carries the stage name and any partial bundle."""
+    """A pipeline stage failed. Carries the stage name and, from
+    run_pipeline, the partial report: the report dict with the stages that
+    completed and an incomplete section naming the failed stage."""
 
     def __init__(self, stage: str, message: str, partial_bundle=None):
         super().__init__(f"{stage}: {message}")

@@ -4,8 +4,11 @@ The pipeline is driven by a single JSON configuration document (see README
 for the schema). Identical configuration and dataset produce byte-identical
 JSON reports: every stochastic stage requires an explicit seed, reports
 carry no timestamps, and serialization is canonical (sorted keys, repr
-floats). Stages can also run one at a time, chaining through the same
-report.json document they would have produced together.
+floats). A run's report is the plain dict that report.json holds, and
+this module owns it: it builds, writes and renders the report, and decides
+whether a report on disk can be reused. Stages can also run one at a time,
+chaining through the same report.json document they would have produced
+together.
 """
 
 from __future__ import annotations
@@ -328,49 +331,20 @@ def _seed(obj, where) -> int:
 
 
 # ---------------------------------------------------------------------------
-# report bundle
+# report document
+#
+# A run's report is the dict that report.json holds: the sections
+# provenance, dea, cluster, correspondence and pls, plus incomplete on a
+# partial report. A configured stage that has not run holds {"pending":
+# true}, a stage the configuration lacks {"skipped": true}. The staged
+# commands chain through this same document on disk (read_report).
+
+SECTIONS = ("provenance", "dea", "cluster", "correspondence", "pls")
 
 
-@dataclass(frozen=True)
-class ReportBundle:
-    """Everything one run produces, in JSON-ready form."""
-
-    provenance: dict
-    dea: dict
-    cluster: dict
-    correspondence: dict
-    pls: dict
-    incomplete: dict | None = None
-
-    def to_dict(self) -> dict:
-        doc = {
-            "provenance": self.provenance,
-            "dea": self.dea,
-            "cluster": self.cluster,
-            "correspondence": self.correspondence,
-            "pls": self.pls,
-        }
-        if self.incomplete is not None:
-            doc["incomplete"] = self.incomplete
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ReportBundle":
-        return cls(
-            provenance=doc["provenance"],
-            dea=doc["dea"],
-            cluster=doc["cluster"],
-            correspondence=doc["correspondence"],
-            pls=doc["pls"],
-            incomplete=doc.get("incomplete"),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "ReportBundle":
-        return cls.from_dict(json.loads(text))
+def report_json(report: dict) -> str:
+    """The report as the text of report.json: sorted keys, repr floats."""
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
 def build_provenance(config: PipelineConfig) -> dict:
@@ -393,18 +367,20 @@ def load_dataset(config: PipelineConfig) -> PanelDataset:
 
 def validate_config_dataset(config: PipelineConfig) -> tuple[dict[str, ValidationReport], ValidationReport | None]:
     """validate_for_dea for every configured analysis, keyed by name, and
-    with a PLS stage the report of its missing or infinite cells."""
+    with a PLS stage the report of the cells it cannot use."""
     panel = load_dataset(config)
     dea = {a.name: validate_for_dea(panel, a.spec) for a in config.dea_analyses}
-    return dea, ValidationReport(tuple(_nonfinite_pls_cells(config.pls, panel))) if config.pls else None
+    return dea, ValidationReport(tuple(_unusable_pls_cells(config.pls, panel))) if config.pls else None
 
 
-def _nonfinite_pls_cells(cfg: PlsStageConfig, panel: PanelDataset) -> list[Finding]:
-    """`cell_findings` of the variables the PLS stage reads: model
-    indicators, then Cobb-Douglas variables."""
-    names = [i for m in cfg.models for i in m.spec.indicator_names]
-    names += [v for c in cfg.cobb_douglas for v in (c.ict_var, *c.health_vars, c.target)]
-    return cell_findings(panel, dict.fromkeys(names))
+def _unusable_pls_cells(cfg: PlsStageConfig, panel: PanelDataset) -> list[Finding]:
+    """`cell_findings` of the variables the PLS stage reads, model
+    indicators first: each must be finite, and a Cobb-Douglas variable,
+    which the stage logs, strictly positive."""
+    indicators = [i for m in cfg.models for i in m.spec.indicator_names]
+    logged = [v for c in cfg.cobb_douglas for v in (c.ict_var, *c.health_vars, c.target)]
+    return [finding for name in dict.fromkeys(indicators + logged)
+            for finding in cell_findings(panel, (name,), positive=name in logged)]
 
 
 # ---------------------------------------------------------------------------
@@ -586,10 +562,10 @@ def _max_assignment(table) -> int:
 
 def run_pls_stage(config: PipelineConfig, panel: PanelDataset) -> dict:
     cfg = config.pls
-    cells = _nonfinite_pls_cells(cfg, panel)
+    cells = _unusable_pls_cells(cfg, panel)
     if cells:
         raise UsageError(f"{cells[0].message} at {cells[0].location} "
-                         f"({len(cells)} missing or infinite cell(s); see paneleff validate)")
+                         f"({len(cells)} cell(s) the pls stage cannot use; see paneleff validate)")
     data = _pooled_observations(panel)
     # every model pools the same rows, so they share each replicate's first draw
     counts = resample_counts(len(panel.dmus) * len(panel.periods), cfg.bootstrap_samples, cfg.bootstrap_seed)
@@ -634,11 +610,8 @@ def _pooled_observations(panel: PanelDataset) -> dict:
 
 def _cobb_douglas_table(panel: PanelDataset, cfg: CobbDouglasConfig) -> dict:
     design = build_cobb_douglas_design(panel, cfg.ict_var, cfg.health_vars)
-    target = panel.column(cfg.target).reshape(-1)
-    if np.any(~(np.isfinite(target) & (target > 0.0))):
-        raise UsageError(f"cobb_douglas target {cfg.target!r} must be strictly positive")
     X = np.column_stack([np.ones(design.values.shape[0]), design.values])
-    fit = ols(DesignMatrix(("const",) + design.columns, X), np.log(target))
+    fit = ols(DesignMatrix(("const",) + design.columns, X), np.log(panel.column(cfg.target).reshape(-1)))
     return {
         "target": f"ln_{cfg.target}",
         "columns": list(fit.columns),
@@ -651,52 +624,116 @@ def _cobb_douglas_table(panel: PanelDataset, cfg: CobbDouglasConfig) -> dict:
 # orchestration
 
 
-def unrun_report(config: PipelineConfig) -> ReportBundle:
+def unrun_report(config: PipelineConfig) -> dict:
     """The report before any stage has run: every configured stage pending,
     every other one skipped."""
 
     def unrun(configured):
         return {"pending": True} if configured else {"skipped": True}
 
-    return ReportBundle(
-        provenance=build_provenance(config),
-        dea=unrun(True),
-        cluster=unrun(config.cluster is not None),
-        correspondence=unrun(config.cluster is not None),
-        pls=unrun(config.pls is not None),
-    )
+    return {
+        "provenance": build_provenance(config),
+        "dea": unrun(True),
+        "cluster": unrun(config.cluster is not None),
+        "correspondence": unrun(config.cluster is not None),
+        "pls": unrun(config.pls is not None),
+    }
 
 
-def run_pipeline(config: PipelineConfig) -> ReportBundle:
+def run_pipeline(config: PipelineConfig) -> dict:
     """Run every configured stage. A stage failure raises StageError carrying
-    the partial bundle (completed stages plus an incomplete marker)."""
+    the partial report (completed stages plus an incomplete marker)."""
     # a failed dea stage leaves an empty section, not a pending one
-    bundle = replace(unrun_report(config), dea={})
+    report = {**unrun_report(config), "dea": {}}
 
     def failure(stage, exc) -> StageError:
-        partial = replace(bundle, incomplete={"stage": stage, "message": str(exc)})
+        partial = {**report, "incomplete": {"stage": stage, "message": str(exc)}}
         return StageError(stage, str(exc), partial_bundle=partial)
 
     try:
         panel = load_dataset(config)
-        bundle = replace(bundle, dea=run_dea_stage(config, panel))
+        report["dea"] = run_dea_stage(config, panel)
     except PanelEffError as exc:
         raise failure(STAGE_DEA, exc) from exc
 
     if config.cluster is not None:
         try:
-            cluster, correspondence = run_cluster_stage(config, bundle.dea)
+            report["cluster"], report["correspondence"] = run_cluster_stage(config, report["dea"])
         except PanelEffError as exc:
             raise failure(STAGE_CLUSTER, exc) from exc
-        bundle = replace(bundle, cluster=cluster, correspondence=correspondence)
 
     if config.pls is not None:
         try:
-            pls = run_pls_stage(config, panel)
+            report["pls"] = run_pls_stage(config, panel)
         except PanelEffError as exc:
             raise failure(STAGE_PLS, exc) from exc
-        bundle = replace(bundle, pls=pls)
-    return bundle
+    return report
+
+
+def chain_report(config: PipelineConfig, **fresh) -> dict:
+    """The report of this run on disk (read_report), or without one the
+    unrun report, with the freshly computed sections in place of its own."""
+    return {**(read_report(config) or unrun_report(config)), **fresh}
+
+
+def chain_cluster_stage(config: PipelineConfig) -> dict:
+    """The report of this run on disk with the cluster stage run on its DEA
+    results; a StageError when it holds none."""
+    report = read_report(config)
+    if report is None or "pending" in report["dea"]:
+        raise StageError(STAGE_CLUSTER, "no DEA results of this configuration and seed on disk; "
+                                        "run the dea stage first")
+    report["cluster"], report["correspondence"] = run_cluster_stage(config, report["dea"])
+    return report
+
+
+def read_report(config: PipelineConfig) -> dict | None:
+    """The five sections of the report.json of this configuration and seed
+    in the output directory, tables in configuration order, or None. A
+    report of another run, or a file that is not a well-formed report
+    (truncated, not JSON, missing a section, a section of the wrong shape),
+    counts as absent."""
+    path = os.path.join(config.output_dir, f"{REPORT_BASENAME}.json")
+    if not os.path.exists(path):
+        return None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            document = json.load(fh)
+        report = {section: document[section] for section in SECTIONS}
+        if report["provenance"] != build_provenance(config) or not _well_formed(report, config):
+            return None
+    except (ValueError, KeyError, TypeError, AttributeError, IndexError):
+        return None
+    # report.json has sorted keys; tables and text follow configuration order
+    dea_names = [a.name for a in config.dea_analyses]
+    report["dea"] = _in_order(report["dea"], dea_names)
+    if "analyses" in report["cluster"]:
+        report["cluster"]["analyses"] = _in_order(report["cluster"]["analyses"], dea_names)
+    if "models" in report["pls"]:
+        report["pls"]["models"] = _in_order(report["pls"]["models"], [m.name for m in config.pls.models])
+    return report
+
+
+def _well_formed(report: dict, config: PipelineConfig) -> bool:
+    """Whether each section of a report is a JSON object that the emitter
+    renders, the sections of a stage the configuration lacks are skipped,
+    and the DEA section, which the cluster stage reads, is pending or one
+    table per configured analysis. A malformed section may also raise."""
+    if not all(isinstance(report[s], dict) for s in SECTIONS):
+        return False
+    skipped = {"skipped": True}
+    if config.cluster is None and (report["cluster"], report["correspondence"]) != (skipped, skipped):
+        return False
+    if config.pls is None and report["pls"] != skipped:
+        return False
+    render_text(report)
+    return "pending" in report["dea"] or set(report["dea"]) == {a.name for a in config.dea_analyses}
+
+
+def _in_order(section: dict, names) -> dict:
+    """section with the entries named in names first, in that order."""
+    rank = {name: i for i, name in enumerate(names)}
+    return dict(sorted(section.items(), key=lambda item: rank.get(item[0], len(rank))))
 
 
 # ---------------------------------------------------------------------------
@@ -742,17 +779,17 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def emit_report(bundle: ReportBundle, out_dir: str, formats=("json",)) -> list[str]:
-    """Write the bundle to disk; one file per table for CSV, a single
+def emit_report(report: dict, out_dir: str, formats=("json",)) -> list[str]:
+    """Write the report to disk; one file per table for CSV, a single
     document for JSON, aligned tables for text. Returns written paths."""
     os.makedirs(out_dir, exist_ok=True)
-    tables = report_tables(bundle) if {"csv", "text"} & set(formats) else []
+    tables = report_tables(report) if {"csv", "text"} & set(formats) else []
     written = []
     for fmt in formats:
         if fmt == "json":
-            files = [(f"{REPORT_BASENAME}.json", bundle.to_json())]
+            files = [(f"{REPORT_BASENAME}.json", report_json(report))]
         elif fmt == "text":
-            files = [(f"{REPORT_BASENAME}.txt", _render_text(bundle, tables))]
+            files = [(f"{REPORT_BASENAME}.txt", _render_text(report, tables))]
         elif fmt == "csv":
             files = [(f"{table.name}.csv", _csv_text(table)) for table in tables]
         else:
@@ -772,10 +809,10 @@ def _csv_text(table: Table) -> str:
     return buf.getvalue()
 
 
-def report_tables(bundle: ReportBundle) -> list[Table]:
-    """Every table of the bundle, in the order its CSV files are written."""
+def report_tables(report: dict) -> list[Table]:
+    """Every table of the report, in the order its CSV files are written."""
     tables = []
-    for name, table in _dea_results(bundle).items():
+    for name, table in _dea_results(report).items():
         tables.append(Table(
             f"dea_{name}_scores",
             ["dmu"] + list(table["periods"]) + ["mean"],
@@ -785,7 +822,7 @@ def report_tables(bundle: ReportBundle) -> list[Table]:
             ],
         ))
 
-    for name, table in bundle.cluster.get("analyses", {}).items():
+    for name, table in report["cluster"].get("analyses", {}).items():
         tables.append(Table(
             f"cluster_{name}_sweep",
             ["k", "f_value", "p_value", "df_between", "df_within", "sse_within", "flags"],
@@ -796,7 +833,7 @@ def report_tables(bundle: ReportBundle) -> list[Table]:
             ],
         ))
         if "assignments" in table:
-            dea = bundle.dea[name]
+            dea = report["dea"][name]
             tables.append(Table(
                 f"cluster_{name}_membership",
                 ["dmu", "cluster", "mean_efficiency"],
@@ -806,7 +843,7 @@ def report_tables(bundle: ReportBundle) -> list[Table]:
                 ],
             ))
 
-    doc = bundle.correspondence
+    doc = report["correspondence"]
     if "clusters" in doc:
         tables.append(Table(
             "correspondence",
@@ -822,7 +859,7 @@ def report_tables(bundle: ReportBundle) -> list[Table]:
                 [[i] + row for i, row in enumerate(pair["contingency"])],
             ))
 
-    if "models" in bundle.pls:
+    if "models" in report["pls"]:
         tables.append(Table(
             "pls_paths",
             ["model", "source", "target", "coefficient", "std_error", "t_statistic", "p_value", "marker"],
@@ -830,12 +867,12 @@ def report_tables(bundle: ReportBundle) -> list[Table]:
                 [model_name, p["source"], p["target"], _fmt7(p["coefficient"]),
                  _fmt7(p["std_error"]), _fmt7(p["t_statistic"]), _fmt7(p["p_value"]),
                  significance_marker(p["p_value"])]
-                for model_name, model in bundle.pls["models"].items()
+                for model_name, model in report["pls"]["models"].items()
                 for p in model["paths"]
             ],
         ))
-        tables.append(_pls_grid(bundle.pls))
-        baselines = bundle.pls.get("cobb_douglas", [])
+        tables.append(_pls_grid(report["pls"]))
+        baselines = report["pls"].get("cobb_douglas", [])
         targets = Counter(table["target"] for table in baselines)
         for table in baselines:
             # columns[1] is ln_<ict_var>; it names baselines that share a target
@@ -851,9 +888,9 @@ def report_tables(bundle: ReportBundle) -> list[Table]:
     return tables
 
 
-def _dea_results(bundle: ReportBundle) -> dict:
+def _dea_results(report: dict) -> dict:
     # a stage command run before the dea stage leaves it pending
-    return {} if "pending" in bundle.dea else bundle.dea
+    return {} if "pending" in report["dea"] else report["dea"]
 
 
 def _pls_grid(pls_section: dict) -> Table:
@@ -878,32 +915,33 @@ def _pls_grid(pls_section: dict) -> Table:
     return Table("pls_grid", ["model", "source"] + targets, rows)
 
 
-def render_text(bundle: ReportBundle) -> str:
-    """Aligned, human-readable rendering of the full bundle."""
-    return _render_text(bundle, report_tables(bundle))
+def render_text(report: dict) -> str:
+    """Aligned, human-readable rendering of the full report."""
+    return _render_text(report, report_tables(report))
 
 
-def _render_text(bundle: ReportBundle, tables: list[Table]) -> str:
-    """render_text of the bundle from its report_tables."""
+def _render_text(report: dict, tables: list[Table]) -> str:
+    """render_text of the report from its report_tables."""
     by_name = {table.name: table for table in tables}
     out = []
-    prov = bundle.provenance
+    prov = report["provenance"]
     out.append(f"paneleff {prov.get('version', '')} report")
     out.append(f"config {prov.get('config_hash', '')[:16]}  dataset {prov.get('dataset', '')}")
-    if bundle.incomplete:
-        out.append(f"INCOMPLETE: stage {bundle.incomplete['stage']} failed: {bundle.incomplete['message']}")
+    incomplete = report.get("incomplete")
+    if incomplete:
+        out.append(f"INCOMPLETE: stage {incomplete['stage']} failed: {incomplete['message']}")
     out.append("")
 
-    for name, table in _dea_results(bundle).items():
+    for name, table in _dea_results(report).items():
         out.append(f"== DEA efficiency: {name} "
                    f"({table['returns_to_scale']}, {table['orientation']}-oriented) ==")
         out.append(_text_table(by_name[f"dea_{name}_scores"]))
         out.append("")
 
-    if "analyses" in bundle.cluster:
+    if "analyses" in report["cluster"]:
         out.append("== Cluster analysis ==")
-        out.append(f"note: {bundle.cluster['caveat']}")
-        for name, table in bundle.cluster["analyses"].items():
+        out.append(f"note: {report['cluster']['caveat']}")
+        for name, table in report["cluster"]["analyses"].items():
             out.append(f"-- {name}: selected k = {table['selected_k']} "
                        f"({table['selection_rule']}) {' '.join(table['flags'])}".rstrip())
             # the text sweep leaves out sse_within and shows a null F as inf
@@ -917,12 +955,12 @@ def _render_text(bundle: ReportBundle, tables: list[Table]) -> str:
                 membership = by_name[f"cluster_{name}_membership"]
                 out.append(_text_table(replace(membership, headers=["dmu", "cluster", "mean"])))
         out.append("")
-    elif bundle.cluster.get("skipped"):
+    elif report["cluster"].get("skipped"):
         out.append("== Cluster analysis: skipped ==")
         out.append("")
 
-    if "clusters" in bundle.correspondence:
-        doc = bundle.correspondence
+    if "clusters" in report["correspondence"]:
+        doc = report["correspondence"]
         out.append("== Cluster correspondence ==")
         out.append(_text_table(by_name["correspondence"]))
         for pair in doc["pairs"]:
@@ -931,12 +969,12 @@ def _render_text(bundle: ReportBundle, tables: list[Table]) -> str:
                        f"({100.0 * pair['agreement_rate']:.1f}%)")
         out.append("")
 
-    if "models" in bundle.pls:
+    if "models" in report["pls"]:
         out.append("== Path models (bootstrap "
-                   f"B={bundle.pls['bootstrap_samples']}, seed={bundle.pls['seed']}) ==")
+                   f"B={report['pls']['bootstrap_samples']}, seed={report['pls']['seed']}) ==")
         out.append(_text_table(by_name["pls_grid"]))
         out.append("note: * p < 0.001, ** p < 0.01")
-        for model_name, model in bundle.pls["models"].items():
+        for model_name, model in report["pls"]["models"].items():
             r2 = ", ".join(f"{k}={v:.4f}" for k, v in sorted(model["r_squared"].items()))
             out.append(f"-- {model_name}: converged={model['converged']} "
                        f"iterations={model['iterations']} R2: {r2}")
@@ -945,7 +983,7 @@ def _render_text(bundle: ReportBundle, tables: list[Table]) -> str:
                 out.append(f"-- log-log baseline for {table.name[len('cobb_douglas_'):]}")
                 out.append(_text_table(table))
         out.append("")
-    elif bundle.pls.get("skipped"):
+    elif report["pls"].get("skipped"):
         out.append("== Path models: skipped ==")
         out.append("")
 

@@ -696,7 +696,6 @@ class DesignMatrix:
 
     columns: tuple[str, ...]
     values: np.ndarray
-    rows: tuple = ()
 
     def __post_init__(self):
         self.values.setflags(write=False)
@@ -715,16 +714,14 @@ def build_cobb_douglas_design(panel, ict_var: str, health_vars) -> DesignMatrix:
         raise UsageError("need at least one outcome variable")
     names = (ict_var,) + health_vars
     logs = {}
-    rows = tuple((d, p) for d in panel.dmus for p in panel.periods)
     for name in names:
         col = panel.column(name)  # (dmu, period)
         flat = col.reshape(-1)
         bad = ~(np.isfinite(flat) & (flat > 0.0))
         if np.any(bad):
-            i = int(np.flatnonzero(bad)[0])
-            d, p = rows[i]
+            d, p = divmod(int(np.flatnonzero(bad)[0]), len(panel.periods))
             raise DomainError(
-                f"variable {name!r} is not strictly positive at dmu={d} period={p}; "
+                f"variable {name!r} is not strictly positive at dmu={panel.dmus[d]} period={panel.periods[p]}; "
                 "log transform undefined"
             )
         logs[name] = np.log(flat)
@@ -737,7 +734,7 @@ def build_cobb_douglas_design(panel, ict_var: str, health_vars) -> DesignMatrix:
     for h in health_vars:
         columns.append(f"ln_{ict_var}*ln_{h}")
         data.append(logs[ict_var] * logs[h])
-    return DesignMatrix(tuple(columns), np.column_stack(data), rows)
+    return DesignMatrix(tuple(columns), np.column_stack(data))
 
 
 @dataclass(frozen=True)

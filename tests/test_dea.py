@@ -340,6 +340,24 @@ def test_score_period_raises_for_the_first_failing_dmu(monkeypatch):
             score_period(cs, spec)
 
 
+def test_a_solver_breakdown_names_its_period_and_dmu(monkeypatch):
+    # an LpSolverError once reached the pipeline naming neither
+    solve_stack = dea.solve_stack
+
+    def breaking(*stack):
+        outcomes = solve_stack(*stack)
+        outcomes[2] = LpSolverError("injected breakdown", {"iterations": 7})
+        return outcomes
+
+    monkeypatch.setattr(dea, "solve_stack", breaking)
+    panel = make_demo_panel()
+    with pytest.raises(LpSolverError) as exc:
+        run_panel_dea(panel, DeaSpec(("ict_spend",), ("ict_services",)))
+    assert str(exc.value) == (f"period={panel.periods[0]}: envelopment program for dmu "
+                              f"{panel.dmus[2]!r}: injected breakdown")
+    assert exc.value.diagnostics == {"iterations": 7}
+
+
 def test_slack_stage_runs_only_when_its_results_are_read(monkeypatch):
     solved = []
     solve_lp = dea.solve_lp

@@ -2,7 +2,6 @@ import hashlib
 import json
 import os
 import re
-from dataclasses import replace
 from itertools import permutations
 
 import numpy as np
@@ -12,12 +11,12 @@ from paneleff.cli import cli_main
 from paneleff.errors import ConfigError, StageError
 from paneleff.pipeline import (
     CobbDouglasConfig,
-    ReportBundle,
     config_from_file,
     emit_report,
     load_dataset,
     parse_config,
     render_text,
+    report_json,
     run_cluster_stage,
     run_pipeline,
     run_pls_stage,
@@ -51,16 +50,16 @@ def demo_bundle(demo_dir):
 
 def test_pipeline_produces_all_sections(demo_bundle):
     bundle, _ = demo_bundle
-    assert set(bundle.dea) == {"ict", "health"}
-    assert "analyses" in bundle.cluster
-    assert "clusters" in bundle.correspondence
-    assert "models" in bundle.pls
-    assert bundle.incomplete is None
+    assert set(bundle["dea"]) == {"ict", "health"}
+    assert "analyses" in bundle["cluster"]
+    assert "clusters" in bundle["correspondence"]
+    assert "models" in bundle["pls"]
+    assert "incomplete" not in bundle
 
 
 def test_pipeline_score_matrix_shape(demo_bundle):
     bundle, _ = demo_bundle
-    for table in bundle.dea.values():
+    for table in bundle["dea"].values():
         assert len(table["scores"]) == 27
         assert all(len(row) == 10 for row in table["scores"])
         assert len(table["means"]) == 27
@@ -69,20 +68,20 @@ def test_pipeline_score_matrix_shape(demo_bundle):
 def test_pipeline_selects_three_clusters(demo_bundle):
     bundle, _ = demo_bundle
     for name in ("ict", "health"):
-        table = bundle.cluster["analyses"][name]
+        table = bundle["cluster"]["analyses"][name]
         assert table["selected_k"] == 3
         assert table["anova"]["df_between"] == 2
 
 
 def test_pipeline_correspondence_agreement(demo_bundle):
     bundle, _ = demo_bundle
-    pair = bundle.correspondence["pairs"][0]
+    pair = bundle["correspondence"]["pairs"][0]
     assert pair["agreement_rate"] >= 0.8
 
 
 def test_pls_grid_shape_matches_three_by_four(demo_bundle):
     bundle, _ = demo_bundle
-    models = bundle.pls["models"]
+    models = bundle["pls"]["models"]
     assert set(models) == {"mcs", "iu", "mtl"}
     for model in models.values():
         assert len(model["paths"]) == 4
@@ -95,16 +94,19 @@ def test_pls_grid_shape_matches_three_by_four(demo_bundle):
 
 def test_provenance_carries_hash_and_seeds(demo_bundle):
     bundle, config = demo_bundle
-    assert bundle.provenance["config_hash"] == config.config_hash
-    assert bundle.provenance["seeds"] == {"bootstrap": 271999}
+    assert bundle["provenance"]["config_hash"] == config.config_hash
+    assert bundle["provenance"]["seeds"] == {"bootstrap": 271999}
 
 
 def test_json_round_trip_is_structurally_identical(demo_bundle):
+    # report.json is the report itself: parsing it gives back the dict,
+    # and formatting that gives back the same text
     bundle, _ = demo_bundle
-    text = bundle.to_json()
-    again = ReportBundle.from_json(text)
-    assert again.to_dict() == bundle.to_dict()
-    assert again.to_json() == text
+    text = report_json(bundle)
+    assert text == json.dumps(bundle, sort_keys=True, indent=2) + "\n"
+    again = json.loads(text)
+    assert again == bundle
+    assert report_json(again) == text
 
 
 def test_emitted_files(demo_bundle, tmp_path):
@@ -157,8 +159,8 @@ def test_cobb_douglas_baselines_sharing_a_target_get_distinct_files(demo_bundle,
         CobbDouglasConfig("iu", ("imr", "hec", "hgdp"), "leb"),
         CobbDouglasConfig("mtl", ("leb", "hec"), "imr"),
     ]
-    pls = {**bundle.pls, "cobb_douglas": [_cobb_douglas_table(panel, c) for c in baselines]}
-    written = emit_report(replace(bundle, pls=pls), str(tmp_path), ("csv", "text"))
+    pls = {**bundle["pls"], "cobb_douglas": [_cobb_douglas_table(panel, c) for c in baselines]}
+    written = emit_report({**bundle, "pls": pls}, str(tmp_path), ("csv", "text"))
     names = [os.path.basename(path) for path in written]
     assert len(names) == len(set(names))
     assert names[-4:] == ["cobb_douglas_mcs_ln_leb.csv", "cobb_douglas_iu_ln_leb.csv",
@@ -306,9 +308,9 @@ def test_retired_cluster_keys_are_ignored(demo_dir, demo_bundle):
     document["cluster"].update(restarts=32, seed=271998)
     retired = parse_config(document, config_hash=config.config_hash, base_dir=str(demo_dir))
     assert retired == config
-    cluster, correspondence = run_cluster_stage(retired, bundle.dea)
-    assert json.dumps(cluster, sort_keys=True) == json.dumps(bundle.cluster, sort_keys=True)
-    assert json.dumps(correspondence, sort_keys=True) == json.dumps(bundle.correspondence, sort_keys=True)
+    cluster, correspondence = run_cluster_stage(retired, bundle["dea"])
+    assert json.dumps(cluster, sort_keys=True) == json.dumps(bundle["cluster"], sort_keys=True)
+    assert json.dumps(correspondence, sort_keys=True) == json.dumps(bundle["correspondence"], sort_keys=True)
 
 
 @pytest.mark.parametrize("where, value, named", [
@@ -441,9 +443,9 @@ def test_stage_gating_skips_unconfigured_sections(demo_dir):
     del document["pls"]
     config = parse_config(document, base_dir=str(demo_dir))
     bundle = run_pipeline(config)
-    assert bundle.cluster == {"skipped": True}
-    assert bundle.pls == {"skipped": True}
-    assert set(bundle.dea) == {"ict", "health"}
+    assert bundle["cluster"] == {"skipped": True}
+    assert bundle["pls"] == {"skipped": True}
+    assert set(bundle["dea"]) == {"ict", "health"}
 
 
 # --- command-line interface ---------------------------------------------------
@@ -572,6 +574,21 @@ def test_cli_stage_treats_a_report_with_a_malformed_section_as_absent(demo_dir, 
         assert all(fresh[s] == {"pending": True} for s in ("dea", "cluster"))
 
 
+def test_cli_stage_drops_a_top_level_key_of_a_reused_report(demo_dir, tmp_path):
+    # a reused report keeps its five sections and nothing else
+    config = str(demo_dir / "config.json")
+    out = tmp_path / "out"
+    assert cli_main(["dea", "--config", config, "--out", str(out), "--quiet"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    extra = {"extra": [1, 2], "incomplete": {"stage": "pls", "message": "boom"}}
+    (out / "report.json").write_text(json.dumps({**report, **extra}))
+    assert cli_main(["cluster", "--config", config, "--out", str(out), "--quiet"]) == 0
+    fresh = json.loads((out / "report.json").read_text())
+    assert set(fresh) == {"provenance", "dea", "cluster", "correspondence", "pls"}
+    assert fresh["dea"] == report["dea"]
+    assert "analyses" in fresh["cluster"]
+
+
 def write_config(demo_dir, tmp_path, edit) -> str:
     """The demo config edited by edit(document), with its dataset, in
     tmp_path; returns the config path."""
@@ -591,7 +608,7 @@ def test_cli_stage_treats_a_report_with_a_foreign_section_as_absent(demo_dir, de
     out = tmp_path / "reports"
     assert cli_main(["dea", "--config", config, "--quiet"]) == 0
     report = json.loads((out / "report.json").read_text())
-    full = json.loads(demo_bundle[0].to_json())
+    full = demo_bundle[0]
     (out / "report.json").write_text(json.dumps({**report, **{s: full[s] for s in sections}}))
     assert cli_main(["dea", "--config", config, "--quiet"]) == 0
     assert "internal error" not in capsys.readouterr().err
@@ -699,6 +716,24 @@ def test_cli_validate_reports_the_missing_pls_cell_that_the_pls_stage_names(demo
     assert "cell is missing at dmu=C05 period=2001 variable=leb" in capsys.readouterr().err
 
 
+def test_cli_validate_reports_the_nonpositive_cobb_douglas_cell_that_the_pls_stage_names(demo_dir, tmp_path,
+                                                                                          capsys):
+    # hec is a PLS indicator, which may be any finite value, and a
+    # Cobb-Douglas variable, which the stage logs: validate once passed a
+    # zero hec cell, and the stage failed it
+    (tmp_path / "config.json").write_text((demo_dir / "config.json").read_text())
+    lines = (demo_dir / "dataset.csv").read_text().splitlines(keepends=True)
+    for variable, code in (("iu", 0), ("hec", 1)):
+        kept = "".join(l for l in lines if not l.startswith(f"C04,2000,{variable},"))
+        (tmp_path / "dataset.csv").write_text(kept + f"C04,2000,{variable},0\n")
+        assert cli_main(["validate", "--config", str(tmp_path / "config.json")]) == code
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2:] == ["pls stage: 1 error(s), 0 warning(s)",
+                        "  ERROR NONPOSITIVE at dmu=C04 period=2000 variable=hec: cell value 0.0 must be strictly positive"]
+    assert cli_main(["pipeline", "--config", str(tmp_path / "config.json"), "--quiet"]) == 2
+    assert "cell value 0.0 must be strictly positive at dmu=C04 period=2000 variable=hec" in capsys.readouterr().err
+
+
 def test_cli_pipeline_emits_partial_bundle_on_stage_failure(tmp_path, capsys):
     panel = make_demo_panel()
     write_panel_csv(panel, tmp_path / "dataset.csv")
@@ -775,7 +810,7 @@ def test_cli_demo_stage_failure_writes_partial_report_and_exits_two(tmp_path, mo
     import paneleff.cli as cli_module
 
     def failing_pipeline(config):
-        partial = replace(unrun_report(config), incomplete={"stage": "pls", "message": "boom"})
+        partial = {**unrun_report(config), "incomplete": {"stage": "pls", "message": "boom"}}
         raise StageError("pls", "boom", partial_bundle=partial)
 
     monkeypatch.setattr(cli_module, "run_pipeline", failing_pipeline)
@@ -785,6 +820,24 @@ def test_cli_demo_stage_failure_writes_partial_report_and_exits_two(tmp_path, mo
     assert "stage error in pls" in capsys.readouterr().err
     report = json.loads((out / "reports" / "report.json").read_text())
     assert report["incomplete"] == {"stage": "pls", "message": "boom"}
+
+
+def test_cli_stage_failure_reports_a_failed_partial_write(demo_dir, tmp_path, monkeypatch, capsys):
+    # a partial report that could not be written was once passed over in silence
+    import paneleff.cli as cli_module
+
+    def failing_pipeline(config):
+        partial = {**unrun_report(config), "incomplete": {"stage": "pls", "message": "boom"}}
+        raise StageError("pls", "boom", partial_bundle=partial)
+
+    monkeypatch.setattr(cli_module, "run_pipeline", failing_pipeline)
+    blocker = tmp_path / "blocked"
+    blocker.write_text("a file where a directory must go")
+    code = cli_main(["pipeline", "--config", str(demo_dir / "config.json"), "--out", str(blocker), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "stage error in pls: pls: boom"
+    assert err[1].startswith("partial report not written: ") and str(blocker) in err[1]
 
 
 def test_cli_unwritable_output_is_filesystem_error(demo_dir, tmp_path, capsys):

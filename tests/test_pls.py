@@ -690,10 +690,11 @@ def test_cobb_douglas_interactions_are_exact_products():
 
 
 def test_cobb_douglas_nonpositive_value_is_domain_error():
-    panel = indicator_panel({"ict": [1.0, -2.0], "h": [1.0, 1.0]})
+    panel = indicator_panel({"ict": [[1.0, 2.0], [-2.0, 3.0], [4.0, 5.0]], "h": [[1.0, 1.0]] * 3},
+                            periods=("1998", "1999"))
     with pytest.raises(DomainError) as exc:
         build_cobb_douglas_design(panel, "ict", ["h"])
-    assert "D1" in str(exc.value)
+    assert "'ict' is not strictly positive at dmu=D1 period=1998" in str(exc.value)
 
 
 def test_ols_exact_fit():
