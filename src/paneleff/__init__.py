@@ -3,77 +3,60 @@
 Per-period DEA efficiency scoring over panel data, K-means clustering of
 mean efficiencies validated with one-way ANOVA, and PLS path modeling with
 bootstrap significance, joined by a deterministic report pipeline.
+
+The names below are loaded from their modules on first use (PEP 562), so
+`import paneleff` loads no stage module and a command loads only the
+modules it runs.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .cluster import AnovaResult, ClusterSolution, KSweepReport, anova_f, kmeans, sweep_k
-from .dea import DeaSpec, EfficiencyPanel, EfficiencyResult, run_panel_dea, solve_bcc, solve_ccr
-from .errors import PanelEffError
-from .linprog import LpProblem, LpSolution, solve_lp
-from .panel_data import (
-    CrossSection,
-    PanelDataset,
-    ValidationReport,
-    VariableDef,
-    load_panel,
-    slice_period,
-    transform_undesirable,
-    validate_for_dea,
-    write_panel_csv,
-)
-from .pls import (
-    BootstrapSummary,
-    DesignMatrix,
-    LatentBlock,
-    OlsFit,
-    PathEstimates,
-    PathModelSpec,
-    bootstrap_significance,
-    build_cobb_douglas_design,
-    fit_path_model,
-    ols,
-    resample_counts,
-    standardize,
-)
+_EXPORTS = {
+    "cluster": ("AnovaResult", "ClusterSolution", "KSweepReport", "anova_f", "kmeans", "sweep_k"),
+    "config": ("DeaSpec", "LatentBlock", "PathModelSpec"),
+    "dea": ("EfficiencyPanel", "EfficiencyResult", "run_panel_dea", "solve_bcc", "solve_ccr"),
+    "errors": ("PanelEffError",),
+    "linprog": ("LpProblem", "LpSolution", "solve_lp"),
+    "panel_data": (
+        "CrossSection",
+        "PanelDataset",
+        "ValidationReport",
+        "VariableDef",
+        "load_panel",
+        "slice_period",
+        "transform_undesirable",
+        "validate_for_dea",
+        "write_panel_csv",
+    ),
+    "pls": (
+        "BootstrapSummary",
+        "DesignMatrix",
+        "OlsFit",
+        "PathEstimates",
+        "bootstrap_significance",
+        "build_cobb_douglas_design",
+        "fit_path_model",
+        "ols",
+        "resample_counts",
+        "standardize",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "AnovaResult",
-    "BootstrapSummary",
-    "ClusterSolution",
-    "CrossSection",
-    "DeaSpec",
-    "DesignMatrix",
-    "EfficiencyPanel",
-    "EfficiencyResult",
-    "KSweepReport",
-    "LatentBlock",
-    "LpProblem",
-    "LpSolution",
-    "OlsFit",
-    "PanelDataset",
-    "PanelEffError",
-    "PathEstimates",
-    "PathModelSpec",
-    "ValidationReport",
-    "VariableDef",
-    "anova_f",
-    "bootstrap_significance",
-    "build_cobb_douglas_design",
-    "fit_path_model",
-    "kmeans",
-    "load_panel",
-    "ols",
-    "resample_counts",
-    "run_panel_dea",
-    "slice_period",
-    "solve_bcc",
-    "solve_ccr",
-    "solve_lp",
-    "standardize",
-    "sweep_k",
-    "transform_undesirable",
-    "validate_for_dea",
-    "write_panel_csv",
-]
+__all__ = ["__version__", *sorted(_MODULE_OF)]
+
+
+def __getattr__(name):
+    # an AttributeError for any other name lets `from paneleff import pls`
+    # fall back to importing the submodule
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

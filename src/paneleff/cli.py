@@ -5,6 +5,12 @@ Subcommands: validate, dea, cluster, pls, pipeline, demo. Exit codes:
 stderr with stage context; stack traces never reach the user. Each command
 parses its configuration once; the report it writes, and what a stage
 command may reuse from report.json, are the pipeline module's business.
+
+At import this module loads only errors, config and panel_data. Each
+handler imports the stage modules it runs, so `validate` compiles no stage
+code, `dea --period` only dea and linprog, and only `demo` loads the
+synthetic generator. run_pipeline and emit_report stay names of this
+module, resolved when called, so a caller can replace them here.
 """
 
 from __future__ import annotations
@@ -16,23 +22,9 @@ import sys
 from dataclasses import replace
 
 from . import __version__
-from .dea import require_valid, score_period
+from .config import PipelineConfig, config_from_file, validate_config_dataset
 from .errors import ConfigError, PanelEffError, StageError, ValidationFailedError
-from .panel_data import slice_period, write_panel_csv
-from .pipeline import (
-    PipelineConfig,
-    chain_cluster_stage,
-    chain_report,
-    config_from_file,
-    emit_report,
-    load_dataset,
-    render_text,
-    run_dea_stage,
-    run_pls_stage,
-    run_pipeline,
-    validate_config_dataset,
-)
-from .synthetic import DEMO_SEED, make_demo_config, make_demo_panel
+from .panel_data import load_panel, slice_period, write_panel_csv
 
 
 def main(argv=None) -> int:
@@ -111,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo", help="generate the bundled synthetic dataset and run the pipeline")
     p.add_argument("--out", default="paneleff_demo", help="directory for dataset, config, and reports")
-    p.add_argument("--seed", type=int, default=DEMO_SEED, help="dataset generator seed")
+    p.add_argument("--seed", type=int, help="dataset generator seed (default: synthetic.DEMO_SEED)")
     p.add_argument("--samples", type=int, default=500, help="bootstrap resamples")
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(handler=_cmd_demo)
@@ -137,6 +129,20 @@ def _load_config(args) -> PipelineConfig:
         output_dir=args.out or config.output_dir,
         formats=tuple(dict.fromkeys(args.formats)) if args.formats else config.formats,
     )
+
+
+def run_pipeline(config: PipelineConfig) -> dict:
+    """pipeline.run_pipeline, with the pipeline loaded on the first call."""
+    from . import pipeline
+
+    return pipeline.run_pipeline(config)
+
+
+def emit_report(report: dict, out_dir: str, formats) -> list[str]:
+    """pipeline.emit_report, with the pipeline loaded on the first call."""
+    from . import pipeline
+
+    return pipeline.emit_report(report, out_dir, formats)
 
 
 def _emit(args, config: PipelineConfig, report: dict) -> int:
@@ -184,23 +190,29 @@ def _cmd_pipeline(args) -> int:
 
 def _cmd_dea(args) -> int:
     config = _load_config(args)
-    panel = load_dataset(config)
-    if args.period is not None:
-        for analysis in config.dea_analyses:
-            require_valid(panel, analysis.spec)
-        for analysis in config.dea_analyses:
-            cs = slice_period(panel, args.period, analysis.spec)  # raises lookup error
-            print(f"analysis {analysis.name}, period {args.period}")
-            for dmu, score in zip(cs.dmus, score_period(cs, analysis.spec)):
-                print(f"  {dmu}  {score:.7f}")
-        return 0
-    return _emit(args, config, chain_report(config, dea=run_dea_stage(config, panel)))
+    if args.period is None:
+        from .pipeline import chain_report, load_dataset, run_dea_stage
+
+        return _emit(args, config, chain_report(config, dea=run_dea_stage(config, load_dataset(config))))
+    from .dea import require_valid, score_period
+
+    panel = load_panel(config.dataset_path, config.schema, config.transforms)
+    for analysis in config.dea_analyses:
+        require_valid(panel, analysis.spec)
+    for analysis in config.dea_analyses:
+        cs = slice_period(panel, args.period, analysis.spec)  # raises lookup error
+        print(f"analysis {analysis.name}, period {args.period}")
+        for dmu, score in zip(cs.dmus, score_period(cs, analysis.spec)):
+            print(f"  {dmu}  {score:.7f}")
+    return 0
 
 
 def _cmd_cluster(args) -> int:
     config = _load_config(args)
     if config.cluster is None:
         raise ConfigError("configuration has no cluster stage")
+    from .pipeline import chain_cluster_stage
+
     return _emit(args, config, chain_cluster_stage(config))
 
 
@@ -208,13 +220,18 @@ def _cmd_pls(args) -> int:
     config = _load_config(args)
     if config.pls is None:
         raise ConfigError("configuration has no pls stage")
+    from .pipeline import chain_report, load_dataset, run_pls_stage
+
     return _emit(args, config, chain_report(config, pls=run_pls_stage(config, load_dataset(config))))
 
 
 def _cmd_demo(args) -> int:
+    from .pipeline import render_text
+    from .synthetic import DEMO_SEED, make_demo_config, make_demo_panel
+
     out = args.out
     os.makedirs(out, exist_ok=True)
-    panel = make_demo_panel(args.seed)
+    panel = make_demo_panel(DEMO_SEED if args.seed is None else args.seed)
     dataset_path = os.path.join(out, "dataset.csv")
     write_panel_csv(panel, dataset_path)
     document = make_demo_config("dataset.csv", "reports", bootstrap_samples=args.samples)

@@ -25,39 +25,14 @@ from functools import cached_property
 
 import numpy as np
 
+from .config import ORIENTATIONS, DeaSpec
 from .errors import DeaConsistencyError, LpSolverError, UsageError, ValidationFailedError
 from .linprog import LpProblem, LpSolution, solve_lp, solve_stack
 from .panel_data import CrossSection, PanelDataset, slice_period, validate_for_dea
 
-RETURNS_TO_SCALE = ("CRS", "VRS")
-ORIENTATIONS = ("input", "output")
-
 SCORE_SNAP_TOL = 1e-7     # scores this close to 1 are reported as exactly 1
 _SLACK_TOL = 1e-7
 _SCORE_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class DeaSpec:
-    """Configuration of one DEA analysis: variable lists, returns to scale,
-    and orientation."""
-
-    input_vars: tuple[str, ...]
-    output_vars: tuple[str, ...]
-    returns_to_scale: str = "CRS"
-    orientation: str = "input"
-
-    def __post_init__(self):
-        object.__setattr__(self, "input_vars", tuple(self.input_vars))
-        object.__setattr__(self, "output_vars", tuple(self.output_vars))
-        if not self.input_vars or not self.output_vars:
-            raise UsageError("input_vars and output_vars must be non-empty")
-        if set(self.input_vars) & set(self.output_vars):
-            raise UsageError("input_vars and output_vars must be disjoint")
-        if self.returns_to_scale not in RETURNS_TO_SCALE:
-            raise UsageError(f"returns_to_scale must be one of {RETURNS_TO_SCALE}")
-        if self.orientation not in ORIENTATIONS:
-            raise UsageError(f"orientation must be one of {ORIENTATIONS}")
 
 
 @dataclass(frozen=True)

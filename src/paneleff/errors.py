@@ -76,11 +76,12 @@ class ConfigError(PanelEffError):
 
 
 class StageError(PanelEffError):
-    """A pipeline stage failed. Carries the stage name and, from
-    run_pipeline, the partial report: the report dict with the stages that
-    completed and an incomplete section naming the failed stage."""
+    """A pipeline stage failed. Carries the stage name, apart from the
+    message, and, from run_pipeline, the partial report: the report dict
+    with the stages that completed and an incomplete section naming the
+    failed stage."""
 
     def __init__(self, stage: str, message: str, partial_bundle=None):
-        super().__init__(f"{stage}: {message}")
+        super().__init__(message)
         self.stage = stage
         self.partial_bundle = partial_bundle

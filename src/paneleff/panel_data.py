@@ -150,8 +150,10 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def load_panel(source, schema) -> PanelDataset:
-    """Read a long-format CSV stream (or path) into a dense PanelDataset.
+def load_panel(source, schema, transforms=()) -> PanelDataset:
+    """Read a long-format CSV stream (or path) into a dense PanelDataset,
+    then apply transform_undesirable for each (variable, method) pair of
+    transforms, in order.
 
     Every ``variable`` in the file must appear in schema; cells absent from
     the file carry the missing marker. Raises CsvParseError (with line
@@ -165,7 +167,7 @@ def load_panel(source, schema) -> PanelDataset:
 
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8", newline="") as fh:
-            return load_panel(fh, schema)
+            return load_panel(fh, schema, transforms)
 
     reader = csv.reader(source)
     try:
@@ -211,7 +213,10 @@ def load_panel(source, schema) -> PanelDataset:
     values = np.full((len(dmus), len(periods), len(variables)), math.nan)
     for (d, p, v), value in cells.items():
         values[d, p, v] = value
-    return PanelDataset(tuple(dmus), tuple(periods), variables, values)
+    panel = PanelDataset(tuple(dmus), tuple(periods), variables, values)
+    for variable, method in transforms:
+        panel = transform_undesirable(panel, variable, method)
+    return panel
 
 
 def write_panel_csv(panel: PanelDataset, dest) -> None:

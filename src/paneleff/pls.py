@@ -45,6 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .config import MIN_BOOTSTRAP_SAMPLES, LatentBlock, PathModelSpec  # noqa: F401 (LatentBlock re-exported)
 from .distributions import t_two_tailed_p
 from .errors import (
     CollinearityError,
@@ -53,102 +54,11 @@ from .errors import (
     UsageError,
 )
 
-INNER_SCHEMES = ("path_weighting", "centroid")
 CONVERGENCE_TOL = 1e-7
 MAX_ITERATIONS = 300
-MIN_BOOTSTRAP_SAMPLES = 100
 # bootstrap replicates whose row counts are formed at once: a (replicates x
 # rows) count block stays small whatever the sample count
 REPLICATE_BLOCK = 64
-@dataclass(frozen=True)
-class LatentBlock:
-    """A reflective (mode A) latent variable and its indicator columns."""
-
-    name: str
-    indicators: tuple[str, ...]
-    mode: str = "reflective"
-
-    def __post_init__(self):
-        object.__setattr__(self, "indicators", tuple(self.indicators))
-        if not self.name:
-            raise UsageError("latent name must be non-empty")
-        if not self.indicators:
-            raise UsageError(f"latent {self.name!r} needs at least one indicator")
-        if self.mode != "reflective":
-            raise UsageError(f"latent {self.name!r}: only reflective blocks are supported")
-
-
-@dataclass(frozen=True)
-class PathModelSpec:
-    """Latent blocks plus directed structural paths; the path graph must be
-    acyclic and every indicator belongs to exactly one block."""
-
-    blocks: tuple[LatentBlock, ...]
-    paths: tuple[tuple[str, str], ...]
-    inner_scheme: str = "path_weighting"
-
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(self.blocks))
-        object.__setattr__(self, "paths", tuple((str(a), str(b)) for a, b in self.paths))
-        if self.inner_scheme not in INNER_SCHEMES:
-            raise UsageError(f"inner_scheme must be one of {INNER_SCHEMES}")
-        names = [b.name for b in self.blocks]
-        if len(set(names)) != len(names):
-            raise UsageError("latent names must be unique")
-        seen: dict[str, str] = {}
-        for b in self.blocks:
-            for ind in b.indicators:
-                if ind in seen:
-                    raise UsageError(f"indicator {ind!r} appears in blocks {seen[ind]!r} and {b.name!r}")
-                seen[ind] = b.name
-        known = set(names)
-        if not self.paths:
-            raise UsageError("a path model needs at least one structural path")
-        for a, b in self.paths:
-            if a not in known or b not in known:
-                raise UsageError(f"path ({a!r}, {b!r}) references an unknown latent")
-            if a == b:
-                raise UsageError(f"self-path on latent {a!r}")
-        if len(set(self.paths)) != len(self.paths):
-            raise UsageError("duplicate structural path")
-        _toposort(names, self.paths)  # raises on cycles
-        connected = {a for a, _ in self.paths} | {b for _, b in self.paths}
-        isolated = known - connected
-        if isolated:
-            raise UsageError(f"latents {sorted(isolated)} appear in no structural path")
-
-    @property
-    def latent_names(self) -> tuple[str, ...]:
-        return tuple(b.name for b in self.blocks)
-
-    @property
-    def indicator_names(self) -> tuple[str, ...]:
-        return tuple(ind for b in self.blocks for ind in b.indicators)
-
-    def predecessors(self, latent: str) -> tuple[str, ...]:
-        return tuple(a for a, b in self.paths if b == latent)
-
-    def successors(self, latent: str) -> tuple[str, ...]:
-        return tuple(b for a, b in self.paths if a == latent)
-
-    @property
-    def endogenous(self) -> tuple[str, ...]:
-        return tuple(b.name for b in self.blocks if self.predecessors(b.name))
-
-
-def _toposort(names, paths):
-    order = []
-    pending = {n: set(a for a, b in paths if b == n) for n in names}
-    while pending:
-        ready = sorted(n for n, deps in pending.items() if not deps)
-        if not ready:
-            raise UsageError(f"path graph contains a cycle among {sorted(pending)}")
-        for n in ready:
-            order.append(n)
-            del pending[n]
-        for deps in pending.values():
-            deps.difference_update(ready)
-    return order
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,60 @@
+"""Which paneleff modules each entry point loads: a command loads the
+modules it runs and no more, and the package loads its names lazily."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import paneleff
+from paneleff.panel_data import write_panel_csv
+from paneleff.synthetic import make_demo_config, make_demo_panel
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+CLI_BASE = {"paneleff", "paneleff.cli", "paneleff.config", "paneleff.errors", "paneleff.panel_data"}
+
+
+def loaded_after(code: str) -> set:
+    """The paneleff modules in sys.modules after a fresh interpreter runs code."""
+    report = ("\nimport json, sys\n"
+              "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'paneleff')))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code + report], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def loaded_by_command(tmp_path, *argv) -> set:
+    write_panel_csv(make_demo_panel(), tmp_path / "dataset.csv")
+    (tmp_path / "config.json").write_text(json.dumps(make_demo_config("dataset.csv", "reports")))
+    args = [*argv, "--config", str(tmp_path / "config.json")]
+    return loaded_after(f"from paneleff.cli import cli_main\nassert cli_main({args!r}) == 0")
+
+
+def test_validate_loads_no_stage_module(tmp_path):
+    assert loaded_by_command(tmp_path, "validate") == CLI_BASE
+
+
+def test_dea_period_loads_only_the_dea_modules(tmp_path):
+    assert loaded_by_command(tmp_path, "dea", "--period", "1998") == CLI_BASE | {"paneleff.dea", "paneleff.linprog"}
+
+
+def test_importing_the_package_loads_no_stage_module():
+    assert loaded_after("import paneleff\nassert not hasattr(paneleff, 'no_such_name')") == {"paneleff"}
+    assert loaded_after("from paneleff import pls\nassert pls.fit_path_model") >= {"paneleff", "paneleff.pls"}
+
+
+def test_every_package_name_is_the_object_of_its_defining_module():
+    for name in paneleff.__all__:
+        if name == "__version__":
+            continue
+        value = getattr(paneleff, name)
+        assert getattr(importlib.import_module(value.__module__), name) is value, name
+        assert name in dir(paneleff)
+    with pytest.raises(AttributeError):
+        paneleff.no_such_name

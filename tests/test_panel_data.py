@@ -267,3 +267,35 @@ def test_tensor_is_read_only():
     panel = make_panel([[1.0]], [[1.0]])
     with pytest.raises(ValueError):
         panel.values[0, 0, 0] = 9.0
+
+
+def test_load_panel_applies_its_transforms_in_order(tmp_path):
+    schema = [X, VariableDef("m", "dea_output", "undesirable"), VariableDef("u", "indicator", "undesirable")]
+    rows = [f"D{d},{p},{v},{1.0 + i}"
+            for i, (d, p, v) in enumerate(itertools.product(range(3), ("1998", "1999"), "xmu"))]
+    text = "dmu,period,variable,value\n" + "\n".join(rows) + "\n"
+    transforms = (("m", "max_minus"), ("u", "reciprocal"))
+    expected = load(text, schema)
+    for variable, method in transforms:
+        expected = transform_undesirable(expected, variable, method)
+    path = tmp_path / "panel.csv"
+    path.write_text(text)
+    for source in (io.StringIO(text), path, str(path)):
+        panel = load_panel(source, schema, transforms)
+        assert (panel.dmus, panel.periods, panel.variables) == (expected.dmus, expected.periods, expected.variables)
+        assert np.array_equal(panel.values, expected.values)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("dmu,year,variable,value\nA,1998,m,2.0\n", 1),
+    ("dmu,period,variable,value\nA,1998,m,2.0\nA,1998,m,3.0\n", 3),
+    ("dmu,period,variable,value\nA,1998,m,2.0\nB,1998,m,two\n", 3),
+])
+def test_load_panel_with_transforms_reports_csv_errors_by_line(text, line):
+    schema = [X, VariableDef("m", "dea_output", "undesirable")]
+    with pytest.raises(CsvParseError) as plain:
+        load(text, schema)
+    with pytest.raises(CsvParseError) as transformed:
+        load_panel(io.StringIO(text), schema, (("m", "reciprocal"),))
+    assert type(transformed.value) is type(plain.value)
+    assert (transformed.value.line_number, str(transformed.value)) == (line, str(plain.value))

@@ -836,7 +836,7 @@ def test_cli_stage_failure_reports_a_failed_partial_write(demo_dir, tmp_path, mo
     code = cli_main(["pipeline", "--config", str(demo_dir / "config.json"), "--out", str(blocker), "--quiet"])
     assert code == 2
     err = capsys.readouterr().err.splitlines()
-    assert err[0] == "stage error in pls: pls: boom"
+    assert err[0] == "stage error in pls: boom"
     assert err[1].startswith("partial report not written: ") and str(blocker) in err[1]
 
 
