@@ -159,7 +159,7 @@ def _run(args, config: PipelineConfig) -> dict | None:
     except StageError as exc:
         _err(args, f"stage error in {exc.stage}: {exc}")
         try:
-            emit_report(exc.partial_bundle, config.output_dir, config.formats)
+            emit_report(exc.partial_report, config.output_dir, config.formats)
         except (PanelEffError, OSError) as write_exc:
             _err(args, f"partial report not written: {write_exc}")
         else:

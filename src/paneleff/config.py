@@ -69,7 +69,6 @@ class LatentBlock:
 
     name: str
     indicators: tuple[str, ...]
-    mode: str = "reflective"
 
     def __post_init__(self):
         object.__setattr__(self, "indicators", tuple(self.indicators))
@@ -77,8 +76,6 @@ class LatentBlock:
             raise UsageError("latent name must be non-empty")
         if not self.indicators:
             raise UsageError(f"latent {self.name!r} needs at least one indicator")
-        if self.mode != "reflective":
-            raise UsageError(f"latent {self.name!r}: only reflective blocks are supported")
 
 
 @dataclass(frozen=True)

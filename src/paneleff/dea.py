@@ -4,7 +4,9 @@ Each score is one envelopment program. Within a period every DMU's program
 has the same objective, relations and rhs signs; only the radial column and
 the rhs differ, so `_envelopment_lps` builds a period's constraint matrices
 and rhs as arrays by broadcasting and `linprog.solve_stack` pivots them in
-lockstep. The solver certifies each optimum (primal feasibility, dual
+lockstep, in stacks of at most STACK_BYTES of A: memory stays bounded
+however many DMUs a period has, and a period of a few dozen DMUs is one
+stack. The solver certifies each optimum (primal feasibility, dual
 feasibility and strong duality), and the certified duals are the multiplier
 program's solution: the virtual input and output weights and, under VRS,
 the free scale offset. The score is therefore units-invariant by
@@ -20,6 +22,7 @@ run_panel_dea) reads only the scores.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -31,6 +34,7 @@ from .linprog import LpProblem, LpSolution, solve_lp, solve_stack
 from .panel_data import CrossSection, PanelDataset, slice_period, validate_for_dea
 
 SCORE_SNAP_TOL = 1e-7     # scores this close to 1 are reported as exactly 1
+STACK_BYTES = 1 << 20     # bound on the envelopment A of one solve_stack call
 _SLACK_TOL = 1e-7
 _SCORE_FLOOR = 1e-12
 
@@ -159,7 +163,7 @@ def _solve_dea(cs: CrossSection, dmu: str, rts: str, orientation: str) -> Effici
 
 def score_period(cs: CrossSection, spec: DeaSpec) -> np.ndarray:
     """Radial scores of every DMU of one cross-section, in cs.dmus order,
-    from one stack of envelopment solves; each equals
+    from stacks of envelopment solves; each equals
     solve_ccr/solve_bcc(...).score. A failure is raised for the first DMU
     in order whose program fails."""
     solved = _radial(cs.inputs, cs.outputs, np.arange(len(cs.dmus)), cs.dmus,
@@ -167,12 +171,18 @@ def score_period(cs: CrossSection, spec: DeaSpec) -> np.ndarray:
     return np.array([score for score, _ in solved])
 
 
-def _radial(X, Y, dmus, names, rts, orientation) -> list[tuple[float, LpSolution]]:
+def _radial(X, Y, dmus, names, rts, orientation) -> Iterator[tuple[float, LpSolution]]:
     """Solve the envelopment programs of the DMUs at positions dmus (named
-    names) as one stack; return each one's snapped score and certified
-    solution, whose duals are the multiplier weights."""
-    solved = []
-    for env, dmu in zip(solve_stack(*_envelopment_lps(X, Y, dmus, rts, orientation)), names):
+    names) in order, in stacks whose A takes at most STACK_BYTES (one
+    program at least); yield each one's snapped score and certified
+    solution, whose duals are the multiplier weights. A stack is solved
+    only once every program before it has been yielded, so a caller that
+    keeps only the scores holds one stack's solutions at a time."""
+    n, m = X.shape
+    step = max(1, STACK_BYTES // (8 * (m + Y.shape[1] + (rts == "VRS")) * (n + 1)))
+    outcomes = (env for i in range(0, len(dmus), step)
+                for env in solve_stack(*_envelopment_lps(X, Y, dmus[i:i + step], rts, orientation)))
+    for env, dmu in zip(outcomes, names):
         if isinstance(env, LpSolverError):
             raise LpSolverError(f"envelopment program for dmu {dmu!r}: {env}", env.diagnostics) from env
         if env.status != "optimal":
@@ -186,8 +196,7 @@ def _radial(X, Y, dmus, names, rts, orientation) -> list[tuple[float, LpSolution
             score = min(max(score, _SCORE_FLOOR), 1.0)
         else:
             score = max(score, 1.0)
-        solved.append((float(score), env))
-    return solved
+        yield float(score), env
 
 
 def _envelopment_lps(X, Y, dmus, rts, orientation) -> tuple:

@@ -81,7 +81,7 @@ class StageError(PanelEffError):
     with the stages that completed and an incomplete section naming the
     failed stage."""
 
-    def __init__(self, stage: str, message: str, partial_bundle=None):
+    def __init__(self, stage: str, message: str, partial_report=None):
         super().__init__(message)
         self.stage = stage
-        self.partial_bundle = partial_bundle
+        self.partial_report = partial_report

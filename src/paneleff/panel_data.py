@@ -315,7 +315,9 @@ def transform_undesirable(panel: PanelDataset, variable: str, method: str = "max
 
     reciprocal: x -> 1/x. max_minus: within each period cross-section,
     x -> 1.01 * max(x) - x, which keeps transformed values strictly
-    positive. The returned variable is marked desirable, so a second
+    positive. Only finite cells are transformed, and max(x) is taken over
+    them; a missing or infinite cell stays as read, for validation to
+    name. The returned variable is marked desirable, so a second
     application is rejected.
     """
     if method not in TRANSFORM_METHODS:
@@ -326,7 +328,7 @@ def transform_undesirable(panel: PanelDataset, variable: str, method: str = "max
         raise UsageError(f"variable {variable!r} is not marked undesirable")
 
     col = panel.values[:, :, v]
-    finite = ~np.isnan(col)
+    finite = np.isfinite(col)
     if np.any(col[finite] <= 0.0):
         bad = np.argwhere(finite & (col <= 0.0))[0]
         raise DomainError(

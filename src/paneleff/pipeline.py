@@ -2,14 +2,16 @@
 
 The pipeline is driven by a single JSON configuration document (see README
 for the schema), which the config module parses; this module imports every
-stage module, so only a command that runs a stage loads it. Identical configuration and dataset produce byte-identical
-JSON reports: every stochastic stage requires an explicit seed, reports
-carry no timestamps, and serialization is canonical (sorted keys, repr
-floats). A run's report is the plain dict that report.json holds, and
-this module owns it: it builds, writes and renders the report, and decides
-whether a report on disk can be reused. Stages can also run one at a time,
-chaining through the same report.json document they would have produced
-together.
+stage module, so only a command that runs a stage loads it. Identical
+configuration and dataset produce byte-identical JSON reports: every
+stochastic stage requires an explicit seed, reports carry no timestamps,
+and serialization is canonical (sorted keys, repr floats). A run's report
+is the plain dict that report.json holds, and this module owns it: it
+builds and writes the report, and decides whether a report on disk can be
+reused. One walk of the report (report_layout) lays out its tables and
+text lines in writing order; the CSV files and report.txt are both written
+from that layout. Stages can also run one at a time, chaining through the
+same report.json document they would have produced together.
 """
 
 from __future__ import annotations
@@ -21,20 +23,13 @@ import math
 import os
 import tempfile
 from collections import Counter
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .cluster import CLUSTER_F_CAVEAT, KSweepReport, sweep_k
-from .config import (  # noqa: F401 (the last three are re-exported)
-    CobbDouglasConfig,
-    PipelineConfig,
-    _unusable_pls_cells,
-    config_from_file,
-    parse_config,
-    validate_config_dataset,
-)
+from .config import CobbDouglasConfig, PipelineConfig, _unusable_pls_cells
 from .dea import EfficiencyPanel, run_panel_dea
 from .errors import PanelEffError, StageError, UsageError
 # validate_for_dea is not called here; perfbench/tracing.py wraps it under
@@ -354,7 +349,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
     def failure(stage, exc) -> StageError:
         partial = {**report, "incomplete": {"stage": stage, "message": str(exc)}}
-        return StageError(stage, str(exc), partial_bundle=partial)
+        return StageError(stage, str(exc), partial_report=partial)
 
     try:
         panel = load_dataset(config)
@@ -446,10 +441,9 @@ def _in_order(section: dict, names) -> dict:
 # emission
 
 
-@dataclass(frozen=True)
-class Table:
-    """One report table: the CSV file <name>.csv, and a table of the text
-    report."""
+class Table(NamedTuple):
+    """One report table: the CSV file <name>.csv, or a view of one that the
+    text report shows."""
 
     name: str
     headers: list
@@ -489,15 +483,15 @@ def emit_report(report: dict, out_dir: str, formats=("json",)) -> list[str]:
     """Write the report to disk; one file per table for CSV, a single
     document for JSON, aligned tables for text. Returns written paths."""
     os.makedirs(out_dir, exist_ok=True)
-    tables = report_tables(report) if {"csv", "text"} & set(formats) else []
+    layout = report_layout(report) if {"csv", "text"} & set(formats) else []
     written = []
     for fmt in formats:
         if fmt == "json":
             files = [(f"{REPORT_BASENAME}.json", report_json(report))]
         elif fmt == "text":
-            files = [(f"{REPORT_BASENAME}.txt", _render_text(report, tables))]
+            files = [(f"{REPORT_BASENAME}.txt", _layout_text(layout))]
         elif fmt == "csv":
-            files = [(f"{table.name}.csv", _csv_text(table)) for table in tables]
+            files = [(f"{table.name}.csv", _csv_text(table)) for table, _ in layout if table is not None]
         else:
             raise UsageError(f"unknown report format {fmt!r}")
         for name, text in files:
@@ -515,185 +509,154 @@ def _csv_text(table: Table) -> str:
     return buf.getvalue()
 
 
-def report_tables(report: dict) -> list[Table]:
-    """Every table of the report, in the order its CSV files are written."""
-    tables = []
-    for name, table in _dea_results(report).items():
-        tables.append(Table(
+def report_layout(report: dict) -> list[tuple]:
+    """The report in writing order, from one walk. Each item is a pair
+    (table, shown): table is a Table written as <name>.csv, or None, and
+    shown is what report.txt holds in its place: a line, a Table (the
+    table or a view of it), or None for a table that only the CSV files
+    hold."""
+    layout = []
+
+    def line(text=""):
+        layout.append((None, text))
+
+    prov = report["provenance"]
+    line(f"paneleff {prov.get('version', '')} report")
+    line(f"config {prov.get('config_hash', '')[:16]}  dataset {prov.get('dataset', '')}")
+    incomplete = report.get("incomplete")
+    if incomplete:
+        line(f"INCOMPLETE: stage {incomplete['stage']} failed: {incomplete['message']}")
+    line()
+
+    # a stage command run before the dea stage leaves it pending
+    dea = {} if "pending" in report["dea"] else report["dea"]
+    for name, table in dea.items():
+        line(f"== DEA efficiency: {name} ({table['returns_to_scale']}, {table['orientation']}-oriented) ==")
+        scores = Table(
             f"dea_{name}_scores",
             ["dmu"] + list(table["periods"]) + ["mean"],
             [
-                [dmu] + [_fmt7(x) for x in scores] + [_fmt7(mean)]
-                for dmu, scores, mean in zip(table["dmus"], table["scores"], table["means"])
+                [dmu] + [_fmt7(x) for x in row] + [_fmt7(mean)]
+                for dmu, row, mean in zip(table["dmus"], table["scores"], table["means"])
             ],
-        ))
+        )
+        layout.append((scores, scores))
+        line()
 
-    for name, table in report["cluster"].get("analyses", {}).items():
-        tables.append(Table(
-            f"cluster_{name}_sweep",
-            ["k", "f_value", "p_value", "df_between", "df_within", "sse_within", "flags"],
-            [
-                [e["k"], _fmt7(e["f_value"]), _fmt7(e["p_value"]), e["df_between"],
-                 e["df_within"], _fmt7(e["sse_within"]), ";".join(e["flags"])]
+    cluster = report["cluster"]
+    if "analyses" in cluster:
+        line("== Cluster analysis ==")
+        line(f"note: {cluster['caveat']}")
+        for name, table in cluster["analyses"].items():
+            line(f"-- {name}: selected k = {table['selected_k']} "
+                 f"({table['selection_rule']}) {' '.join(table['flags'])}".rstrip())
+            sweep = [
+                [e["k"], _fmt7(e["f_value"]), _fmt7(e["p_value"]), e["df_between"], e["df_within"],
+                 _fmt7(e["sse_within"]), ";".join(e["flags"])]
                 for e in table["sweep"]
-            ],
-        ))
-        if "assignments" in table:
-            dea = report["dea"][name]
-            tables.append(Table(
-                f"cluster_{name}_membership",
-                ["dmu", "cluster", "mean_efficiency"],
-                [
-                    [dmu, cluster, _fmt7(mean)]
-                    for dmu, cluster, mean in zip(dea["dmus"], table["assignments"], dea["means"])
-                ],
+            ]
+            # the text sweep leaves out sse_within and shows a null F as inf
+            layout.append((
+                Table(f"cluster_{name}_sweep",
+                      ["k", "f_value", "p_value", "df_between", "df_within", "sse_within", "flags"], sweep),
+                Table(f"cluster_{name}_sweep", ["k", "F", "p", "df_between", "df_within", "flags"],
+                      [[k, f or "inf", p, df_b, df_w, flags] for k, f, p, df_b, df_w, _, flags in sweep]),
             ))
+            if "assignments" in table:
+                membership = [
+                    [dmu, label, _fmt7(mean)]
+                    for dmu, label, mean in zip(dea[name]["dmus"], table["assignments"], dea[name]["means"])
+                ]
+                layout.append((
+                    Table(f"cluster_{name}_membership", ["dmu", "cluster", "mean_efficiency"], membership),
+                    Table(f"cluster_{name}_membership", ["dmu", "cluster", "mean"], membership),
+                ))
+        line()
+    elif cluster.get("skipped"):
+        line("== Cluster analysis: skipped ==")
+        line()
 
     doc = report["correspondence"]
     if "clusters" in doc:
-        tables.append(Table(
+        line("== Cluster correspondence ==")
+        correspondence = Table(
             "correspondence",
             ["dmu"] + [f"cluster_{n}" for n in doc["analyses"]],
             [[dmu] + list(clusters) for dmu, clusters in zip(doc["dmus"], doc["clusters"])],
-        ))
+        )
+        layout.append((correspondence, correspondence))
         for pair in doc["pairs"]:
             a, b = pair["analyses"]
             kb = len(pair["contingency"][0])
-            tables.append(Table(
+            contingency = Table(
                 f"contingency_{a}_vs_{b}",
                 [f"{a}\\{b}"] + [str(j) for j in range(kb)],
                 [[i] + row for i, row in enumerate(pair["contingency"])],
-            ))
+            )
+            layout.append((contingency, None))
+            line(f"{a} vs {b}: agreement {pair['agreement']}/{len(doc['dmus'])} "
+                 f"({100.0 * pair['agreement_rate']:.1f}%)")
+        line()
 
-    if "models" in report["pls"]:
-        tables.append(Table(
-            "pls_paths",
-            ["model", "source", "target", "coefficient", "std_error", "t_statistic", "p_value", "marker"],
-            [
-                [model_name, p["source"], p["target"], _fmt7(p["coefficient"]),
-                 _fmt7(p["std_error"]), _fmt7(p["t_statistic"]), _fmt7(p["p_value"]),
-                 significance_marker(p["p_value"])]
-                for model_name, model in report["pls"]["models"].items()
-                for p in model["paths"]
-            ],
-        ))
-        tables.append(_pls_grid(report["pls"]))
-        baselines = report["pls"].get("cobb_douglas", [])
+    pls = report["pls"]
+    if "models" in pls:
+        line(f"== Path models (bootstrap B={pls['bootstrap_samples']}, seed={pls['seed']}) ==")
+        # the grid has a row per model and exogenous latent, and a column
+        # per target in first-seen order
+        paths, grid, columns, fits = [], {}, [], []
+        for model_name, model in pls["models"].items():
+            for p in model["paths"]:
+                coefficient, marker = _fmt7(p["coefficient"]), significance_marker(p["p_value"])
+                paths.append([model_name, p["source"], p["target"], coefficient, _fmt7(p["std_error"]),
+                              _fmt7(p["t_statistic"]), _fmt7(p["p_value"]), marker])
+                grid.setdefault((model_name, p["source"]), {})[p["target"]] = coefficient + marker
+                if p["target"] not in columns:
+                    columns.append(p["target"])
+            r2 = ", ".join(f"{k}={v:.4f}" for k, v in sorted(model["r_squared"].items()))
+            fits.append(f"-- {model_name}: converged={model['converged']} "
+                        f"iterations={model['iterations']} R2: {r2}")
+        header = ["model", "source", "target", "coefficient", "std_error", "t_statistic", "p_value", "marker"]
+        layout.append((Table("pls_paths", header, paths), None))
+        pls_grid = Table(
+            "pls_grid",
+            ["model", "source"] + columns,
+            [[model, source] + [cells.get(t, "") for t in columns] for (model, source), cells in grid.items()],
+        )
+        layout.append((pls_grid, pls_grid))
+        line("note: * p < 0.001, ** p < 0.01")
+        for fit in fits:
+            line(fit)
+        baselines = pls.get("cobb_douglas", [])
         targets = Counter(table["target"] for table in baselines)
         for table in baselines:
             # columns[1] is ln_<ict_var>; it names baselines that share a target
             ict = "" if targets[table["target"]] == 1 else table["columns"][1][len("ln_"):] + "_"
-            tables.append(Table(
+            line(f"-- log-log baseline for {ict}{table['target']}")
+            baseline = Table(
                 f"cobb_douglas_{ict}{table['target']}",
                 ["column", "coefficient", "std_error"],
                 [
                     [c, _fmt7(b), _fmt7(s)]
                     for c, b, s in zip(table["columns"], table["coefficients"], table["standard_errors"])
                 ],
-            ))
-    return tables
-
-
-def _dea_results(report: dict) -> dict:
-    # a stage command run before the dea stage leaves it pending
-    return {} if "pending" in report["dea"] else report["dea"]
-
-
-def _pls_grid(pls_section: dict) -> Table:
-    """Exogenous-by-endogenous coefficient grid with significance markers.
-
-    Rows are each model's exogenous latents; columns are the union of
-    targets in first-seen order.
-    """
-    targets: list[str] = []
-    rows_index: list[tuple[str, str]] = []
-    cells: dict = {}
-    for model_name, model in pls_section["models"].items():
-        for p in model["paths"]:
-            if p["target"] not in targets:
-                targets.append(p["target"])
-            key = (model_name, p["source"])
-            if key not in rows_index:
-                rows_index.append(key)
-            cells[(key, p["target"])] = _fmt7(p["coefficient"]) + significance_marker(p["p_value"])
-    rows = [[model, source] + [cells.get(((model, source), t), "") for t in targets]
-            for model, source in rows_index]
-    return Table("pls_grid", ["model", "source"] + targets, rows)
+            )
+            layout.append((baseline, baseline))
+        line()
+    elif pls.get("skipped"):
+        line("== Path models: skipped ==")
+        line()
+    return layout
 
 
 def render_text(report: dict) -> str:
     """Aligned, human-readable rendering of the full report."""
-    return _render_text(report, report_tables(report))
+    return _layout_text(report_layout(report))
 
 
-def _render_text(report: dict, tables: list[Table]) -> str:
-    """render_text of the report from its report_tables."""
-    by_name = {table.name: table for table in tables}
-    out = []
-    prov = report["provenance"]
-    out.append(f"paneleff {prov.get('version', '')} report")
-    out.append(f"config {prov.get('config_hash', '')[:16]}  dataset {prov.get('dataset', '')}")
-    incomplete = report.get("incomplete")
-    if incomplete:
-        out.append(f"INCOMPLETE: stage {incomplete['stage']} failed: {incomplete['message']}")
-    out.append("")
-
-    for name, table in _dea_results(report).items():
-        out.append(f"== DEA efficiency: {name} "
-                   f"({table['returns_to_scale']}, {table['orientation']}-oriented) ==")
-        out.append(_text_table(by_name[f"dea_{name}_scores"]))
-        out.append("")
-
-    if "analyses" in report["cluster"]:
-        out.append("== Cluster analysis ==")
-        out.append(f"note: {report['cluster']['caveat']}")
-        for name, table in report["cluster"]["analyses"].items():
-            out.append(f"-- {name}: selected k = {table['selected_k']} "
-                       f"({table['selection_rule']}) {' '.join(table['flags'])}".rstrip())
-            # the text sweep leaves out sse_within and shows a null F as inf
-            sweep = by_name[f"cluster_{name}_sweep"]
-            out.append(_text_table(Table(
-                sweep.name,
-                ["k", "F", "p", "df_between", "df_within", "flags"],
-                [[k, f or "inf", p, df_b, df_w, flags] for k, f, p, df_b, df_w, _, flags in sweep.rows],
-            )))
-            if "assignments" in table:
-                membership = by_name[f"cluster_{name}_membership"]
-                out.append(_text_table(replace(membership, headers=["dmu", "cluster", "mean"])))
-        out.append("")
-    elif report["cluster"].get("skipped"):
-        out.append("== Cluster analysis: skipped ==")
-        out.append("")
-
-    if "clusters" in report["correspondence"]:
-        doc = report["correspondence"]
-        out.append("== Cluster correspondence ==")
-        out.append(_text_table(by_name["correspondence"]))
-        for pair in doc["pairs"]:
-            a, b = pair["analyses"]
-            out.append(f"{a} vs {b}: agreement {pair['agreement']}/{len(doc['dmus'])} "
-                       f"({100.0 * pair['agreement_rate']:.1f}%)")
-        out.append("")
-
-    if "models" in report["pls"]:
-        out.append("== Path models (bootstrap "
-                   f"B={report['pls']['bootstrap_samples']}, seed={report['pls']['seed']}) ==")
-        out.append(_text_table(by_name["pls_grid"]))
-        out.append("note: * p < 0.001, ** p < 0.01")
-        for model_name, model in report["pls"]["models"].items():
-            r2 = ", ".join(f"{k}={v:.4f}" for k, v in sorted(model["r_squared"].items()))
-            out.append(f"-- {model_name}: converged={model['converged']} "
-                       f"iterations={model['iterations']} R2: {r2}")
-        for table in tables:
-            if table.name.startswith("cobb_douglas_"):
-                out.append(f"-- log-log baseline for {table.name[len('cobb_douglas_'):]}")
-                out.append(_text_table(table))
-        out.append("")
-    elif report["pls"].get("skipped"):
-        out.append("== Path models: skipped ==")
-        out.append("")
-
-    return "\n".join(out)
+def _layout_text(layout: list[tuple]) -> str:
+    """The text of report.txt: the lines and shown tables of a layout."""
+    return "\n".join(shown if isinstance(shown, str) else _text_table(shown)
+                     for _, shown in layout if shown is not None)
 
 
 def _text_table(table: Table) -> str:

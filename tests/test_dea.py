@@ -1,13 +1,15 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from oracles import dea_ratio_oracle, lp_outcome, same_lp_outcome, scalar_solve_lp
 from paneleff import dea
+from paneleff.config import parse_config
 from paneleff.dea import DeaSpec, _envelopment_lps, run_panel_dea, score_period, solve_bcc, solve_ccr
 from paneleff.errors import DeaConsistencyError, LpSolverError, UsageError, ValidationFailedError
 from paneleff.linprog import LpProblem
 from paneleff.panel_data import CrossSection, PanelDataset, VariableDef, slice_period
-from paneleff.pipeline import parse_config
 from paneleff.synthetic import make_demo_config, make_demo_panel
 
 
@@ -338,6 +340,73 @@ def test_score_period_raises_for_the_first_failing_dmu(monkeypatch):
         monkeypatch.setattr(dea, "solve_stack", breaking)
         with pytest.raises(expected):
             score_period(cs, spec)
+
+
+def counting_stacks(monkeypatch) -> list:
+    """Replace dea.solve_stack by one that records each stack's A."""
+    stacks = []
+    solve_stack = dea.solve_stack
+
+    def counting(c, sense, A, relations, b):
+        stacks.append(A)
+        return solve_stack(c, sense, A, relations, b)
+
+    monkeypatch.setattr(dea, "solve_stack", counting)
+    return stacks
+
+
+def test_demo_and_wide_periods_are_one_stack_each(monkeypatch):
+    stacks = counting_stacks(monkeypatch)
+    demo = make_demo_panel()
+    for analysis in parse_config(make_demo_config()).dea_analyses:
+        run_panel_dea(demo, analysis.spec)
+    wide = wide_panel(0)
+    for spec in WIDE_SPECS:
+        run_panel_dea(wide, spec)
+    assert [len(A) for A in stacks] == [27] * 2 * len(demo.periods) + [40] * 2 * len(wide.periods)
+
+
+@pytest.mark.parametrize("seed", [0, 108])
+def test_chunked_stacks_give_the_scores_of_one_stack(monkeypatch, seed):
+    panel = wide_panel(seed)
+    for spec in WIDE_SPECS:
+        whole = run_panel_dea(panel, spec).scores
+        stacks = counting_stacks(monkeypatch)
+        monkeypatch.setattr(dea, "STACK_BYTES", 10_000)
+        assert np.array_equal(run_panel_dea(panel, spec).scores, whole)
+        assert len(stacks) >= 5 * len(panel.periods)
+        assert all(A.nbytes <= 10_000 for A in stacks)
+        monkeypatch.undo()
+
+
+def test_a_period_of_a_thousand_dmus_is_solved_in_bounded_stacks(monkeypatch):
+    # one stack of every DMU's program once took +450 MB at n = 1,000
+    n = 1000
+    seen, sizes = [], []
+
+    def optimal(c, sense, A, relations, b):
+        sizes.append(A.nbytes)
+        seen.extend((-A[:, 0, 0]).tolist())  # the radial column holds -x_o
+        return [SimpleNamespace(status="optimal", objective_value=1.0)] * len(A)
+
+    monkeypatch.setattr(dea, "solve_stack", optimal)
+    rng = np.random.default_rng(5)
+    cs = cross_section(np.column_stack([np.arange(1.0, n + 1), rng.uniform(1, 10, (n, 2))]),
+                       rng.uniform(1, 10, (n, 2)))
+    assert score_period(cs, DeaSpec(("a", "b", "c"), ("y", "z"))).tolist() == [1.0] * n
+    assert len(sizes) > 1 and max(sizes) <= dea.STACK_BYTES
+    assert seen == list(range(1, n + 1))
+
+
+def test_chunked_stacks_stop_at_the_first_failing_dmu(monkeypatch):
+    # a zero output leaves phi unbounded under output orientation; with a
+    # stack per program, d2 is raised and d3's and d4's are never solved
+    cs = cross_section([1.0, 2.0, 3.0, 4.0, 5.0], [2.0, 3.0, 0.0, 4.0, 0.0])
+    stacks = counting_stacks(monkeypatch)
+    monkeypatch.setattr(dea, "STACK_BYTES", 1)
+    with pytest.raises(DeaConsistencyError, match="'d2'.*unbounded"):
+        score_period(cs, DeaSpec(("x",), ("y",), "CRS", "output"))
+    assert len(stacks) == 3
 
 
 def test_a_solver_breakdown_names_its_period_and_dmu(monkeypatch):

@@ -217,6 +217,20 @@ def test_max_minus_reverses_rank_order_per_period():
         assert np.argmax(before) == np.argmin(after)
 
 
+@pytest.mark.parametrize("method, transformed", [("max_minus", [3.05, 0.05]), ("reciprocal", [0.5, 0.2])])
+def test_transform_leaves_an_infinite_cell_for_validation(method, transformed):
+    # max_minus once spread one inf over its whole period (inf and nan
+    # cells, with a numpy warning) and reciprocal turned it into 0.0, so
+    # validation named the wrong cells or the wrong fault
+    panel = undesirable_panel([2.0, math.inf, 5.0])
+    out = transform_undesirable(panel, "m", method)
+    column = out.column("m")[:, 0]
+    assert column[[0, 2]] == pytest.approx(transformed)
+    assert column[1] == math.inf
+    findings = cell_findings(out, ["m"], positive=True)
+    assert [(f.code, f.location) for f in findings] == [("NONFINITE", "dmu=D1 period=1998 variable=m")]
+
+
 def test_transform_is_rejected_on_second_application():
     panel = undesirable_panel([2.0, 4.0])
     once = transform_undesirable(panel, "m", "reciprocal")

@@ -8,13 +8,11 @@ import numpy as np
 import pytest
 
 from paneleff.cli import cli_main
+from paneleff.config import CobbDouglasConfig, config_from_file, parse_config
 from paneleff.errors import ConfigError, StageError
 from paneleff.pipeline import (
-    CobbDouglasConfig,
-    config_from_file,
     emit_report,
     load_dataset,
-    parse_config,
     render_text,
     report_json,
     run_cluster_stage,
@@ -141,14 +139,83 @@ DEMO_REPORT_SHA256 = [
 ]
 
 
+def emitted_digests(report, out_dir) -> list:
+    """(name, sha256) of every file emit_report writes for the report in
+    all three formats, in emission order."""
+    written = emit_report(report, str(out_dir), ("json", "csv", "text"))
+    return [(os.path.basename(path), hashlib.sha256(open(path, "rb").read()).hexdigest()) for path in written]
+
+
 def test_emitted_files_match_golden_hashes(demo_bundle, tmp_path):
     bundle, _ = demo_bundle
-    written = emit_report(bundle, str(tmp_path), ("json", "csv", "text"))
-    digests = [
-        (os.path.basename(path), hashlib.sha256(open(path, "rb").read()).hexdigest())
-        for path in written
-    ]
-    assert digests == DEMO_REPORT_SHA256
+    assert emitted_digests(bundle, tmp_path) == DEMO_REPORT_SHA256
+
+
+def config_on_disk(root, panel, document):
+    """The parsed configuration of document, written to root with panel as
+    its dataset.csv."""
+    write_panel_csv(panel, root / "dataset.csv")
+    (root / "config.json").write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+    return config_from_file(root / "config.json")
+
+
+# the dea_wide benchmark workload at generator seed 0: CRS-input and
+# VRS-output headings, a k = 9 sweep, a skipped pls stage
+DEA_WIDE_REPORT_SHA256 = [
+    ("report.json", "919d7815952d07d0c340df0f83e20e0564182dd7c03a351346d395599ad839cb"),
+    ("dea_crs_in_scores.csv", "20c290362fd903ad685eed2e221ac51bbf16ca5a4b914953470e7834fdd80c12"),
+    ("dea_vrs_out_scores.csv", "072c0eb7120017c802f144324499ae869af78e156e779c94be78a229f2d74f97"),
+    ("cluster_crs_in_sweep.csv", "5f150a50cfec3226e5caf50e32f5dcbe1cc7fd85757de7501c1b3f4391dda12f"),
+    ("cluster_crs_in_membership.csv", "1ca69e600236d24cf4599758f40893486096a566dbcaa3422266917d4d6d972a"),
+    ("cluster_vrs_out_sweep.csv", "c9ad1267072b3f5d0afa500b6ff22c98acfd0e35075029607fe79b0a4b8394e8"),
+    ("cluster_vrs_out_membership.csv", "08ba5d1d4df8e09b8779ec2409e1a6369947fa38989bab59eee10cac9b1e130e"),
+    ("correspondence.csv", "33b7a37eea5418418c744204b924cef4f54df2b55ae9d70988f131b4bcddec50"),
+    ("contingency_crs_in_vs_vrs_out.csv", "e7e63b72fac1f8ddae6fa2a78132bc2846e31cfa53c5df49c1a15256ab979595"),
+    ("report.txt", "4af1ecebd1afc3bc29a9a2844f999f84a1aa1b4265e8aa1570cb714e0ce95c4d"),
+]
+
+
+def test_dea_wide_emitted_files_match_golden_hashes(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    from perfbench.workloads import WORKLOADS
+
+    config = config_on_disk(tmp_path, *WORKLOADS["dea_wide"].build(0))
+    assert emitted_digests(run_pipeline(config), tmp_path / "out") == DEA_WIDE_REPORT_SHA256
+
+
+# the demo_dir run whose pls stage fails on a zero hec cell: the
+# INCOMPLETE line and a pending pls section
+PARTIAL_REPORT_SHA256 = [
+    ("report.json", "14cafe6a81e01e5da29e8571dcf67436df86ff26bcb3041b1ac4afbdda40942d"),
+    *DEMO_REPORT_SHA256[1:9],
+    ("report.txt", "27e8d6d9ad81777ab090dc352d3086fd8c76638dbb07740c32462dd79f0d874a"),
+]
+
+
+def test_partial_report_emitted_files_match_golden_hashes(demo_dir, tmp_path):
+    config = config_on_disk(tmp_path, make_demo_panel(), json.loads((demo_dir / "config.json").read_text()))
+    lines = (tmp_path / "dataset.csv").read_text().splitlines(keepends=True)
+    kept = "".join(line for line in lines if not line.startswith("C04,2000,hec,"))
+    (tmp_path / "dataset.csv").write_text(kept + "C04,2000,hec,0\n")
+    with pytest.raises(StageError) as exc:
+        run_pipeline(config)
+    assert exc.value.stage == "pls"
+    assert emitted_digests(exc.value.partial_report, tmp_path / "out") == PARTIAL_REPORT_SHA256
+
+
+# the demo configuration without its cluster and pls stages: both skipped
+DEA_ONLY_REPORT_SHA256 = [
+    ("report.json", "69707c49621cf244973014f8632d7c8680fa99f6e1b924776d059a0d11d9d35e"),
+    *DEMO_REPORT_SHA256[1:3],
+    ("report.txt", "b3fa532b383b3a8bf5737e632daf2c4181fa2fc8b840b1cd117b1e08a38e3925"),
+]
+
+
+def test_dea_only_report_emitted_files_match_golden_hashes(demo_dir, tmp_path):
+    document = json.loads((demo_dir / "config.json").read_text())
+    del document["cluster"], document["pls"]
+    config = config_on_disk(tmp_path, make_demo_panel(), document)
+    assert emitted_digests(run_pipeline(config), tmp_path / "out") == DEA_ONLY_REPORT_SHA256
 
 
 def test_cobb_douglas_baselines_sharing_a_target_get_distinct_files(demo_bundle, tmp_path):
@@ -173,18 +240,18 @@ def test_cobb_douglas_baselines_sharing_a_target_get_distinct_files(demo_bundle,
 
 
 def test_emit_report_builds_the_tables_once(demo_bundle, tmp_path, monkeypatch):
-    # csv and text render the same tables; they are built once per emission
+    # csv and text write the same tables; the report is laid out once per emission
     import paneleff.pipeline as pipeline
 
     bundle, _ = demo_bundle
     calls = []
-    report_tables = pipeline.report_tables
+    report_layout = pipeline.report_layout
 
-    def counting_tables(b):
+    def counting_layout(b):
         calls.append(b)
-        return report_tables(b)
+        return report_layout(b)
 
-    monkeypatch.setattr(pipeline, "report_tables", counting_tables)
+    monkeypatch.setattr(pipeline, "report_layout", counting_layout)
     emit_report(bundle, str(tmp_path), ("json", "csv", "text"))
     assert len(calls) == 1
 
@@ -811,7 +878,7 @@ def test_cli_demo_stage_failure_writes_partial_report_and_exits_two(tmp_path, mo
 
     def failing_pipeline(config):
         partial = {**unrun_report(config), "incomplete": {"stage": "pls", "message": "boom"}}
-        raise StageError("pls", "boom", partial_bundle=partial)
+        raise StageError("pls", "boom", partial_report=partial)
 
     monkeypatch.setattr(cli_module, "run_pipeline", failing_pipeline)
     out = tmp_path / "demo"
@@ -828,7 +895,7 @@ def test_cli_stage_failure_reports_a_failed_partial_write(demo_dir, tmp_path, mo
 
     def failing_pipeline(config):
         partial = {**unrun_report(config), "incomplete": {"stage": "pls", "message": "boom"}}
-        raise StageError("pls", "boom", partial_bundle=partial)
+        raise StageError("pls", "boom", partial_report=partial)
 
     monkeypatch.setattr(cli_module, "run_pipeline", failing_pipeline)
     blocker = tmp_path / "blocked"
