@@ -1,10 +1,14 @@
 """Command-line interface.
 
 Subcommands: validate, dea, cluster, pls, pipeline, demo. Exit codes:
-0 success, 1 validation errors, 2 runtime errors. Diagnostics go to
-stderr with stage context; stack traces never reach the user. Each command
-parses its configuration once; the report it writes, and what a stage
-command may reuse from report.json, are the pipeline module's business.
+0 success, 1 validation or configuration errors, 2 runtime errors.
+Diagnostics go to stderr with stage context; stack traces never reach the
+user. Each command parses its configuration once. pipeline and the stage
+commands dea, cluster and pls share one handler, which runs its stages
+through run_pipeline: a stage failure exits 2 once the partial report it
+carries is written, and a dataset that fails DEA validation exits 1 with
+nothing written. The report, and what a stage command may reuse from
+report.json, are the pipeline module's business.
 
 At import this module loads only errors, config and panel_data. Each
 handler imports the stage modules it runs, so `validate` compiles no stage
@@ -86,20 +90,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="run all configured stages")
     common(p)
-    p.set_defaults(handler=_cmd_pipeline)
+    p.set_defaults(handler=_cmd_run, stage=None)
 
     p = sub.add_parser("dea", help="run the DEA stage (writes/updates report.json)")
     common(p)
     p.add_argument("--period", help="solve a single period and print its table")
-    p.set_defaults(handler=_cmd_dea)
+    p.set_defaults(handler=_cmd_dea, stage="dea")
 
     p = sub.add_parser("cluster", help="run the cluster stage from an existing DEA report")
     common(p)
-    p.set_defaults(handler=_cmd_cluster)
+    p.set_defaults(handler=_cmd_run, stage="cluster")
 
     p = sub.add_parser("pls", help="run the path-model stage (writes/updates report.json)")
     common(p)
-    p.set_defaults(handler=_cmd_pls)
+    p.set_defaults(handler=_cmd_run, stage="pls")
 
     p = sub.add_parser("demo", help="generate the bundled synthetic dataset and run the pipeline")
     p.add_argument("--out", default="paneleff_demo", help="directory for dataset, config, and reports")
@@ -131,11 +135,11 @@ def _load_config(args) -> PipelineConfig:
     )
 
 
-def run_pipeline(config: PipelineConfig) -> dict:
+def run_pipeline(config: PipelineConfig, stage: str | None = None) -> dict:
     """pipeline.run_pipeline, with the pipeline loaded on the first call."""
     from . import pipeline
 
-    return pipeline.run_pipeline(config)
+    return pipeline.run_pipeline(config, stage)
 
 
 def emit_report(report: dict, out_dir: str, formats) -> list[str]:
@@ -145,18 +149,14 @@ def emit_report(report: dict, out_dir: str, formats) -> list[str]:
     return pipeline.emit_report(report, out_dir, formats)
 
 
-def _emit(args, config: PipelineConfig, report: dict) -> int:
-    for path in emit_report(report, config.output_dir, config.formats):
-        _note(args, f"wrote {path}")
-    return 0
-
-
-def _run(args, config: PipelineConfig) -> dict | None:
-    """run_pipeline's report, written out; None after a stage failure,
-    once the partial report the failure carries is written."""
+def _run(args, config: PipelineConfig, stage: str | None) -> int:
+    """Write run_pipeline's report and return 0, or 2 after a stage
+    failure, once the partial report the failure carries is written."""
     try:
-        report = run_pipeline(config)
+        report = run_pipeline(config, stage)
     except StageError as exc:
+        if exc.partial_report is None:
+            raise
         _err(args, f"stage error in {exc.stage}: {exc}")
         try:
             emit_report(exc.partial_report, config.output_dir, config.formats)
@@ -164,9 +164,10 @@ def _run(args, config: PipelineConfig) -> dict | None:
             _err(args, f"partial report not written: {write_exc}")
         else:
             _note(args, f"partial report (INCOMPLETE) written to {config.output_dir}")
-        return None
-    _emit(args, config, report)
-    return report
+        return 2
+    for path in emit_report(report, config.output_dir, config.formats):
+        _note(args, f"wrote {path}")
+    return 0
 
 
 def _cmd_validate(args) -> int:
@@ -182,18 +183,17 @@ def _cmd_validate(args) -> int:
     return 1 if failed else 0
 
 
-def _cmd_pipeline(args) -> int:
+def _cmd_run(args) -> int:
+    """pipeline (stage None) and the stage commands."""
     config = _load_config(args)
-    _note(args, "running dea, cluster, and pls stages")
-    return 2 if _run(args, config) is None else 0
+    _note(args, f"running stages: {', '.join(config.stages if args.stage is None else [args.stage])}")
+    return _run(args, config, args.stage)
 
 
 def _cmd_dea(args) -> int:
-    config = _load_config(args)
     if args.period is None:
-        from .pipeline import chain_report, load_dataset, run_dea_stage
-
-        return _emit(args, config, chain_report(config, dea=run_dea_stage(config, load_dataset(config))))
+        return _cmd_run(args)
+    config = _load_config(args)
     from .dea import require_valid, score_period
 
     panel = load_panel(config.dataset_path, config.schema, config.transforms)
@@ -207,26 +207,7 @@ def _cmd_dea(args) -> int:
     return 0
 
 
-def _cmd_cluster(args) -> int:
-    config = _load_config(args)
-    if config.cluster is None:
-        raise ConfigError("configuration has no cluster stage")
-    from .pipeline import chain_cluster_stage
-
-    return _emit(args, config, chain_cluster_stage(config))
-
-
-def _cmd_pls(args) -> int:
-    config = _load_config(args)
-    if config.pls is None:
-        raise ConfigError("configuration has no pls stage")
-    from .pipeline import chain_report, load_dataset, run_pls_stage
-
-    return _emit(args, config, chain_report(config, pls=run_pls_stage(config, load_dataset(config))))
-
-
 def _cmd_demo(args) -> int:
-    from .pipeline import render_text
     from .synthetic import DEMO_SEED, make_demo_config, make_demo_panel
 
     out = args.out
@@ -242,12 +223,12 @@ def _cmd_demo(args) -> int:
     _note(args, f"wrote {dataset_path} and {config_path}")
 
     config = config_from_file(config_path)
-    report = _run(args, config)
-    if report is None:
-        return 2
-    if not args.quiet:
-        print(render_text(report))
-    return 0
+    code = _run(args, config, None)
+    if code == 0 and not args.quiet:
+        # the demo configuration always emits report.txt
+        with open(os.path.join(config.output_dir, "report.txt"), encoding="utf-8") as fh:
+            print(fh.read())
+    return code
 
 
 if __name__ == "__main__":

@@ -201,6 +201,11 @@ class PipelineConfig:
     formats: tuple[str, ...]
     config_hash: str
 
+    @property
+    def stages(self) -> tuple[str, ...]:
+        """The stages a pipeline run of this configuration runs, in order."""
+        return ("dea",) + tuple(stage for stage in ("cluster", "pls") if getattr(self, stage) is not None)
+
     def with_seed(self, seed: int) -> "PipelineConfig":
         """Override the bootstrap seed (the --seed flag), the only seed of a
         run; a configuration without a pls stage has no seed to override."""

@@ -79,7 +79,8 @@ class StageError(PanelEffError):
     """A pipeline stage failed. Carries the stage name, apart from the
     message, and, from run_pipeline, the partial report: the report dict
     with the stages that completed and an incomplete section naming the
-    failed stage."""
+    failed stage. partial_report is None when a stage cannot start (a
+    cluster stage with no DEA results on disk)."""
 
     def __init__(self, stage: str, message: str, partial_report=None):
         super().__init__(message)

@@ -10,8 +10,10 @@ is the plain dict that report.json holds, and this module owns it: it
 builds and writes the report, and decides whether a report on disk can be
 reused. One walk of the report (report_layout) lays out its tables and
 text lines in writing order; the CSV files and report.txt are both written
-from that layout. Stages can also run one at a time, chaining through the
-same report.json document they would have produced together.
+from that layout. run_pipeline runs every configured stage, or one stage
+on the report.json of the same run, so stages run one at a time chain
+through the document they would have produced together, and a stage fails
+the same way in either case.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from . import __version__
 from .cluster import CLUSTER_F_CAVEAT, KSweepReport, sweep_k
 from .config import CobbDouglasConfig, PipelineConfig, _unusable_pls_cells
 from .dea import EfficiencyPanel, run_panel_dea
-from .errors import PanelEffError, StageError, UsageError
+from .errors import ConfigError, PanelEffError, StageError, UsageError, ValidationFailedError
 # validate_for_dea is not called here; perfbench/tracing.py wraps it under
 # this module's name
 from .panel_data import PanelDataset, load_panel, validate_for_dea  # noqa: F401
@@ -46,19 +48,14 @@ from .pls import (
 
 REPORT_BASENAME = "report"
 
-STAGE_DEA = "dea"
-STAGE_CLUSTER = "cluster"
-STAGE_PLS = "pls"
-
-
 # ---------------------------------------------------------------------------
 # report document
 #
 # A run's report is the dict that report.json holds: the sections
 # provenance, dea, cluster, correspondence and pls, plus incomplete on a
 # partial report. A configured stage that has not run holds {"pending":
-# true}, a stage the configuration lacks {"skipped": true}. The staged
-# commands chain through this same document on disk (read_report).
+# true}, a stage the configuration lacks {"skipped": true}. A run of one
+# stage starts from this same document on disk (read_report).
 
 SECTIONS = ("provenance", "dea", "cluster", "correspondence", "pls")
 
@@ -341,50 +338,53 @@ def unrun_report(config: PipelineConfig) -> dict:
     }
 
 
-def run_pipeline(config: PipelineConfig) -> dict:
-    """Run every configured stage. A stage failure raises StageError carrying
-    the partial report (completed stages plus an incomplete marker)."""
-    # a failed dea stage leaves an empty section, not a pending one
-    report = {**unrun_report(config), "dea": {}}
-
-    def failure(stage, exc) -> StageError:
-        partial = {**report, "incomplete": {"stage": stage, "message": str(exc)}}
-        return StageError(stage, str(exc), partial_report=partial)
-
-    try:
-        panel = load_dataset(config)
-        report["dea"] = run_dea_stage(config, panel)
-    except PanelEffError as exc:
-        raise failure(STAGE_DEA, exc) from exc
-
-    if config.cluster is not None:
-        try:
-            report["cluster"], report["correspondence"] = run_cluster_stage(config, report["dea"])
-        except PanelEffError as exc:
-            raise failure(STAGE_CLUSTER, exc) from exc
-
-    if config.pls is not None:
-        try:
-            report["pls"] = run_pls_stage(config, panel)
-        except PanelEffError as exc:
-            raise failure(STAGE_PLS, exc) from exc
-    return report
+# the sections a stage starts over before it runs: its own, and for dea
+# also the cluster sections, which are computed from the DEA results
+STAGE_SECTIONS = {
+    "dea": ("dea", "cluster", "correspondence"),
+    "cluster": ("cluster", "correspondence"),
+    "pls": ("pls",),
+}
 
 
-def chain_report(config: PipelineConfig, **fresh) -> dict:
-    """The report of this run on disk (read_report), or without one the
-    unrun report, with the freshly computed sections in place of its own."""
-    return {**(read_report(config) or unrun_report(config)), **fresh}
-
-
-def chain_cluster_stage(config: PipelineConfig) -> dict:
-    """The report of this run on disk with the cluster stage run on its DEA
-    results; a StageError when it holds none."""
-    report = read_report(config)
-    if report is None or "pending" in report["dea"]:
-        raise StageError(STAGE_CLUSTER, "no DEA results of this configuration and seed on disk; "
+def run_pipeline(config: PipelineConfig, stage: str | None = None) -> dict:
+    """Run every configured stage on a fresh report, or with a stage name
+    that stage alone on the report of this run on disk (read_report), or
+    without one the unrun report. A stage first sets its STAGE_SECTIONS as
+    unrun (an empty dea section), so that a failure shows no earlier
+    results that the stage would have replaced. A stage failure raises
+    StageError carrying the partial report (the sections so far plus an
+    incomplete marker); a ValidationFailedError passes through as it is,
+    and a cluster stage with no DEA results to read raises StageError
+    without a partial report."""
+    unrun = unrun_report(config)
+    started = {**unrun, "dea": {}}
+    if stage is None:
+        report, stages = unrun, config.stages
+    elif stage not in config.stages:
+        raise ConfigError(f"configuration has no {stage} stage")
+    else:
+        report, stages = read_report(config) or unrun, (stage,)
+        if stage == "cluster" and "pending" in report["dea"]:
+            raise StageError("cluster", "no DEA results of this configuration and seed on disk; "
                                         "run the dea stage first")
-    report["cluster"], report["correspondence"] = run_cluster_stage(config, report["dea"])
+
+    panel = None
+    for name in stages:
+        report.update((section, started[section]) for section in STAGE_SECTIONS[name])
+        try:
+            if name == "dea":
+                panel = load_dataset(config)
+                report["dea"] = run_dea_stage(config, panel)
+            elif name == "cluster":
+                report["cluster"], report["correspondence"] = run_cluster_stage(config, report["dea"])
+            else:
+                report["pls"] = run_pls_stage(config, load_dataset(config) if panel is None else panel)
+        except ValidationFailedError:
+            raise
+        except PanelEffError as exc:
+            partial = {**report, "incomplete": {"stage": name, "message": str(exc)}}
+            raise StageError(name, str(exc), partial_report=partial) from exc
     return report
 
 
@@ -520,6 +520,13 @@ def report_layout(report: dict) -> list[tuple]:
     def line(text=""):
         layout.append((None, text))
 
+    def unrun(title, section):
+        # a stage that has not run yet, or that the configuration lacks
+        for state in ("pending", "skipped"):
+            if section.get(state):
+                line(f"== {title}: {state} ==")
+                line()
+
     prov = report["provenance"]
     line(f"paneleff {prov.get('version', '')} report")
     line(f"config {prov.get('config_hash', '')[:16]}  dataset {prov.get('dataset', '')}")
@@ -572,9 +579,8 @@ def report_layout(report: dict) -> list[tuple]:
                     Table(f"cluster_{name}_membership", ["dmu", "cluster", "mean"], membership),
                 ))
         line()
-    elif cluster.get("skipped"):
-        line("== Cluster analysis: skipped ==")
-        line()
+    else:
+        unrun("Cluster analysis", cluster)
 
     doc = report["correspondence"]
     if "clusters" in doc:
@@ -642,9 +648,8 @@ def report_layout(report: dict) -> list[tuple]:
             )
             layout.append((baseline, baseline))
         line()
-    elif pls.get("skipped"):
-        line("== Path models: skipped ==")
-        line()
+    else:
+        unrun("Path models", pls)
     return layout
 
 

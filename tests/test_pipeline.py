@@ -184,11 +184,12 @@ def test_dea_wide_emitted_files_match_golden_hashes(tmp_path, monkeypatch):
 
 
 # the demo_dir run whose pls stage fails on a zero hec cell: the
-# INCOMPLETE line and a pending pls section
+# INCOMPLETE line and a pending pls section, which report.txt heads
+# "== Path models: pending =="
 PARTIAL_REPORT_SHA256 = [
     ("report.json", "14cafe6a81e01e5da29e8571dcf67436df86ff26bcb3041b1ac4afbdda40942d"),
     *DEMO_REPORT_SHA256[1:9],
-    ("report.txt", "27e8d6d9ad81777ab090dc352d3086fd8c76638dbb07740c32462dd79f0d874a"),
+    ("report.txt", "121e60f925e7bdb2cacc32d39989c5c5290131ea426d8eecd8722d73e3233dc6"),
 ]
 
 
@@ -732,6 +733,53 @@ def test_cli_dea_period_validates_the_panel_before_printing(demo_dir, tmp_path, 
     assert f"ERROR {code} at dmu=C02 period=1998 variable=ict_spend" in captured.err
 
 
+@pytest.mark.parametrize("command", ["pipeline", "dea"])
+def test_cli_dataset_failing_dea_validation_exits_one_and_writes_nothing(demo_dir, tmp_path, capsys, command):
+    # pipeline once exited 2 with a stage error and wrote a partial report
+    (tmp_path / "config.json").write_text((demo_dir / "config.json").read_text())
+    lines = [l for l in (demo_dir / "dataset.csv").read_text().splitlines(keepends=True)
+             if not l.startswith("C02,1998,ict_spend,")]
+    (tmp_path / "dataset.csv").write_text("".join(lines) + "C02,1998,ict_spend,-5\n")
+    assert cli_main([command, "--config", str(tmp_path / "config.json"), "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith("validation failed:")
+    assert not (tmp_path / "reports").exists()
+
+
+@pytest.mark.parametrize("stage, value, started", [
+    ("pls", "0", {"pls": {"pending": True}}),
+    ("dea", "abc", {"dea": {}, "cluster": {"pending": True}, "correspondence": {"pending": True}}),
+], ids=["pls-zero-hec", "dea-unparsable-cell"])
+def test_cli_staged_stage_failure_writes_a_partial_report(demo_dir, tmp_path, capsys, stage, value, started):
+    # a stage run on its own once exited with a bare error and wrote
+    # nothing, where the same failure in pipeline wrote a partial report
+    config = str(tmp_path / "config.json")
+    (tmp_path / "config.json").write_text((demo_dir / "config.json").read_text())
+    (tmp_path / "dataset.csv").write_bytes((demo_dir / "dataset.csv").read_bytes())
+    assert cli_main(["pipeline", "--config", config, "--quiet"]) == 0
+    before = json.loads((tmp_path / "reports" / "report.json").read_text())
+    lines = (demo_dir / "dataset.csv").read_text().splitlines(keepends=True)
+    (tmp_path / "dataset.csv").write_text("".join(l for l in lines if not l.startswith("C04,2000,hec,"))
+                                          + f"C04,2000,hec,{value}\n")
+    assert cli_main([stage, "--config", config, "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith(f"stage error in {stage}:")
+    report = json.loads((tmp_path / "reports" / "report.json").read_text())
+    assert report.pop("incomplete")["stage"] == stage
+    assert report == {**before, **started}
+
+
+def test_cli_dea_stage_sets_the_cluster_sections_pending(demo_dir, tmp_path):
+    # the cluster sections are computed from the DEA results; a dea run
+    # once kept those of an earlier run beside its own results
+    config = str(demo_dir / "config.json")
+    out = tmp_path / "out"
+    assert cli_main(["pipeline", "--config", config, "--out", str(out), "--quiet"]) == 0
+    before = json.loads((out / "report.json").read_text())
+    assert cli_main(["dea", "--config", config, "--out", str(out), "--quiet"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report == {**before, "cluster": {"pending": True}, "correspondence": {"pending": True}}
+    assert "== Cluster analysis: pending ==" in (out / "report.txt").read_text()
+
+
 def test_cli_cluster_without_dea_results_exits_two(demo_dir, tmp_path, capsys):
     code = cli_main(["cluster", "--config", str(demo_dir / "config.json"),
                      "--out", str(tmp_path / "empty"), "--quiet"])
@@ -873,10 +921,28 @@ def test_cli_demo_smoke(tmp_path, capsys):
     assert (out / "reports" / "report.json").exists()
 
 
+def test_cli_demo_prints_the_report_txt_it_wrote(tmp_path, monkeypatch, capsys):
+    # demo once laid the whole report out a second time to print it
+    import paneleff.pipeline as pipeline
+
+    calls = []
+    report_layout = pipeline.report_layout
+
+    def counting_layout(report):
+        calls.append(report)
+        return report_layout(report)
+
+    monkeypatch.setattr(pipeline, "report_layout", counting_layout)
+    out = tmp_path / "demo"
+    assert cli_main(["demo", "--out", str(out), "--samples", "100"]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == (out / "reports" / "report.txt").read_text() + "\n"
+
+
 def test_cli_demo_stage_failure_writes_partial_report_and_exits_two(tmp_path, monkeypatch, capsys):
     import paneleff.cli as cli_module
 
-    def failing_pipeline(config):
+    def failing_pipeline(config, stage=None):
         partial = {**unrun_report(config), "incomplete": {"stage": "pls", "message": "boom"}}
         raise StageError("pls", "boom", partial_report=partial)
 
@@ -893,7 +959,7 @@ def test_cli_stage_failure_reports_a_failed_partial_write(demo_dir, tmp_path, mo
     # a partial report that could not be written was once passed over in silence
     import paneleff.cli as cli_module
 
-    def failing_pipeline(config):
+    def failing_pipeline(config, stage=None):
         partial = {**unrun_report(config), "incomplete": {"stage": "pls", "message": "boom"}}
         raise StageError("pls", "boom", partial_report=partial)
 
