@@ -3,10 +3,14 @@ into, and the checks that need only the configuration and its dataset.
 
 Parsing validates each DEA analysis and path model as it reads it, so the
 specs it builds (DeaSpec, LatentBlock, PathModelSpec) are defined here and
-the dea and pls modules import them. This module loads nothing beyond
-errors and panel_data, so a command that reads a configuration and its
-dataset without running a stage (validate, dea --period) never loads the
-solver, cluster, PLS or report code.
+the dea and pls modules import them. One reader, _fields, reads every
+object of a document and declares the object's keys and their kinds once:
+a key it does not declare, a missing required key, a value of the wrong
+kind and a failed spec check are each a ConfigError (exit 1) naming the
+JSON path of the key at fault. This module loads nothing beyond errors and
+panel_data, so a command that reads a configuration and its dataset
+without running a stage (validate, dea --period) never loads the solver,
+cluster, PLS or report code.
 """
 
 from __future__ import annotations
@@ -212,7 +216,7 @@ class PipelineConfig:
         if self.pls is None:
             raise ConfigError("--seed sets the bootstrap seed and needs a pls stage; "
                               "this configuration has none")
-        return replace(self, pls=replace(self.pls, bootstrap_seed=_seed({"seed": seed}, "--seed")))
+        return replace(self, pls=replace(self.pls, bootstrap_seed=_seed(seed, "--seed")))
 
 
 def config_from_file(path) -> PipelineConfig:
@@ -230,129 +234,107 @@ def config_from_file(path) -> PipelineConfig:
 
 def parse_config(document: dict, config_hash: str | None = None, base_dir: str | None = None) -> PipelineConfig:
     """Validate a configuration document and resolve relative paths against
-    base_dir (the config file's directory)."""
+    base_dir (the config file's directory).
+
+    Each of the document's objects is read by one call of _fields, which
+    declares its keys and their kinds; whatever is wrong with a JSON
+    document, a failed spec check included, is a ConfigError that names
+    its JSON path."""
     if config_hash is None:
         canonical = json.dumps(document, sort_keys=True, separators=(",", ":")).encode()
         config_hash = hashlib.sha256(canonical).hexdigest()
-    if not isinstance(document, dict):
-        raise ConfigError("configuration must be a JSON object")
-
-    dataset = _require(document, "dataset", dict)
-    path = _require(dataset, "path", str)
+    dataset, dea, cluster, pls, output = _fields(
+        document, "", dataset=dict, dea=[dict], cluster=(dict, None), pls=(dict, None), output=(dict, {}))
+    path, schema_entries, transform_entries = _fields(
+        dataset, "dataset", path=str, schema=[dict], transforms=([dict], []))
     if base_dir and not os.path.isabs(path):
         path = os.path.join(base_dir, path)
-    schema_entries = _require(dataset, "schema", list)
     if not schema_entries:
         raise ConfigError("dataset.schema must not be empty")
     schema = []
-    for entry in schema_entries:
-        if not isinstance(entry, dict) or "name" not in entry or "role" not in entry:
-            raise ConfigError(f"dataset.schema entries need 'name' and 'role': {entry!r}")
-        try:
-            schema.append(VariableDef(_name(entry["name"], "dataset.schema"), entry["role"],
-                                      entry.get("direction", "desirable")))
-        except PanelEffError as exc:
-            raise ConfigError(str(exc)) from exc
+    for i, entry in enumerate(schema_entries):
+        where = f"dataset.schema[{i}]"
+        schema.append(_spec(where, VariableDef,
+                            *_fields(entry, where, name=str, role=str, direction=(str, "desirable"))))
     names = {v.name: v for v in schema}
     if len(names) != len(schema):
         raise ConfigError("dataset.schema variable names must be unique")
 
-    def known(name, where):
-        if _name(name, where) not in names:
-            raise ConfigError(f"{where} references unknown variable {name!r}")
+    def known(name, at):
+        """A variable name the schema declares."""
+        if _check(name, str, at) not in names:
+            raise ConfigError(f"{at} references unknown variable {name!r}")
         return name
 
+    def known_file_part(name, at):
+        return known(_file_part(name, at), at)
+
     transforms = []
-    for entry in _optional(dataset, "transforms", list, []):
-        variable = known(_require(entry, "variable", str), "dataset.transforms")
-        method = entry.get("method", "max_minus")
+    for i, entry in enumerate(transform_entries):
+        where = f"dataset.transforms[{i}]"
+        variable, method = _fields(entry, where, variable=known, method=(str, "max_minus"))
         if method not in TRANSFORM_METHODS:
-            raise ConfigError(f"dataset.transforms: unknown method {method!r}")
+            raise ConfigError(f"{where}: unknown method {method!r}")
         if names[variable].direction != "undesirable":
-            raise ConfigError(f"dataset.transforms: variable {variable!r} is not marked undesirable")
+            raise ConfigError(f"{where}: variable {variable!r} is not marked undesirable")
         if any(variable == done for done, _ in transforms):
-            raise ConfigError(f"dataset.transforms: variable {variable!r} is transformed twice")
+            raise ConfigError(f"{where}: variable {variable!r} is transformed twice")
         transforms.append((variable, method))
 
     analyses = []
-    seen = set()
-    for entry in _require(document, "dea", list):
-        name = _file_name(entry, "name", "dea analysis")
-        if name in seen:
-            raise ConfigError(f"duplicate dea analysis name {name!r}")
-        seen.add(name)
-        inputs = [known(v, f"dea analysis {name!r}") for v in _require(entry, "inputs", list)]
-        outputs = [known(v, f"dea analysis {name!r}") for v in _require(entry, "outputs", list)]
-        try:
-            spec = DeaSpec(
-                tuple(inputs),
-                tuple(outputs),
-                entry.get("returns_to_scale", "CRS"),
-                entry.get("orientation", "input"),
-            )
-        except PanelEffError as exc:
-            raise ConfigError(f"dea analysis {name!r}: {exc}") from exc
-        analyses.append(DeaAnalysisConfig(name, spec))
+    for i, entry in enumerate(dea):
+        where = f"dea[{i}]"
+        name, *spec = _fields(entry, where, name=_file_part, inputs=[known], outputs=[known],
+                              returns_to_scale=(str, "CRS"), orientation=(str, "input"))
+        if any(name == a.name for a in analyses):
+            raise ConfigError(f"{where}: duplicate dea analysis name {name!r}")
+        analyses.append(DeaAnalysisConfig(name, _spec(where, DeaSpec, *spec)))
     if not analyses:
         raise ConfigError("at least one dea analysis is required")
 
-    cluster = None
-    if "cluster" in document and document["cluster"]:
-        entry = document["cluster"]
-        cluster = ClusterStageConfig(
-            k_max=_require(entry, "k_max", int),
-            k_min=_require(entry, "k_min", int),
-            significance=_optional(entry, "significance", float, 0.05),
-        )
+    if cluster is not None:
+        # restarts and seed drove the retired multivariate k-means path:
+        # configurations that still carry them parse, and they are ignored
+        *fields, _, _ = _fields(cluster, "cluster", k_max=int, k_min=int, significance=(float, 0.05),
+                                restarts=(object, None), seed=(object, None))
+        cluster = ClusterStageConfig(*fields)
         if not (cluster.k_max >= cluster.k_min >= 2):
             raise ConfigError("cluster stage needs k_max >= k_min >= 2")
         if not (0.0 < cluster.significance < 1.0):
             raise ConfigError("cluster.significance must be in (0, 1)")
 
-    pls = None
-    if "pls" in document and document["pls"]:
-        entry = document["pls"]
+    if pls is not None:
+        model_entries, bootstrap, cobb_entries = _fields(
+            pls, "pls", models=[dict], bootstrap=dict, cobb_douglas=([dict], []))
         models = []
-        model_names = set()
-        for m in _require(entry, "models", list):
-            mname = _require(m, "name", str)
-            if mname in model_names:
-                raise ConfigError(f"duplicate pls model name {mname!r}")
-            model_names.add(mname)
-            blocks = []
-            for b in _require(m, "blocks", list):
-                indicators = [known(i, f"pls model {mname!r}") for i in _require(b, "indicators", list)]
-                blocks.append(LatentBlock(_require(b, "latent", str), tuple(indicators)))
-            paths = tuple(_path_pair(p, mname) for p in _require(m, "paths", list))
-            try:
-                spec = PathModelSpec(tuple(blocks), paths, m.get("inner_scheme", "path_weighting"))
-            except PanelEffError as exc:
-                raise ConfigError(f"pls model {mname!r}: {exc}") from exc
-            models.append(PlsModelConfig(mname, spec))
+        for i, entry in enumerate(model_entries):
+            where = f"pls.models[{i}]"
+            name, block_entries, paths, inner_scheme = _fields(
+                entry, where, name=str, blocks=[dict], paths=[_path_pair], inner_scheme=(str, "path_weighting"))
+            if any(name == m.name for m in models):
+                raise ConfigError(f"{where}: duplicate pls model name {name!r}")
+            blocks = [_spec(f"{where}.blocks[{j}]", LatentBlock,
+                            *_fields(block, f"{where}.blocks[{j}]", latent=str, indicators=[known]))
+                      for j, block in enumerate(block_entries)]
+            models.append(PlsModelConfig(name, _spec(where, PathModelSpec, blocks, paths, inner_scheme)))
         if not models:
             raise ConfigError("pls stage needs at least one model")
-        boot = _require(entry, "bootstrap", dict)
-        samples = _optional(boot, "samples", int, 500)
+        samples, seed = _fields(bootstrap, "pls.bootstrap", samples=(int, 500), seed=_seed)
         if samples < MIN_BOOTSTRAP_SAMPLES:
             raise ConfigError(f"pls.bootstrap.samples must be >= {MIN_BOOTSTRAP_SAMPLES}")
         cobb = []
-        for c in _optional(entry, "cobb_douglas", list, []):
-            baseline = CobbDouglasConfig(
-                ict_var=known(_file_name(c, "ict_var", "pls.cobb_douglas"), "pls.cobb_douglas"),
-                health_vars=tuple(known(v, "pls.cobb_douglas") for v in _require(c, "health_vars", list)),
-                target=known(_file_name(c, "target", "pls.cobb_douglas"), "pls.cobb_douglas"),
-            )
-            if any((b.ict_var, b.target) == (baseline.ict_var, baseline.target) for b in cobb):
-                raise ConfigError(f"pls.cobb_douglas: two baselines of {baseline.ict_var!r} "
-                                  f"against target {baseline.target!r}")
-            cobb.append(baseline)
-        pls = PlsStageConfig(tuple(models), samples, _seed(boot, "pls.bootstrap.seed"), tuple(cobb))
+        for i, entry in enumerate(cobb_entries):
+            where = f"pls.cobb_douglas[{i}]"
+            ict_var, health_vars, target = _fields(entry, where, ict_var=known_file_part, health_vars=[known],
+                                                   target=known_file_part)
+            if any((b.ict_var, b.target) == (ict_var, target) for b in cobb):
+                raise ConfigError(f"{where}: two baselines of {ict_var!r} against target {target!r}")
+            cobb.append(CobbDouglasConfig(ict_var, tuple(health_vars), target))
+        pls = PlsStageConfig(tuple(models), samples, seed, tuple(cobb))
 
-    output = _optional(document, "output", dict, {})
-    out_dir = _optional(output, "directory", str, "reports")
+    out_dir, formats = _fields(output, "output", directory=(str, "reports"), formats=([str], ["json"]))
     if base_dir and not os.path.isabs(out_dir):
         out_dir = os.path.join(base_dir, out_dir)
-    formats = _optional(output, "formats", list, ["json"])
     for f in formats:
         if f not in FORMATS:
             raise ConfigError(f"output.formats: unknown format {f!r} (choose from {FORMATS})")
@@ -370,54 +352,72 @@ def parse_config(document: dict, config_hash: str | None = None, base_dir: str |
     )
 
 
-def _require(obj, key, kind):
-    if not isinstance(obj, dict) or key not in obj:
-        raise ConfigError(f"missing required configuration key {key!r}")
-    value = obj[key]
-    if kind is int and isinstance(value, bool):
-        raise ConfigError(f"configuration key {key!r} must be an integer")
-    if not isinstance(value, kind):
-        raise ConfigError(f"configuration key {key!r} must be {kind.__name__}")
+_NOUNS = {str: "a string", int: "an integer", float: "a number", dict: "an object", list: "a list"}
+
+
+def _fields(obj, where, **kinds) -> list:
+    """The values of the configuration object obj at JSON path where, in
+    the order of kinds, which declares every key obj may have, each by its
+    kind (see _check), or by (kind, default) for an optional key."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where or 'the configuration'} must be an object, got {obj!r}")
+    prefix = f"{where}: " if where else ""
+    for key in obj:
+        if key not in kinds:
+            import difflib  # only on this error path, so that a good configuration never loads it
+
+            close = difflib.get_close_matches(str(key), kinds, n=1)
+            raise ConfigError(f"{prefix}unknown key {key!r}" + (f" (did you mean {close[0]!r}?)" if close else ""))
+    values = []
+    for key, kind in kinds.items():
+        if key in obj:
+            values.append(_check(obj[key], kind[0] if isinstance(kind, tuple) else kind, f"{prefix}{key!r}"))
+        elif isinstance(kind, tuple):
+            values.append(kind[1])
+        else:
+            raise ConfigError(f"{where + '.' if where else ''}{key} is required")
+    return values
+
+
+def _check(value, kind, at):
+    """value checked against kind: a type (int excludes bool), [kind] for a
+    list of that kind, or a function kind(value, at) that returns the
+    checked value; at names the value in the error."""
+    if isinstance(kind, list):
+        return [_check(item, kind[0], f"{at}[{i}]") for i, item in enumerate(_check(value, list, at))]
+    if not isinstance(kind, type):
+        return kind(value, at)
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ConfigError(f"{at} must be {_NOUNS[kind]}, got {value!r}")
     return value
 
 
-def _optional(obj, key, kind, default):
-    """obj[key] checked as _require checks it, or default when obj has no key."""
-    if isinstance(obj, dict) and key not in obj:
-        return default
-    return _require(obj, key, kind)
+def _spec(where, cls, *args):
+    """cls(*args): a spec check that fails is a ConfigError at where."""
+    try:
+        return cls(*args)
+    except PanelEffError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _name(name, where) -> str:
-    """A variable name, which must be a string."""
-    if not isinstance(name, str):
-        raise ConfigError(f"{where}: variable name {name!r} must be a string")
+def _file_part(name, at) -> str:
+    """A string that becomes part of report file names, so may hold no
+    path separator or NUL."""
+    if any(sep and sep in _check(name, str, at) for sep in ("/", os.sep, os.altsep, "\0")):
+        raise ConfigError(f"{at} {name!r} must not hold a path separator or NUL: it names report files")
     return name
 
 
-def _file_name(obj, key, where) -> str:
-    """obj[key], a string that becomes part of report file names, so may
-    hold no path separator or NUL."""
-    name = _require(obj, key, str)
-    if any(sep and sep in name for sep in ("/", os.sep, os.altsep, "\0")):
-        raise ConfigError(f"{where} {key} {name!r} must not hold a path separator or NUL: it names report files")
-    return name
-
-
-def _path_pair(pair, model) -> tuple[str, str]:
+def _path_pair(pair, at) -> tuple[str, str]:
     if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(v, str) for v in pair)):
-        raise ConfigError(f"pls model {model!r}: each path must be a [from, to] pair of latent names, "
-                          f"got {pair!r}")
+        raise ConfigError(f"{at} must be a [from, to] pair of latent names, got {pair!r}")
     return pair[0], pair[1]
 
 
-def _seed(obj, where) -> int:
+def _seed(seed, at) -> int:
     # stochastic stages must not fall back to implicit randomness
-    if "seed" not in obj:
-        raise ConfigError(f"{where} is required: stochastic stages need an explicit seed")
-    seed = obj["seed"]
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ConfigError(f"{where} must be a non-negative integer")
+        raise ConfigError(f"{at} must be a non-negative integer, got {seed!r}")
     return seed
 
 

@@ -18,10 +18,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 CLI_BASE = {"paneleff", "paneleff.cli", "paneleff.config", "paneleff.errors", "paneleff.panel_data"}
 
 
-def loaded_after(code: str) -> set:
-    """The paneleff modules in sys.modules after a fresh interpreter runs code."""
+def loaded_after(code: str, package: str = "paneleff") -> set:
+    """The modules of package in sys.modules after a fresh interpreter runs code."""
     report = ("\nimport json, sys\n"
-              "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'paneleff')))\n")
+              f"print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == {package!r})))\n")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", code + report], env=env, capture_output=True, text=True,
                           timeout=120)
@@ -29,15 +29,20 @@ def loaded_after(code: str) -> set:
     return set(json.loads(done.stdout.splitlines()[-1]))
 
 
-def loaded_by_command(tmp_path, *argv) -> set:
+def loaded_by_command(tmp_path, *argv, package: str = "paneleff") -> set:
     write_panel_csv(make_demo_panel(), tmp_path / "dataset.csv")
     (tmp_path / "config.json").write_text(json.dumps(make_demo_config("dataset.csv", "reports")))
     args = [*argv, "--config", str(tmp_path / "config.json")]
-    return loaded_after(f"from paneleff.cli import cli_main\nassert cli_main({args!r}) == 0")
+    return loaded_after(f"from paneleff.cli import cli_main\nassert cli_main({args!r}) == 0", package)
 
 
 def test_validate_loads_no_stage_module(tmp_path):
     assert loaded_by_command(tmp_path, "validate") == CLI_BASE
+
+
+def test_validate_of_a_good_configuration_loads_no_difflib(tmp_path):
+    # the configuration reader imports it only to suggest the key an unknown one meant
+    assert loaded_by_command(tmp_path, "validate", package="difflib") == set()
 
 
 def test_dea_period_loads_only_the_dea_modules(tmp_path):
