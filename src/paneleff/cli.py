@@ -172,15 +172,12 @@ def _run(args, config: PipelineConfig, stage: str | None) -> int:
 
 def _cmd_validate(args) -> int:
     config = _load_config(args)
-    reports, pls = validate_config_dataset(config)
-    failed = False
-    for name, report in reports.items():
-        print(f"analysis {name}: {report.summary()}")
-        failed = failed or not report.ok
-    if pls is not None:
-        print(f"pls stage: {pls.summary()}")
-        failed = failed or not pls.ok
-    return 1 if failed else 0
+    analyses, stages = validate_config_dataset(config)
+    reports = [*((f"analysis {name}", r) for name, r in analyses.items()),
+               *((f"{stage} stage", r) for stage, r in stages.items())]
+    for heading, report in reports:
+        print(f"{heading}: {report.summary()}")
+    return 0 if all(report.ok for _, report in reports) else 1
 
 
 def _cmd_run(args) -> int:

@@ -241,7 +241,10 @@ def parse_config(document: dict, config_hash: str | None = None, base_dir: str |
     document, a failed spec check included, is a ConfigError that names
     its JSON path."""
     if config_hash is None:
-        canonical = json.dumps(document, sort_keys=True, separators=(",", ":")).encode()
+        try:
+            canonical = json.dumps(document, sort_keys=True, separators=(",", ":")).encode()
+        except (TypeError, ValueError) as exc:  # a key or value JSON cannot hold, or a cycle
+            raise ConfigError(f"the configuration is not a JSON document: {exc}") from exc
         config_hash = hashlib.sha256(canonical).hexdigest()
     dataset, dea, cluster, pls, output = _fields(
         document, "", dataset=dict, dea=[dict], cluster=(dict, None), pls=(dict, None), output=(dict, {}))
@@ -425,12 +428,21 @@ def _seed(seed, at) -> int:
 # dataset checks
 
 
-def validate_config_dataset(config: PipelineConfig) -> tuple[dict[str, ValidationReport], ValidationReport | None]:
+def validate_config_dataset(config: PipelineConfig) -> tuple[dict[str, ValidationReport], dict[str, ValidationReport]]:
     """validate_for_dea for every configured analysis, keyed by name, and
-    with a PLS stage the report of the cells it cannot use."""
+    a report for each configured stage of pls and cluster, in that order:
+    the PLS cells the stage cannot use, and a k_max the DMUs cannot reach."""
     panel = load_panel(config.dataset_path, config.schema, config.transforms)
     dea = {a.name: validate_for_dea(panel, a.spec) for a in config.dea_analyses}
-    return dea, ValidationReport(tuple(_unusable_pls_cells(config.pls, panel))) if config.pls else None
+    stages = {}
+    if config.pls:
+        stages["pls"] = ValidationReport(tuple(_unusable_pls_cells(config.pls, panel)))
+    if config.cluster:
+        # the cluster stage scores each k with an ANOVA of one mean per DMU
+        n, k = len(panel.dmus), config.cluster.k_max
+        message = f"k_max={k} is not below the {n} DMUs: ANOVA needs more points than clusters"
+        stages["cluster"] = ValidationReport((Finding("K_MAX", message, f"dmus={n}"),) if k >= n else ())
+    return dea, stages
 
 
 def _unusable_pls_cells(cfg: PlsStageConfig, panel: PanelDataset) -> list[Finding]:

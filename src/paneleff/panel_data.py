@@ -4,6 +4,10 @@ The on-disk format is long CSV with the exact header ``dmu,period,variable,value
 UTF-8, one observation per row. Values are decimal literals; an empty value
 field is the missing marker. DMU and period order is order of first
 appearance in the file; period labels are opaque strings.
+
+The module does not import numpy: loading, checks and transforms loop over
+a panel's float64 cell buffer, and numpy is loaded by the first stage that
+reads PanelDataset.values or slices a period.
 """
 
 from __future__ import annotations
@@ -11,9 +15,11 @@ from __future__ import annotations
 import csv
 import math
 import os
+from array import array
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cached_property
+from itertools import product
+from typing import TYPE_CHECKING
 
 from .errors import (
     CsvParseError,
@@ -23,6 +29,9 @@ from .errors import (
     SchemaError,
     UsageError,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CSV_HEADER = ("dmu", "period", "variable", "value")
 
@@ -62,14 +71,17 @@ class VariableDef:
 class PanelDataset:
     """Dense DMU x period x variable tensor with NaN as the missing marker.
 
-    Immutable after construction; the value tensor is marked read-only so
-    instances can be shared across concurrent workers.
+    cells is one read-only float64 buffer, flat in (dmu, period, variable)
+    C order, as a memoryview takes no shape with a zero in it. The
+    constructor takes any such buffer, flat or shaped, an ndarray included,
+    and copies one that is not flat, contiguous and read-only, so no caller
+    can change the cells and instances can be shared across workers.
     """
 
     dmus: tuple[str, ...]
     periods: tuple[str, ...]
     variables: tuple[VariableDef, ...]
-    values: np.ndarray
+    cells: memoryview
 
     def __post_init__(self):
         names = [v.name for v in self.variables]
@@ -80,9 +92,20 @@ class PanelDataset:
         if len(set(self.periods)) != len(self.periods):
             raise UsageError("period labels contain duplicates")
         expected = (len(self.dmus), len(self.periods), len(self.variables))
-        if self.values.shape != expected:
-            raise UsageError(f"value tensor has shape {self.values.shape}, expected {expected}")
-        self.values.setflags(write=False)
+        cells = memoryview(self.cells)
+        if cells.format != "d" or cells.shape not in (expected, (math.prod(expected),)):
+            raise UsageError(f"value tensor has format {cells.format!r} and shape {cells.shape}, "
+                             f"expected float64 ('d') and {expected}")
+        if cells.ndim != 1 or not cells.readonly or not cells.c_contiguous:
+            cells = memoryview(array("d", cells.tobytes())).toreadonly()
+        object.__setattr__(self, "cells", cells)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The cells as a read-only (dmu, period, variable) numpy view, built on first read."""
+        import numpy as np
+
+        return np.asarray(self.cells).reshape(len(self.dmus), len(self.periods), len(self.variables))
 
     def variable_index(self, name: str) -> int:
         for i, v in enumerate(self.variables):
@@ -210,10 +233,10 @@ def load_panel(source, schema, transforms=()) -> PanelDataset:
         cells[key] = value
         first_line[key] = line_no
 
-    values = np.full((len(dmus), len(periods), len(variables)), math.nan)
+    values = array("d", [math.nan]) * (len(dmus) * len(periods) * len(variables))
     for (d, p, v), value in cells.items():
-        values[d, p, v] = value
-    panel = PanelDataset(tuple(dmus), tuple(periods), variables, values)
+        values[(d * len(periods) + p) * len(variables) + v] = value
+    panel = PanelDataset(tuple(dmus), tuple(periods), variables, memoryview(values).toreadonly())
     for variable, method in transforms:
         panel = transform_undesirable(panel, variable, method)
     return panel
@@ -231,11 +254,8 @@ def write_panel_csv(panel: PanelDataset, dest) -> None:
             return
     writer = csv.writer(dest, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for d, dmu in enumerate(panel.dmus):
-        for p, period in enumerate(panel.periods):
-            for v, var in enumerate(panel.variables):
-                x = panel.values[d, p, v]
-                writer.writerow([dmu, period, var.name, "" if math.isnan(x) else repr(float(x))])
+    for (dmu, period, var), x in zip(product(panel.dmus, panel.periods, panel.variables), panel.cells):
+        writer.writerow([dmu, period, var.name, "" if math.isnan(x) else repr(x)])
 
 
 def cell_findings(panel: PanelDataset, names, positive: bool = False) -> list[Finding]:
@@ -243,16 +263,17 @@ def cell_findings(panel: PanelDataset, names, positive: bool = False) -> list[Fi
     with positive per finite nonpositive one, by variable, DMU and period."""
     findings = []
     for name in names:
-        col = panel.column(name)
-        for d, p in np.argwhere(~(np.isfinite(col) & (col > 0.0) if positive else np.isfinite(col))):
-            x = col[d, p]
-            loc = f"dmu={panel.dmus[d]} period={panel.periods[p]} variable={name}"
+        column = panel.cells[panel.variable_index(name)::len(panel.variables)]
+        for (dmu, period), x in zip(product(panel.dmus, panel.periods), column):
+            if math.isfinite(x) and (x > 0.0 or not positive):
+                continue
+            loc = f"dmu={dmu} period={period} variable={name}"
             if math.isnan(x):
                 findings.append(Finding("MISSING", "cell is missing", loc))
             elif math.isinf(x):
-                findings.append(Finding("NONFINITE", f"cell value {float(x)!r} is not finite", loc))
+                findings.append(Finding("NONFINITE", f"cell value {x!r} is not finite", loc))
             else:
-                findings.append(Finding("NONPOSITIVE", f"cell value {float(x)!r} must be strictly positive", loc))
+                findings.append(Finding("NONPOSITIVE", f"cell value {x!r} must be strictly positive", loc))
     return findings
 
 
@@ -327,31 +348,25 @@ def transform_undesirable(panel: PanelDataset, variable: str, method: str = "max
     if vdef.direction != "undesirable":
         raise UsageError(f"variable {variable!r} is not marked undesirable")
 
-    col = panel.values[:, :, v]
-    finite = np.isfinite(col)
-    if np.any(col[finite] <= 0.0):
-        bad = np.argwhere(finite & (col <= 0.0))[0]
-        raise DomainError(
-            f"variable {variable!r} has non-positive value at dmu={panel.dmus[bad[0]]} "
-            f"period={panel.periods[bad[1]]}; transforms require strictly positive data"
-        )
-
-    new_col = col.copy()
+    col = panel.cells[v::len(panel.variables)]  # by DMU, then by period
+    n = len(panel.periods)
+    for i, x in enumerate(col):
+        if math.isfinite(x) and x <= 0.0:
+            raise DomainError(
+                f"variable {variable!r} has non-positive value at dmu={panel.dmus[i // n]} "
+                f"period={panel.periods[i % n]}; transforms require strictly positive data"
+            )
     if method == "reciprocal":
-        new_col[finite] = 1.0 / col[finite]
+        new_col = [1.0 / x if math.isfinite(x) else x for x in col]
     else:
-        for p in range(len(panel.periods)):
-            mask = finite[:, p]
-            if not np.any(mask):
-                continue
-            top = col[mask, p].max()
-            new_col[mask, p] = MAX_MINUS_HEADROOM * top - col[mask, p]
+        top = [max((x for x in col[p::n] if math.isfinite(x)), default=math.nan) for p in range(n)]
+        new_col = [MAX_MINUS_HEADROOM * top[i % n] - x if math.isfinite(x) else x for i, x in enumerate(col)]
 
-    values = panel.values.copy()
-    values[:, :, v] = new_col
+    values = array("d", panel.cells)
+    values[v::len(panel.variables)] = array("d", new_col)
     variables = list(panel.variables)
     variables[v] = VariableDef(vdef.name, vdef.role, "desirable")
-    return PanelDataset(panel.dmus, panel.periods, tuple(variables), values)
+    return PanelDataset(panel.dmus, panel.periods, tuple(variables), memoryview(values).toreadonly())
 
 
 def slice_period(panel: PanelDataset, period: str, spec) -> CrossSection:
@@ -360,6 +375,8 @@ def slice_period(panel: PanelDataset, period: str, spec) -> CrossSection:
     Matrices are ordered by panel DMU order and by the model's variable
     order. Callers are expected to have passed validate_for_dea first.
     """
+    import numpy as np
+
     p = panel.period_index(period)
     inputs = np.column_stack([panel.values[:, p, panel.variable_index(n)] for n in spec.input_vars])
     outputs = np.column_stack([panel.values[:, p, panel.variable_index(n)] for n in spec.output_vars])

@@ -5,8 +5,9 @@ enumerates basic points and extreme rays, the clustering oracles enumerate
 set partitions or cut sets of the sorted values, the F-distribution oracle
 integrates the density with composite Simpson quadrature. scalar_fit and
 scalar_solve_lp are the one-at-a-time forms of the program's stacked PLS
-and simplex kernels, kept as the references those kernels must equal bit
-for bit.
+and simplex kernels, and the panel cell oracles the numpy-mask forms of
+the program's loops over a panel's cell buffer, kept as the references
+those must equal bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from paneleff import pls
-from paneleff.errors import CollinearityError, DegenerateColumnError, LpSolverError
+from paneleff.errors import CollinearityError, DegenerateColumnError, DomainError, LpSolverError
 from paneleff.linprog import (
     _BLAND_TRIGGER,
     _DEGENERATE_STEP,
@@ -30,6 +31,7 @@ from paneleff.linprog import (
     UNBOUNDED,
     LpSolution,
 )
+from paneleff.panel_data import MAX_MINUS_HEADROOM, Finding
 
 
 def lp_enumeration_oracle(c, A, b, tol=1e-8):
@@ -104,6 +106,51 @@ def dea_ratio_oracle(x, y):
     """Single-input single-output CRS efficiency: (y/x) / max(y/x)."""
     ratios = np.asarray(y, float) / np.asarray(x, float)
     return ratios / ratios.max()
+
+
+def numpy_cell_findings(panel, names, positive=False):
+    """panel_data.cell_findings by numpy masks: np.argwhere over each named
+    (dmu, period) column."""
+    findings = []
+    for name in names:
+        col = panel.column(name)
+        for d, p in np.argwhere(~(np.isfinite(col) & (col > 0.0) if positive else np.isfinite(col))):
+            x = col[d, p]
+            loc = f"dmu={panel.dmus[d]} period={panel.periods[p]} variable={name}"
+            if math.isnan(x):
+                findings.append(Finding("MISSING", "cell is missing", loc))
+            elif math.isinf(x):
+                findings.append(Finding("NONFINITE", f"cell value {float(x)!r} is not finite", loc))
+            else:
+                findings.append(Finding("NONPOSITIVE", f"cell value {float(x)!r} must be strictly positive", loc))
+    return findings
+
+
+def numpy_transform_values(panel, variable, method):
+    """The cells panel_data.transform_undesirable gives, by numpy masks
+    over the variable's (dmu, period) column, as a (dmu, period, variable)
+    array; or the DomainError it raises."""
+    v = panel.variable_index(variable)
+    col = panel.values[:, :, v]
+    finite = np.isfinite(col)
+    if np.any(col[finite] <= 0.0):
+        bad = np.argwhere(finite & (col <= 0.0))[0]
+        raise DomainError(
+            f"variable {variable!r} has non-positive value at dmu={panel.dmus[bad[0]]} "
+            f"period={panel.periods[bad[1]]}; transforms require strictly positive data"
+        )
+    new_col = col.copy()
+    with np.errstate(over="ignore"):  # an overflow to inf is the result, not a fault
+        if method == "reciprocal":
+            new_col[finite] = 1.0 / col[finite]
+        else:
+            for p in range(len(panel.periods)):
+                mask = finite[:, p]
+                if np.any(mask):
+                    new_col[mask, p] = MAX_MINUS_HEADROOM * col[mask, p].max() - col[mask, p]
+    values = panel.values.copy()
+    values[:, :, v] = new_col
+    return values
 
 
 def best_partition_sse(points, k):

@@ -113,3 +113,16 @@ def test_an_unknown_key_with_no_close_key_is_named_alone():
         parse_config(document)
     assert str(exc.value) == "dea[0]: unknown key 'zzz'"
 
+
+
+@pytest.mark.parametrize("where", [("dataset",), ("cluster", "restarts")], ids=["dataset", "ignored-key"])
+def test_a_document_json_cannot_hash_is_a_config_error(where):
+    # without a config_hash the document is hashed as JSON, and keys of
+    # mixed types once raised a bare TypeError from json.dumps
+    document = make_demo_config()
+    target = document
+    for step in where[:-1]:
+        target = target[step]
+    target[where[-1]] = {1: 2, "a": 3}
+    with pytest.raises(ConfigError, match="not a JSON document"):
+        parse_config(document)

@@ -29,11 +29,12 @@ def loaded_after(code: str, package: str = "paneleff") -> set:
     return set(json.loads(done.stdout.splitlines()[-1]))
 
 
-def loaded_by_command(tmp_path, *argv, package: str = "paneleff") -> set:
+def loaded_by_command(tmp_path, *argv, package: str = "paneleff", prelude: str = "") -> set:
+    """loaded_after a command succeeds on the demo, run after the code prelude."""
     write_panel_csv(make_demo_panel(), tmp_path / "dataset.csv")
     (tmp_path / "config.json").write_text(json.dumps(make_demo_config("dataset.csv", "reports")))
     args = [*argv, "--config", str(tmp_path / "config.json")]
-    return loaded_after(f"from paneleff.cli import cli_main\nassert cli_main({args!r}) == 0", package)
+    return loaded_after(f"{prelude}from paneleff.cli import cli_main\nassert cli_main({args!r}) == 0", package)
 
 
 def test_validate_loads_no_stage_module(tmp_path):
@@ -43,6 +44,19 @@ def test_validate_loads_no_stage_module(tmp_path):
 def test_validate_of_a_good_configuration_loads_no_difflib(tmp_path):
     # the configuration reader imports it only to suggest the key an unknown one meant
     assert loaded_by_command(tmp_path, "validate", package="difflib") == set()
+
+
+def test_validate_and_version_load_no_numpy(tmp_path):
+    # a panel's cells are a stdlib buffer; the numpy view is built by the
+    # first stage that reads it
+    assert loaded_by_command(tmp_path, "validate", package="numpy") == set()
+    version = "from paneleff.cli import cli_main\nassert cli_main(['--version']) == 0"
+    assert loaded_after(version, package="numpy") == set()
+
+
+def test_validate_runs_with_numpy_blocked(tmp_path):
+    blocked = "import sys\nsys.modules['numpy'] = None\n"  # any import of numpy raises ImportError
+    assert loaded_by_command(tmp_path, "validate", prelude=blocked) == CLI_BASE
 
 
 def test_dea_period_loads_only_the_dea_modules(tmp_path):

@@ -825,8 +825,9 @@ def test_cli_validate_reports_the_missing_pls_cell_that_the_pls_stage_names(demo
     assert cli_main(["validate", "--config", str(tmp_path / "config.json")]) == 1
     out = capsys.readouterr().out.splitlines()
     assert [l for l in out if l.startswith("analysis ")] == [l for l in clean if l.startswith("analysis ")]
-    assert out[-2:] == ["pls stage: 1 error(s), 0 warning(s)",
-                        "  ERROR MISSING at dmu=C05 period=2001 variable=leb: cell is missing"]
+    assert out[-3:] == ["pls stage: 1 error(s), 0 warning(s)",
+                        "  ERROR MISSING at dmu=C05 period=2001 variable=leb: cell is missing",
+                        "cluster stage: 0 error(s), 0 warning(s)"]
     assert cli_main(["pipeline", "--config", str(tmp_path / "config.json"), "--quiet"]) == 2
     assert "cell is missing at dmu=C05 period=2001 variable=leb" in capsys.readouterr().err
 
@@ -843,10 +844,28 @@ def test_cli_validate_reports_the_nonpositive_cobb_douglas_cell_that_the_pls_sta
         (tmp_path / "dataset.csv").write_text(kept + f"C04,2000,{variable},0\n")
         assert cli_main(["validate", "--config", str(tmp_path / "config.json")]) == code
     out = capsys.readouterr().out.splitlines()
-    assert out[-2:] == ["pls stage: 1 error(s), 0 warning(s)",
-                        "  ERROR NONPOSITIVE at dmu=C04 period=2000 variable=hec: cell value 0.0 must be strictly positive"]
+    assert out[-3:] == ["pls stage: 1 error(s), 0 warning(s)",
+                        "  ERROR NONPOSITIVE at dmu=C04 period=2000 variable=hec: cell value 0.0 must be strictly positive",
+                        "cluster stage: 0 error(s), 0 warning(s)"]
     assert cli_main(["pipeline", "--config", str(tmp_path / "config.json"), "--quiet"]) == 2
     assert "cell value 0.0 must be strictly positive at dmu=C04 period=2000 variable=hec" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k_max", [27, 100])
+def test_cli_validate_reports_a_k_max_the_dmus_cannot_reach(demo_dir, tmp_path, capsys, k_max):
+    # ANOVA of k clusters needs more than k of the 27 DMU means: validate
+    # once passed these, and the cluster stage failed them
+    config = write_config(demo_dir, tmp_path, lambda d: d["cluster"].update(k_max=k_max))
+    assert cli_main(["validate", "--config", config]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2:] == ["cluster stage: 1 error(s), 0 warning(s)",
+                        f"  ERROR K_MAX at dmus=27: k_max={k_max} is not below the 27 DMUs: "
+                        "ANOVA needs more points than clusters"]
+    assert [l for l in out if l.endswith(": 0 error(s), 0 warning(s)")] == [
+        "analysis ict: 0 error(s), 0 warning(s)", "analysis health: 0 error(s), 0 warning(s)",
+        "pls stage: 0 error(s), 0 warning(s)"]
+    assert cli_main(["pipeline", "--config", config, "--quiet"]) == 2
+    assert "stage error in cluster" in capsys.readouterr().err
 
 
 def test_cli_pipeline_emits_partial_bundle_on_stage_failure(tmp_path, capsys):
