@@ -23,12 +23,15 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 from . import __version__
 from .config import PipelineConfig, config_from_file, validate_config_dataset
 from .errors import ConfigError, PanelEffError, StageError, ValidationFailedError
 from .panel_data import load_panel, slice_period, write_panel_csv
+
+# one OpenBLAS thread unless the user sets a count (numpy is not loaded yet): a
+# threaded product splits by core count, and the bootstrap's last bits move with it
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 
 def main(argv=None) -> int:
@@ -128,11 +131,8 @@ def _load_config(args) -> PipelineConfig:
     config = config_from_file(args.config)
     if args.seed is not None:
         config = config.with_seed(args.seed)
-    return replace(
-        config,
-        output_dir=args.out or config.output_dir,
-        formats=tuple(dict.fromkeys(args.formats)) if args.formats else config.formats,
-    )
+    formats = tuple(dict.fromkeys(args.formats)) if args.formats else config.formats
+    return config._replace(output_dir=args.out or config.output_dir, formats=formats)
 
 
 def run_pipeline(config: PipelineConfig, stage: str | None = None) -> dict:

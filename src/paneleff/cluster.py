@@ -16,7 +16,7 @@ is inflated by construction; reports carry that caveat verbatim.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,8 +38,14 @@ CLUSTER_F_CAVEAT = (
 )
 
 
-@dataclass(frozen=True)
-class ClusterSolution:
+class _ClusterSolution(NamedTuple):
+    k: int
+    assignments: np.ndarray
+    centroids: np.ndarray
+    sse_within: float
+
+
+class ClusterSolution(_ClusterSolution):
     """An optimal k-means partition of one column of points.
 
     Clusters are labeled in descending centroid order. Every cluster is
@@ -48,12 +54,9 @@ class ClusterSolution:
     equals the mean of its members.
     """
 
-    k: int
-    assignments: np.ndarray
-    centroids: np.ndarray
-    sse_within: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
         self.assignments.setflags(write=False)
         self.centroids.setflags(write=False)
 
@@ -62,8 +65,7 @@ class ClusterSolution:
         return tuple(int((self.assignments == c).sum()) for c in range(self.k))
 
 
-@dataclass(frozen=True)
-class AnovaResult:
+class AnovaResult(NamedTuple):
     """One-way ANOVA of the clustering variable across clusters."""
 
     df_between: int
@@ -75,8 +77,7 @@ class AnovaResult:
     flags: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class KSweepReport:
+class KSweepReport(NamedTuple):
     """ANOVA-screened sweep over candidate cluster counts, k_max down to k_min."""
 
     entries: tuple[tuple[int, ClusterSolution, AnovaResult], ...]

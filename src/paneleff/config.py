@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .errors import ConfigError, PanelEffError, UsageError
 from .panel_data import (
@@ -44,19 +44,21 @@ MIN_BOOTSTRAP_SAMPLES = 100
 # specs
 
 
-@dataclass(frozen=True)
-class DeaSpec:
-    """Configuration of one DEA analysis: variable lists, returns to scale,
-    and orientation."""
-
+class _DeaSpec(NamedTuple):
     input_vars: tuple[str, ...]
     output_vars: tuple[str, ...]
     returns_to_scale: str = "CRS"
     orientation: str = "input"
 
-    def __post_init__(self):
-        object.__setattr__(self, "input_vars", tuple(self.input_vars))
-        object.__setattr__(self, "output_vars", tuple(self.output_vars))
+
+class DeaSpec(_DeaSpec):
+    """Configuration of one DEA analysis: variable lists, returns to scale,
+    and orientation."""
+
+    __slots__ = ()
+
+    def __new__(cls, input_vars, output_vars, *args, **kwargs):
+        self = super().__new__(cls, tuple(input_vars), tuple(output_vars), *args, **kwargs)
         if not self.input_vars or not self.output_vars:
             raise UsageError("input_vars and output_vars must be non-empty")
         if set(self.input_vars) & set(self.output_vars):
@@ -65,35 +67,42 @@ class DeaSpec:
             raise UsageError(f"returns_to_scale must be one of {RETURNS_TO_SCALE}")
         if self.orientation not in ORIENTATIONS:
             raise UsageError(f"orientation must be one of {ORIENTATIONS}")
+        return self
 
 
-@dataclass(frozen=True)
-class LatentBlock:
-    """A reflective (mode A) latent variable and its indicator columns."""
-
+class _LatentBlock(NamedTuple):
     name: str
     indicators: tuple[str, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "indicators", tuple(self.indicators))
+
+class LatentBlock(_LatentBlock):
+    """A reflective (mode A) latent variable and its indicator columns."""
+
+    __slots__ = ()
+
+    def __new__(cls, name, indicators):
+        self = super().__new__(cls, name, tuple(indicators))
         if not self.name:
             raise UsageError("latent name must be non-empty")
         if not self.indicators:
             raise UsageError(f"latent {self.name!r} needs at least one indicator")
+        return self
 
 
-@dataclass(frozen=True)
-class PathModelSpec:
-    """Latent blocks plus directed structural paths; the path graph must be
-    acyclic and every indicator belongs to exactly one block."""
-
+class _PathModelSpec(NamedTuple):
     blocks: tuple[LatentBlock, ...]
     paths: tuple[tuple[str, str], ...]
     inner_scheme: str = "path_weighting"
 
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(self.blocks))
-        object.__setattr__(self, "paths", tuple((str(a), str(b)) for a, b in self.paths))
+
+class PathModelSpec(_PathModelSpec):
+    """Latent blocks plus directed structural paths; the path graph must be
+    acyclic and every indicator belongs to exactly one block."""
+
+    __slots__ = ()
+
+    def __new__(cls, blocks, paths, *args, **kwargs):
+        self = super().__new__(cls, tuple(blocks), tuple((str(a), str(b)) for a, b in paths), *args, **kwargs)
         if self.inner_scheme not in INNER_SCHEMES:
             raise UsageError(f"inner_scheme must be one of {INNER_SCHEMES}")
         names = [b.name for b in self.blocks]
@@ -120,6 +129,7 @@ class PathModelSpec:
         isolated = known - connected
         if isolated:
             raise UsageError(f"latents {sorted(isolated)} appear in no structural path")
+        return self
 
     @property
     def latent_names(self) -> tuple[str, ...]:
@@ -159,42 +169,36 @@ def _toposort(names, paths):
 # configuration
 
 
-@dataclass(frozen=True)
-class DeaAnalysisConfig:
+class DeaAnalysisConfig(NamedTuple):
     name: str
     spec: DeaSpec
 
 
-@dataclass(frozen=True)
-class ClusterStageConfig:
+class ClusterStageConfig(NamedTuple):
     k_max: int
     k_min: int
     significance: float
 
 
-@dataclass(frozen=True)
-class PlsModelConfig:
+class PlsModelConfig(NamedTuple):
     name: str
     spec: PathModelSpec
 
 
-@dataclass(frozen=True)
-class CobbDouglasConfig:
+class CobbDouglasConfig(NamedTuple):
     ict_var: str
     health_vars: tuple[str, ...]
     target: str
 
 
-@dataclass(frozen=True)
-class PlsStageConfig:
+class PlsStageConfig(NamedTuple):
     models: tuple[PlsModelConfig, ...]
     bootstrap_samples: int
     bootstrap_seed: int
     cobb_douglas: tuple[CobbDouglasConfig, ...] = ()
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(NamedTuple):
     dataset_path: str
     schema: tuple[VariableDef, ...]
     transforms: tuple[tuple[str, str], ...]
@@ -216,7 +220,7 @@ class PipelineConfig:
         if self.pls is None:
             raise ConfigError("--seed sets the bootstrap seed and needs a pls stage; "
                               "this configuration has none")
-        return replace(self, pls=replace(self.pls, bootstrap_seed=_seed(seed, "--seed")))
+        return self._replace(pls=self.pls._replace(bootstrap_seed=_seed(seed, "--seed")))
 
 
 def config_from_file(path) -> PipelineConfig:

@@ -23,8 +23,8 @@ run_panel_dea) reads only the scores.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,8 +39,18 @@ _SLACK_TOL = 1e-7
 _SCORE_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class EfficiencyResult:
+class _EfficiencyResult(NamedTuple):
+    dmu: str
+    score: float
+    orientation: str
+    returns_to_scale: str
+    multiplier_u: np.ndarray
+    multiplier_v: np.ndarray
+    scale_offset: float | None
+    cross_section: CrossSection
+
+
+class EfficiencyResult(_EfficiencyResult):
     """One DMU's solved efficiency in one cross-section.
 
     score is theta in (0, 1] for input orientation and phi >= 1 for output
@@ -50,17 +60,12 @@ class EfficiencyResult:
     lambdas, input_slacks and output_slacks come from the second-stage
     slack-maximizing envelopment solve, which runs on the first access to
     one of them (or to peers or weakly_efficient), so that a caller who
-    reads only the score and weights solves one program, not two.
+    reads only the score and weights solves one program, not two; the
+    instance's __dict__ holds that solve's result and nothing else.
     """
 
-    dmu: str
-    score: float
-    orientation: str
-    returns_to_scale: str
-    multiplier_u: np.ndarray
-    multiplier_v: np.ndarray
-    scale_offset: float | None
-    cross_section: CrossSection = field(repr=False, compare=False)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: an EfficiencyResult is read-only")
 
     @property
     def lambdas(self) -> np.ndarray:
@@ -110,17 +115,20 @@ class EfficiencyResult:
         return slack.primal[:n].copy(), slack.primal[n:n + m].copy(), slack.primal[n + m:n + m + s].copy()
 
 
-@dataclass(frozen=True)
-class EfficiencyPanel:
-    """Scores for every (dmu, period) plus the per-DMU mean used downstream."""
-
+class _EfficiencyPanel(NamedTuple):
     dmus: tuple[str, ...]
     periods: tuple[str, ...]
     scores: np.ndarray
     means: np.ndarray
     spec: DeaSpec
 
-    def __post_init__(self):
+
+class EfficiencyPanel(_EfficiencyPanel):
+    """Scores for every (dmu, period) plus the per-DMU mean used downstream."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
         self.scores.setflags(write=False)
         self.means.setflags(write=False)
 

@@ -35,7 +35,7 @@ without solving it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,8 +55,15 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-@dataclass(frozen=True, init=False)
-class LpProblem:
+class _LpProblem(NamedTuple):
+    objective: np.ndarray
+    sense: str
+    A: np.ndarray
+    relations: np.ndarray
+    b: np.ndarray
+
+
+class LpProblem(_LpProblem):
     """A dense linear program: optimize objective . x subject to
     A x (relations) b and x >= 0.
 
@@ -72,22 +79,16 @@ class LpProblem:
     rows; solve_stack takes many programs' constraints as arrays.
     """
 
-    objective: np.ndarray
-    sense: str
-    A: np.ndarray
-    relations: np.ndarray
-    b: np.ndarray
+    __slots__ = ()
 
-    def __init__(self, objective, sense, constraints):
+    def __new__(cls, objective, sense, constraints):
         rows = tuple(constraints)
         if rows:
             A, relations, b = zip(*rows)
         else:
             A, relations, b = np.zeros((0, np.size(objective))), (), ()
         c, A, relations, b = _validated(objective, sense, [A], relations, [b])
-        for name, value in (("objective", c), ("sense", sense), ("A", A[0]), ("relations", relations),
-                            ("b", b[0])):
-            object.__setattr__(self, name, value)
+        return super().__new__(cls, c, sense, A[0], relations, b[0])
 
 
 def _validated(objective, sense, A, relations, b):
@@ -122,8 +123,7 @@ def _validated(objective, sense, A, relations, b):
     return c, A, rel, b
 
 
-@dataclass(frozen=True)
-class LpSolution:
+class LpSolution(NamedTuple):
     """Solved state of an LpProblem.
 
     For status "optimal", primal holds the variable values, dual one

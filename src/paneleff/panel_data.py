@@ -16,10 +16,8 @@ import csv
 import math
 import os
 from array import array
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import product
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
     CsvParseError,
@@ -42,19 +40,22 @@ TRANSFORM_METHODS = ("reciprocal", "max_minus")
 MAX_MINUS_HEADROOM = 1.01
 
 
-@dataclass(frozen=True)
-class VariableDef:
+class _VariableDef(NamedTuple):
+    name: str
+    role: str
+    direction: str = "desirable"
+
+
+class VariableDef(_VariableDef):
     """One variable in a panel schema.
 
     role is one of dea_input, dea_output, indicator. direction marks
     less-is-better variables; dea_input variables are always desirable.
     """
 
-    name: str
-    role: str
-    direction: str = "desirable"
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
         if not self.name:
             raise SchemaError("variable name must be non-empty")
         if self.role not in ROLES:
@@ -67,8 +68,14 @@ class VariableDef:
             raise SchemaError(f"variable {self.name!r}: dea_input variables are always desirable")
 
 
-@dataclass(frozen=True)
-class PanelDataset:
+class _PanelDataset(NamedTuple):
+    dmus: tuple[str, ...]
+    periods: tuple[str, ...]
+    variables: tuple[VariableDef, ...]
+    cells: memoryview
+
+
+class PanelDataset(_PanelDataset):
     """Dense DMU x period x variable tensor with NaN as the missing marker.
 
     cells is one read-only float64 buffer, flat in (dmu, period, variable)
@@ -78,31 +85,29 @@ class PanelDataset:
     can change the cells and instances can be shared across workers.
     """
 
-    dmus: tuple[str, ...]
-    periods: tuple[str, ...]
-    variables: tuple[VariableDef, ...]
-    cells: memoryview
+    __slots__ = ()
 
-    def __post_init__(self):
-        names = [v.name for v in self.variables]
+    def __new__(cls, dmus, periods, variables, cells):
+        names = [v.name for v in variables]
         if len(set(names)) != len(names):
             raise SchemaError("variable names must be unique within a dataset")
-        if len(set(self.dmus)) != len(self.dmus):
+        if len(set(dmus)) != len(dmus):
             raise UsageError("dmu identifiers contain duplicates")
-        if len(set(self.periods)) != len(self.periods):
+        if len(set(periods)) != len(periods):
             raise UsageError("period labels contain duplicates")
-        expected = (len(self.dmus), len(self.periods), len(self.variables))
-        cells = memoryview(self.cells)
+        expected = (len(dmus), len(periods), len(variables))
+        cells = memoryview(cells)
         if cells.format != "d" or cells.shape not in (expected, (math.prod(expected),)):
             raise UsageError(f"value tensor has format {cells.format!r} and shape {cells.shape}, "
                              f"expected float64 ('d') and {expected}")
         if cells.ndim != 1 or not cells.readonly or not cells.c_contiguous:
             cells = memoryview(array("d", cells.tobytes())).toreadonly()
-        object.__setattr__(self, "cells", cells)
+        return super().__new__(cls, dmus, periods, variables, cells)
 
-    @cached_property
+    @property
     def values(self) -> np.ndarray:
-        """The cells as a read-only (dmu, period, variable) numpy view, built on first read."""
+        """The cells as a read-only (dmu, period, variable) numpy view, a
+        new view of the one buffer on each read."""
         import numpy as np
 
         return np.asarray(self.cells).reshape(len(self.dmus), len(self.periods), len(self.variables))
@@ -127,17 +132,20 @@ class PanelDataset:
         return self.values[:, :, self.variable_index(name)]
 
 
-@dataclass(frozen=True)
-class CrossSection:
-    """One period's input and output matrices, ordered by DMU and by the
-    requesting model's variable order."""
-
+class _CrossSection(NamedTuple):
     period: str
     dmus: tuple[str, ...]
     inputs: np.ndarray
     outputs: np.ndarray
 
-    def __post_init__(self):
+
+class CrossSection(_CrossSection):
+    """One period's input and output matrices, ordered by DMU and by the
+    requesting model's variable order."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
         self.inputs.setflags(write=False)
         self.outputs.setflags(write=False)
 
@@ -148,15 +156,13 @@ class CrossSection:
             raise UsageError(f"unknown dmu {dmu!r} in period {self.period}") from None
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     code: str
     message: str
     location: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     errors: tuple[Finding, ...] = ()
     warnings: tuple[Finding, ...] = ()
 
@@ -166,10 +172,9 @@ class ValidationReport:
 
     def summary(self) -> str:
         lines = [f"{len(self.errors)} error(s), {len(self.warnings)} warning(s)"]
-        for f in self.errors:
-            lines.append(f"  ERROR {f.code} at {f.location}: {f.message}")
-        for f in self.warnings:
-            lines.append(f"  WARNING {f.code} at {f.location}: {f.message}")
+        lines += [f"  {kind} {code} at {location}: {message}"
+                  for kind, findings in (("ERROR", self.errors), ("WARNING", self.warnings))
+                  for code, message, location in findings]
         return "\n".join(lines)
 
 

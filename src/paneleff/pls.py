@@ -39,7 +39,6 @@ from a stream of its own, spawned from the seed by its index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple
 
@@ -61,8 +60,7 @@ MAX_ITERATIONS = 300
 REPLICATE_BLOCK = 64
 
 
-@dataclass(frozen=True)
-class BootstrapSummary:
+class BootstrapSummary(NamedTuple):
     """Resampling-based significance for every structural path."""
 
     std_error: dict
@@ -74,8 +72,7 @@ class BootstrapSummary:
     unconverged: int  # replicates kept with converged=False
 
 
-@dataclass(frozen=True)
-class PathEstimates:
+class PathEstimates(NamedTuple):
     """Fitted path model: standardized path coefficients, R-squared per
     endogenous latent and outer loadings per indicator. `fitted` holds the
     compiled spec and the `_Sample` of the rows that `fit_path_model`
@@ -87,7 +84,12 @@ class PathEstimates:
     converged: bool
     iterations: int
     inner_scheme: str
-    fitted: tuple[_CompiledModel, _Sample] | None = field(default=None, repr=False, compare=False)
+    fitted: tuple[_CompiledModel, _Sample] | None = None
+
+    def __eq__(self, other):  # `fitted` is left out of equality
+        return isinstance(other, PathEstimates) and self[:-1] == other[:-1]
+
+    __ne__ = object.__ne__  # the negation of __eq__, not the tuple's
 
 
 def standardize(matrix, columns=None) -> np.ndarray:
@@ -432,8 +434,7 @@ def _sign_alignment(full_loadings: np.ndarray, loadings: np.ndarray, model: _Com
     return np.where(_block_sums(full_loadings * loadings, model) < 0.0, -1.0, 1.0)
 
 
-@dataclass(frozen=True)
-class _StackFit:
+class _StackFit(NamedTuple):
     """`_fit_stack`'s result: one row per fitted replicate."""
 
     rows: np.ndarray  # positions in the stack
@@ -599,15 +600,18 @@ def _stack_canonical_weights(u: np.ndarray):
     return np.where(flip[..., None], -w, w), norm != 0.0
 
 
-@dataclass(frozen=True)
-class DesignMatrix:
-    """Named observation matrix; interaction columns are exact elementwise
-    products of their parent columns."""
-
+class _DesignMatrix(NamedTuple):
     columns: tuple[str, ...]
     values: np.ndarray
 
-    def __post_init__(self):
+
+class DesignMatrix(_DesignMatrix):
+    """Named observation matrix; interaction columns are exact elementwise
+    products of their parent columns."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
         self.values.setflags(write=False)
 
     def column(self, name: str) -> np.ndarray:
@@ -647,17 +651,19 @@ def build_cobb_douglas_design(panel, ict_var: str, health_vars) -> DesignMatrix:
     return DesignMatrix(tuple(columns), np.column_stack(data))
 
 
-@dataclass(frozen=True)
-class OlsFit:
+class _OlsFit(NamedTuple):
     columns: tuple[str, ...]
     coefficients: np.ndarray
     standard_errors: np.ndarray
     residuals: np.ndarray
 
-    def __post_init__(self):
-        self.coefficients.setflags(write=False)
-        self.standard_errors.setflags(write=False)
-        self.residuals.setflags(write=False)
+
+class OlsFit(_OlsFit):
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        for array in self[1:]:
+            array.setflags(write=False)
 
 
 def ols(design, target) -> OlsFit:

@@ -54,6 +54,21 @@ def test_validate_and_version_load_no_numpy(tmp_path):
     assert loaded_after(version, package="numpy") == set()
 
 
+@pytest.mark.parametrize("argv", [("validate",), ("dea", "--period", "1998"), ("pipeline", "--quiet")],
+                         ids=["validate", "dea-period", "pipeline"])
+def test_commands_build_no_dataclass(tmp_path, argv):
+    # the package's records are named tuples: no command loads dataclasses
+    # (which loads inspect) or builds a record's methods at import
+    if argv[0] == "pipeline":
+        argv = (*argv, "--out", str(tmp_path / "reports"))
+    assert loaded_by_command(tmp_path, *argv, package="dataclasses") == set()
+
+
+def test_version_builds_no_dataclass():
+    version = "from paneleff.cli import cli_main\nassert cli_main(['--version']) == 0"
+    assert loaded_after(version, package="dataclasses") == set()
+
+
 def test_validate_runs_with_numpy_blocked(tmp_path):
     blocked = "import sys\nsys.modules['numpy'] = None\n"  # any import of numpy raises ImportError
     assert loaded_by_command(tmp_path, "validate", prelude=blocked) == CLI_BASE
@@ -77,3 +92,28 @@ def test_every_package_name_is_the_object_of_its_defining_module():
         assert name in dir(paneleff)
     with pytest.raises(AttributeError):
         paneleff.no_such_name
+
+
+def environment_after(code: str, **env) -> str | None:
+    """OPENBLAS_NUM_THREADS after a fresh interpreter, started with it set as
+    env says (unset without it), runs code."""
+    report = "\nimport json, os\nprint(json.dumps(os.environ.get('OPENBLAS_NUM_THREADS')))\n"
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code + report], env={**base, **env}, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_cli_runs_one_blas_thread_unless_the_user_sets_a_count():
+    # a threaded OpenBLAS splits the bootstrap's moment product by core count,
+    # which moves the last bits of its standard errors
+    assert environment_after("import paneleff.cli") == "1"
+    assert environment_after("import paneleff.cli", OPENBLAS_NUM_THREADS="3") == "3"
+
+
+def test_library_imports_leave_the_blas_thread_count_alone():
+    assert environment_after("import paneleff") is None
+    assert environment_after("from paneleff import pls") is None
+    assert environment_after("from paneleff import pls", OPENBLAS_NUM_THREADS="2") == "2"

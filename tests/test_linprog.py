@@ -149,7 +149,7 @@ def test_degenerate_problem_terminates():
     assert s.objective_value == pytest.approx(0.0, abs=1e-9)
 
 
-def test_solution_is_frozen_dataclass():
+def test_solution_is_frozen():
     s = solve_lp(LpProblem([1.0], "max", [([1.0], "<=", 1.0)]))
     assert isinstance(s, LpSolution)
     with pytest.raises(AttributeError):

@@ -2,6 +2,8 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 from itertools import permutations
 
 import numpy as np
@@ -181,6 +183,28 @@ def test_dea_wide_emitted_files_match_golden_hashes(tmp_path, monkeypatch):
 
     config = config_on_disk(tmp_path, *WORKLOADS["dea_wide"].build(0))
     assert emitted_digests(run_pipeline(config), tmp_path / "out") == DEA_WIDE_REPORT_SHA256
+
+
+def test_cli_pipeline_report_does_not_depend_on_the_blas_thread_count(tmp_path, monkeypatch):
+    # 720 pooled rows: a threaded OpenBLAS splits the bootstrap's moment
+    # product by core count, and the last bits of its standard errors with
+    # it, so the CLI runs one thread unless the user sets a count
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.syspath_prepend(root)
+    from perfbench.workloads import WORKLOADS
+
+    config_on_disk(tmp_path, *WORKLOADS["pls_heavy"].build(0))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(root, "src"), env.get("PYTHONPATH")]))
+    reports = []
+    for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        out = tmp_path / f"out{len(reports)}"
+        argv = ["pipeline", "--config", str(tmp_path / "config.json"), "--out", str(out), "--format", "json"]
+        done = subprocess.run([sys.executable, "-m", "paneleff.cli", *argv], env={**env, **threads},
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 # the demo_dir run whose pls stage fails on a zero hec cell: the

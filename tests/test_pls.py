@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -392,7 +391,7 @@ def test_bootstrap_rejects_a_negative_seed():
 def test_bootstrap_needs_estimates_from_fit_path_model():
     x = np.random.default_rng(49).normal(size=20)
     full = fit_path_model({"x": x, "y": x ** 3}, two_block_spec())
-    bare = replace(full, fitted=None)
+    bare = full._replace(fitted=None)
     assert bare == full  # `fitted` is left out of equality
     with pytest.raises(UsageError, match="estimates returned by fit_path_model"):
         bootstrap_significance(bare, samples=100)
