@@ -5,9 +5,10 @@ Subcommands: validate, dea, cluster, pls, pipeline, demo. Exit codes:
 Diagnostics go to stderr with stage context; stack traces never reach the
 user. Each command parses its configuration once. pipeline and the stage
 commands dea, cluster and pls share one handler, which runs its stages
-through run_pipeline: a stage failure exits 2 once the partial report it
-carries is written, and a dataset that fails DEA validation exits 1 with
-nothing written. The report, and what a stage command may reuse from
+through run_pipeline and prints each stage error once: a stage failure
+exits 2 once the partial report it carries, if any, is written, and a
+dataset that fails DEA validation exits 1 with nothing written. A DEA
+failure names its period and DMU, also under `dea --period`. The report, and what a stage command may reuse from
 report.json, are the pipeline module's business.
 
 At import this module loads only errors, config and panel_data. Each
@@ -56,9 +57,6 @@ def cli_main(argv=None) -> int:
     except ValidationFailedError as exc:
         _err(args, f"validation failed: {exc}")
         return 1
-    except StageError as exc:
-        _err(args, f"stage error in {exc.stage}: {exc}")
-        return 2
     except PanelEffError as exc:
         _err(args, f"error: {exc}")
         return 2
@@ -150,20 +148,19 @@ def emit_report(report: dict, out_dir: str, formats) -> list[str]:
 
 
 def _run(args, config: PipelineConfig, stage: str | None) -> int:
-    """Write run_pipeline's report and return 0, or 2 after a stage
-    failure, once the partial report the failure carries is written."""
+    """Write run_pipeline's report and return 0, or print the stage error
+    and return 2 once the partial report it carries, if any, is written."""
     try:
         report = run_pipeline(config, stage)
     except StageError as exc:
-        if exc.partial_report is None:
-            raise
         _err(args, f"stage error in {exc.stage}: {exc}")
-        try:
-            emit_report(exc.partial_report, config.output_dir, config.formats)
-        except (PanelEffError, OSError) as write_exc:
-            _err(args, f"partial report not written: {write_exc}")
-        else:
-            _note(args, f"partial report (INCOMPLETE) written to {config.output_dir}")
+        if exc.partial_report is not None:
+            try:
+                emit_report(exc.partial_report, config.output_dir, config.formats)
+            except (PanelEffError, OSError) as write_exc:
+                _err(args, f"partial report not written: {write_exc}")
+            else:
+                _note(args, f"partial report (INCOMPLETE) written to {config.output_dir}")
         return 2
     for path in emit_report(report, config.output_dir, config.formats):
         _note(args, f"wrote {path}")

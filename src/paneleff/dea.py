@@ -17,7 +17,9 @@ slacks are first read; it flags weak efficiency and finds the peers. These
 diagnostics are library-only: no CLI command reads them, and printing them
 would take a new flag. No non-Archimedean epsilon is used, because any
 absolute epsilon would break units invariance. Panel scoring (score_period,
-run_panel_dea) reads only the scores.
+run_panel_dea) reads only the scores. Each failure is raised here and
+named from the cross-section: "period=P: envelopment program for dmu D" or
+"period=P: slack stage for dmu D", a solver breakdown with its diagnostics.
 """
 
 from __future__ import annotations
@@ -101,9 +103,13 @@ class EfficiencyResult(_EfficiencyResult):
         X, Y = cs.inputs, cs.outputs
         n, m = X.shape
         s = Y.shape[1]
-        slack = solve_lp(_slack_stage_lp(X, Y, o, self.returns_to_scale, self.orientation, score))
+        program = f"period={cs.period}: slack stage for dmu {dmu!r}"
+        try:
+            slack = solve_lp(_slack_stage_lp(X, Y, o, self.returns_to_scale, self.orientation, score))
+        except LpSolverError as exc:
+            raise LpSolverError(f"{program}: {exc}", exc.diagnostics) from exc
         if slack.status != "optimal":
-            raise DeaConsistencyError(f"slack stage for dmu {dmu!r} reported {slack.status}")
+            raise DeaConsistencyError(f"{program} reported {slack.status}")
         # A DMU that is radial-efficient with zero maximal slack is strongly
         # efficient; report it as its own sole peer even when duplicates
         # admit alternative optima.
@@ -150,7 +156,7 @@ def _solve_dea(cs: CrossSection, dmu: str, rts: str, orientation: str) -> Effici
     o = cs.dmu_index(dmu)
     m = cs.inputs.shape[1]
     s = cs.outputs.shape[1]
-    ((score, env),) = _radial(cs.inputs, cs.outputs, [o], [dmu], rts, orientation)
+    ((score, env),) = _radial(cs, [o], rts, orientation)
 
     # The envelopment duals are the multiplier weights. Input orientation
     # (a min) has duals <= 0 on the input rows and >= 0 on the output rows,
@@ -174,29 +180,28 @@ def score_period(cs: CrossSection, spec: DeaSpec) -> np.ndarray:
     from stacks of envelopment solves; each equals
     solve_ccr/solve_bcc(...).score. A failure is raised for the first DMU
     in order whose program fails."""
-    solved = _radial(cs.inputs, cs.outputs, np.arange(len(cs.dmus)), cs.dmus,
-                     spec.returns_to_scale, spec.orientation)
+    solved = _radial(cs, np.arange(len(cs.dmus)), spec.returns_to_scale, spec.orientation)
     return np.array([score for score, _ in solved])
 
 
-def _radial(X, Y, dmus, names, rts, orientation) -> Iterator[tuple[float, LpSolution]]:
-    """Solve the envelopment programs of the DMUs at positions dmus (named
-    names) in order, in stacks whose A takes at most STACK_BYTES (one
-    program at least); yield each one's snapped score and certified
-    solution, whose duals are the multiplier weights. A stack is solved
-    only once every program before it has been yielded, so a caller that
-    keeps only the scores holds one stack's solutions at a time."""
+def _radial(cs: CrossSection, dmus, rts, orientation) -> Iterator[tuple[float, LpSolution]]:
+    """Solve the envelopment programs of the DMUs at positions dmus of cs
+    in order, in stacks whose A takes at most STACK_BYTES (one program at
+    least); yield each one's snapped score and certified solution, whose
+    duals are the multiplier weights. A stack is solved only once every
+    program before it has been yielded, so a caller that keeps only the
+    scores holds one stack's solutions at a time."""
+    X, Y = cs.inputs, cs.outputs
     n, m = X.shape
     step = max(1, STACK_BYTES // (8 * (m + Y.shape[1] + (rts == "VRS")) * (n + 1)))
     outcomes = (env for i in range(0, len(dmus), step)
                 for env in solve_stack(*_envelopment_lps(X, Y, dmus[i:i + step], rts, orientation)))
-    for env, dmu in zip(outcomes, names):
-        if isinstance(env, LpSolverError):
-            raise LpSolverError(f"envelopment program for dmu {dmu!r}: {env}", env.diagnostics) from env
-        if env.status != "optimal":
-            raise DeaConsistencyError(
-                f"envelopment program for dmu {dmu!r} reported {env.status}; input data must be strictly positive"
-            )
+    for o, env in zip(dmus, outcomes):
+        if isinstance(env, LpSolverError) or env.status != "optimal":
+            program = f"period={cs.period}: envelopment program for dmu {cs.dmus[o]!r}"
+            if isinstance(env, LpSolverError):
+                raise LpSolverError(f"{program}: {env}", env.diagnostics) from env
+            raise DeaConsistencyError(f"{program} reported {env.status}; input data must be strictly positive")
         score = env.objective_value
         if abs(score - 1.0) <= SCORE_SNAP_TOL:
             score = 1.0
@@ -274,16 +279,8 @@ def run_panel_dea(panel: PanelDataset, spec: DeaSpec) -> EfficiencyPanel:
     and means are plain arithmetic means over periods in period order.
     """
     require_valid(panel, spec)
-    n_dmus = len(panel.dmus)
-    n_periods = len(panel.periods)
-    scores = np.zeros((n_dmus, n_periods))
+    scores = np.zeros((len(panel.dmus), len(panel.periods)))
     for p, period in enumerate(panel.periods):
-        cs = slice_period(panel, period, spec)
-        try:
-            scores[:, p] = score_period(cs, spec)
-        except DeaConsistencyError as exc:
-            raise DeaConsistencyError(f"period={period}: {exc}") from exc
-        except LpSolverError as exc:
-            raise LpSolverError(f"period={period}: {exc}", exc.diagnostics) from exc
-    means = scores.sum(axis=1) / n_periods
+        scores[:, p] = score_period(slice_period(panel, period, spec), spec)
+    means = scores.sum(axis=1) / len(panel.periods)
     return EfficiencyPanel(panel.dmus, panel.periods, scores, means, spec)

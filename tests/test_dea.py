@@ -326,7 +326,7 @@ def test_score_period_raises_for_the_first_failing_dmu(monkeypatch):
     Y = np.array([2.0, 3.0, 0.0, 4.0, 0.0])
     cs = cross_section([1.0, 2.0, 3.0, 4.0, 5.0], Y)
     spec = DeaSpec(("x",), ("y",), "CRS", "output")
-    with pytest.raises(DeaConsistencyError, match="'d2'.*unbounded"):
+    with pytest.raises(DeaConsistencyError, match="^period=t: envelopment program for dmu 'd2'.*unbounded"):
         score_period(cs, spec)
 
     # a breakdown of a later DMU's program does not mask d2's failure, one
@@ -425,6 +425,20 @@ def test_a_solver_breakdown_names_its_period_and_dmu(monkeypatch):
     assert str(exc.value) == (f"period={panel.periods[0]}: envelopment program for dmu "
                               f"{panel.dmus[2]!r}: injected breakdown")
     assert exc.value.diagnostics == {"iterations": 7}
+
+
+def test_a_slack_stage_breakdown_names_its_period_and_dmu(monkeypatch):
+    # the slack stage's errors once named the DMU alone, and its solver
+    # breakdowns neither the period nor the DMU
+    def breaking(problem):
+        raise LpSolverError("injected breakdown", {"iterations": 3})
+
+    monkeypatch.setattr(dea, "solve_lp", breaking)
+    r = solve_ccr(cross_section([2.0, 4.0, 3.0], [4.0, 4.0, 1.0], period="1999"), "d1")
+    with pytest.raises(LpSolverError) as exc:
+        r.peers
+    assert str(exc.value) == "period=1999: slack stage for dmu 'd1': injected breakdown"
+    assert exc.value.diagnostics == {"iterations": 3}
 
 
 def test_slack_stage_runs_only_when_its_results_are_read(monkeypatch):

@@ -808,6 +808,24 @@ def test_cli_cluster_without_dea_results_exits_two(demo_dir, tmp_path, capsys):
     code = cli_main(["cluster", "--config", str(demo_dir / "config.json"),
                      "--out", str(tmp_path / "empty"), "--quiet"])
     assert code == 2
+    assert capsys.readouterr().err.count("stage error in cluster:") == 1
+
+
+def test_cli_dea_period_names_a_failing_program_once(demo_dir, monkeypatch, capsys):
+    # dea --period once named the DMU of a failing program but not its period
+    from paneleff import dea
+    from paneleff.errors import LpSolverError
+
+    solve_stack = dea.solve_stack
+
+    def breaking(*stack):
+        outcomes = solve_stack(*stack)
+        outcomes[2] = LpSolverError("injected breakdown")
+        return outcomes
+
+    monkeypatch.setattr(dea, "solve_stack", breaking)
+    assert cli_main(["dea", "--config", str(demo_dir / "config.json"), "--period", "1999", "--quiet"]) == 2
+    assert capsys.readouterr().err == "error: period=1999: envelopment program for dmu 'C03': injected breakdown\n"
 
 
 def test_cli_nonpositive_dataset_fails_validation(tmp_path, capsys):
