@@ -19,6 +19,7 @@ the same way in either case.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -66,12 +67,17 @@ def report_json(report: dict) -> str:
 
 
 def build_provenance(config: PipelineConfig) -> dict:
+    """What a report is of: the configuration bytes, the dataset bytes and
+    the seeds."""
     seeds = {"bootstrap": config.pls.bootstrap_seed} if config.pls else {}
+    with open(config.dataset_path, "rb") as fh:
+        dataset_sha256 = hashlib.sha256(fh.read()).hexdigest()
     return {
         "tool": "paneleff",
         "version": __version__,
         "config_hash": config.config_hash,
         "dataset": os.path.basename(config.dataset_path),
+        "dataset_sha256": dataset_sha256,
         "seeds": seeds,
     }
 
@@ -389,11 +395,12 @@ def run_pipeline(config: PipelineConfig, stage: str | None = None) -> dict:
 
 
 def read_report(config: PipelineConfig) -> dict | None:
-    """The five sections of the report.json of this configuration and seed
-    in the output directory, tables in configuration order, or None. A
-    report of another run, or a file that is not a well-formed report
-    (truncated, not JSON, missing a section, a section of the wrong shape),
-    counts as absent."""
+    """The five sections of the report.json of this run in the output
+    directory, tables in configuration order, or None. A report is this
+    run's when its provenance matches: the same configuration bytes,
+    dataset bytes and seed. A report of another run, or a file that is not
+    a well-formed report (truncated, not JSON, missing a section, a section
+    of the wrong shape), counts as absent."""
     path = os.path.join(config.output_dir, f"{REPORT_BASENAME}.json")
     if not os.path.exists(path):
         return None

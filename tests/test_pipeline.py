@@ -11,7 +11,7 @@ import pytest
 
 from paneleff.cli import cli_main
 from paneleff.config import CobbDouglasConfig, config_from_file, parse_config
-from paneleff.errors import ConfigError, StageError
+from paneleff.errors import ConfigError, CsvParseError, DomainError, StageError
 from paneleff.pipeline import (
     emit_report,
     load_dataset,
@@ -125,7 +125,7 @@ def test_emitted_files(demo_bundle, tmp_path):
 
 # sha256 of every file emitted for the demo_dir fixture, in emission order
 DEMO_REPORT_SHA256 = [
-    ("report.json", "282450bb6bc18ab5e791ab18820dccc95e8f098c6c4cc9db7cc60ee70b86349e"),
+    ("report.json", "d4c17193ac3cb7ef0a78b65bd3287ae2636ca8d0e64d4e7a5c732379dcf468a7"),
     ("dea_ict_scores.csv", "894be26e07f8d285023dbc1a4b9aff491b86c41ef9a1f97ddb9d026e0a7f747b"),
     ("dea_health_scores.csv", "479e78ae1c18d85b3946175df02e264146cd94b02ee1c949306a0e1712fd0ff4"),
     ("cluster_ict_sweep.csv", "0736d7c2f5cb713e203f512efc83677166d5e0493a9bf0b4b0c96eba84f34b01"),
@@ -164,7 +164,7 @@ def config_on_disk(root, panel, document):
 # the dea_wide benchmark workload at generator seed 0: CRS-input and
 # VRS-output headings, a k = 9 sweep, a skipped pls stage
 DEA_WIDE_REPORT_SHA256 = [
-    ("report.json", "919d7815952d07d0c340df0f83e20e0564182dd7c03a351346d395599ad839cb"),
+    ("report.json", "42dd6e386881dfbb93e74027871d35c8fc64639b11f87a64157a172da21d9b09"),
     ("dea_crs_in_scores.csv", "20c290362fd903ad685eed2e221ac51bbf16ca5a4b914953470e7834fdd80c12"),
     ("dea_vrs_out_scores.csv", "072c0eb7120017c802f144324499ae869af78e156e779c94be78a229f2d74f97"),
     ("cluster_crs_in_sweep.csv", "5f150a50cfec3226e5caf50e32f5dcbe1cc7fd85757de7501c1b3f4391dda12f"),
@@ -211,7 +211,7 @@ def test_cli_pipeline_report_does_not_depend_on_the_blas_thread_count(tmp_path, 
 # INCOMPLETE line and a pending pls section, which report.txt heads
 # "== Path models: pending =="
 PARTIAL_REPORT_SHA256 = [
-    ("report.json", "14cafe6a81e01e5da29e8571dcf67436df86ff26bcb3041b1ac4afbdda40942d"),
+    ("report.json", "2108907af0da08bc7846a2c2279ad4edde8c3d53c89544c70211fdfd377b0585"),
     *DEMO_REPORT_SHA256[1:9],
     ("report.txt", "121e60f925e7bdb2cacc32d39989c5c5290131ea426d8eecd8722d73e3233dc6"),
 ]
@@ -230,7 +230,7 @@ def test_partial_report_emitted_files_match_golden_hashes(demo_dir, tmp_path):
 
 # the demo configuration without its cluster and pls stages: both skipped
 DEA_ONLY_REPORT_SHA256 = [
-    ("report.json", "69707c49621cf244973014f8632d7c8680fa99f6e1b924776d059a0d11d9d35e"),
+    ("report.json", "0a38239eed3a9ddab26900d0bcaeb727c053bbcf8b6298adb9c243696b9d091a"),
     *DEMO_REPORT_SHA256[1:3],
     ("report.txt", "b3fa532b383b3a8bf5737e632daf2c4181fa2fc8b840b1cd117b1e08a38e3925"),
 ]
@@ -617,6 +617,20 @@ def test_cli_stage_ignores_report_of_another_run(demo_dir, tmp_path):
     assert report["provenance"]["seeds"] == {"bootstrap": 9}
 
 
+def test_cli_stage_ignores_the_report_of_another_dataset(tmp_path):
+    # a stage once reused the sections of a report made from other data
+    out = tmp_path / "demo"
+    assert cli_main(["demo", "--out", str(out), "--samples", "100", "--quiet"]) == 0
+    before = json.loads((out / "reports" / "report.json").read_text())
+    assert "models" in before["pls"]
+    lines = (out / "dataset.csv").read_text().splitlines(keepends=True)
+    (out / "dataset.csv").write_text("".join(re.sub(r"^(C04,\w+,hec),.*", r"\1,5.5", l) for l in lines))
+    assert cli_main(["dea", "--config", str(out / "config.json"), "--quiet"]) == 0
+    report = json.loads((out / "reports" / "report.json").read_text())
+    assert report["pls"] == {"pending": True}
+    assert report["provenance"]["dataset_sha256"] != before["provenance"]["dataset_sha256"]
+
+
 @pytest.mark.parametrize("text", ['{"provenance": {"config_hash": "', '{"provenance": {}}', "[]", ""],
                          ids=["truncated", "keyless", "list", "empty"])
 def test_cli_stage_treats_a_malformed_report_as_absent(demo_dir, tmp_path, capsys, text):
@@ -769,25 +783,31 @@ def test_cli_dataset_failing_dea_validation_exits_one_and_writes_nothing(demo_di
     assert not (tmp_path / "reports").exists()
 
 
-@pytest.mark.parametrize("stage, value, started", [
-    ("pls", "0", {"pls": {"pending": True}}),
-    ("dea", "abc", {"dea": {}, "cluster": {"pending": True}, "correspondence": {"pending": True}}),
+@pytest.mark.parametrize("stage, error, started", [
+    ("pls", DomainError("variable 'hec' is not strictly positive at dmu=C04 period=2000"), {"pls": {"pending": True}}),
+    ("dea", CsvParseError("value 'abc' is not a decimal literal", 7),
+     {"dea": {}, "cluster": {"pending": True}, "correspondence": {"pending": True}}),
 ], ids=["pls-zero-hec", "dea-unparsable-cell"])
-def test_cli_staged_stage_failure_writes_a_partial_report(demo_dir, tmp_path, capsys, stage, value, started):
+def test_cli_staged_stage_failure_writes_a_partial_report(demo_dir, tmp_path, capsys, monkeypatch, stage, error,
+                                                          started):
     # a stage run on its own once exited with a bare error and wrote
-    # nothing, where the same failure in pipeline wrote a partial report
-    config = str(tmp_path / "config.json")
-    (tmp_path / "config.json").write_text((demo_dir / "config.json").read_text())
-    (tmp_path / "dataset.csv").write_bytes((demo_dir / "dataset.csv").read_bytes())
+    # nothing, where the same failure in pipeline wrote a partial report;
+    # the stage fails on the dataset of the pipeline run, so that its
+    # report stays this run's
+    import paneleff.pipeline as pipeline
+
+    config = write_config(demo_dir, tmp_path, lambda document: None)
     assert cli_main(["pipeline", "--config", config, "--quiet"]) == 0
     before = json.loads((tmp_path / "reports" / "report.json").read_text())
-    lines = (demo_dir / "dataset.csv").read_text().splitlines(keepends=True)
-    (tmp_path / "dataset.csv").write_text("".join(l for l in lines if not l.startswith("C04,2000,hec,"))
-                                          + f"C04,2000,hec,{value}\n")
+
+    def failing(config, *inputs):
+        raise error
+
+    monkeypatch.setattr(pipeline, f"run_{stage}_stage", failing)
     assert cli_main([stage, "--config", config, "--quiet"]) == 2
-    assert capsys.readouterr().err.startswith(f"stage error in {stage}:")
+    assert capsys.readouterr().err.splitlines()[0] == f"stage error in {stage}: {error}"
     report = json.loads((tmp_path / "reports" / "report.json").read_text())
-    assert report.pop("incomplete")["stage"] == stage
+    assert report.pop("incomplete") == {"stage": stage, "message": str(error)}
     assert report == {**before, **started}
 
 
