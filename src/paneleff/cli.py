@@ -7,9 +7,9 @@ user. Each command parses its configuration once. pipeline and the stage
 commands dea, cluster and pls share one handler, which runs its stages
 through run_pipeline and prints each stage error once: a stage failure
 exits 2 once the partial report it carries, if any, is written, and a
-dataset that fails DEA validation exits 1 with nothing written. A DEA
-failure names its period and DMU, also under `dea --period`. The report, and what a stage command may reuse from
-report.json, are the pipeline module's business.
+dataset that fails DEA validation exits 1 with nothing written. The
+report, and what a stage command may reuse from report.json, are the
+pipeline module's business.
 
 At import this module loads only errors, config and panel_data. Each
 handler imports the stage modules it runs, so `validate` compiles no stage

@@ -372,7 +372,7 @@ def run_pipeline(config: PipelineConfig, stage: str | None = None) -> dict:
     else:
         report, stages = read_report(config) or unrun, (stage,)
         if stage == "cluster" and "pending" in report["dea"]:
-            raise StageError("cluster", "no DEA results of this configuration and seed on disk; "
+            raise StageError("cluster", "no DEA results of this configuration, dataset and seed on disk; "
                                         "run the dea stage first")
 
     panel = None

@@ -796,7 +796,9 @@ def test_cli_staged_stage_failure_writes_a_partial_report(demo_dir, tmp_path, ca
     # report stays this run's
     import paneleff.pipeline as pipeline
 
-    config = write_config(demo_dir, tmp_path, lambda document: None)
+    config = str(tmp_path / "config.json")
+    (tmp_path / "config.json").write_text((demo_dir / "config.json").read_text())
+    (tmp_path / "dataset.csv").write_bytes((demo_dir / "dataset.csv").read_bytes())
     assert cli_main(["pipeline", "--config", config, "--quiet"]) == 0
     before = json.loads((tmp_path / "reports" / "report.json").read_text())
 
