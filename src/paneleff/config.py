@@ -15,10 +15,19 @@ cluster, PLS or report code.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from typing import NamedTuple
+
+# the interpreter's own sha256, so that no command loads OpenSSL's libcrypto
+# (hashlib does, about 3.5 MB); hashlib only where the build lacks it
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .errors import ConfigError, PanelEffError, UsageError
 from .panel_data import (
@@ -224,8 +233,9 @@ class PipelineConfig(NamedTuple):
 
 
 def config_from_file(path) -> PipelineConfig:
-    """Parse and validate a configuration file; the provenance hash covers
-    the raw file bytes."""
+    """Parse and validate a configuration file; the provenance hash is the
+    sha256 of the raw file bytes (this module's sha256: the interpreter's
+    builtin one, hashlib's only where the build has none)."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
@@ -233,7 +243,7 @@ def config_from_file(path) -> PipelineConfig:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"{path}: not a valid JSON document: {exc}") from exc
     base = os.path.dirname(os.path.abspath(path))
-    return parse_config(document, config_hash=hashlib.sha256(raw).hexdigest(), base_dir=base)
+    return parse_config(document, config_hash=sha256(raw).hexdigest(), base_dir=base)
 
 
 def parse_config(document: dict, config_hash: str | None = None, base_dir: str | None = None) -> PipelineConfig:
@@ -249,7 +259,7 @@ def parse_config(document: dict, config_hash: str | None = None, base_dir: str |
             canonical = json.dumps(document, sort_keys=True, separators=(",", ":")).encode()
         except (TypeError, ValueError) as exc:  # a key or value JSON cannot hold, or a cycle
             raise ConfigError(f"the configuration is not a JSON document: {exc}") from exc
-        config_hash = hashlib.sha256(canonical).hexdigest()
+        config_hash = sha256(canonical).hexdigest()
     dataset, dea, cluster, pls, output = _fields(
         document, "", dataset=dict, dea=[dict], cluster=(dict, None), pls=(dict, None), output=(dict, {}))
     path, schema_entries, transform_entries = _fields(

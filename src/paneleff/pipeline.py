@@ -19,7 +19,6 @@ the same way in either case.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 import math
@@ -32,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .cluster import CLUSTER_F_CAVEAT, KSweepReport, sweep_k
-from .config import CobbDouglasConfig, PipelineConfig, _unusable_pls_cells
+from .config import CobbDouglasConfig, PipelineConfig, _unusable_pls_cells, sha256
 from .dea import EfficiencyPanel, run_panel_dea
 from .errors import ConfigError, PanelEffError, StageError, UsageError, ValidationFailedError
 # validate_for_dea is not called here; perfbench/tracing.py wraps it under
@@ -68,10 +67,11 @@ def report_json(report: dict) -> str:
 
 def build_provenance(config: PipelineConfig) -> dict:
     """What a report is of: the configuration bytes, the dataset bytes and
-    the seeds."""
+    the seeds. Both digests are config.sha256 (the interpreter's builtin
+    sha256), so building it loads no OpenSSL; a run builds it once."""
     seeds = {"bootstrap": config.pls.bootstrap_seed} if config.pls else {}
     with open(config.dataset_path, "rb") as fh:
-        dataset_sha256 = hashlib.sha256(fh.read()).hexdigest()
+        dataset_sha256 = sha256(fh.read()).hexdigest()
     return {
         "tool": "paneleff",
         "version": __version__,
@@ -370,7 +370,7 @@ def run_pipeline(config: PipelineConfig, stage: str | None = None) -> dict:
     elif stage not in config.stages:
         raise ConfigError(f"configuration has no {stage} stage")
     else:
-        report, stages = read_report(config) or unrun, (stage,)
+        report, stages = read_report(config, unrun["provenance"]) or unrun, (stage,)
         if stage == "cluster" and "pending" in report["dea"]:
             raise StageError("cluster", "no DEA results of this configuration, dataset and seed on disk; "
                                         "run the dea stage first")
@@ -394,13 +394,14 @@ def run_pipeline(config: PipelineConfig, stage: str | None = None) -> dict:
     return report
 
 
-def read_report(config: PipelineConfig) -> dict | None:
+def read_report(config: PipelineConfig, provenance: dict) -> dict | None:
     """The five sections of the report.json of this run in the output
     directory, tables in configuration order, or None. A report is this
-    run's when its provenance matches: the same configuration bytes,
-    dataset bytes and seed. A report of another run, or a file that is not
-    a well-formed report (truncated, not JSON, missing a section, a section
-    of the wrong shape), counts as absent."""
+    run's when its provenance equals provenance, the one run_pipeline built
+    for this run: the same configuration bytes, dataset bytes and seed. A
+    report of another run, or a file that is not a well-formed report
+    (truncated, not JSON, missing a section, a section of the wrong shape),
+    counts as absent."""
     path = os.path.join(config.output_dir, f"{REPORT_BASENAME}.json")
     if not os.path.exists(path):
         return None
@@ -408,7 +409,7 @@ def read_report(config: PipelineConfig) -> dict | None:
         with open(path, "r", encoding="utf-8") as fh:
             document = json.load(fh)
         report = {section: document[section] for section in SECTIONS}
-        if report["provenance"] != build_provenance(config) or not _well_formed(report, config):
+        if report["provenance"] != provenance or not _well_formed(report, config):
             return None
     except (ValueError, KeyError, TypeError, AttributeError, IndexError):
         return None

@@ -29,10 +29,12 @@ def loaded_after(code: str, package: str = "paneleff") -> set:
     return set(json.loads(done.stdout.splitlines()[-1]))
 
 
-def loaded_by_command(tmp_path, *argv, package: str = "paneleff", prelude: str = "") -> set:
-    """loaded_after a command succeeds on the demo, run after the code prelude."""
+def loaded_by_command(tmp_path, *argv, package: str = "paneleff", prelude: str = "", without=()) -> set:
+    """loaded_after a command succeeds on the demo, run after the code
+    prelude, with the configuration's sections named in without left out."""
     write_panel_csv(make_demo_panel(), tmp_path / "dataset.csv")
-    (tmp_path / "config.json").write_text(json.dumps(make_demo_config("dataset.csv", "reports")))
+    document = make_demo_config("dataset.csv", "reports")
+    (tmp_path / "config.json").write_text(json.dumps({k: v for k, v in document.items() if k not in without}))
     args = [*argv, "--config", str(tmp_path / "config.json")]
     return loaded_after(f"{prelude}from paneleff.cli import cli_main\nassert cli_main({args!r}) == 0", package)
 
@@ -54,14 +56,25 @@ def test_validate_and_version_load_no_numpy(tmp_path):
     assert loaded_after(version, package="numpy") == set()
 
 
-@pytest.mark.parametrize("argv", [("validate",), ("dea", "--period", "1998"), ("pipeline", "--quiet")],
-                         ids=["validate", "dea-period", "pipeline"])
-def test_commands_build_no_dataclass(tmp_path, argv):
+@pytest.mark.parametrize("package, argv, without", [
+    pytest.param("dataclasses", ("validate",), (), id="validate"),
+    pytest.param("dataclasses", ("dea", "--period", "1998"), (), id="dea-period"),
+    pytest.param("dataclasses", ("pipeline", "--quiet"), (), id="pipeline"),
+    pytest.param("_hashlib", ("--version",), (), id="version-openssl"),
+    pytest.param("_hashlib", ("validate",), (), id="validate-openssl"),
+    pytest.param("_hashlib", ("dea", "--period", "1998"), (), id="dea-period-openssl"),
+    pytest.param("_hashlib", ("pipeline", "--quiet"), ("pls",), id="pipeline-without-pls-openssl"),
+])
+def test_commands_build_no_dataclass(tmp_path, package, argv, without):
     # the package's records are named tuples: no command loads dataclasses
-    # (which loads inspect) or builds a record's methods at import
+    # (which loads inspect) or builds a record's methods at import. Nor does
+    # one load OpenSSL (_hashlib): the provenance digests are the
+    # interpreter's own sha256. A pls stage still does, through numpy.random
+    # (secrets, hmac), so the OpenSSL pipeline case runs without one.
+    # argparse answers --version before it reads the --config that follows.
     if argv[0] == "pipeline":
         argv = (*argv, "--out", str(tmp_path / "reports"))
-    assert loaded_by_command(tmp_path, *argv, package="dataclasses") == set()
+    assert loaded_by_command(tmp_path, *argv, package=package, without=without) == set()
 
 
 def test_version_builds_no_dataclass():
@@ -72,6 +85,16 @@ def test_version_builds_no_dataclass():
 def test_validate_runs_with_numpy_blocked(tmp_path):
     blocked = "import sys\nsys.modules['numpy'] = None\n"  # any import of numpy raises ImportError
     assert loaded_by_command(tmp_path, "validate", prelude=blocked) == CLI_BASE
+
+
+def test_digests_fall_back_to_hashlib_without_a_builtin_sha256(tmp_path):
+    # a Python built without its own sha256 modules hashes with hashlib's,
+    # which gives the same digests
+    blocked = "import sys\nsys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+    assert loaded_by_command(tmp_path, "validate", package="_hashlib", prelude=blocked) == {"_hashlib"}
+    for name, prelude in (("fallback", blocked), ("builtin", "")):
+        loaded_by_command(tmp_path, "pipeline", "--quiet", "--out", str(tmp_path / name), prelude=prelude)
+    assert (tmp_path / "fallback" / "report.json").read_bytes() == (tmp_path / "builtin" / "report.json").read_bytes()
 
 
 def test_dea_period_loads_only_the_dea_modules(tmp_path):

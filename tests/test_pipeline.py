@@ -98,6 +98,17 @@ def test_provenance_carries_hash_and_seeds(demo_bundle):
     assert bundle["provenance"]["seeds"] == {"bootstrap": 271999}
 
 
+def test_provenance_digests_are_the_sha256_of_the_file_bytes(demo_dir, demo_bundle):
+    # config.sha256 is the interpreter's builtin sha256, not hashlib's
+    bundle, config = demo_bundle
+    assert config.config_hash == hashlib.sha256((demo_dir / "config.json").read_bytes()).hexdigest()
+    assert bundle["provenance"]["dataset_sha256"] == \
+        hashlib.sha256((demo_dir / "dataset.csv").read_bytes()).hexdigest()
+    document = json.loads((demo_dir / "config.json").read_text())
+    canonical = json.dumps(document, sort_keys=True, separators=(",", ":")).encode()
+    assert parse_config(document).config_hash == hashlib.sha256(canonical).hexdigest()
+
+
 def test_json_round_trip_is_structurally_identical(demo_bundle):
     # report.json is the report itself: parsing it gives back the dict,
     # and formatting that gives back the same text
@@ -568,6 +579,21 @@ def test_cli_stage_chaining_matches_pipeline(demo_dir, tmp_path):
     assert cli_main(["cluster", "--config", config, "--out", str(chained), "--quiet"]) == 0
     assert cli_main(["pls", "--config", config, "--out", str(chained), "--quiet"]) == 0
     assert_same_files(whole, chained)
+
+
+@pytest.mark.parametrize("stage", ["cluster", "pls"])
+def test_cli_stage_builds_the_provenance_once(demo_dir, tmp_path, monkeypatch, stage):
+    # a staged command once read and hashed the dataset a second time to
+    # compare the report on disk with
+    import paneleff.pipeline as pipeline
+
+    config = str(demo_dir / "config.json")
+    assert cli_main(["pipeline", "--config", config, "--out", str(tmp_path), "--quiet"]) == 0
+    calls = []
+    build = pipeline.build_provenance
+    monkeypatch.setattr(pipeline, "build_provenance", lambda config: calls.append(config) or build(config))
+    assert cli_main([stage, "--config", config, "--out", str(tmp_path), "--quiet"]) == 0
+    assert len(calls) == 1
 
 
 def assert_same_files(a, b):
