@@ -14,8 +14,12 @@ pipeline module's business.
 At import this module loads only errors, config and panel_data. Each
 handler imports the stage modules it runs, so `validate` compiles no stage
 code, `dea --period` only dea and linprog, and only `demo` loads the
-synthetic generator. run_pipeline and emit_report stay names of this
-module, resolved when called, so a caller can replace them here.
+synthetic generator. The other commands load pipeline, which imports a
+stage's modules only when that stage runs: `dea` adds dea and linprog,
+`cluster` cluster and distributions, `pls` pls and distributions, and
+`pipeline` those of its configured stages. run_pipeline and emit_report
+stay names of this module, resolved when called, so a caller can replace
+them here.
 """
 
 from __future__ import annotations

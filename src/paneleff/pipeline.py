@@ -1,19 +1,21 @@
 """Three-stage pipeline: DEA scoring, cluster validation, path modeling.
 
 The pipeline is driven by a single JSON configuration document (see README
-for the schema), which the config module parses; this module imports every
-stage module, so only a command that runs a stage loads it. Identical
-configuration and dataset produce byte-identical JSON reports: every
-stochastic stage requires an explicit seed, reports carry no timestamps,
-and serialization is canonical (sorted keys, repr floats). A run's report
-is the plain dict that report.json holds, and this module owns it: it
-builds and writes the report, and decides whether a report on disk can be
-reused. One walk of the report (report_layout) lays out its tables and
-text lines in writing order; the CSV files and report.txt are both written
-from that layout. run_pipeline runs every configured stage, or one stage
-on the report.json of the same run, so stages run one at a time chain
-through the document they would have produced together, and a stage fails
-the same way in either case.
+for the schema), which the config module parses. This module loads no
+stage module at import: each stage imports its own when it runs (dea and
+linprog, cluster and distributions, pls), so a configuration without a
+pls stage never loads pls, and a stage command loads only its stage's
+modules. Identical configuration and dataset produce byte-identical JSON
+reports: every stochastic stage requires an explicit seed, reports carry
+no timestamps, and serialization is canonical (sorted keys, repr floats).
+A run's report is the plain dict that report.json holds, and this module
+owns it: it builds and writes the report, and decides whether a report on
+disk can be reused. One walk of the report (report_layout) lays out its
+tables and text lines in writing order; the CSV files and report.txt are
+both written from that layout. run_pipeline runs every configured stage,
+or one stage on the report.json of the same run, so stages run one at a
+time chain through the document they would have produced together, and a
+stage fails the same way in either case.
 """
 
 from __future__ import annotations
@@ -25,26 +27,22 @@ import math
 import os
 import tempfile
 from collections import Counter
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .cluster import CLUSTER_F_CAVEAT, KSweepReport, sweep_k
 from .config import CobbDouglasConfig, PipelineConfig, _unusable_pls_cells, sha256
-from .dea import EfficiencyPanel, run_panel_dea
 from .errors import ConfigError, PanelEffError, StageError, UsageError, ValidationFailedError
 # validate_for_dea is not called here; perfbench/tracing.py wraps it under
 # this module's name
 from .panel_data import PanelDataset, load_panel, validate_for_dea  # noqa: F401
-from .pls import (
-    DesignMatrix,
-    bootstrap_significance,
-    build_cobb_douglas_design,
-    fit_path_model,
-    ols,
-    resample_counts,
-)
+
+if TYPE_CHECKING:
+    from .cluster import KSweepReport
+    from .config import DeaSpec, PathModelSpec
+    from .dea import EfficiencyPanel
+    from .pls import BootstrapSummary, OlsFit, PathEstimates
 
 REPORT_BASENAME = "report"
 
@@ -89,6 +87,45 @@ def load_dataset(config: PipelineConfig) -> PanelDataset:
 
 # ---------------------------------------------------------------------------
 # stages
+#
+# The stage functions call these five names as this module's globals,
+# resolved when called: perfbench/tracing.py wraps them under this module's
+# name. Each loads its stage module on the first call.
+
+
+def run_panel_dea(panel: PanelDataset, spec: DeaSpec) -> EfficiencyPanel:
+    """dea.run_panel_dea, with dea loaded on the first call."""
+    from . import dea
+
+    return dea.run_panel_dea(panel, spec)
+
+
+def sweep_k(points, k_max: int, k_min: int, significance: float) -> KSweepReport:
+    """cluster.sweep_k, with cluster loaded on the first call."""
+    from . import cluster
+
+    return cluster.sweep_k(points, k_max, k_min, significance=significance)
+
+
+def fit_path_model(data, spec: PathModelSpec) -> PathEstimates:
+    """pls.fit_path_model, with pls loaded on the first call."""
+    from . import pls
+
+    return pls.fit_path_model(data, spec)
+
+
+def bootstrap_significance(full: PathEstimates, samples: int, seed: int, counts) -> BootstrapSummary:
+    """pls.bootstrap_significance, with pls loaded on the first call."""
+    from . import pls
+
+    return pls.bootstrap_significance(full, samples=samples, seed=seed, counts=counts)
+
+
+def ols(design, target) -> OlsFit:
+    """pls.ols, with pls loaded on the first call."""
+    from . import pls
+
+    return pls.ols(design, target)
 
 
 def run_dea_stage(config: PipelineConfig, panel: PanelDataset) -> dict:
@@ -113,6 +150,8 @@ def _dea_table(result: EfficiencyPanel) -> dict:
 
 
 def run_cluster_stage(config: PipelineConfig, dea_section: dict) -> tuple[dict, dict]:
+    from .cluster import CLUSTER_F_CAVEAT
+
     cfg = config.cluster
     analyses = {}
     # iterate in configuration order: dea_section may have been re-read from
@@ -265,6 +304,8 @@ def _max_assignment(table) -> int:
 
 
 def run_pls_stage(config: PipelineConfig, panel: PanelDataset) -> dict:
+    from .pls import resample_counts
+
     cfg = config.pls
     cells = _unusable_pls_cells(cfg, panel)
     if cells:
@@ -313,6 +354,8 @@ def _pooled_observations(panel: PanelDataset) -> dict:
 
 
 def _cobb_douglas_table(panel: PanelDataset, cfg: CobbDouglasConfig) -> dict:
+    from .pls import DesignMatrix, build_cobb_douglas_design
+
     design = build_cobb_douglas_design(panel, cfg.ict_var, cfg.health_vars)
     X = np.column_stack([np.ones(design.values.shape[0]), design.values])
     fit = ols(DesignMatrix(("const",) + design.columns, X), np.log(panel.column(cfg.target).reshape(-1)))
@@ -358,8 +401,9 @@ def run_pipeline(config: PipelineConfig, stage: str | None = None) -> dict:
     that stage alone on the report of this run on disk (read_report), or
     without one the unrun report. A stage first sets its STAGE_SECTIONS as
     unrun (an empty dea section), so that a failure shows no earlier
-    results that the stage would have replaced. A stage failure raises
-    StageError carrying the partial report (the sections so far plus an
+    results that the stage would have replaced. A stage failure, or a
+    MemoryError in a stage (as "out of memory: ..."), raises StageError
+    carrying the partial report (the sections so far plus an
     incomplete marker); a ValidationFailedError passes through as it is,
     and a cluster stage with no DEA results to read raises StageError
     without a partial report."""
@@ -388,9 +432,12 @@ def run_pipeline(config: PipelineConfig, stage: str | None = None) -> dict:
                 report["pls"] = run_pls_stage(config, load_dataset(config) if panel is None else panel)
         except ValidationFailedError:
             raise
-        except PanelEffError as exc:
-            partial = {**report, "incomplete": {"stage": name, "message": str(exc)}}
-            raise StageError(name, str(exc), partial_report=partial) from exc
+        except (PanelEffError, MemoryError) as exc:
+            message = str(exc)
+            if isinstance(exc, MemoryError):
+                message = "out of memory" + (f": {message}" if message else "")
+            partial = {**report, "incomplete": {"stage": name, "message": message}}
+            raise StageError(name, message, partial_report=partial) from exc
     return report
 
 

@@ -101,6 +101,24 @@ def test_dea_period_loads_only_the_dea_modules(tmp_path):
     assert loaded_by_command(tmp_path, "dea", "--period", "1998") == CLI_BASE | {"paneleff.dea", "paneleff.linprog"}
 
 
+def test_pipeline_without_a_pls_stage_loads_no_pls_module(tmp_path):
+    # pipeline once imported every stage module at its top
+    loaded = loaded_by_command(tmp_path, "pipeline", "--quiet", without=("pls",))
+    assert loaded == CLI_BASE | {"paneleff.pipeline", "paneleff.dea", "paneleff.linprog", "paneleff.cluster",
+                                 "paneleff.distributions"}
+
+
+@pytest.mark.parametrize("stage, modules", [
+    ("dea", {"paneleff.dea", "paneleff.linprog"}),
+    ("cluster", {"paneleff.cluster", "paneleff.distributions"}),
+    ("pls", {"paneleff.pls", "paneleff.distributions"}),
+])
+def test_a_stage_command_loads_only_its_stage_modules(tmp_path, stage, modules):
+    # a full run first, so that the stage reads a report of this run
+    loaded_by_command(tmp_path, "pipeline", "--quiet")
+    assert loaded_by_command(tmp_path, stage, "--quiet") == CLI_BASE | {"paneleff.pipeline"} | modules
+
+
 def test_importing_the_package_loads_no_stage_module():
     assert loaded_after("import paneleff\nassert not hasattr(paneleff, 'no_such_name')") == {"paneleff"}
     assert loaded_after("from paneleff import pls\nassert pls.fit_path_model") >= {"paneleff", "paneleff.pls"}

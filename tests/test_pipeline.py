@@ -839,6 +839,28 @@ def test_cli_staged_stage_failure_writes_a_partial_report(demo_dir, tmp_path, ca
     assert report == {**before, **started}
 
 
+@pytest.mark.parametrize("error, message", [
+    (MemoryError("Unable to allocate 135. KiB for an array"), "out of memory: Unable to allocate 135. KiB for an array"),
+    (MemoryError(), "out of memory"),
+], ids=["numpy", "bare"])
+def test_cli_stage_out_of_memory_is_a_stage_error_with_a_partial_report(demo_dir, tmp_path, capsys, monkeypatch,
+                                                                       error, message):
+    # a MemoryError in a stage once reached the CLI as "internal error:
+    # MemoryError" and wrote no partial report
+    import paneleff.pipeline as pipeline
+
+    def failing(config, panel):
+        raise error
+
+    monkeypatch.setattr(pipeline, "run_pls_stage", failing)
+    out = tmp_path / "out"
+    assert cli_main(["pipeline", "--config", str(demo_dir / "config.json"), "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err.splitlines()[0] == f"stage error in pls: {message}"
+    report = json.loads((out / "report.json").read_text())
+    assert report["incomplete"] == {"stage": "pls", "message": message}
+    assert report["pls"] == {"pending": True} and "ict" in report["dea"] and "analyses" in report["cluster"]
+
+
 def test_cli_dea_stage_sets_the_cluster_sections_pending(demo_dir, tmp_path):
     # the cluster sections are computed from the DEA results; a dea run
     # once kept those of an earlier run beside its own results

@@ -41,3 +41,12 @@ def test_a_traced_pipeline_run_records_every_stage_span_once(tmp_path):
     stages = ("pipeline.run", "pipeline.load", "pipeline.dea_stage", "pipeline.cluster_stage",
               "pipeline.pls_stage", "pipeline.emit")
     assert {name: names[name] for name in stages} == dict.fromkeys(stages, 1)
+    # the stage code calls these through pipeline's names, which load their
+    # stage module when called; a stage that bound the function itself
+    # would route around the wrapper
+    analyses, models, baselines = (len(document["dea"]), len(document["pls"]["models"]),
+                                   len(document["pls"]["cobb_douglas"]))
+    calls = {"dea.run_panel_dea": analyses, "cluster.sweep_k": analyses, "pls.fit_path_model": models,
+             "pls.bootstrap": models, "pls.ols": baselines}
+    assert {name: names[name] for name in calls} == calls
+    assert min(calls.values()) > 0
