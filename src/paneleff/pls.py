@@ -33,18 +33,26 @@ replicate's first draw is a row of one generator's draws from the seed,
 the nonparametric bootstrap of Efron & Tibshirani ("An Introduction to
 the Bootstrap", 1993), and path models fitted to the same rows with the
 same seed share them (`resample_counts`). A replicate drawn again draws
-from a stream of its own, spawned from the seed by its index.
+from a stream of its own, keyed by the seed and its index. The streams are
+the standard library's MT19937 (`random.Random`), whose 32-bit words map
+to rows by Lemire's multiply-and-reject rule (`_draw_rows`).
 """
 
 from __future__ import annotations
 
 import math
+import random
 from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from .config import MIN_BOOTSTRAP_SAMPLES, LatentBlock, PathModelSpec  # noqa: F401 (LatentBlock re-exported)
+from .config import (  # noqa: F401 (LatentBlock re-exported)
+    MAX_BOOTSTRAP_SAMPLES,
+    MIN_BOOTSTRAP_SAMPLES,
+    LatentBlock,
+    PathModelSpec,
+)
 from .distributions import t_two_tailed_p
 from .errors import (
     CollinearityError,
@@ -259,35 +267,59 @@ def _counts(draws: np.ndarray) -> np.ndarray:
 def _check_resampling(samples: int, seed: int) -> None:
     if samples < MIN_BOOTSTRAP_SAMPLES:
         raise UsageError(f"bootstrap needs at least {MIN_BOOTSTRAP_SAMPLES} samples, got {samples}")
+    if samples > MAX_BOOTSTRAP_SAMPLES:
+        raise UsageError(f"bootstrap takes at most {MAX_BOOTSTRAP_SAMPLES} samples, got {samples}")
     if seed < 0:
         raise UsageError(f"bootstrap seed must be non-negative, got {seed}")
 
 
+def _draw_rows(rng: random.Random, n: int, count: int) -> np.ndarray:
+    """The next count rows of rng's stream, each uniform on range(n) for
+    0 < n <= 2**32. A 32-bit word w of the stream draws row (w * n) >> 32,
+    unless (w * n) mod 2**32 < 2**32 mod n, when the next word replaces it
+    (Lemire, "Fast random integer generation in an interval", ACM TOMACS
+    29(1), 2019; R's `sample()` since 3.6). The words are drawn in bulk:
+    `getrandbits(32 * m)`, read as little-endian uint32, is the words of m
+    `getrandbits(32)` calls in turn."""
+    reject = (1 << 32) % n
+    rows = []
+    while count:
+        words = np.frombuffer(rng.getrandbits(32 * count).to_bytes(4 * count, "little"), "<u4")
+        products = np.multiply(words, np.uint64(n), dtype=np.uint64)
+        if reject:
+            products = products[products.astype(np.uint32) >= reject]
+        rows.append((products >> 32).view(np.int64))  # rows < 2**32: the same values
+        count -= len(products)
+    return rows[0] if len(rows) == 1 else np.concatenate(rows)
+
+
 def resample_counts(n: int, samples: int, seed: int) -> np.ndarray:
     """The (samples, n) row counts of each bootstrap replicate's first
-    draw: for a non-negative seed, replicate i draws row i of
-    `default_rng(seed).integers(0, n, (samples, n))`, so a replicate's draw
-    does not depend on `samples`. The rows are drawn REPLICATE_BLOCK at a
-    time from the one generator, each block's counts in the narrowest
-    unsigned dtype that holds its largest count; the result is read-only.
-    Path models fitted to the same n rows with the same seed share them
-    (see `bootstrap_significance`)."""
+    draw: for a non-negative seed, replicate i draws the i-th n rows that
+    `_draw_rows` draws from `random.Random(seed)`, so a replicate's draw
+    does not depend on `samples`. The rows are drawn REPLICATE_BLOCK
+    replicates at a time from the one stream, each block's counts in the
+    narrowest unsigned dtype that holds its largest count; the result is
+    read-only. Path models fitted to the same n rows with the same seed
+    share them (see `bootstrap_significance`)."""
     _check_resampling(samples, seed)
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     blocks = []
     for k in range(0, samples, REPLICATE_BLOCK):
-        counts = _counts(rng.integers(0, n, (min(REPLICATE_BLOCK, samples - k), n)))
+        m = min(REPLICATE_BLOCK, samples - k)
+        counts = _counts(_draw_rows(rng, n, m * n).reshape(m, n))
         blocks.append(counts.astype(np.min_scalar_type(int(counts.max()))))
     counts = np.concatenate(blocks)
     counts.setflags(write=False)
     return counts
 
 
-def _redraw_stream(seed: int, replicate: int) -> np.random.Generator:
-    """A replicate's stream for redraws, spawned from the seed by its index
-    (numpy pads short entropy with zeros, so `default_rng((seed, 0))` would
-    be the first draws' generator)."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(replicate,)))
+def _redraw_stream(seed: int, replicate: int) -> random.Random:
+    """A replicate's stream for redraws, keyed by the seed and its index.
+    `random.Random` seeds from a str's bytes and their sha512 (the
+    interpreter's own), so the stream is neither the first draws'
+    `random.Random(seed)` nor another replicate's."""
+    return random.Random(f"{seed}:{replicate}")
 
 
 def _fit_counts(sample: _Sample, counts: np.ndarray, model: _CompiledModel) -> _StackFit:
@@ -345,19 +377,19 @@ def bootstrap_significance(full: PathEstimates, samples: int = 500, seed: int = 
     `full`, a model fitted by `fit_path_model`, from resamples of the rows
     it was fitted to.
 
-    Rows are resampled with replacement; replicate i first draws row i of
-    one generator's draws from the seed (`resample_counts`). A replicate
-    whose fit raises (a zero-variance column, a collapsed score, collinear
-    predecessors, zero outer weights or a singular structural regression)
-    is redrawn from a stream of its own, spawned from the seed by its
-    index, so its redraws do not depend on which other replicates fail; in
-    total up to 10x the requested count. One that does not converge is
-    kept as fitted. t statistics divide the full-sample
-    coefficient by the resampling standard deviation and are referred to a
-    Student-t distribution with n - 1 degrees of freedom. `counts` are the
-    replicates' first draws as `resample_counts(n, samples, seed)` returns
-    them, so that models fitted to the same rows draw them once; without
-    them they are drawn here.
+    Rows are resampled with replacement; replicate i first draws the i-th
+    n rows of the stream `random.Random(seed)` (`resample_counts`). A
+    replicate whose fit raises (a zero-variance column, a collapsed score,
+    collinear predecessors, zero outer weights or a singular structural
+    regression) is redrawn from a stream of its own, keyed by the seed and
+    its index (`_redraw_stream`), so its redraws do not depend on which
+    other replicates fail; in total up to 10x the requested count. One
+    that does not converge is kept as fitted. t statistics divide the
+    full-sample coefficient by the resampling standard deviation and are
+    referred to a Student-t distribution with n - 1 degrees of freedom.
+    `counts` are the replicates' first draws as `resample_counts(n,
+    samples, seed)` returns them, so that models fitted to the same rows
+    draw them once; without them they are drawn here.
 
     Every replicate is fitted by one `_fit_stack` call, and each round of
     redraws by one more.
@@ -392,7 +424,7 @@ def bootstrap_significance(full: PathEstimates, samples: int = 500, seed: int = 
                 f"more than {10 * samples} degenerate resamples; data is too discrete to bootstrap"
             )
         streams.update((k, _redraw_stream(seed, k)) for k in replicates.tolist() if k not in streams)
-        again = np.stack([streams[k].integers(0, n, size=n) for k in replicates.tolist()])
+        again = np.stack([_draw_rows(streams[k], n, n) for k in replicates.tolist()])
         fit = _fit_counts(sample, _counts(again), model)
 
     flip = _sign_alignment(np.array([full.outer_loadings[c] for c in model.columns]), loadings, model)

@@ -5,7 +5,8 @@ enumerates basic points and extreme rays, the clustering oracles enumerate
 set partitions or cut sets of the sorted values, the F-distribution oracle
 integrates the density with composite Simpson quadrature. scalar_fit and
 scalar_solve_lp are the one-at-a-time forms of the program's stacked PLS
-and simplex kernels, and the panel cell oracles the numpy-mask forms of
+and simplex kernels, scalar_rows the word-at-a-time form of its bulk
+bootstrap draw, and the panel cell oracles the numpy-mask forms of
 the program's loops over a panel's cell buffer, kept as the references
 those must equal bit for bit.
 """
@@ -13,6 +14,7 @@ those must equal bit for bit.
 from __future__ import annotations
 
 import math
+import random
 from itertools import combinations
 
 import numpy as np
@@ -391,12 +393,24 @@ def _structural_ols(T, y, names):
     return beta, float(resid @ resid)
 
 
+def scalar_rows(rng: random.Random, n: int, count: int) -> list:
+    """count rows of range(n) from rng, one getrandbits(32) word at a time:
+    a word w gives row (w * n) >> 32, and is rejected when (w * n) mod
+    2**32 < 2**32 mod n (Lemire's method, as R's sample() draws)."""
+    rows = []
+    while len(rows) < count:
+        w = rng.getrandbits(32)
+        if (w * n) % 2 ** 32 >= 2 ** 32 % n:
+            rows.append((w * n) >> 32)
+    return rows
+
+
 def scalar_bootstrap(data, spec, samples=500, seed=0):
     """The bootstrap fitted one replicate at a time: each resample is
-    standardized and fitted by itself. Replicate i first draws row i of
-    one generator's (samples, n) draws from the seed; a degenerate
-    resample is redrawn from the replicate's own stream, spawned from the
-    seed by i, up to 10x samples in total.
+    standardized and fitted by itself. Replicate i first draws the i-th n
+    rows of random.Random(seed)'s stream (scalar_rows); a degenerate
+    resample is redrawn from the replicate's own stream,
+    random.Random(f"{seed}:{i}"), up to 10x samples in total.
 
     Returns (std_error, t_statistic, p_value, redraws, unconverged), keyed
     like BootstrapSummary."""
@@ -412,10 +426,10 @@ def scalar_bootstrap(data, spec, samples=500, seed=0):
     draws = {p: np.empty(samples) for p in paths}
     redraws_left = 10 * samples
     unconverged = 0
-    first = np.random.default_rng(seed).integers(0, n, size=(samples, n))
+    first = random.Random(seed)
     for i in range(samples):
-        idx = first[i]
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+        idx = scalar_rows(first, n, n)
+        rng = random.Random(f"{seed}:{i}")
         while True:
             try:
                 X = standardize(X_raw[idx], columns=model.columns)
@@ -426,7 +440,7 @@ def scalar_bootstrap(data, spec, samples=500, seed=0):
                     raise DegenerateColumnError(
                         f"more than {10 * samples} degenerate resamples; data is too discrete to bootstrap"
                     ) from None
-                idx = rng.integers(0, n, size=n)
+                idx = scalar_rows(rng, n, n)
                 continue
             break
         unconverged += not est.converged

@@ -8,7 +8,7 @@ import json
 import pytest
 
 from paneleff.cli import cli_main
-from paneleff.config import parse_config
+from paneleff.config import MAX_BOOTSTRAP_SAMPLES, parse_config
 from paneleff.errors import ConfigError
 from paneleff.panel_data import write_panel_csv
 from paneleff.synthetic import make_demo_config, make_demo_panel
@@ -126,3 +126,14 @@ def test_a_document_json_cannot_hash_is_a_config_error(where):
     target[where[-1]] = {1: 2, "a": 3}
     with pytest.raises(ConfigError, match="not a JSON document"):
         parse_config(document)
+
+
+@pytest.mark.parametrize("samples", [MAX_BOOTSTRAP_SAMPLES + 1, 10 ** 12])
+def test_bootstrap_samples_above_the_bound_are_a_config_error(tmp_path, dataset, capsys, samples):
+    # 10**12 once passed validate, and pipeline then grew until memory ran out
+    document = make_demo_config()
+    document["pls"]["bootstrap"]["samples"] = samples
+    assert run_cli(tmp_path, dataset, document) == 1
+    assert capsys.readouterr().err == f"configuration error: pls.bootstrap.samples must be <= {MAX_BOOTSTRAP_SAMPLES}\n"
+    document["pls"]["bootstrap"]["samples"] = MAX_BOOTSTRAP_SAMPLES
+    assert parse_config(document).pls.bootstrap_samples == MAX_BOOTSTRAP_SAMPLES

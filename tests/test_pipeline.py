@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 from itertools import permutations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -136,7 +137,7 @@ def test_emitted_files(demo_bundle, tmp_path):
 
 # sha256 of every file emitted for the demo_dir fixture, in emission order
 DEMO_REPORT_SHA256 = [
-    ("report.json", "d4c17193ac3cb7ef0a78b65bd3287ae2636ca8d0e64d4e7a5c732379dcf468a7"),
+    ("report.json", "4d7cac31754adaf46ffd1f2531aef6e5d47931725746dbf29568643cf3728be8"),
     ("dea_ict_scores.csv", "894be26e07f8d285023dbc1a4b9aff491b86c41ef9a1f97ddb9d026e0a7f747b"),
     ("dea_health_scores.csv", "479e78ae1c18d85b3946175df02e264146cd94b02ee1c949306a0e1712fd0ff4"),
     ("cluster_ict_sweep.csv", "0736d7c2f5cb713e203f512efc83677166d5e0493a9bf0b4b0c96eba84f34b01"),
@@ -145,7 +146,7 @@ DEMO_REPORT_SHA256 = [
     ("cluster_health_membership.csv", "7ba4e44e0ea046923b05cd90fb0754e8e16768c22bdd4206ac5a5e7d3756934a"),
     ("correspondence.csv", "7b85187f27a2715821b8afaaa1d2588fe07f0896d911bdef1355a406c3ab285d"),
     ("contingency_ict_vs_health.csv", "5413e49d4705f561048fbdf0111473d3f544641c59ac3e416222c1070884cacb"),
-    ("pls_paths.csv", "78101a4ae564a82e461b2a1d1daf26c57ad5a62fe41243ef32f0659242d0c764"),
+    ("pls_paths.csv", "6f1cca4385fa541a6875846561e753391a11230334f24e2e933fd4561392857b"),
     ("pls_grid.csv", "7870698463164e7bc2f613cbed9d997e9efe86f0ca411699a3690cdccb7c03ec"),
     ("cobb_douglas_ln_leb.csv", "31f40d7f1c4c4ef553e646bfa853258b071ac7af939b225953a8ba3c98182ed4"),
     ("report.txt", "c89abe3252913ff2d4ee443d3de48f1a436ba3639843f38d2ef3aaab8c2c753f"),
@@ -524,18 +525,20 @@ def test_pls_stage_prepares_each_model_once(monkeypatch):
 
 def test_pls_stage_draws_each_replicate_once_for_all_models(monkeypatch):
     # the demo's three path models pool the same rows with the same seed,
-    # so one generator draws all 500 replicates for them all (none redraws)
+    # so one stream draws all 500 replicates for them all (none redraws)
+    import paneleff.pls as pls_module
+
     config = parse_config(make_demo_config())
     assert len(config.pls.models) == 3 and config.pls.bootstrap_samples == 500
     panel = make_demo_panel()
     made = []
-    default_rng = np.random.default_rng
 
-    def counting_rng(seed=None):
-        made.append(seed)
-        return default_rng(seed)
+    class CountingRandom(pls_module.random.Random):
+        def __init__(self, seed):
+            made.append(seed)
+            super().__init__(seed)
 
-    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    monkeypatch.setattr(pls_module, "random", SimpleNamespace(Random=CountingRandom))
     run_pls_stage(config, panel)
     assert made == [config.pls.bootstrap_seed]
 

@@ -1,18 +1,21 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
-from oracles import ols_by_lstsq, scalar_bootstrap, scalar_fit
+from oracles import ols_by_lstsq, scalar_bootstrap, scalar_fit, scalar_rows
 from paneleff.distributions import t_two_tailed_p
 from paneleff.errors import CollinearityError, DegenerateColumnError, DomainError, UsageError
 from paneleff.panel_data import PanelDataset, VariableDef
 from paneleff.pls import (
+    MAX_BOOTSTRAP_SAMPLES,
     REPLICATE_BLOCK,
     LatentBlock,
     PathModelSpec,
     _CompiledModel,
     _counts,
+    _draw_rows,
     _matrix_from_mapping,
     _redraw_stream,
     _sign_alignment,
@@ -388,6 +391,16 @@ def test_bootstrap_rejects_a_negative_seed():
         bootstrap_significance(est, samples=100, seed=-1, counts=resample_counts(20, 100, 0))
 
 
+def test_bootstrap_rejects_more_samples_than_the_bound():
+    x = np.random.default_rng(48).normal(size=20)
+    est = fit_path_model({"x": x, "y": x ** 3}, two_block_spec())
+    for samples in (MAX_BOOTSTRAP_SAMPLES + 1, 10 ** 12):
+        with pytest.raises(UsageError, match=f"at most {MAX_BOOTSTRAP_SAMPLES} samples, got {samples}"):
+            resample_counts(20, samples, 0)
+        with pytest.raises(UsageError, match=f"at most {MAX_BOOTSTRAP_SAMPLES} samples"):
+            bootstrap_significance(est, samples=samples)
+
+
 def test_bootstrap_needs_estimates_from_fit_path_model():
     x = np.random.default_rng(49).normal(size=20)
     full = fit_path_model({"x": x, "y": x ** 3}, two_block_spec())
@@ -533,22 +546,51 @@ def test_bootstrap_from_given_counts_equals_drawing_them_and_redraws_alike():
     assert given == bootstrap_significance(fit_path_model(data, two_block_spec()), samples=200, seed=5)
 
 
-@pytest.mark.parametrize("n, samples, seed", [(12, 101, 4), (270, 500, 2), (720, 3 * REPLICATE_BLOCK + 5, 0)])
+@pytest.mark.parametrize("n, samples, seed", [(1, 101, 3), (2, 101, 3), (3, 130, 3), (12, 101, 4), (270, 500, 2),
+                                              (720, 3 * REPLICATE_BLOCK + 5, 0)])
 def test_first_draws_are_rows_of_one_generator(n, samples, seed):
     counts = resample_counts(n, samples, seed)
     assert samples % REPLICATE_BLOCK
-    assert np.array_equal(counts, _counts(np.random.default_rng(seed).integers(0, n, (samples, n))))
+    rng = random.Random(seed)
+    assert np.array_equal(counts, _counts(np.array([scalar_rows(rng, n, n) for _ in range(samples)])))
     # a replicate's first draw does not depend on how many are drawn
     assert np.array_equal(counts, resample_counts(n, samples + 37, seed)[:samples])
 
 
+class CountingRandom(random.Random):
+    """random.Random that counts the 32-bit words drawn from it."""
+
+    words = 0
+
+    def getrandbits(self, k):
+        self.words += -(-k // 32)
+        return super().getrandbits(k)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 270, 720, 2 ** 31 + 1])
+def test_bulk_draws_equal_the_word_at_a_time_draws(n):
+    for seed in (0, 9):
+        bulk, scalar = CountingRandom(seed), CountingRandom(seed)
+        rows = _draw_rows(bulk, n, 3000)
+        assert rows.tolist() == scalar_rows(scalar, n, 3000)
+        assert rows.min() >= 0 and rows.max() < n
+        # both read the same words and no more: 2**32 mod n of the 2**32
+        # words are rejected, about half of them for n = 2**31 + 1
+        assert bulk.words == scalar.words and bulk.getrandbits(32) == scalar.getrandbits(32)
+        if n == 2 ** 31 + 1:
+            assert 0.45 < 3000 / scalar.words < 0.55
+        # the first rows do not depend on how many are drawn
+        assert np.array_equal(_draw_rows(random.Random(seed), n, 1000), rows[:1000])
+
+
 def test_redraw_streams_are_not_the_first_draw_stream():
-    # numpy pads short entropy with zeros: default_rng((seed, 0)) would
-    # replay the first draws, so replicate 0 must be keyed apart from them
-    first = np.random.default_rng(5).integers(0, 12, (100, 12))
-    redraw = _redraw_stream(5, 0).integers(0, 12, (100, 12))
+    # each replicate redraws from a stream keyed by the seed and its index:
+    # none replays the first draws' stream or another replicate's
+    first = np.array(scalar_rows(random.Random(5), 12, 100 * 12)).reshape(100, 12)
+    redraw = _draw_rows(_redraw_stream(5, 0), 12, 100 * 12).reshape(100, 12)
     assert not (redraw[:, None, :] == first[None, :, :]).all(axis=2).any()
-    assert not np.array_equal(_redraw_stream(5, 0).integers(0, 12, 12), _redraw_stream(5, 1).integers(0, 12, 12))
+    words = [[_redraw_stream(seed, i).getrandbits(64) for i in range(50)] for seed in (0, 5)]
+    assert len({*words[0], *words[1], random.Random(0).getrandbits(64), random.Random(5).getrandbits(64)}) == 102
 
 
 @pytest.mark.parametrize("shape", [(199, 12), (200, 11), (200,)])
