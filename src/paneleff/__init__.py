@@ -60,3 +60,14 @@ def __getattr__(name):
 
 def __dir__():
     return sorted({*globals(), *__all__})
+
+
+def _lazy(module: str, name: str):
+    """A function that imports paneleff.<module> when called and hands the
+    call on to its <name>, looked up at call time."""
+
+    def call(*args, **kwargs):
+        return getattr(importlib.import_module(f".{module}", __name__), name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call

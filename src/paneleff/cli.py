@@ -29,7 +29,7 @@ import json
 import os
 import sys
 
-from . import __version__
+from . import __version__, _lazy
 from .config import PipelineConfig, config_from_file, validate_config_dataset
 from .errors import ConfigError, PanelEffError, StageError, ValidationFailedError
 from .panel_data import load_panel, slice_period, write_panel_csv
@@ -37,10 +37,6 @@ from .panel_data import load_panel, slice_period, write_panel_csv
 # one OpenBLAS thread unless the user sets a count (numpy is not loaded yet): a
 # threaded product splits by core count, and the bootstrap's last bits move with it
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-
-def main(argv=None) -> int:
-    return cli_main(argv)
 
 
 def cli_main(argv=None) -> int:
@@ -70,6 +66,9 @@ def cli_main(argv=None) -> int:
     except Exception as exc:  # contract: never a bare stack trace
         _err(args, f"internal error: {type(exc).__name__}: {exc}")
         return 2
+
+
+main = cli_main
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -137,18 +136,8 @@ def _load_config(args) -> PipelineConfig:
     return config._replace(output_dir=args.out or config.output_dir, formats=formats)
 
 
-def run_pipeline(config: PipelineConfig, stage: str | None = None) -> dict:
-    """pipeline.run_pipeline, with the pipeline loaded on the first call."""
-    from . import pipeline
-
-    return pipeline.run_pipeline(config, stage)
-
-
-def emit_report(report: dict, out_dir: str, formats) -> list[str]:
-    """pipeline.emit_report, with the pipeline loaded on the first call."""
-    from . import pipeline
-
-    return pipeline.emit_report(report, out_dir, formats)
+run_pipeline = _lazy("pipeline", "run_pipeline")
+emit_report = _lazy("pipeline", "emit_report")
 
 
 def _run(args, config: PipelineConfig, stage: str | None) -> int:

@@ -37,6 +37,7 @@ from .panel_data import (
     ValidationReport,
     VariableDef,
     cell_findings,
+    empty_panel_findings,
     load_panel,
     validate_for_dea,
 )
@@ -467,10 +468,11 @@ def validate_config_dataset(config: PipelineConfig) -> tuple[dict[str, Validatio
 
 
 def _unusable_pls_cells(cfg: PlsStageConfig, panel: PanelDataset) -> list[Finding]:
-    """`cell_findings` of the variables the PLS stage reads, model
-    indicators first: each must be finite, and a Cobb-Douglas variable,
-    which the stage logs, strictly positive."""
+    """`empty_panel_findings`, then `cell_findings` of the variables the
+    PLS stage reads, model indicators first: each must be finite, and a
+    Cobb-Douglas variable, which the stage logs, strictly positive."""
     indicators = [i for m in cfg.models for i in m.spec.indicator_names]
     logged = [v for c in cfg.cobb_douglas for v in (c.ict_var, *c.health_vars, c.target)]
-    return [finding for name in dict.fromkeys(indicators + logged)
-            for finding in cell_findings(panel, (name,), positive=name in logged)]
+    cells = [finding for name in dict.fromkeys(indicators + logged)
+             for finding in cell_findings(panel, (name,), positive=name in logged)]
+    return empty_panel_findings(panel) + cells

@@ -349,7 +349,7 @@ class _Stack:
 
         x_std = np.zeros((G, self.total_cols))
         x_std[g, basis2] = x_basic
-        np.maximum(x_std, 0.0, out=x_std)  # clip roundoff negatives
+        x_std[(x_std >= -FEAS_TOL) & (x_std <= 0.0)] = 0.0  # zero roundoff; the certificate rejects larger negatives
 
         x = x_std[:, :self.c.size]
 

@@ -125,7 +125,8 @@ class PanelDataset(_PanelDataset):
         try:
             return self.periods.index(period)
         except ValueError:
-            raise PeriodLookupError(f"unknown period {period!r}; dataset covers {self.periods[0]}..{self.periods[-1]}") from None
+            covers = f"{self.periods[0]}..{self.periods[-1]}" if self.periods else "no periods"
+            raise PeriodLookupError(f"unknown period {period!r}; dataset covers {covers}") from None
 
     def column(self, name: str) -> np.ndarray:
         """The (dmu, period) matrix for one variable."""
@@ -282,13 +283,24 @@ def cell_findings(panel: PanelDataset, names, positive: bool = False) -> list[Fi
     return findings
 
 
+def empty_panel_findings(panel: PanelDataset) -> list[Finding]:
+    """EMPTY_PANEL for a panel without DMUs or periods, which no stage can
+    use; no finding otherwise."""
+    n_dmus, n_periods = len(panel.dmus), len(panel.periods)
+    if n_dmus and n_periods:
+        return []
+    return [Finding("EMPTY_PANEL", f"the dataset has {n_dmus} DMUs and {n_periods} periods; "
+                    "a stage needs at least one of each", f"dmus={n_dmus},periods={n_periods}")]
+
+
 def validate_for_dea(panel: PanelDataset, spec) -> ValidationReport:
     """Check a dataset against one DEA model configuration.
 
     Errors: unknown variables, role mismatches, missing or non-positive
-    input/output cells. Warnings: DISCRIMINATION when the DMU count does
-    not exceed the product of input and output counts, and UNDESIRABLE
-    for less-is-better outputs that still need a direction transform.
+    input/output cells, and EMPTY_PANEL for a panel without DMUs or
+    periods. Warnings: DISCRIMINATION when the DMU count does not exceed
+    the product of input and output counts, and UNDESIRABLE for
+    less-is-better outputs that still need a direction transform.
     Always returns a report rather than raising.
     """
     errors: list[Finding] = []
@@ -321,9 +333,11 @@ def validate_for_dea(panel: PanelDataset, spec) -> ValidationReport:
 
     errors += cell_findings(panel, [n for n in (*spec.input_vars, *spec.output_vars) if n in known], positive=True)
 
+    empty = empty_panel_findings(panel)
+    errors += empty
     n_dmus = len(panel.dmus)
     product = len(spec.input_vars) * len(spec.output_vars)
-    if n_dmus <= product:
+    if not empty and n_dmus <= product:
         warnings.append(
             Finding(
                 "DISCRIMINATION",

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _lazy
 from .config import CobbDouglasConfig, PipelineConfig, _unusable_pls_cells, sha256
 from .errors import ConfigError, PanelEffError, StageError, UsageError, ValidationFailedError
 # validate_for_dea is not called here; perfbench/tracing.py wraps it under
@@ -40,9 +40,7 @@ from .panel_data import PanelDataset, load_panel, validate_for_dea  # noqa: F401
 
 if TYPE_CHECKING:
     from .cluster import KSweepReport
-    from .config import DeaSpec, PathModelSpec
     from .dea import EfficiencyPanel
-    from .pls import BootstrapSummary, OlsFit, PathEstimates
 
 REPORT_BASENAME = "report"
 
@@ -90,42 +88,13 @@ def load_dataset(config: PipelineConfig) -> PanelDataset:
 #
 # The stage functions call these five names as this module's globals,
 # resolved when called: perfbench/tracing.py wraps them under this module's
-# name. Each loads its stage module on the first call.
+# name. Each imports its stage module when called (_lazy).
 
-
-def run_panel_dea(panel: PanelDataset, spec: DeaSpec) -> EfficiencyPanel:
-    """dea.run_panel_dea, with dea loaded on the first call."""
-    from . import dea
-
-    return dea.run_panel_dea(panel, spec)
-
-
-def sweep_k(points, k_max: int, k_min: int, significance: float) -> KSweepReport:
-    """cluster.sweep_k, with cluster loaded on the first call."""
-    from . import cluster
-
-    return cluster.sweep_k(points, k_max, k_min, significance=significance)
-
-
-def fit_path_model(data, spec: PathModelSpec) -> PathEstimates:
-    """pls.fit_path_model, with pls loaded on the first call."""
-    from . import pls
-
-    return pls.fit_path_model(data, spec)
-
-
-def bootstrap_significance(full: PathEstimates, samples: int, seed: int, counts) -> BootstrapSummary:
-    """pls.bootstrap_significance, with pls loaded on the first call."""
-    from . import pls
-
-    return pls.bootstrap_significance(full, samples=samples, seed=seed, counts=counts)
-
-
-def ols(design, target) -> OlsFit:
-    """pls.ols, with pls loaded on the first call."""
-    from . import pls
-
-    return pls.ols(design, target)
+run_panel_dea = _lazy("dea", "run_panel_dea")
+sweep_k = _lazy("cluster", "sweep_k")
+fit_path_model = _lazy("pls", "fit_path_model")
+bootstrap_significance = _lazy("pls", "bootstrap_significance")
+ols = _lazy("pls", "ols")
 
 
 def run_dea_stage(config: PipelineConfig, panel: PanelDataset) -> dict:

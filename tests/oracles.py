@@ -672,7 +672,7 @@ def scalar_solve_lp(problem):
 
     x_std = np.zeros(total_cols)
     x_std[basis2] = x_basic
-    np.maximum(x_std, 0.0, out=x_std)  # clip roundoff negatives
+    x_std[(x_std >= -FEAS_TOL) & (x_std <= 0.0)] = 0.0  # zero roundoff; the certificate rejects larger negatives
 
     x = x_std[:n]
 

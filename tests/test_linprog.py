@@ -311,3 +311,17 @@ def test_certificates_scale_each_row_and_column_by_its_own_terms(case):
         raise errors[0]
     with pytest.raises(LpSolverError, match=message):
         oracles._check_certificates(problem, M, slack_coef, rhs, x, dual, objective, 0)
+
+
+def test_finish_rejects_a_basic_value_below_the_feasibility_tolerance():
+    # x0 - x1 = -1 on the basis {x0} gives x0 = -1; finish once clipped it
+    # to 0 before the certificate ran, which then reported the row as
+    # infeasible in place of the negative value
+    from paneleff import linprog
+    from paneleff.errors import LpSolverError
+
+    stack = linprog._Stack(np.array([1.0, 0.0]), "min", np.array([[[1.0, -1.0]]]), np.array(["="]),
+                           np.array([[-1.0]]))
+    stack.finish(np.array([0]), np.array([0]), np.array([[0]]))
+    with pytest.raises(LpSolverError, match="negative value for a nonnegative variable"):
+        raise stack.outcomes[0]

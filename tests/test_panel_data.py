@@ -264,6 +264,18 @@ def test_slice_unknown_period_is_lookup_error():
         slice_period(panel, "2008", DeaSpec(("x",), ("y",)))
 
 
+@pytest.mark.parametrize("dmus", [(), ("D0", "D1")], ids=["no-dmus", "no-periods"])
+def test_an_empty_panel_fails_validation_and_has_no_period_to_look_up(dmus):
+    # a header-only dataset once passed validate_for_dea, and looking a period
+    # up in it raised IndexError
+    panel = PanelDataset(dmus, (), (X, Y), np.zeros((len(dmus), 0, 2)))
+    report = validate_for_dea(panel, DeaSpec(("x",), ("y",)))
+    assert [f.code for f in report.errors] == ["EMPTY_PANEL"]
+    assert not report.warnings
+    with pytest.raises(PeriodLookupError, match="covers no periods"):
+        panel.period_index("1998")
+
+
 def test_slicing_all_periods_restacks_to_original():
     rng = np.random.default_rng(2)
     periods = tuple(str(1998 + p) for p in range(10))

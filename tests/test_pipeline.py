@@ -680,13 +680,21 @@ def test_cli_stage_treats_a_malformed_report_as_absent(demo_dir, tmp_path, capsy
         assert all(report[s] == {"pending": True} for s in ("dea", "cluster", "pls") if s != fresh)
 
 
+def short_scores_row(report):
+    """Damage: the first scores row of the ict DEA table one entry short."""
+    ict = report["dea"]["ict"]
+    return {"dea": {**report["dea"], "ict": {**ict, "scores": [ict["scores"][0][:-1], *ict["scores"][1:]]}}}
+
+
 @pytest.mark.parametrize("damage", [
     {"dea": []},
     {"dea": {"ict": {"scores": 5}, "health": {}}},
     {"dea": "ict"},
     {"cluster": {"analyses": []}},
     {"pls": {"models": {"m": {"paths": 7}}}},
-], ids=["dea-list", "dea-tables-without-keys", "dea-string", "cluster-analyses-list", "pls-paths-number"])
+    short_scores_row,  # only the text render in read_report checks a row's length
+], ids=["dea-list", "dea-tables-without-keys", "dea-string", "cluster-analyses-list", "pls-paths-number",
+        "dea-scores-row-short"])
 def test_cli_stage_treats_a_report_with_a_malformed_section_as_absent(demo_dir, tmp_path, capsys, damage):
     # a report of this run whose sections have the wrong shape once failed
     # the next stage with an internal error (exit 2)
@@ -694,6 +702,7 @@ def test_cli_stage_treats_a_report_with_a_malformed_section_as_absent(demo_dir, 
     out = tmp_path / "out"
     assert cli_main(["dea", "--config", config, "--out", str(out), "--quiet"]) == 0
     report = json.loads((out / "report.json").read_text())
+    damage = damage(report) if callable(damage) else damage
     for stage in ("cluster", "pls"):
         (out / "report.json").write_text(json.dumps({**report, **damage}))
         code = cli_main([stage, "--config", config, "--out", str(out), "--quiet"])
@@ -914,6 +923,29 @@ def test_cli_nonpositive_dataset_fails_validation(tmp_path, capsys):
     code = cli_main(["validate", "--config", str(tmp_path / "config.json")])
     assert code == 1
     assert "NONPOSITIVE" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [["validate"], ["dea"], ["dea", "--period", "1998"], ["pipeline"]],
+                         ids=["validate", "dea", "dea-period", "pipeline"])
+def test_cli_fails_a_header_only_dataset_as_invalid(demo_dir, tmp_path, capsys, command):
+    # with no cluster stage to catch it, a dataset without rows once passed
+    # validate, dea and pipeline (writing empty tables), and dea --period
+    # failed with an internal IndexError
+    config = write_config(demo_dir, tmp_path, lambda d: [d.pop("cluster"), d.pop("pls")])
+    (tmp_path / "dataset.csv").write_text("dmu,period,variable,value\n")
+    assert cli_main([*command, "--config", config, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    captured = capsys.readouterr()
+    assert "ERROR EMPTY_PANEL at dmus=0,periods=0" in captured.out + captured.err
+    assert "internal error" not in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_pls_stage_fails_a_header_only_dataset_with_a_stage_error(demo_dir, tmp_path, capsys):
+    # the pls stage once failed it with an internal ZeroDivisionError
+    config = write_config(demo_dir, tmp_path, lambda d: None)
+    (tmp_path / "dataset.csv").write_text("dmu,period,variable,value\n")
+    assert cli_main(["pls", "--config", config, "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("stage error in pls: the dataset has 0 DMUs and 0 periods")
 
 
 @pytest.mark.parametrize("cell", ["inf", "-inf"])
