@@ -23,7 +23,8 @@ two columns, x = x+ - x-, with the second column the negated first.
 
 Tolerances are fixed rather than configurable so that downstream efficiency
 scores stay bit-stable: pivot tolerance 1e-9, feasibility tolerance 1e-7,
-both relative to an up-front row equilibration of the constraint matrix.
+both on rows scaled once to a largest coefficient of 1, whose slacks are
+unit columns, so a row multiplied by a power of two changes no pivot.
 
 Every optimum is certified before it is returned: the primal point is
 feasible, the duals are dual-feasible (each sign matches its relation and
@@ -187,24 +188,21 @@ class _Stack:
         K, m, n = M.shape
         self.c, self.sense, self.M, self.rhs = c, sense, M, rhs
 
+        # Rows with a negative rhs are negated, then every row of M is
+        # scaled once to a largest coefficient of 1 (an all-zero row by 1),
+        # and the slacks are unit columns of the scaled rows.
+        self.row_sign = row_sign = np.where(rhs[0] < 0.0, -1.0, 1.0)
+        row_max = np.abs(M).max(axis=2, initial=0.0)
+        self.row_scale = row_scale = np.where(row_max > 0.0, row_max, 1.0)
         self.slack_coef = slack_coef = (relations == "<=") - (relations == ">=").astype(float)
         has_slack = slack_coef != 0.0
         n_slacks = int(has_slack.sum())
-        A = np.zeros((K, m, n + n_slacks))
-        A[:, :, :n] = M
+        self.A = A = np.zeros((K, m, n + n_slacks))
+        A[:, :, :n] = M * row_sign[:, None] / row_scale[:, :, None]
+        self.b = b = rhs * row_sign / row_scale
         slack_of_row = np.full(m, -1, dtype=int)
         slack_of_row[has_slack] = n + np.arange(n_slacks)
-        A[:, has_slack, slack_of_row[has_slack]] = slack_coef[has_slack]
-
-        # Rows with a negative rhs are negated, then every row is scaled
-        # to a largest coefficient of 1.
-        self.row_sign = row_sign = np.where(rhs[0] < 0.0, -1.0, 1.0)
-        A *= row_sign[:, None]
-        b = rhs * row_sign
-        self.row_scale = row_scale = np.maximum(np.abs(A).max(axis=2), 1e-12)
-        A /= row_scale[:, :, None]
-        b /= row_scale
-        self.A, self.b = A, b
+        A[:, has_slack, slack_of_row[has_slack]] = (slack_coef * row_sign)[has_slack]
 
         self.total_cols = total_cols = A.shape[2]
         self.c_full = np.zeros(total_cols)
@@ -222,9 +220,6 @@ class _Stack:
         T[:, :m, :total_cols] = A
         T[:, :m, -1] = b
         T[:, artificial_rows, start[artificial_rows]] = 1.0
-        # Normalize rows whose initial basic column is a scaled slack: the
-        # slack's coefficient there is 1 / row_scale.
-        T[:, :m] /= np.where(own_slack, 1.0 / row_scale, 1.0)[:, :, None]
 
         self.basis = np.empty((K, m), dtype=int)
         self.basis[:] = start

@@ -276,10 +276,11 @@ def run_pls_stage(config: PipelineConfig, panel: PanelDataset) -> dict:
     from .pls import resample_counts
 
     cfg = config.pls
-    cells = _unusable_pls_cells(cfg, panel)
-    if cells:
-        raise UsageError(f"{cells[0].message} at {cells[0].location} "
-                         f"({len(cells)} cell(s) the pls stage cannot use; see paneleff validate)")
+    findings = _unusable_pls_cells(cfg, panel)
+    if findings:  # an empty panel has no cells, and no other finding
+        cells = "" if findings[0].code == "EMPTY_PANEL" else (
+            f" ({len(findings)} cell(s) the pls stage cannot use; see paneleff validate)")
+        raise UsageError(f"{findings[0].message} at {findings[0].location}{cells}")
     data = _pooled_observations(panel)
     # every model pools the same rows, so they share each replicate's first draw
     counts = resample_counts(len(panel.dmus) * len(panel.periods), cfg.bootstrap_samples, cfg.bootstrap_seed)

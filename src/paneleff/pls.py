@@ -351,8 +351,9 @@ def fit_path_model(data, spec: PathModelSpec) -> PathEstimates:
         raise UsageError(
             f"need at least {largest + 3} observations for {largest} predictor(s), got {X_raw.shape[0]}"
         )
-    if not np.all(np.isfinite(X_raw)):
-        raise UsageError("standardize requires finite values")
+    finite = np.isfinite(X_raw).all(axis=0)
+    if not finite.all():
+        raise UsageError(f"indicator {model.columns[int(np.argmin(finite))]!r} has non-finite values")
     sample = _Sample(X_raw)
     fit = _fit_stack(*sample.correlations(np.ones((1, sample.n), dtype=np.int64)), model, sample.n)
     if fit.errors:

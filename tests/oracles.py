@@ -581,8 +581,11 @@ def scalar_solve_lp(problem):
     b[negative] *= -1.0
     row_sign[negative] = -1.0
 
-    row_scale = np.maximum(np.abs(A).max(axis=1), 1e-12)
-    A /= row_scale[:, None]
+    # Scale each row of M once; the slacks stay unit columns of the scaled
+    # rows.
+    row_max = np.abs(A[:, :n]).max(axis=1)
+    row_scale = np.where(row_max > 0.0, row_max, 1.0)
+    A[:, :n] /= row_scale[:, None]
     b /= row_scale
 
     total_cols = A.shape[1]
@@ -598,10 +601,6 @@ def scalar_solve_lp(problem):
     T[:m, :total_cols] = A
     T[:m, -1] = b
     T[artificial_rows, total_cols + np.arange(n_art)] = 1.0
-
-    # Normalize rows whose initial basic column is a scaled slack.
-    slack_rows = np.flatnonzero(own_slack)
-    T[slack_rows] /= T[slack_rows, basis_arr[slack_rows]][:, None]
 
     basis: list[int] = basis_arr.tolist()
     allowed = np.ones(total_cols + n_art, dtype=bool)

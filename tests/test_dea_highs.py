@@ -87,21 +87,12 @@ def test_collinear_columns(n):
         assert_scores_match_highs(cross_section(X, Y), spec)
 
 
-# Known fault: an own-slack row is divided by its slack's coefficient to
-# start the basis, which undoes the row's equilibration, so rows keep their
-# raw magnitudes while every tolerance is absolute. With columns of 1e-6 and
-# 1e6 units, or a column spanning 1e-6..1e6, some programs then stop with a
-# certificate error and some return scores off by up to 2e-3 that pass the
-# certificates. Fixing it changes the pivots of ordinary programs too.
-RAW_ROW_SCALE = pytest.mark.xfail(strict=True, reason="own-slack rows lose their equilibration")
-
-
 @pytest.mark.parametrize("n, units, span", [
     pytest.param(200, 3, 0, id="units-1e-3..1e3-n200"),
     pytest.param(200, 0, 3, id="span-1e-3..1e3-n200"),
     pytest.param(8, 6, 6, id="units-and-span-1e-6..1e6-n8"),
-    pytest.param(80, 6, 0, id="units-1e-6..1e6-n80", marks=RAW_ROW_SCALE),
-    pytest.param(40, 0, 6, id="span-1e-6..1e6-n40", marks=RAW_ROW_SCALE),
+    pytest.param(80, 6, 0, id="units-1e-6..1e6-n80"),
+    pytest.param(40, 0, 6, id="span-1e-6..1e6-n40"),
 ])
 def test_magnitudes(n, units, span):
     # inputs in units of 10^-units, 1 and 10^units; with span, the first

@@ -69,3 +69,29 @@ def test_crs_scores_are_at_most_vrs_scores_under_input_orientation(cs):
 @given(cross_sections(), st.sampled_from(["input", "output"]))
 def test_every_crs_period_has_a_dmu_scoring_exactly_one(cs, orientation):
     assert 1.0 in score_period(cs, DeaSpec(("x",), ("y",), "CRS", orientation)).tolist()
+
+
+def in_units(cs, data, exponents, scale):
+    """cs with each input and output column multiplied by its own
+    scale(k), k drawn from exponents."""
+    def columns(matrix):
+        ks = data.draw(st.lists(exponents, min_size=matrix.shape[1], max_size=matrix.shape[1]))
+        return scale(matrix, np.array(ks))
+    return CrossSection(cs.period, cs.dmus, columns(cs.inputs), columns(cs.outputs))
+
+
+@PROPERTY_SETTINGS
+@given(cross_sections(), specs, st.data())
+def test_power_of_two_units_leave_every_score_bit_identical(cs, spec, data):
+    # radial scores are units-invariant, and the solver scales each row of
+    # its programs, one per DEA column, to a largest coefficient of 1: a
+    # power of two leaves every scaled row, and so every pivot, unchanged
+    rescaled = in_units(cs, data, st.integers(-30, 30), np.ldexp)
+    assert score_period(rescaled, spec).tolist() == score_period(cs, spec).tolist()
+
+
+@PROPERTY_SETTINGS
+@given(cross_sections(), specs, st.data())
+def test_decimal_units_move_scores_only_by_roundoff(cs, spec, data):
+    rescaled = in_units(cs, data, st.integers(-6, 6), lambda matrix, ks: matrix * 10.0 ** ks)
+    assert np.allclose(score_period(rescaled, spec), score_period(cs, spec), rtol=1e-9, atol=0.0)

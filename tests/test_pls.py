@@ -250,6 +250,14 @@ def test_too_few_observations_rejected():
         fit_path_model({"x": np.array([1.0, 2.0]), "y": np.array([1.0, 2.0])}, spec)
 
 
+def test_non_finite_indicator_is_named():
+    rng = np.random.default_rng(109)
+    data = {"x": rng.normal(size=20), "y": rng.normal(size=20)}
+    data["y"][[3, 7]] = [np.nan, np.inf]
+    with pytest.raises(UsageError, match="indicator 'y' has non-finite values"):
+        fit_path_model(data, two_block_spec())
+
+
 # --- the full-sample fit against the scalar ALS loop -----------------------
 
 def assert_fit_equals_scalar_fit(data, spec, rel=1e-12):
