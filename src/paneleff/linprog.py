@@ -1,16 +1,18 @@
 """Self-contained dense linear-programming solver.
 
 Two-phase primal simplex on the dense standard form, run in lockstep over a
-stack of programs. `solve_stack(objective, sense, A, relations, b)` takes
+stack of programs. `solve_stack(objective, sense, A, relations, b)` solves
 programs that share objective, sense and relations, with a constraint
-matrix A[k] and rhs b[k] each. Only the sign of each rhs, which fixes the
-start basis, can still differ, so a stack splits only on its members' rhs
-sign patterns. Every tableau of a stack takes one pivot
-per step, and each step is the same few numpy operations whatever the
-stack's size. A program that reaches optimality or unboundedness, or
-breaks down, leaves the stack; programs whose phase 1 drops different
-redundant rows go on in separate sub-stacks. `solve_lp` solves one
-LpProblem as a stack of one.
+matrix A[k] and rhs b[k] each, as one stack per call; `solve_lp` solves one
+LpProblem as a stack of one. Every tableau of a stack takes one pivot per
+step, the same few numpy operations whatever the stack's size, and a
+program leaves the stack when it reaches optimality or unboundedness, or
+breaks down. An artificial variable is a basis marker, not a tableau
+column, and never enters (Dantzig, Linear Programming and Extensions, 1963,
+ch. 5), so every tableau has the same width whatever its rhs signs. A row
+whose artificial phase 1 cannot pivot out is redundant: the artificial
+stays basic at zero, the row is cleared and its dual is 0, and a "singular
+final basis" error may list its marker, total_cols + row.
 
 Each program keeps its own pricing state. Pricing starts with Dantzig's rule
 and falls back to Bland's rule once 50 consecutive degenerate pivots are
@@ -162,27 +164,18 @@ def solve_stack(objective, sense, A, relations, b) -> list:
     the program's LpSolution, or the LpSolverError that solve_lp raises for
     it.
 
-    The members whose right-hand sides share a sign pattern, which fixes
-    the start basis, are solved as one lockstep stack; the result of each
-    equals solve_lp on it alone, bit for bit.
+    The members are solved as one lockstep stack, whatever their rhs signs;
+    the result of each equals solve_lp on it alone, bit for bit.
     """
     c, A, relations, b = _validated(objective, sense, A, relations, b)
-    outcomes: list = [None] * len(A)
-    negative = b < 0.0
-    rest = np.arange(len(A))
-    while rest.size:
-        same = (negative[rest] == negative[rest[0]]).all(axis=1)
-        members = rest[same]
-        for k, outcome in zip(members.tolist(), _Stack(c, sense, A[members], relations, b[members]).solve()):
-            outcomes[k] = outcome
-        rest = rest[~same]
-    return outcomes
+    return _Stack(c, sense, A, relations, b).solve()
 
 
 class _Stack:
     """The standard form of a stack of programs that share objective,
-    sense, relations and rhs signs, and the outcome of each as the phases
-    settle it."""
+    sense and relations, and the outcome of each as the phases settle it.
+    A row's artificial is the marker total_cols + row in its basis; each
+    tableau has n + slacks + 1 columns."""
 
     def __init__(self, c, sense, M, relations, rhs):
         K, m, n = M.shape
@@ -190,91 +183,78 @@ class _Stack:
 
         # Rows with a negative rhs are negated, then every row of M is
         # scaled once to a largest coefficient of 1 (an all-zero row by 1),
-        # and the slacks are unit columns of the scaled rows.
-        self.row_sign = row_sign = np.where(rhs[0] < 0.0, -1.0, 1.0)
+        # and the slacks are unit columns of the scaled rows. The last m
+        # columns of A are the unit columns of the markers, which finish
+        # reads and the tableau leaves out.
+        self.row_sign = row_sign = np.where(rhs < 0.0, -1.0, 1.0)
         row_max = np.abs(M).max(axis=2, initial=0.0)
         self.row_scale = row_scale = np.where(row_max > 0.0, row_max, 1.0)
         self.slack_coef = slack_coef = (relations == "<=") - (relations == ">=").astype(float)
         has_slack = slack_coef != 0.0
-        n_slacks = int(has_slack.sum())
-        self.A = A = np.zeros((K, m, n + n_slacks))
-        A[:, :, :n] = M * row_sign[:, None] / row_scale[:, :, None]
+        self.total_cols = total_cols = n + int(has_slack.sum())
+        self.A = A = np.zeros((K, m, total_cols + m))
+        A[:, :, :n] = M * row_sign[:, :, None] / row_scale[:, :, None]
         self.b = b = rhs * row_sign / row_scale
         slack_of_row = np.full(m, -1, dtype=int)
-        slack_of_row[has_slack] = n + np.arange(n_slacks)
-        A[:, has_slack, slack_of_row[has_slack]] = (slack_coef * row_sign)[has_slack]
+        slack_of_row[has_slack] = np.arange(n, total_cols)
+        A[:, has_slack, slack_of_row[has_slack]] = (slack_coef * row_sign)[:, has_slack]
+        A[:, np.arange(m), total_cols + np.arange(m)] = 1.0
 
-        self.total_cols = total_cols = A.shape[2]
-        self.c_full = np.zeros(total_cols)
+        self.c_full = np.zeros(total_cols + m)
         self.c_full[:n] = -c if sense == "max" else c
         # A row starts on its own slack when that slack's coefficient is
         # positive, which the relations and rhs signs decide; every other
-        # row gets an artificial column.
-        own_slack = slack_coef * row_sign > 0.0
-        self.artificial_rows = artificial_rows = (~own_slack).nonzero()[0]
-        n_art = artificial_rows.size
-        start = slack_of_row.copy()
-        start[artificial_rows] = total_cols + np.arange(n_art)
+        # row starts on its marker.
+        self.basis = np.where(slack_coef * row_sign > 0.0, slack_of_row, total_cols + np.arange(m))
 
-        self.T = T = np.zeros((K, m + 1, total_cols + n_art + 1))
-        T[:, :m, :total_cols] = A
+        self.T = T = np.zeros((K, m + 1, total_cols + 1))
+        T[:, :m, :-1] = A[:, :, :total_cols]
         T[:, :m, -1] = b
-        T[:, artificial_rows, start[artificial_rows]] = 1.0
-
-        self.basis = np.empty((K, m), dtype=int)
-        self.basis[:] = start
         self.iterations = np.zeros(K, dtype=int)
         self.outcomes: list = [None] * K
 
     def solve(self) -> list:
-        live = self.phase1()
-        keep_rows = self.drop_artificials(live)
-        sub_stacks: dict[bytes, list[int]] = {}
-        for k in live:
-            sub_stacks.setdefault(keep_rows[k].tobytes(), []).append(k)
-        for members in sub_stacks.values():
-            self.phase2(np.array(members), keep_rows[members[0]].nonzero()[0])
+        self.phase2(self.phase1())
         return self.outcomes
 
-    def phase1(self) -> list:
-        """Minimize the sum of artificials; record the infeasible members
-        and return the positions of the feasible ones."""
-        T, total_cols = self.T, self.total_cols
-        if not self.artificial_rows.size:
-            return list(range(len(self.outcomes)))
-        T[:, -1, total_cols:-1] = 1.0
-        for i in self.artificial_rows:
-            T[:, -1] -= T[:, i]
-        status, self.iterations, errors = _run(T, self.basis)
+    def phase1(self) -> np.ndarray:
+        """Minimize the sum of artificials, record the infeasible members
+        and drive the artificials left in the feasible members' bases out;
+        return the positions of the feasible members."""
+        T, basis, total_cols = self.T, self.basis, self.total_cols
+        artificial = basis >= total_cols
+        if not artificial.any():
+            return np.arange(len(T))
+        # the cost row is minus the sum of each member's artificial rows
+        for i in artificial.any(axis=0).nonzero()[0]:
+            T[:, -1] = np.where(artificial[:, i, None], T[:, -1] - T[:, i], T[:, -1])
+        status, self.iterations, errors = _run(T, basis)
         # the artificials left in the basis, summed row by row in order
-        phase1_obj = np.add.accumulate(np.where(self.basis >= total_cols, T[:, :-1, -1], 0.0), axis=1)[:, -1]
+        phase1_obj = np.add.accumulate(np.where(basis >= total_cols, T[:, :-1, -1], 0.0), axis=1)[:, -1]
         live = []
         for k, (state, value, its) in enumerate(zip(status.tolist(), phase1_obj.tolist(),
                                                     self.iterations.tolist())):
             if k in errors:
                 self.outcomes[k] = errors[k]
-            elif state == _UNBOUNDED:
-                self.outcomes[k] = LpSolverError("phase 1 reported an unbounded auxiliary problem",
-                                                 diagnostics={"iterations": its})
+            elif state == _UNBOUNDED:  # a sum of artificials is bounded below, so this is a breakdown
+                self.outcomes[k] = LpSolverError(
+                    f"phase 1 broke down: an improving column has no entry above the pivot tolerance {PIVOT_TOL:g}",
+                    diagnostics={"iterations": its})
             elif value > FEAS_TOL:
                 self.outcomes[k] = LpSolution(INFEASIBLE, float("nan"), None, None, its)
             else:
                 live.append(k)
-        return live
 
-    def drop_artificials(self, live) -> np.ndarray:
-        """Drive remaining artificials out of the basis; rows that cannot be
-        pivoted are redundant and get dropped. Returns the kept rows of
-        each member. A pivot changes only its own row's basic variable, so
-        the rows to visit are known up front."""
-        T, basis, total_cols = self.T, self.basis, self.total_cols
-        keep_rows = np.ones(basis.shape, dtype=bool)
+        # A row whose artificial cannot be pivoted out is redundant: the
+        # artificial stays basic at zero and the row is cleared, so no pivot
+        # picks it. A pivot changes only its own row's basic variable, so
+        # the rows to visit are known up front.
         live = np.array(live, dtype=int)
         for i in (basis[live] >= total_cols).any(axis=0).nonzero()[0]:
             stuck = live[basis[live, i] >= total_cols]
             nonzero = np.abs(T[stuck, i, :total_cols]) > PIVOT_TOL
             movable = nonzero.any(axis=1)
-            keep_rows[stuck[~movable], i] = False
+            T[stuck[~movable], i] = 0.0
             moved = stuck[movable]
             if moved.size:
                 cols = nonzero[movable].argmax(axis=1)
@@ -283,29 +263,24 @@ class _Stack:
                 T[moved] = sub
                 basis[moved, i] = cols
                 self.iterations[moved] += 1
-        return keep_rows
+        return live
 
-    def phase2(self, ks, row_index) -> None:
-        """Optimize the real objective over the members ks, which keep the
-        rows row_index, and record their outcomes."""
-        total_cols = self.total_cols
-        Tk = self.T[ks]
-        T2 = np.zeros((ks.size, row_index.size + 1, total_cols + 1))
-        T2[:, :-1, :total_cols] = Tk[:, row_index, :total_cols]
-        T2[:, :-1, -1] = Tk[:, row_index, -1]
-        basis2 = self.basis[ks][:, row_index]
+    def phase2(self, ks) -> None:
+        """Optimize the real objective over the members ks and record their outcomes."""
+        T, basis = self.T[ks], self.basis[ks]
 
         # Restore the real objective and eliminate basic columns. Basic
         # columns are unit columns, so each row's basic cost is still the
         # objective's when its turn comes, and a row whose basic cost is
-        # zero in every member changes nothing.
-        T2[:, -1, :total_cols] = self.c_full
-        c_basic = self.c_full[basis2]
+        # zero in every member, a marker's among them, changes nothing.
+        T[:, -1, :-1] = self.c_full[:self.total_cols]
+        T[:, -1, -1] = 0.0
+        c_basic = self.c_full[basis]
         for r in (c_basic != 0.0).any(axis=0).nonzero()[0]:
             cj = c_basic[:, r]
-            T2[:, -1] = np.where((cj != 0.0)[:, None], T2[:, -1] - cj[:, None] * T2[:, r], T2[:, -1])
+            T[:, -1] = np.where((cj != 0.0)[:, None], T[:, -1] - cj[:, None] * T[:, r], T[:, -1])
 
-        status, iterations, errors = _run(T2, basis2)
+        status, iterations, errors = _run(T, basis)
         self.iterations[ks] += iterations
         optimal = []
         for j, (k, state) in enumerate(zip(ks.tolist(), status.tolist())):
@@ -316,18 +291,19 @@ class _Stack:
             else:
                 optimal.append(j)
         if optimal:
-            self.finish(ks[optimal], row_index, basis2[optimal])
+            self.finish(ks[optimal], basis[optimal])
 
-    def finish(self, ks, row_index, basis2) -> None:
+    def finish(self, ks, basis) -> None:
         """Re-solve the final bases of the optimal members ks against the
         stored (scaled) data to clear accumulated tableau drift, unwind
-        scaling, signs and sense, certify each optimum and record it."""
+        scaling, signs and sense, certify each optimum and record it. A
+        marker left in a basis, on a redundant row, is its unit column, and
+        that row's dual is 0."""
         G = ks.size
-        g = np.arange(G)[:, None]
-        B = self.A[ks[:, None, None], row_index[:, None], basis2[:, None, :]]
+        B = self.A[ks[:, None, None], np.arange(basis.shape[1])[:, None], basis[:, None, :]]
         # one call solves B x = b and B'y = c_B for every member
         systems = np.concatenate([B, B.transpose(0, 2, 1)])
-        rhs = np.concatenate([self.b[ks[:, None], row_index], self.c_full[basis2]])[:, :, None]
+        rhs = np.concatenate([self.b[ks], self.c_full[basis]])[:, :, None]
         singular = np.zeros(2 * G, dtype=bool)
         try:
             solved = np.linalg.solve(systems, rhs)[:, :, 0]
@@ -342,16 +318,15 @@ class _Stack:
         singular = singular[:G] | singular[G:]
         x_basic, y_rows = solved[:G], solved[G:]
 
-        x_std = np.zeros((G, self.total_cols))
-        x_std[g, basis2] = x_basic
+        x_std = np.zeros((G, self.c_full.size))
+        x_std[np.arange(G)[:, None], basis] = x_basic
         x_std[(x_std >= -FEAS_TOL) & (x_std <= 0.0)] = 0.0  # zero roundoff; the certificate rejects larger negatives
 
         x = x_std[:, :self.c.size]
 
-        dual = np.zeros((G, self.M.shape[1]))
         sense_factor = 1.0 if self.sense == "min" else -1.0
-        dual[:, row_index] = (sense_factor * self.row_sign[row_index] * y_rows
-                              / self.row_scale[ks[:, None], row_index])
+        dual = sense_factor * self.row_sign[ks] * y_rows / self.row_scale[ks]
+        dual[basis >= self.total_cols] = 0.0
 
         objective = [float(self.c @ x_k) for x_k in x]
         errors = _check_certificates(self.sense, self.c, self.M[ks], self.slack_coef, self.rhs[ks],
@@ -360,7 +335,7 @@ class _Stack:
             its = int(self.iterations[k])
             if singular[j]:
                 self.outcomes[k] = LpSolverError(
-                    "singular final basis", diagnostics={"iterations": its, "basis": basis2[j].tolist()})
+                    "singular final basis", diagnostics={"iterations": its, "basis": basis[j].tolist()})
             elif j in errors:
                 self.outcomes[k] = errors[j]
             else:

@@ -603,7 +603,7 @@ def scalar_solve_lp(problem):
     T[artificial_rows, total_cols + np.arange(n_art)] = 1.0
 
     basis: list[int] = basis_arr.tolist()
-    allowed = np.ones(total_cols + n_art, dtype=bool)
+    allowed = np.arange(total_cols + n_art) < total_cols  # an artificial never enters
 
     # Phase 1: minimize the sum of artificials.
     if n_art:
@@ -613,8 +613,9 @@ def scalar_solve_lp(problem):
         tab = _Tableau(T, basis, allowed)
         status = tab.run()
         if status != OPTIMAL:
-            raise LpSolverError("phase 1 reported an unbounded auxiliary problem",
-                                diagnostics={"iterations": tab.iterations})
+            raise LpSolverError(
+                f"phase 1 broke down: an improving column has no entry above the pivot tolerance {PIVOT_TOL:g}",
+                diagnostics={"iterations": tab.iterations})
         phase1_obj = sum(T[i, -1] for i in range(m) if basis[i] >= total_cols)
         if phase1_obj > FEAS_TOL:
             return LpSolution(INFEASIBLE, float("nan"), None, None, tab.iterations)

@@ -156,12 +156,12 @@ def test_solution_is_frozen():
         s.status = "hacked"
 
 
-def random_family(rng, count):
-    """Random programs with mixed relations, either sense and rhs of either sign; every third is degenerate, with zero right-hand
-    sides and its last row a copy of its first."""
+def random_family(rng, count, size=6):
+    """Random programs of at most size variables and size rows, with mixed relations, either sense and rhs of either sign;
+    every third is degenerate, with zero right-hand sides and its last row a copy of its first."""
     problems = []
     for i in range(count):
-        c, A, b = random_lp(rng, max_vars=6, max_cons=6)
+        c, A, b = random_lp(rng, max_vars=size, max_cons=size)
         rels = rng.choice(["<=", "=", ">="], size=len(b))
         if i % 3 == 0:
             b = np.where(rng.random(len(b)) < 0.5, 0.0, b)
@@ -179,6 +179,24 @@ def test_solve_lp_equals_the_scalar_reference():
         assert same_lp_outcome(lp_outcome(solve_lp, p), expected)
         statuses.add(getattr(expected, "status", "error"))
     assert statuses >= {"optimal", "infeasible", "unbounded"}
+
+
+def test_mixed_relations_agree_with_the_enumeration_oracle():
+    # the oracle shares no simplex code: it maximizes over A x <= b, so a
+    # >= row is negated, an = row written as two <= rows and min c.x read
+    # as -max -c.x
+    sides = {"<=": [1.0], ">=": [-1.0], "=": [1.0, -1.0]}
+    statuses = set()
+    for p in random_family(np.random.default_rng(31), 500, size=4):
+        i, side = (np.array(v) for v in zip(*[(i, side) for i, rel in enumerate(p.relations) for side in sides[rel]]))
+        sign = 1.0 if p.sense == "max" else -1.0
+        status, value = lp_enumeration_oracle(sign * p.objective, side[:, None] * p.A[i], side * p.b[i])
+        s = solve_lp(p)
+        assert s.status == status
+        if status == "optimal":
+            assert s.objective_value == pytest.approx(sign * value, abs=1e-8)
+        statuses.add(status)
+    assert statuses == {"optimal", "infeasible", "unbounded"}
 
 
 def random_stacks(rng, count, size=20, span=5.0):
@@ -240,6 +258,43 @@ def test_members_that_drop_different_rows_equal_the_scalar_reference():
     A[::2, 1], b[::2, 1] = A[::2, 0], b[::2, 0]
     outcomes = assert_stack_equals_the_scalar_reference(rng.uniform(-1, 1, 4), "max", A, ["=", "=", "<="], b)
     assert {o.dual[1] == 0.0 for o in outcomes[::2] if o.status == "optimal"} == {True}
+
+
+def test_solve_stack_builds_one_stack_whatever_the_rhs_signs(monkeypatch):
+    # a stack whose members start different rows on artificials is one
+    # stack of one tableau width, n + slacks + 1, and each member's outcome
+    # is still solve_lp's on it alone
+    from paneleff import linprog
+    built = []
+
+    class CountingStack(linprog._Stack):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    for c, sense, A, relations, b in random_stacks(np.random.default_rng(77), 10):
+        assert len(np.unique(b < 0.0, axis=0)) > 1
+        built.clear()
+        monkeypatch.setattr(linprog, "_Stack", CountingStack)
+        outcomes = solve_stack(c, sense, A, relations, b)
+        monkeypatch.undo()
+        assert len(built) == 1
+        assert built[0].T.shape[2] == A.shape[2] + np.isin(relations, ["<=", ">="]).sum() + 1
+        for A_k, b_k, got in zip(A, b, outcomes):
+            assert same_lp_outcome(got, lp_outcome(solve_lp, LpProblem(c, sense, zip(A_k, relations, b_k))))
+
+
+def test_phase1_breakdown_names_the_pivot_tolerance():
+    # x1's entries, 6e-10 in each equality row, sum to a phase-1 reduced
+    # cost of -1.2e-9, past the pivot tolerance, while neither entry is
+    # above it: x1 prices as improving and has no pivot
+    from paneleff.errors import LpSolverError
+
+    p = LpProblem([1.0, 0.0], "min", [([1.0, 6e-10], "=", 1.0), ([-1.0, 6e-10], "=", 0.0)])
+    with pytest.raises(LpSolverError, match="^phase 1 broke down: an improving column has no entry above the pivot "
+                                            "tolerance 1e-09$"):
+        solve_lp(p)
+    assert same_lp_outcome(lp_outcome(solve_lp, p), lp_outcome(scalar_solve_lp, p))
 
 
 def test_solve_stack_takes_and_validates_arrays():
@@ -322,6 +377,6 @@ def test_finish_rejects_a_basic_value_below_the_feasibility_tolerance():
 
     stack = linprog._Stack(np.array([1.0, 0.0]), "min", np.array([[[1.0, -1.0]]]), np.array(["="]),
                            np.array([[-1.0]]))
-    stack.finish(np.array([0]), np.array([0]), np.array([[0]]))
+    stack.finish(np.array([0]), np.array([[0]]))
     with pytest.raises(LpSolverError, match="negative value for a nonnegative variable"):
         raise stack.outcomes[0]
