@@ -20,11 +20,17 @@ stage's modules only when that stage runs: `dea` adds dea and linprog,
 `pipeline` those of its configured stages. run_pipeline and emit_report
 stay names of this module, resolved when called, so a caller can replace
 them here.
+
+main is the process entry point (the console script and `python -m
+paneleff.cli`): it runs cli_main and freezes the heap before the process
+exits, so the interpreter's exit-time collection skips what the run left.
+In-process callers use cli_main, which leaves the heap collectable.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -68,7 +74,10 @@ def cli_main(argv=None) -> int:
         return 2
 
 
-main = cli_main
+def main(argv=None) -> int:
+    code = cli_main(argv)
+    gc.freeze()
+    return code
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -22,7 +22,8 @@ HIGHS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e
 
 
 def highs_score(X, Y, o, rts, orientation):
-    """theta (input) or phi (output) of DMU o from HiGHS."""
+    """theta (input) or phi (output) of DMU o from HiGHS, at the tight HIGHS
+    tolerances or, where those fail, at HiGHS's defaults."""
     n, m = X.shape
     s = Y.shape[1]
     c = np.zeros(n + 1)
@@ -39,9 +40,17 @@ def highs_score(X, Y, o, rts, orientation):
         b[:m] = X[o]
         A[m:, 0] = Y[o]
     A_eq, b_eq = (np.r_[0.0, np.ones(n)][None], [1.0]) if rts == "VRS" else (None, None)
-    res = optimize.linprog(c, A_ub=A, b_ub=b, A_eq=A_eq, b_eq=b_eq,
-                           bounds=[(None, None)] + [(0.0, None)] * n, method="highs", options=HIGHS)
-    assert res.status == 0, res.message
+
+    def solve(options):
+        return optimize.linprog(c, A_ub=A, b_ub=b, A_eq=A_eq, b_eq=b_eq,
+                                bounds=[(None, None)] + [(0.0, None)] * n, method="highs", options=options)
+
+    res = solve(HIGHS)
+    if res.status != 0:
+        # at the tight tolerances HiGHS can end on an unknown status (15) for
+        # a program it solves at its defaults
+        tight, res = res, solve({})
+        assert res.status == 0, f"at 1e-10: {tight.message}; at HiGHS's defaults: {res.message}"
     return float(res.x[0])
 
 
@@ -104,6 +113,20 @@ def test_magnitudes(n, units, span):
         Y[:, 0] = 10.0 ** rng.uniform(-span, span, n)
     for spec in SPECS:
         assert_scores_match_highs(cross_section(X, Y), spec)
+
+
+def test_programs_highs_solves_only_at_its_default_tolerances():
+    # HiGHS ends on status 15 at 1e-10 for DMUs 53, 76 and 92 of this CRS
+    # output period, whose first output spans 1e-6..1e6, and solves them at
+    # its defaults; CRS input on these data is left out, as paneleff raises
+    rng = np.random.default_rng(1200)
+    X, Y = random_data(rng, 200)
+    Y[:, 0] = 10.0 ** rng.uniform(-6, 6, 200)
+    dmus = [53, 76, 92]
+    scores = score_period(cross_section(X, Y), DeaSpec(("x",), ("y",), "CRS", "output"))[dmus]
+    X, Y = X / X.mean(axis=0), Y / Y.mean(axis=0)
+    expected = np.array([highs_score(X, Y, o, "CRS", "output") for o in dmus])
+    assert np.all(np.abs(scores - expected) <= 1e-6 * np.maximum(1.0, expected))
 
 
 @pytest.mark.parametrize("seed", [83, 108, 186])

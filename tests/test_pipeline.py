@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -10,6 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from paneleff import cli
 from paneleff.cli import cli_main
 from paneleff.config import CobbDouglasConfig, config_from_file, parse_config
 from paneleff.errors import ConfigError, CsvParseError, DomainError, StageError
@@ -782,6 +784,53 @@ def test_cli_dea_unknown_period_exits_two(demo_dir, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "2008" in err
+
+
+@pytest.fixture(scope="module")
+def entry_point_cases(demo_dir, tmp_path_factory):
+    """argv and exit code of validate on the demo (0), validate of a
+    configuration with a misspelled key (1) and dea --period of a period the
+    panel lacks (2)."""
+    document = json.loads((demo_dir / "config.json").read_text())
+    document["cluster"]["signficance"] = 0.01
+    misspelled = tmp_path_factory.mktemp("misspelled") / "config.json"
+    misspelled.write_text(json.dumps(document))
+    config = str(demo_dir / "config.json")
+    return [(["validate", "--config", config], 0),
+            (["validate", "--config", str(misspelled)], 1),
+            (["dea", "--config", config, "--period", "2008"], 2)]
+
+
+def test_cli_main_freezes_the_heap_once_after_cli_main_returns(entry_point_cases, monkeypatch, capsys):
+    # main is the process entry point; cli_main is run many times in one
+    # process by the tests and the tracer, so it leaves the heap collectable
+    events = []
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+
+    def recorded(argv):
+        code = cli_main(argv)
+        events.append(("cli_main", code))
+        return code
+
+    monkeypatch.setattr(cli, "cli_main", recorded)
+    for argv, code in entry_point_cases:
+        events.clear()
+        assert cli_main(argv) == code
+        assert events == []
+        assert cli.main(argv) == code
+        assert events == [("cli_main", code), "freeze"]
+
+
+def test_cli_module_run_matches_cli_main(entry_point_cases, capsys):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(root, "src"), env.get("PYTHONPATH")]))
+    for argv, code in entry_point_cases:
+        assert cli_main(argv) == code
+        captured = capsys.readouterr()
+        done = subprocess.run([sys.executable, "-m", "paneleff.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (code, captured.out, captured.err)
 
 
 def test_cli_dea_single_period_prints_scores(demo_dir, capsys):
