@@ -491,12 +491,31 @@ def _fmt7(x) -> str:
     return f"{x:.7f}"
 
 
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix=os.path.basename(path))
+def _read_bytes(path: str) -> bytes | None:
+    """The bytes of the file at path, or None if it cannot be read."""
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError:
+        return None
+
+
+def _atomic_write(path: str, data: bytes) -> None:
+    """Write data to path through a temp file and a rename, unless the file
+    at path already holds exactly data: that file is left as it is, with
+    its inode, mtime and mode. Replacing a file costs far more than reading
+    it on a filesystem that frees the old file's blocks at once (ext4
+    mounted with discard). A new file gets mode 0o666 less the umask, as
+    open() would give it."""
+    if _read_bytes(path) == data:
+        return
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp_", suffix=os.path.basename(path))
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            umask = os.umask(0)  # reading the umask sets it: put it straight back
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -504,26 +523,51 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _named_csv(document: bytes | None) -> set:
+    """The names of the CSV files that the report.json document lays out,
+    or none if there is no document or it is not a report that
+    report_layout can walk."""
+    try:
+        layout = report_layout(json.loads(document))
+    except (ValueError, KeyError, TypeError, AttributeError, IndexError):
+        return set()
+    return {f"{table.name}.csv" for table, _ in layout if table is not None}
+
+
 def emit_report(report: dict, out_dir: str, formats=("json",)) -> list[str]:
     """Write the report to disk; one file per table for CSV, a single
-    document for JSON, aligned tables for text. Returns written paths."""
+    document for JSON, aligned tables for text. A file that already holds
+    the bytes it would get is left as it is. When the report is written as
+    JSON and CSV, the CSV files that the replaced report.json named and this
+    report does not are removed; no other file is. Returns the path of
+    every file of the report, written or already current."""
     os.makedirs(out_dir, exist_ok=True)
     layout = report_layout(report) if {"csv", "text"} & set(formats) else []
-    written = []
+    files = {}
     for fmt in formats:
         if fmt == "json":
-            files = [(f"{REPORT_BASENAME}.json", report_json(report))]
+            files[f"{REPORT_BASENAME}.json"] = report_json(report)
         elif fmt == "text":
-            files = [(f"{REPORT_BASENAME}.txt", _layout_text(layout))]
+            files[f"{REPORT_BASENAME}.txt"] = _layout_text(layout)
         elif fmt == "csv":
-            files = [(f"{table.name}.csv", _csv_text(table)) for table, _ in layout if table is not None]
+            files.update((f"{table.name}.csv", _csv_text(table)) for table, _ in layout if table is not None)
         else:
             raise UsageError(f"unknown report format {fmt!r}")
-        for name, text in files:
-            path = os.path.join(out_dir, name)
-            _atomic_write(path, text)
-            written.append(path)
-    return written
+    files = {name: text.encode("utf-8") for name, text in files.items()}
+    stale = set()
+    if {"csv", "json"} <= set(formats):
+        replaced = _read_bytes(os.path.join(out_dir, f"{REPORT_BASENAME}.json"))
+        if replaced != files[f"{REPORT_BASENAME}.json"]:
+            stale = _named_csv(replaced) - set(files)
+    for name, data in files.items():
+        _atomic_write(os.path.join(out_dir, name), data)
+    for name in stale:
+        if os.path.basename(name) == name:
+            try:
+                os.unlink(os.path.join(out_dir, name))
+            except FileNotFoundError:
+                pass
+    return [os.path.join(out_dir, name) for name in files]
 
 
 def _csv_text(table: Table) -> str:

@@ -1,8 +1,10 @@
+import copy
 import gc
 import hashlib
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 from itertools import permutations
@@ -165,6 +167,100 @@ def emitted_digests(report, out_dir) -> list:
 def test_emitted_files_match_golden_hashes(demo_bundle, tmp_path):
     bundle, _ = demo_bundle
     assert emitted_digests(bundle, tmp_path) == DEMO_REPORT_SHA256
+
+
+def file_stamps(out_dir) -> dict:
+    """(st_ino, st_mtime_ns) of every file in out_dir, by name."""
+    stats = {name: os.stat(os.path.join(out_dir, name)) for name in os.listdir(out_dir)}
+    return {name: (st.st_ino, st.st_mtime_ns) for name, st in stats.items()}
+
+
+def test_emitting_the_same_report_again_replaces_no_file(demo_bundle, tmp_path):
+    # every run once replaced every report file, which some filesystems
+    # make slow
+    bundle, _ = demo_bundle
+    written = emit_report(bundle, str(tmp_path), ("json", "csv", "text"))
+    before = file_stamps(tmp_path)
+    assert len(before) == len(DEMO_REPORT_SHA256)
+    assert emit_report(bundle, str(tmp_path), ("json", "csv", "text")) == written
+    assert file_stamps(tmp_path) == before
+
+
+def test_a_changed_table_replaces_only_its_own_files(demo_bundle, tmp_path):
+    bundle, _ = demo_bundle
+    emit_report(bundle, str(tmp_path), ("json", "csv", "text"))
+    before = file_stamps(tmp_path)
+    changed = copy.deepcopy(bundle)
+    changed["dea"]["health"]["scores"][0][0] /= 2
+    emit_report(changed, str(tmp_path), ("json", "csv", "text"))
+    after = file_stamps(tmp_path)
+    assert set(after) == set(before)
+    assert {name for name in after if after[name] != before[name]} == {
+        "dea_health_scores.csv", "report.json", "report.txt"}
+    assert emitted_digests(bundle, tmp_path) == DEMO_REPORT_SHA256
+
+
+def test_a_report_file_with_extra_trailing_bytes_is_rewritten(demo_bundle, tmp_path):
+    bundle, _ = demo_bundle
+    emit_report(bundle, str(tmp_path), ("json",))
+    path = tmp_path / "report.json"
+    expected = path.read_bytes()
+    path.write_bytes(expected + b"\n")
+    emit_report(bundle, str(tmp_path), ("json",))
+    assert path.read_bytes() == expected
+
+
+def test_a_directory_in_place_of_a_report_file_is_an_os_error(demo_bundle, tmp_path):
+    bundle, _ = demo_bundle
+    (tmp_path / "report.json").mkdir()
+    with pytest.raises(OSError):
+        emit_report(bundle, str(tmp_path), ("json",))
+    assert os.listdir(tmp_path) == ["report.json"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+def test_a_written_report_file_gets_the_mode_the_umask_leaves(demo_bundle, tmp_path, umask):
+    # report files were once created 0o600 whatever the umask
+    bundle, _ = demo_bundle
+    path = tmp_path / "report.json"
+    previous = os.umask(umask)
+    try:
+        emit_report(bundle, str(tmp_path), ("json",))
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+        # a file that already holds the report keeps the mode it has
+        path.chmod(0o600)
+        emit_report(bundle, str(tmp_path), ("json",))
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600
+    finally:
+        os.umask(previous)
+
+
+@pytest.mark.parametrize("replaced, kept", [
+    ("named", {"notes.csv"}),
+    ("malformed", {"notes.csv"} | {name for name, _ in DEMO_REPORT_SHA256 if name.endswith(".csv")}),
+], ids=["named", "malformed"])
+def test_emit_report_removes_only_the_csv_files_the_replaced_report_named(demo_bundle, tmp_path, replaced, kept):
+    bundle, config = demo_bundle
+    emit_report(bundle, str(tmp_path), ("json", "csv", "text"))
+    (tmp_path / "notes.csv").write_text("not a report file\n")
+    if replaced == "malformed":
+        (tmp_path / "report.json").write_text("{")
+    emit_report(unrun_report(config), str(tmp_path), ("json", "csv", "text"))
+    assert set(os.listdir(tmp_path)) == {"report.json", "report.txt"} | kept
+
+
+def test_emit_report_removes_no_file_outside_the_output_directory(demo_bundle, tmp_path):
+    # report.json is read back from disk, so its table names may hold a
+    # path separator that no configuration lets through
+    bundle, config = demo_bundle
+    out = tmp_path / "out"
+    (out / "dea_x").mkdir(parents=True)
+    victim = tmp_path / "victim_scores.csv"
+    victim.write_text("not a report file\n")
+    foreign = {**unrun_report(config), "dea": {"x/../../victim": bundle["dea"]["ict"]}}
+    (out / "report.json").write_text(report_json(foreign))
+    emit_report(unrun_report(config), str(out), ("json", "csv", "text"))
+    assert victim.exists()
 
 
 def config_on_disk(root, panel, document):
@@ -660,6 +756,28 @@ def test_cli_stage_ignores_the_report_of_another_dataset(tmp_path):
     report = json.loads((out / "reports" / "report.json").read_text())
     assert report["pls"] == {"pending": True}
     assert report["provenance"]["dataset_sha256"] != before["provenance"]["dataset_sha256"]
+
+
+def test_cli_stage_removes_the_csv_files_of_the_report_it_replaces(tmp_path):
+    # a dea run once left the cluster and pls tables of the old dataset
+    out = tmp_path / "demo"
+    assert cli_main(["demo", "--out", str(out), "--samples", "100", "--quiet"]) == 0
+    lines = (out / "dataset.csv").read_text().splitlines(keepends=True)
+    (out / "dataset.csv").write_text("".join(re.sub(r"^(C04,\w+,hec),.*", r"\1,5.5", l) for l in lines))
+    assert cli_main(["dea", "--config", str(out / "config.json"), "--quiet"]) == 0
+    fresh = tmp_path / "fresh"
+    assert cli_main(["dea", "--config", str(out / "config.json"), "--out", str(fresh), "--quiet"]) == 0
+    assert "pls_paths.csv" not in os.listdir(out / "reports")
+    assert_same_files(out / "reports", fresh)
+
+
+def test_cli_pipeline_run_twice_notes_the_same_files(demo_dir, tmp_path, capsys):
+    argv = ["pipeline", "--config", str(demo_dir / "config.json"), "--out", str(tmp_path)]
+    assert cli_main(argv) == 0
+    first = capsys.readouterr().err
+    assert first.count("wrote ") == len(DEMO_REPORT_SHA256)
+    assert cli_main(argv) == 0
+    assert capsys.readouterr().err == first
 
 
 @pytest.mark.parametrize("text", ['{"provenance": {"config_hash": "', '{"provenance": {}}', "[]", ""],
