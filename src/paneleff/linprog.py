@@ -228,7 +228,7 @@ class _Stack:
         # the cost row is minus the sum of each member's artificial rows
         for i in artificial.any(axis=0).nonzero()[0]:
             T[:, -1] = np.where(artificial[:, i, None], T[:, -1] - T[:, i], T[:, -1])
-        status, self.iterations, errors = _run(T, basis)
+        status, self.iterations, errors = _run(T, basis, self.iterations)
         # the artificials left in the basis, summed row by row in order
         phase1_obj = np.add.accumulate(np.where(basis >= total_cols, T[:, :-1, -1], 0.0), axis=1)[:, -1]
         live = []
@@ -280,7 +280,7 @@ class _Stack:
             cj = c_basic[:, r]
             T[:, -1] = np.where((cj != 0.0)[:, None], T[:, -1] - cj[:, None] * T[:, r], T[:, -1])
 
-        status, iterations, errors = _run(T, basis)
+        status, iterations, errors = _run(T, basis, self.iterations[ks])
         self.iterations[ks] += iterations
         optimal = []
         for j, (k, state) in enumerate(zip(ks.tolist(), status.tolist())):
@@ -346,15 +346,17 @@ class _Stack:
 _FAILED, _OPTIMAL, _UNBOUNDED = range(3)
 
 
-def _run(T, basis):
+def _run(T, basis, before):
     """Pivot every tableau of the stack T (K, rows, cols), whose last row
     is the cost row and last column the rhs, until it is optimal or
-    unbounded. T and basis (K, rows - 1) are updated in place.
+    unbounded, or has taken _MAX_ITER pivots. T and basis (K, rows - 1)
+    are updated in place.
 
     Each member keeps its own Dantzig or Bland choice, ratio test and
     degenerate-run counter, and leaves the stack when it stops. Returns
     each member's final state, its pivot count and the LpSolverError of
-    each member that hit the iteration limit, keyed by position.
+    each member that hit the iteration limit, keyed by position; the
+    error counts the member's pivots before this run (before[k]) too.
     """
     K = T.shape[0]
     status = np.zeros(K, dtype=int)  # _FAILED
@@ -366,7 +368,7 @@ def _run(T, basis):
     bland = np.zeros(K, dtype=bool)
     any_bland = False
     step = 0
-    while step <= _MAX_ITER:
+    while True:
         cost = t[:, -1, :-1]
         candidates = cost < -PIVOT_TOL
         if not candidates.any():  # every live member is optimal
@@ -402,6 +404,8 @@ def _run(T, basis):
             degenerate_run, bland = degenerate_run[going], bland[going]
             enter, ratios, best = enter[going], ratios[going], best[going]
             live = np.arange(idx.size)
+        if step == _MAX_ITER:
+            break
         ties = ratios <= (best + 1e-12)[:, None]
         leave = ties.argmax(axis=1)
         if any_bland:
@@ -422,7 +426,7 @@ def _run(T, basis):
         errors[k] = LpSolverError(
             "iteration limit reached",
             diagnostics={
-                "iterations": step,
+                "iterations": int(before[k]) + step,
                 "bland_mode": bool(bland[j]),
                 "degenerate_run": int(degenerate_run[j]),
             },

@@ -1,13 +1,27 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from oracles import lp_enumeration_oracle, lp_outcome, random_lp, same_lp_outcome, scalar_solve_lp
-from paneleff.errors import UsageError
+from oracles import enumeration_outcome, random_lp, same_lp_outcome, scalar_outcomes
+from paneleff.errors import LpSolverError, UsageError
 from paneleff.linprog import LpProblem, LpSolution, solve_lp, solve_stack
+from paneleff.synthetic import make_demo_panel
+from test_dea import WIDE_SEEDS, WIDE_SPECS, demo_specs, period_stacks, wide_panel
 
 
 def max_problem(c, A, b):
     return LpProblem(c, "max", [(A[i], "<=", b[i]) for i in range(len(b))])
+
+
+def assert_agrees_with_enumeration(solution, problem) -> str:
+    """solution's status, and objective when optimal, are the enumeration
+    oracle's; returns the status."""
+    status, value = enumeration_outcome(problem)
+    assert solution.status == status
+    if status == "optimal":
+        assert solution.objective_value == pytest.approx(value, abs=1e-8)
+    return status
 
 
 def test_single_variable_upper_bound():
@@ -31,18 +45,18 @@ def test_unbounded_without_constraints():
 @pytest.mark.parametrize("c", [[2.0], [-2.0], [0.0], [1.0, 0.0, 3.0], [1.0, -1e-3, 3.0], [-1.0, 0.0, -3.0]])
 def test_programs_without_constraints_equal_the_scalar_reference(sense, c):
     # no rows: unbounded when some c_j improves, otherwise optimal at x = 0
-    # with an empty dual, in the stack and the reference alike
+    # with an empty dual, as the enumeration oracle finds, and each member
+    # of a stack of such programs equals the program solved alone
     p = LpProblem(c, sense, [])
-    expected = lp_outcome(scalar_solve_lp, p)
-    got = lp_outcome(solve_lp, p)
-    assert same_lp_outcome(got, expected)
+    got = solve_lp(p)
     improving = np.any(np.array(c) < 0.0) if sense == "min" else np.any(np.array(c) > 0.0)
     assert got.status == ("unbounded" if improving else "optimal")
+    assert_agrees_with_enumeration(got, p)
     if got.status == "optimal":
         assert got.objective_value == 0.0 and np.array_equal(got.primal, np.zeros(len(c)))
         assert got.dual.shape == (0,)
     outcomes = solve_stack(c, sense, np.zeros((3, 0, len(c))), [], np.zeros((3, 0)))
-    assert all(same_lp_outcome(o, expected) for o in outcomes)
+    assert all(same_lp_outcome(o, got) for o in outcomes)
 
 
 def test_unbounded_direction():
@@ -85,11 +99,8 @@ def test_oracle_agreement_on_random_lps():
     rng = np.random.default_rng(1234)
     for _ in range(120):
         c, A, b = random_lp(rng)
-        status, value = lp_enumeration_oracle(c, A, b)
-        s = solve_lp(max_problem(c, A, b))
-        assert s.status == status
-        if status == "optimal":
-            assert s.objective_value == pytest.approx(value, abs=1e-8)
+        p = max_problem(c, A, b)
+        assert_agrees_with_enumeration(solve_lp(p), p)
 
 
 def test_strong_duality_and_complementary_slackness():
@@ -171,41 +182,22 @@ def random_family(rng, count, size=6):
     return problems
 
 
-def test_solve_lp_equals_the_scalar_reference():
-    rng = np.random.default_rng(2024)
-    statuses = set()
-    for p in random_family(rng, 600):
-        expected = lp_outcome(scalar_solve_lp, p)
-        assert same_lp_outcome(lp_outcome(solve_lp, p), expected)
-        statuses.add(getattr(expected, "status", "error"))
-    assert statuses >= {"optimal", "infeasible", "unbounded"}
-
-
 def test_mixed_relations_agree_with_the_enumeration_oracle():
-    # the oracle shares no simplex code: it maximizes over A x <= b, so a
-    # >= row is negated, an = row written as two <= rows and min c.x read
-    # as -max -c.x
-    sides = {"<=": [1.0], ">=": [-1.0], "=": [1.0, -1.0]}
-    statuses = set()
-    for p in random_family(np.random.default_rng(31), 500, size=4):
-        i, side = (np.array(v) for v in zip(*[(i, side) for i, rel in enumerate(p.relations) for side in sides[rel]]))
-        sign = 1.0 if p.sense == "max" else -1.0
-        status, value = lp_enumeration_oracle(sign * p.objective, side[:, None] * p.A[i], side * p.b[i])
-        s = solve_lp(p)
-        assert s.status == status
-        if status == "optimal":
-            assert s.objective_value == pytest.approx(sign * value, abs=1e-8)
-        statuses.add(status)
+    # the oracle shares no simplex code; enumeration_outcome writes each
+    # program as the A x <= b maximization it solves
+    statuses = {assert_agrees_with_enumeration(solve_lp(p), p)
+                for p in random_family(np.random.default_rng(31), 500, size=4)}
     assert statuses == {"optimal", "infeasible", "unbounded"}
 
 
 def random_stacks(rng, count, size=20, span=5.0):
     """count random solve_stack argument tuples of size members each, drawn
     as random_family draws a program: mixed relations and either sense,
-    shared by the stack. Each stack has one rhs sign pattern
-    and a quarter of its members flip one row's sign, so the stack splits;
-    every third member is degenerate, with zero right-hand sides and, in
-    half the stacks, its last row a copy of its first."""
+    shared by the stack. Each stack has one rhs sign pattern and a quarter
+    of its members flip one row's sign, so members start different rows on
+    their artificials' markers; every third member is degenerate, with zero
+    right-hand sides and, in half the stacks, its last row a copy of its
+    first."""
     stacks = []
     for _ in range(count):
         n, m = (int(v) for v in rng.integers(1, 7, size=2))
@@ -228,42 +220,48 @@ def random_stacks(rng, count, size=20, span=5.0):
 
 
 def assert_stack_equals_the_scalar_reference(c, sense, A, relations, b) -> list:
-    """solve_stack's outcomes, each checked against the scalar reference on
-    an LpProblem built from its member's rows."""
+    """solve_stack's outcomes, each checked bit for bit against its member
+    solved alone (scalar_outcomes)."""
     outcomes = solve_stack(c, sense, A, relations, b)
     assert len(outcomes) == len(A)
-    for A_k, b_k, got in zip(A, b, outcomes):
-        p = LpProblem(c, sense, zip(A_k, relations, b_k))
-        assert same_lp_outcome(got, lp_outcome(scalar_solve_lp, p))
+    assert all(map(same_lp_outcome, outcomes, scalar_outcomes(c, sense, A, relations, b)))
     return outcomes
 
 
 def test_random_stacks_equal_the_scalar_reference():
     statuses = set()
-    split = 0
+    mixed_starts = 0
     for c, sense, A, relations, b in random_stacks(np.random.default_rng(77), 40):
         outcomes = assert_stack_equals_the_scalar_reference(c, sense, A, relations, b)
         statuses |= {getattr(o, "status", "error") for o in outcomes}
-        split += len(np.unique(b < 0.0, axis=0)) > 1
+        # a row starts on its marker when it is an = row, a <= row with a
+        # negative rhs or a >= row with a nonnegative one
+        on_marker = (relations == "=") | ((relations == "<=") == (b < 0.0))
+        mixed_starts += len(np.unique(on_marker, axis=0)) > 1
     assert statuses >= {"optimal", "infeasible", "unbounded"}
-    assert split >= 30
+    # stacks whose members start rows on different markers
+    assert mixed_starts >= 30
 
 
 def test_members_that_drop_different_rows_equal_the_scalar_reference():
     # same layout; in half the members the equality rows repeat, so phase 1
-    # leaves an artificial on a redundant row that has to be dropped
+    # leaves an artificial on a redundant row, whose dual is 0
     rng = np.random.default_rng(5)
     A = rng.uniform(0.5, 2.0, (40, 3, 4))
     b = rng.uniform(1.0, 2.0, (40, 3))
     A[::2, 1], b[::2, 1] = A[::2, 0], b[::2, 0]
-    outcomes = assert_stack_equals_the_scalar_reference(rng.uniform(-1, 1, 4), "max", A, ["=", "=", "<="], b)
+    c, relations = rng.uniform(-1, 1, 4), ["=", "=", "<="]
+    outcomes = assert_stack_equals_the_scalar_reference(c, "max", A, relations, b)
     assert {o.dual[1] == 0.0 for o in outcomes[::2] if o.status == "optimal"} == {True}
+    for A_k, b_k, got in zip(A, b, outcomes):
+        assert_agrees_with_enumeration(got, LpProblem(c, "max", zip(A_k, relations, b_k)))
 
 
 def test_solve_stack_builds_one_stack_whatever_the_rhs_signs(monkeypatch):
-    # a stack whose members start different rows on artificials is one
-    # stack of one tableau width, n + slacks + 1, and each member's outcome
-    # is still solve_lp's on it alone
+    # a stack whose members' rhs signs differ, so that they start different
+    # rows on markers, is one stack of one tableau width, n + slacks + 1;
+    # test_random_stacks_equal_the_scalar_reference checks on these stacks
+    # that each member's outcome is its own alone
     from paneleff import linprog
     built = []
 
@@ -272,29 +270,23 @@ def test_solve_stack_builds_one_stack_whatever_the_rhs_signs(monkeypatch):
             super().__init__(*args)
             built.append(self)
 
+    monkeypatch.setattr(linprog, "_Stack", CountingStack)
     for c, sense, A, relations, b in random_stacks(np.random.default_rng(77), 10):
         assert len(np.unique(b < 0.0, axis=0)) > 1
         built.clear()
-        monkeypatch.setattr(linprog, "_Stack", CountingStack)
-        outcomes = solve_stack(c, sense, A, relations, b)
-        monkeypatch.undo()
+        solve_stack(c, sense, A, relations, b)
         assert len(built) == 1
         assert built[0].T.shape[2] == A.shape[2] + np.isin(relations, ["<=", ">="]).sum() + 1
-        for A_k, b_k, got in zip(A, b, outcomes):
-            assert same_lp_outcome(got, lp_outcome(solve_lp, LpProblem(c, sense, zip(A_k, relations, b_k))))
 
 
 def test_phase1_breakdown_names_the_pivot_tolerance():
     # x1's entries, 6e-10 in each equality row, sum to a phase-1 reduced
     # cost of -1.2e-9, past the pivot tolerance, while neither entry is
     # above it: x1 prices as improving and has no pivot
-    from paneleff.errors import LpSolverError
-
     p = LpProblem([1.0, 0.0], "min", [([1.0, 6e-10], "=", 1.0), ([-1.0, 6e-10], "=", 0.0)])
     with pytest.raises(LpSolverError, match="^phase 1 broke down: an improving column has no entry above the pivot "
                                             "tolerance 1e-09$"):
         solve_lp(p)
-    assert same_lp_outcome(lp_outcome(solve_lp, p), lp_outcome(scalar_solve_lp, p))
 
 
 def test_solve_stack_takes_and_validates_arrays():
@@ -312,17 +304,79 @@ def test_solve_stack_takes_and_validates_arrays():
 @pytest.mark.parametrize("trigger, max_iter", [(1, 20000), (3, 20000), (50, 2)])
 def test_bland_fallback_and_iteration_limit_equal_the_scalar_reference(monkeypatch, trigger, max_iter):
     # a low trigger sends most programs through Bland's rule, a low limit
-    # through the iteration-limit error, in the stack and the reference alike
-    import oracles
+    # through the iteration-limit error, in the stack and alone alike
     from paneleff import linprog
-    for module in (linprog, oracles):
-        monkeypatch.setattr(module, "_BLAND_TRIGGER", trigger)
-        monkeypatch.setattr(module, "_MAX_ITER", max_iter)
+    monkeypatch.setattr(linprog, "_BLAND_TRIGGER", trigger)
+    monkeypatch.setattr(linprog, "_MAX_ITER", max_iter)
     outcomes = []
     for stack in random_stacks(np.random.default_rng(trigger), 20):
         outcomes += assert_stack_equals_the_scalar_reference(*stack)
     errors = [o for o in outcomes if not isinstance(o, LpSolution)]
     assert bool(errors) == (max_iter == 2)
+
+
+def test_each_phase_stops_at_the_iteration_limit(monkeypatch):
+    # max x0 + 2 x1 + 3 x2 + 4 x3 with x0, x1 >= 1, x0, x1 <= 2 and x2, x3
+    # <= 1 takes 2 pivots in phase 1 and 4 in phase 2. A phase that settles
+    # in exactly _MAX_ITER pivots is optimal; the limit error counts every
+    # pivot of the program, as LpSolution.iterations does
+    from paneleff import linprog
+
+    unit = np.eye(4)
+    p = LpProblem([1.0, 2.0, 3.0, 4.0], "max", [(unit[0], ">=", 1.0), (unit[1], ">=", 1.0), (unit[0], "<=", 2.0),
+                                                (unit[1], "<=", 2.0), (unit[2], "<=", 1.0), (unit[3], "<=", 1.0)])
+    solved = solve_lp(p)
+    assert (solved.status, solved.iterations, solved.objective_value) == ("optimal", 6, 13.0)
+    monkeypatch.setattr(linprog, "_MAX_ITER", 4)
+    assert same_lp_outcome(solve_lp(p), solved)
+    for limit, pivots in [(3, 2 + 3), (2, 2 + 2), (1, 1)]:
+        monkeypatch.setattr(linprog, "_MAX_ITER", limit)
+        with pytest.raises(LpSolverError, match="^iteration limit reached$") as raised:
+            solve_lp(p)
+        assert raised.value.diagnostics["iterations"] == pivots
+
+
+def pivot_record(outcome) -> str:
+    """A program's status, or its error message, and its pivot count."""
+    if isinstance(outcome, LpSolverError):
+        return f"{outcome}: {outcome.diagnostics['iterations']}"
+    return f"{outcome.status}: {outcome.iterations}"
+
+
+# the sha256 of the pivot records, one a line, of every program of
+# pivot_path_stacks at each trigger of Bland's rule
+PIVOT_PATH_SHA256 = {
+    50: "023046680be5563a7d62199a46dff0e60f79c89448ac561b7cc18048f4193c8a",
+    3: "d0c2d2461b2c2eb58e71282e141b23ad2f42b4be39c1701550faa370abf55119",
+    1: "9397b26dace4751a326aeb59228df5ed2d24d49bbaeaa34bbcf95bfe7da36d7e",
+}
+
+
+def pivot_path_stacks():
+    """solve_stack's arguments for the programs the pivot-path pin covers:
+    random_family's first 600 from seed 2024 one by one, random_stacks'
+    first 40 from seed 77, and every period stack of the demo panel's DEA
+    analyses and of the wide panels'."""
+    for p in random_family(np.random.default_rng(2024), 600):
+        yield p.objective, p.sense, p.A[None], p.relations, p.b[None]
+    yield from random_stacks(np.random.default_rng(77), 40)
+    yield from period_stacks(make_demo_panel(), demo_specs())
+    for seed in WIDE_SEEDS:
+        yield from period_stacks(wide_panel(seed), WIDE_SPECS)
+
+
+@pytest.mark.parametrize("trigger", [50, 3, 1])
+def test_pivot_paths_match_the_pinned_digest(monkeypatch, trigger):
+    # Each program's status or error and pivot count, at the default
+    # trigger of Bland's rule and at two that send most programs through
+    # it: a change to pricing, the ratio test, its ties or the Bland switch
+    # moves the digest. Pivots are elementwise IEEE operations, so the
+    # counts do not depend on the BLAS kernel; CI runs this file under a
+    # second one.
+    from paneleff import linprog
+    monkeypatch.setattr(linprog, "_BLAND_TRIGGER", trigger)
+    records = [pivot_record(o) for stack in pivot_path_stacks() for o in solve_stack(*stack)]
+    assert hashlib.sha256("\n".join(records).encode()).hexdigest() == PIVOT_PATH_SHA256[trigger]
 
 
 @pytest.mark.parametrize("case", ["row", "column"])
@@ -331,9 +385,7 @@ def test_certificates_scale_each_row_and_column_by_its_own_terms(case):
     # 1, next to a row (column) of magnitude 1e6. Scaled by maxima over the
     # whole program, as the certificates once were, its tolerance was
     # 1e-7 * 1e6 and it passed; scaled by its own terms it fails.
-    import oracles
     from paneleff import linprog
-    from paneleff.errors import LpSolverError
 
     if case == "row":
         # min x1 s.t. x0 <= 1e6, x1 >= 1: x1 = 1 - 1e-4 is infeasible
@@ -346,8 +398,8 @@ def test_certificates_scale_each_row_and_column_by_its_own_terms(case):
         problem = LpProblem([1.0, 1.0], "min", [([1e-6, 0.0], ">=", 1e-6), ([0.0, 1.0], ">=", 0.0)])
         x, dual = np.array([1.0, 0.0]), np.array([1e6, 1.0 + 1e-4])
         message = "dual infeasibility .* of variable 1"
-    M, slack_coef, rhs = oracles._dense_rows(problem)
-    c = problem.objective
+    M, rhs, c = problem.A, problem.b, problem.objective
+    slack_coef = np.where(problem.relations == "<=", 1.0, -1.0)  # no = rows here
     objective = float(c @ x)
 
     abs_M = np.abs(M)
@@ -364,8 +416,6 @@ def test_certificates_scale_each_row_and_column_by_its_own_terms(case):
     assert list(errors) == [0]
     with pytest.raises(LpSolverError, match=message):
         raise errors[0]
-    with pytest.raises(LpSolverError, match=message):
-        oracles._check_certificates(problem, M, slack_coef, rhs, x, dual, objective, 0)
 
 
 def test_finish_rejects_a_basic_value_below_the_feasibility_tolerance():
@@ -373,7 +423,6 @@ def test_finish_rejects_a_basic_value_below_the_feasibility_tolerance():
     # to 0 before the certificate ran, which then reported the row as
     # infeasible in place of the negative value
     from paneleff import linprog
-    from paneleff.errors import LpSolverError
 
     stack = linprog._Stack(np.array([1.0, 0.0]), "min", np.array([[[1.0, -1.0]]]), np.array(["="]),
                            np.array([[-1.0]]))
